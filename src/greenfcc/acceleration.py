@@ -121,17 +121,21 @@ def wynn_epsilon_with_estimate(seq: PartialSumSequence) -> tuple[float, float]:
     When an even column has settled to rounding level, the error
     heuristic is that column's in-column spread (the gap between its
     last two entries, a few units of rounding).  Otherwise it is the
-    absolute difference between the last two even-column entries; for a
-    degenerate (stalled) input it is 0.
+    absolute difference between the last two even-column entries.  With
+    fewer than two even columns (or fewer than three distinct sums) the
+    transform has nothing to compare, so the estimate is the last step of
+    the distinct sums, |S_last - S_prev|, and infinite when only one
+    distinct sum exists.
     """
     sums = _dedupe(seq.sums)
+    last_step = abs(sums[-1] - sums[-2]) if len(sums) > 1 else math.inf
     if len(sums) < 3:
-        return sums[-1], 0.0
+        return sums[-1], last_step
     evens, spread = _wynn_even_columns(sums)
     if spread is not None:
         return evens[-1], spread
     if len(evens) < 2:
-        return evens[-1], abs(evens[-1] - sums[-1])
+        return evens[-1], last_step
     return evens[-1], abs(evens[-1] - evens[-2])
 
 

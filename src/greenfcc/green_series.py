@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .acceleration import (
     PartialSumSequence,
@@ -61,37 +61,27 @@ transform tables.
 
 _ACCEL_CHOICES = ("none", "wynn", "aitken")
 
+_ROW_BLOCK = 16
+"""Inner series6 rows formed per numpy call.
 
-@lru_cache(maxsize=4)
-def _offsets(size: int) -> np.ndarray:
-    a = np.arange(size)
-    d = a[None, :] - a[:, None]
-    d.flags.writeable = False
-    return d
-
-
-def _double_sum(i, F, Jl, Jm, Jn, upow, extra_scales=()) -> float:
-    """sum_j F[i,j] upow[i-j] Jn[j] * sum_k F[j,k] Jl[i-j+k] Jm[i-k].
-
-    The k sum runs over a Toeplitz gather of Jl; clipped indices above
-    the diagonal are annihilated by the zero half of the binomial table.
-    ``extra_scales`` multiply the j rows one factor at a time, which lets
-    callers stage power scalings that would under- or overflow if fused.
-    """
-    sl = slice(0, i + 1)
-    offs = _offsets(F.shape[0])[sl, sl]
-    idx = np.clip(offs + i, 0, i)
-    rows = (F[sl, sl] * Jl[idx] * Jm[i::-1][None, :]).sum(axis=1)
-    for scale in extra_scales:
-        rows = rows * scale[sl]
-    w = F[i, sl] * upow[i::-1] * Jn[sl]
-    return float((w * rows).sum())
+Off the band edge an inner sum typically stops after 17 to 128 values
+of j, so a block of 16 forms at most 15 rows past the stop.
+"""
 
 
 def _j_vector(table: IntegralTable, site: int, length: int) -> np.ndarray:
     vec = np.array([table.j_value(p, site) for p in range(length)])
     vec.flags.writeable = False
     return vec
+
+
+def _safe_order(gamma: float) -> int:
+    """Last order whose unscaled moment stays inside the double range.
+
+    Moments grow like (2+gamma)^i; beyond this index the unscaled double
+    sum would overflow and the folded form takes over.
+    """
+    return int(680.0 / math.log(2.0 + gamma))
 
 
 @dataclass
@@ -109,30 +99,60 @@ class _Workspace:
         self.Jl = _j_vector(table, p.l, self.j_depth + 1)
         self.Jm = _j_vector(table, p.m, self.j_depth + 1)
         self.Jn = _j_vector(table, p.n, self.j_depth + 1)
+        # zero-copy views: hankel[a, k] = Jl[a + k] and jm_rev[a, c] =
+        # Jm[a + depth - c]; the zero padding gives series5 rows up to
+        # a + k = 2 * depth, series6 has j_depth = depth + l_max entries
+        padded = np.zeros(max(2 * self.depth + 2, self.Jl.size))
+        padded[: self.Jl.size] = self.Jl
+        self.hankel = sliding_window_view(padded, self.depth + 1)
+        self.jm_rev = sliding_window_view(self.Jm, self.depth + 1)[:, ::-1]
+        self.safe_order = _safe_order(p.gamma)
+        # term5 reads gamma^k only up to safe_order; deeper powers overflow
+        self.gamma_pows = np.power(
+            float(p.gamma), np.arange(min(self.depth, self.safe_order) + 1)
+        )
         ladder = np.arange(self.depth + 1)
-        self.gamma_pows = np.power(float(p.gamma), ladder)
         self.ut_pows = np.power(p.gamma / p.t, ladder)
         self.pow2neg = np.ldexp(1.0, -ladder)
         self.twot_pows = np.power(2.0 / p.t, ladder)
-        # moments grow like (2+gamma)^i; beyond this index the unscaled
-        # double sum would overflow and the folded form takes over
-        self.safe_order = int(680.0 / math.log(2.0 + p.gamma))
+
+    def _double_sum(self, i: int, upow: np.ndarray, extra_scales=()) -> float:
+        """sum_j F[i,j] upow[i-j] Jn[j] * sum_k F[j,k] Jl[i-j+k] Jm[i-k].
+
+        Only the rows j = n, n+2, ..., i (n the site index) are formed:
+        J_j(n) vanishes for j < n and for odd j - n, and those zeros are
+        exact, so every skipped row would enter the outer sum as w = 0.0
+        times a finite row.  Row j reads Jl[i-j+k] as row i-j of the
+        Hankel view; for k > j the view reaches past Jl[i] (or into the
+        zero padding), where the zero upper half of the binomial table
+        annihilates it.  The formed rows land in a zeroed full-length
+        vector, so each k sum and the final j sum add the same products
+        in the same order as the dense (i+1)^2 form, bit for bit.
+        ``extra_scales`` multiply the j rows one factor at a time, which
+        lets callers stage power scalings that would under- or overflow
+        if fused.
+        """
+        n = self.params.n
+        sl = slice(0, i + 1)
+        rows = np.zeros(i + 1)
+        if i >= n:
+            js = slice(n, i + 1, 2)
+            part = self.F[js, sl] * self.hankel[i - n :: -2, sl]
+            part *= self.Jm[i::-1]
+            rows[js] = part.sum(axis=1)
+        for scale in extra_scales:
+            rows = rows * scale[sl]
+        w = self.F[i, sl] * upow[i::-1] * self.Jn[sl]
+        return float((w * rows).sum())
 
     def moment(self, i: int) -> float:
-        raw = _double_sum(i, self.F, self.Jl, self.Jm, self.Jn, self.gamma_pows)
-        return raw / PI3
+        return self._double_sum(i, self.gamma_pows) / PI3
 
     def term5(self, i: int) -> float:
         if i <= self.safe_order:
             return self.moment(i) * self.params.t ** (-1 - i)
-        folded = _double_sum(
-            i,
-            self.F,
-            self.Jl,
-            self.Jm,
-            self.Jn,
-            self.ut_pows,
-            extra_scales=(self.pow2neg, self.twot_pows),
+        folded = self._double_sum(
+            i, self.ut_pows, extra_scales=(self.pow2neg, self.twot_pows)
         )
         return folded / self.params.t / PI3
 
@@ -141,37 +161,31 @@ def _workspace(params: GreenParams, depth: int, j_depth: int | None = None) -> _
     return _Workspace(params, depth, depth if j_depth is None else j_depth)
 
 
-def moment_coefficient(
-    i: int, params: GreenParams, tables: IntegralTable | None = None
-) -> float:
+def moment_coefficient(i: int, params: GreenParams) -> float:
     """i-th moment of the structure function against the site cosines.
 
     Equals (1/pi^3) * int w^i cos(lx)cos(my)cos(nz) over [0, pi]^3, i.e.
     the coefficient of t^(-1-i) in the Green-function expansion.  For
     gamma = 1 at the origin these are the weighted closed-walk counts of
     the 12-neighbour FCC shell: 1, 0, 3/4, 3/4, ...  Values grow like
-    (2+gamma)^i and leave the double range for very large i.
+    (2+gamma)^i, so orders above int(680 / ln(2+gamma)) (618 at
+    gamma = 1, always below the hard order cap) would leave the double
+    range and are rejected.
     """
     if i < 0:
         raise ValueError("moment order must be non-negative")
-    if i > HARD_ORDER_CAP:
-        raise ValueError(f"moment order exceeds the hard cap {HARD_ORDER_CAP}")
-    if tables is None:
-        tables = shared_table(2 * i + max(params.l, params.m, params.n, 8) + 2)
-    F = binomial_table(i)
-    Jl = _j_vector(tables, params.l, i + 1)
-    Jm = _j_vector(tables, params.m, i + 1)
-    Jn = _j_vector(tables, params.n, i + 1)
-    gamma_pows = np.power(float(params.gamma), np.arange(i + 1))
-    raw = _double_sum(i, F, Jl, Jm, Jn, gamma_pows)
-    return raw / PI3
+    limit = _safe_order(params.gamma)
+    if i > limit:
+        raise ValueError(
+            f"moment order {i} exceeds {limit}, the largest whose value "
+            f"fits a double at gamma={params.gamma}"
+        )
+    return _workspace(params, i).moment(i)
 
 
-def outer_term_series5(
-    i: int, params: GreenParams, tables: IntegralTable | None = None
-) -> float:
+def outer_term_series5(i: int, params: GreenParams) -> float:
     """i-th outer term of the single expansion, without the 1/pi^3 factor."""
-    return moment_coefficient(i, params, tables) * PI3 * params.t ** (-1 - i)
+    return moment_coefficient(i, params) * PI3 * params.t ** (-1 - i)
 
 
 def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: str):
@@ -293,9 +307,20 @@ def _scan_series6(
 def _series6_row(
     ws: _Workspace, i: int, x: float, tol_inner: float, l_max: int
 ) -> tuple[float, float, bool]:
-    """One outer row of the double series: adaptive sum over j."""
+    """One outer row of the double series: adaptive sum over j.
+
+    The inner products sum_k F[i,k] Jl[j+k] Jm[j+i-k] are formed for
+    ``_ROW_BLOCK`` values of j at a time from the workspace's sliding
+    window of Jl and reversed sliding window of Jm.  Each block row holds
+    the same products, in the same order, as the 1-D sum for that j and
+    is reduced along its own contiguous axis, so every row value is
+    bit-identical to the one-j-at-a-time form; the stop test still runs
+    j by j, so at most one block is formed past the stopping j.
+    """
     params = ws.params
     base = ws.F[i, : i + 1]
+    jl_windows = ws.hankel[:, : i + 1]
+    jm_windows = ws.jm_rev[:, ws.depth - i :]
     jn_i = ws.Jn[i]
     scale_i = math.ldexp(1.0, -i)
     c = (2.0 / params.t) ** i  # C(i+j, j) (gamma/t)^j (2/t)^i at j = 0
@@ -306,7 +331,11 @@ def _series6_row(
     ok = False
     j = 0
     while j < l_max:
-        row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
+        if j % _ROW_BLOCK == 0:
+            stop = min(j + _ROW_BLOCK, l_max)
+            block = base * jl_windows[j:stop] * jm_windows[j:stop]
+            block_rows = block.sum(axis=1).tolist()
+        row = block_rows[j % _ROW_BLOCK]
         piece = c * (row * scale_i) * jn_i / params.t / PI3
         pieces.append(piece)
         if piece != 0.0:

@@ -61,6 +61,20 @@ class TestWynnEpsilon:
         limit = a / (1.0 - r)
         assert wynn_epsilon(seq) == pytest.approx(limit, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "sums, step",
+        [
+            ([0.0, 1.0, 2.0, 3.0], 1.0),  # table stops before its second even column
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 1.0),
+            ([1.0, 1.0, 1.5], 0.5),  # fewer than three distinct sums
+            ([2.0, 2.0, 2.0], math.inf),  # one distinct sum: nothing to compare
+        ],
+    )
+    def test_estimate_never_zero_without_a_second_column(self, sums, step):
+        value, estimate = wynn_epsilon_with_estimate(PartialSumSequence(sums))
+        assert value == sums[-1]
+        assert estimate == step
+
     def test_two_component_exponential(self):
         sums = [
             5.0 - 2.0 * 0.5**k - 1.0 * 0.25**k for k in range(12)

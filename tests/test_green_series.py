@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,52 @@ from greenfcc import (
     moment_coefficient,
     outer_term_series5,
 )
+from greenfcc.green_series import _safe_order, _series6_row, _workspace
 from walk_oracle import walk_moment
 
 PI3 = math.pi**3
+
+
+def _gather_double_sum(i, F, Jl, Jm, Jn, upow, extra_scales=()):
+    """The dense (i+1)^2 Toeplitz-gather form of the double sum (reference)."""
+    sl = slice(0, i + 1)
+    a = np.arange(i + 1)
+    idx = np.clip(a[None, :] - a[:, None] + i, 0, i)
+    rows = (F[sl, sl] * Jl[idx] * Jm[i::-1][None, :]).sum(axis=1)
+    for scale in extra_scales:
+        rows = rows * scale[sl]
+    w = F[i, sl] * upow[i::-1] * Jn[sl]
+    return float((w * rows).sum())
+
+
+def _gather_term5(ws, i):
+    if i <= ws.safe_order:
+        raw = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.gamma_pows)
+        return raw / PI3 * ws.params.t ** (-1 - i)
+    scales = (ws.pow2neg, ws.twot_pows)
+    raw = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.ut_pows, scales)
+    return raw / ws.params.t / PI3
+
+
+def _series6_row_per_j(ws, i, x, tol_inner, l_max):
+    """The one-j-at-a-time form of the series6 inner sum (reference)."""
+    base = ws.F[i, : i + 1]
+    c = (2.0 / ws.params.t) ** i
+    pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
+    for j in range(l_max):
+        row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
+        piece = c * (row * math.ldexp(1.0, -i)) * ws.Jn[i] / ws.params.t / PI3
+        pieces.append(piece)
+        seen = seen or piece != 0.0
+        ratio = x * (i + j + 2) / (j + 2)
+        if ratio < 1.0:
+            bound = 2.0 * max(piece, ratio * prev_piece) * ratio / (1.0 - ratio)
+            if seen and bound <= tol_inner:
+                ok = True
+                break
+        prev_piece = piece
+        c *= x * (i + j + 1) / (j + 1)
+    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok
 
 
 class TestGreenParams:
@@ -59,6 +104,50 @@ class TestMomentCoefficient:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             moment_coefficient(1001, GreenParams(t=4.0))
+
+    def test_orders_past_double_range_rejected(self):
+        # moments grow like 3^i at gamma = 1; order 618 is the last that fits
+        p = GreenParams(t=4.0, gamma=1.0)
+        assert math.isfinite(moment_coefficient(618, p))
+        with pytest.raises(ValueError, match="exceeds 618"):
+            moment_coefficient(619, p)
+        with pytest.raises(ValueError):
+            moment_coefficient(999, p)
+
+
+class TestStridedLoops:
+    """The strided hot loops reproduce the gather forms bit for bit."""
+
+    SITES = [(0, 0, 0), (2, 0, 0), (2, 1, 1), (3, 3, 2), (5, 0, 1), (1, 1, 4)]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_double_sum_matches_gather(self, gamma):
+        safe = _safe_order(gamma)
+        orders = [0, 1, 2, 3, 6, 7, 40, 41, safe - 1, safe, safe + 1, safe + 2]
+        for site in self.SITES:
+            p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
+            ws = _workspace(p, safe + 2)
+            for i in orders:
+                assert ws.term5(i) == _gather_term5(ws, i), (site, i)
+                if i <= safe:
+                    want = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.gamma_pows)
+                    assert ws.moment(i) == want / PI3, (site, i)
+
+    @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
+    def test_series6_blocks_match_per_j_sums(self, site):
+        # l_max = 16, 17, 18 end the sum on j = 15, 16, 17, either side of a
+        # block edge; tol_inner = 0 never stops early, so the returned bound
+        # is built from the last rows themselves
+        p = GreenParams(t=4.5, gamma=1.5, l=site[0], m=site[1], n=site[2])
+        n_max, l_max_top = 30, 40
+        ws = _workspace(p, n_max, j_depth=n_max + l_max_top)
+        x = p.gamma / p.t
+        for i in (0, 1, 4, 9, 29):
+            for l_max in (1, 15, 16, 17, 18, 33, l_max_top):
+                for tol_inner in (0.0, 1e-13):
+                    got = _series6_row(ws, i, x, tol_inner, l_max)
+                    want = _series6_row_per_j(ws, i, x, tol_inner, l_max)
+                    assert got == want, (i, l_max, tol_inner)
 
 
 class TestOuterTerm:
@@ -152,6 +241,22 @@ class TestEvaluateSeries5:
     def test_bad_accel_rejected(self):
         with pytest.raises(ValueError):
             evaluate_series5(GreenParams(t=4.0), accel="richardson")
+
+    def test_short_wynn_run_not_converged(self):
+        # three terms at the band edge: Watson's value is 0.44822, and a
+        # transform with no second column has no basis for a zero estimate
+        ev = evaluate_series5(GreenParams(t=3.0, gamma=1.0), n_max=3, accel="wynn")
+        assert not ev.converged
+        assert ev.abs_error_estimate > 0.0
+
+    @pytest.mark.parametrize("t, gamma", [(1992.0, 1990.0), (1e6, 100003.0)])
+    def test_large_gamma_leaks_no_overflow(self, t, gamma):
+        p = GreenParams(t=t, gamma=gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            evs = (evaluate_series5(p), evaluate_series6(p))
+        for ev in evs:
+            assert math.isfinite(ev.value) and ev.value > 0.0
 
     def test_converged_implies_estimate_within_tol(self):
         for t in (3.5, 4.0, 6.0, 20.0):
