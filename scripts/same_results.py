@@ -1,0 +1,135 @@
+"""Check that the working tree's src/ gives the same results as a git revision's.
+
+Usage: python3 scripts/same_results.py REV
+
+REV's src/ is exported with ``git archive`` into a temporary directory,
+which writes nothing into .git.  Each tree then runs, in a child process
+of its own:
+
+* every pooled series operation of the offedge_sweep and band_edge
+  workloads in bench/references.json, recording value, error estimate,
+  terms used, converged and accelerated;
+* the README's command-line examples and the commands of the cli pool in
+  bench/references.json, each in a fresh temporary working directory,
+  recording the exit code, stdout with ``wall_time_ms`` stripped, and
+  any file the command wrote.
+
+Floats are compared through their repr, so "same" means bit-identical.
+Every difference is printed; the exit code is 1 if there is one and 0 if
+there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = ROOT / "bench" / "references.json"
+SERIES_WORKLOADS = ("offedge_sweep", "band_edge")
+ROUTES = {"series5": "evaluate_series5", "series6": "evaluate_series6"}
+README_COMMANDS = (
+    ["eval", "--t", "4", "--gamma", "1", "--lmn", "0", "0", "0"],
+    ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
+    ["compare", "--t", "4", "--method", "series5,series6,quadrature"],
+    ["convergence", "--t", "3", "--n-max", "200", "--accel", "wynn"],
+)
+
+
+def _strip_wall_time(stdout: str) -> list[str]:
+    lines = []
+    for line in stdout.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            lines.append(line)
+            continue
+        if isinstance(record, dict):
+            record.pop("wall_time_ms", None)
+        lines.append(json.dumps(record))
+    return lines
+
+
+def _run_cli(src: Path, argv: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenfcc", *argv],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=600, check=False,
+        )
+        files = {p.name: p.read_text() for p in sorted(Path(cwd).iterdir())}
+    return {"exit": proc.returncode, "stdout": _strip_wall_time(proc.stdout), "files": files}
+
+
+def collect(src: Path) -> dict[str, str]:
+    """Every result of the tree at ``src``, keyed by a readable label."""
+    sys.path.insert(0, str(src))
+    import greenfcc
+
+    if Path(greenfcc.__file__).resolve().parent != src.resolve() / "greenfcc":
+        raise ImportError(f"greenfcc imported from {greenfcc.__file__}, not {src}")
+    data = json.loads(REFERENCES.read_text())
+    results = {}
+    for workload in SERIES_WORKLOADS:
+        for idx, op in enumerate(data["workloads"][workload]["ops"]):
+            if op["route"] not in ROUTES:
+                continue
+            l, m, n = op["lmn"]
+            params = greenfcc.GreenParams(t=op["t"], gamma=op["gamma"], l=l, m=m, n=n)
+            try:
+                ev = getattr(greenfcc, ROUTES[op["route"]])(params, **op["kwargs"])
+                got = [ev.value, ev.abs_error_estimate, ev.terms_used, ev.converged, ev.accelerated]
+            except Exception as exc:  # a raised error is a result to compare too
+                got = {"raised": repr(exc)}
+            label = f"{workload}[{idx}] {op['route']} t={op['t']!r} gamma={op['gamma']!r} lmn={op['lmn']} {op['kwargs']}"
+            results[label] = json.dumps(got)
+    commands = [*README_COMMANDS, *(op["argv"] for op in data["workloads"]["cli"]["ops"])]
+    for argv in commands:
+        results["greenfcc " + " ".join(argv)] = json.dumps(_run_cli(src, argv))
+    return results
+
+
+def _collect_in_child(src: Path) -> dict[str, str]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--collect", str(src)],
+        capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"collecting results of {src} failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
+    ap.add_argument("--collect", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.collect:
+        print(json.dumps(collect(Path(args.collect))))
+        return 0
+    if not args.rev:
+        ap.error("a git revision is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
+            capture_output=True, check=True,
+        )
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        old = _collect_in_child(Path(tmp) / "src")
+    new = _collect_in_child(ROOT / "src")
+    differ = 0
+    for label in sorted(old.keys() | new.keys()):
+        if old.get(label) != new.get(label):
+            differ += 1
+            print(f"DIFF {label}\n  {args.rev}: {old.get(label)}\n  tree: {new.get(label)}")
+    print(f"{len(old.keys() | new.keys())} results compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -83,9 +83,6 @@ def _wynn_even_columns(sums: list[float]) -> tuple[list[float], float | None]:
         for idx in range(len(prev1) - 1):
             diff = prev1[idx + 1] - prev1[idx]
             if diff == 0.0 or not math.isfinite(diff):
-                # equal entries inside an even column are a converged value
-                if col % 2 == 1 and math.isfinite(prev1[idx]):
-                    return evens + [prev1[idx]], None
                 return evens, None
             entry = prev2[idx + 1] + 1.0 / diff
             if not math.isfinite(entry):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,9 +85,57 @@ def _safe_order(gamma: float) -> int:
     return int(680.0 / math.log(2.0 + gamma))
 
 
+@dataclass(frozen=True, eq=False)
+class _SiteTables:
+    """J vectors of one site and the strided views the hot loops read.
+
+    ``hankel[a, k] = Jl[a + k]`` and ``jm_rev[a, c] = Jm[a + depth - c]``
+    are zero-copy views.  The zero padding behind ``hankel`` gives series5
+    rows up to a + k = 2 * depth; series6 has j_depth = depth + l_max
+    entries.  Every array is read-only.
+    """
+
+    Jl: np.ndarray
+    Jm: np.ndarray
+    Jn: np.ndarray
+    hankel: np.ndarray
+    jm_rev: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _site_tables(l: int, m: int, n: int, depth: int, j_depth: int) -> _SiteTables:
+    """The integer-only tables of site (l, m, n), shared by every t and gamma.
+
+    The J vectors hold J_p(site) for p <= j_depth, read from the shared
+    exact table; ``depth`` fixes the padding and the window width of the
+    views.  Nothing here depends on t or gamma, so the cache keeps a
+    sweep, a comparison or a repeated call from rebuilding them; every
+    power ladder, double sum and scan still runs per call.
+    """
+    table = shared_table(j_depth + max(l, m, n, 8) + 2)
+    Jl = _j_vector(table, l, j_depth + 1)
+    Jm = _j_vector(table, m, j_depth + 1)
+    Jn = _j_vector(table, n, j_depth + 1)
+    padded = np.zeros(max(2 * depth + 2, Jl.size))
+    padded[: Jl.size] = Jl
+    padded.flags.writeable = False
+    return _SiteTables(
+        Jl=Jl,
+        Jm=Jm,
+        Jn=Jn,
+        hankel=sliding_window_view(padded, depth + 1),
+        jm_rev=sliding_window_view(Jm, depth + 1)[:, ::-1],
+    )
+
+
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: binomials, J vectors and power ladders."""
+    """Per-evaluation tables: binomials, site tables and power ladders.
+
+    The binomial table and the site tables come from process-wide caches;
+    only the gamma ladder, and past ``safe_order`` the folded ladders in
+    gamma/t, 1/2 and 2/t, are built for each evaluation.
+    """
 
     params: GreenParams
     depth: int
@@ -95,26 +144,20 @@ class _Workspace:
     def __post_init__(self) -> None:
         p = self.params
         self.F = binomial_table(self.depth)
-        table = shared_table(self.j_depth + max(p.l, p.m, p.n, 8) + 2)
-        self.Jl = _j_vector(table, p.l, self.j_depth + 1)
-        self.Jm = _j_vector(table, p.m, self.j_depth + 1)
-        self.Jn = _j_vector(table, p.n, self.j_depth + 1)
-        # zero-copy views: hankel[a, k] = Jl[a + k] and jm_rev[a, c] =
-        # Jm[a + depth - c]; the zero padding gives series5 rows up to
-        # a + k = 2 * depth, series6 has j_depth = depth + l_max entries
-        padded = np.zeros(max(2 * self.depth + 2, self.Jl.size))
-        padded[: self.Jl.size] = self.Jl
-        self.hankel = sliding_window_view(padded, self.depth + 1)
-        self.jm_rev = sliding_window_view(self.Jm, self.depth + 1)[:, ::-1]
+        site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
+        self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
+        self.hankel, self.jm_rev = site.hankel, site.jm_rev
         self.safe_order = _safe_order(p.gamma)
         # term5 reads gamma^k only up to safe_order; deeper powers overflow
         self.gamma_pows = np.power(
             float(p.gamma), np.arange(min(self.depth, self.safe_order) + 1)
         )
-        ladder = np.arange(self.depth + 1)
-        self.ut_pows = np.power(p.gamma / p.t, ladder)
-        self.pow2neg = np.ldexp(1.0, -ladder)
-        self.twot_pows = np.power(2.0 / p.t, ladder)
+        if self.depth > self.safe_order:
+            # only the folded terms past safe_order read these
+            ladder = np.arange(self.depth + 1)
+            self.ut_pows = np.power(p.gamma / p.t, ladder)
+            self.pow2neg = np.ldexp(1.0, -ladder)
+            self.twot_pows = np.power(2.0 / p.t, ladder)
 
     def _double_sum(self, i: int, upow: np.ndarray, extra_scales=()) -> float:
         """sum_j F[i,j] upow[i-j] Jn[j] * sum_k F[j,k] Jl[i-j+k] Jm[i-k].

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -14,9 +15,10 @@ class GreenParams:
     ``t`` is the spectral parameter, ``gamma`` the anisotropy weight of
     the cos(x)cos(y) bond, and (l, m, n) the lattice site.  The structure
     function gamma*cx*cy + cy*cz + cz*cx only reaches sites with even
-    l+m+n, so odd parity is rejected outright; the t domain depends on
-    the evaluation method and is checked there (the spectral band edge
-    sits at t = 2 + gamma).
+    l+m+n, so odd parity is rejected outright.  t and gamma must be
+    positive and finite; the rest of the t domain depends on the
+    evaluation method and is checked there (the spectral band edge sits
+    at t = 2 + gamma).
     """
 
     t: float
@@ -36,8 +38,12 @@ class GreenParams:
             raise DomainError("l+m+n must be even")
         if not self.gamma > 0.0:
             raise DomainError("gamma must be positive")
+        if not math.isfinite(self.gamma):
+            raise DomainError("gamma must be finite")
         if not self.t > 0.0:
             raise DomainError("t must be positive")
+        if not math.isfinite(self.t):
+            raise DomainError("t must be finite")
 
     @property
     def band_edge(self) -> float:

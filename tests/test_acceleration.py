@@ -75,6 +75,15 @@ class TestWynnEpsilon:
         assert value == sums[-1]
         assert estimate == step
 
+    def test_zero_difference_stops_the_table(self):
+        # equal neighbours inside the second column used to return the entry
+        # where they meet, -1.5, built from the first four sums only, as if
+        # it were a deeper even column
+        sums = [-2.0, -1.0, -2.0, -1.0, -2.0, 0.0]
+        value, estimate = wynn_epsilon_with_estimate(PartialSumSequence(sums))
+        assert value == pytest.approx(-4.0 / 3.0, rel=1e-15)
+        assert estimate == pytest.approx(4.0 / 3.0, rel=1e-15)
+
     def test_two_component_exponential(self):
         sums = [
             5.0 - 2.0 * 0.5**k - 1.0 * 0.25**k for k in range(12)

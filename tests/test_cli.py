@@ -63,6 +63,19 @@ class TestEval:
         assert r.returncode == 1
         assert "2.5" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--t", "inf", "--method", "quadrature"), "t must be finite"),
+            (("--t", "4", "--gamma", "inf"), "gamma must be finite"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, args, message):
+        r = run("eval", *args)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert message in r.stderr
+
     def test_unconverged_exit_code(self):
         r = run("eval", "--t", "3", "--n-max", "50")
         assert r.returncode == 2

@@ -18,7 +18,7 @@ from greenfcc import (
     moment_coefficient,
     outer_term_series5,
 )
-from greenfcc.green_series import _safe_order, _series6_row, _workspace
+from greenfcc.green_series import _safe_order, _series6_row, _site_tables, _workspace
 from walk_oracle import walk_moment
 
 PI3 = math.pi**3
@@ -81,6 +81,19 @@ class TestGreenParams:
 
     def test_band_edge(self):
         assert GreenParams(t=5.0, gamma=0.5).band_edge == 2.5
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"t": math.inf}, "t must be finite"),
+            ({"t": math.inf, "gamma": math.inf}, "gamma must be finite"),
+            ({"t": 4.0, "gamma": math.inf}, "gamma must be finite"),
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs, message):
+        # t = inf used to give quadrature a "converged" 0.0 with estimate 0.0
+        with pytest.raises(DomainError, match=message):
+            GreenParams(**kwargs)
 
 
 class TestMomentCoefficient:
@@ -148,6 +161,76 @@ class TestStridedLoops:
                     got = _series6_row(ws, i, x, tol_inner, l_max)
                     want = _series6_row_per_j(ws, i, x, tol_inner, l_max)
                     assert got == want, (i, l_max, tol_inner)
+
+
+class TestSiteTableCache:
+    """One process-wide set of site tables serves every t and gamma."""
+
+    VIEWS = ("Jl", "Jm", "Jn", "hankel", "jm_rev")
+
+    def test_same_key_shares_arrays(self):
+        a = _workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
+        b = _workspace(GreenParams(t=5.5, gamma=2.0, l=2, m=1, n=1), 60)
+        for name in self.VIEWS:
+            assert getattr(a, name) is getattr(b, name), name
+        c = _workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60, j_depth=90)
+        assert c.Jl is not a.Jl
+
+    def test_cached_tables_read_only(self):
+        ws = _workspace(GreenParams(t=4.0, l=3, m=3, n=2), 40, j_depth=80)
+        for name in self.VIEWS:
+            arr = getattr(ws, name)
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+            # every array a view is built on, the zero-padded J_l included,
+            # is read-only too
+            while arr is not None:
+                if isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable, name
+                arr = getattr(arr, "base", None)
+
+    @pytest.mark.parametrize("site", [(2, 1, 1), (3, 1, 0), (2, 2, 0), (4, 2, 2)])
+    def test_cold_and_warm_results_identical(self, site):
+        p = GreenParams(t=3.4, gamma=1.3, l=site[0], m=site[1], n=site[2])
+        edge = GreenParams(t=3.3, gamma=1.3, l=site[0], m=site[1], n=site[2])
+
+        def results():
+            return (
+                evaluate_series5(p, tol=1e-13),
+                evaluate_series5(edge, n_max=150, accel="wynn"),
+                evaluate_series6(p, tol=1e-13, n_max=80, l_max=60),
+            )
+
+        _site_tables.cache_clear()
+        cold = results()
+        hits = _site_tables.cache_info().hits
+        assert results() == cold
+        assert _site_tables.cache_info().hits > hits
+
+    def test_folded_path_cold_and_warm(self):
+        # n_max = 1000 runs past safe_order (618 at gamma = 1) into the
+        # folded terms, the only ones that read the per-call ladders
+        p = GreenParams(t=3.0, gamma=1.0, l=2, m=0, n=0)
+        assert hasattr(_workspace(p, 1000), "ut_pows")
+        assert not hasattr(_workspace(p, 400), "ut_pows")
+        _site_tables.cache_clear()
+        cold = evaluate_series5(p, n_max=1000, accel="aitken")
+        assert cold.terms_used == 1000
+        assert evaluate_series5(p, n_max=1000, accel="aitken") == cold
+
+    def test_series6_past_the_order_cap(self):
+        # the J vectors of series6 reach n_max + l_max = 1100, beyond the
+        # hard order cap of the binomial table
+        p = GreenParams(t=3.6, gamma=1.0, l=2, m=2, n=0)
+        _site_tables.cache_clear()
+        cold = evaluate_series6(p, n_max=600, l_max=500)
+        assert _workspace(p, 600, j_depth=1100).Jl.size == 1101
+        assert evaluate_series6(p, n_max=600, l_max=500) == cold
+        assert cold.converged
+
+    def test_cache_is_bounded(self):
+        maxsize = _site_tables.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestOuterTerm:
