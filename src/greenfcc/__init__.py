@@ -4,9 +4,9 @@ Evaluates G(t, l, m, n; gamma), the lattice Green function of the
 (anisotropic) face-centered-cubic structure function
 gamma*cos x cos y + cos y cos z + cos z cos x, for t on or above the
 spectral band edge 2+gamma.  Two independent series arrangements and a
-direct Gauss-Legendre quadrature of the defining triple integral
-cross-validate each other; Wynn and Aitken sequence transforms extend
-usable accuracy to the band edge itself.
+Gauss-Legendre quadrature of the defining integral (its z integral
+taken in closed form) cross-validate each other; Wynn and Aitken
+sequence transforms extend usable accuracy to the band edge itself.
 """
 
 from .acceleration import (
@@ -38,7 +38,7 @@ from .green_series import (
     outer_term_series5,
 )
 from .params import GreenParams, SeriesEvaluation
-from .quadrature import QuadratureSpec, green_by_quadrature, omega
+from .quadrature import QuadratureSpec, green_by_quadrature
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "green_by_quadrature",
     "j_integral",
     "moment_coefficient",
-    "omega",
     "outer_term_series5",
     "shared_table",
     "summation_limit",

@@ -1,29 +1,44 @@
-"""Direct quadrature of the defining triple integral.
+"""Direct quadrature of the defining integral, with z integrated exactly.
 
-Serves as the ground truth the series arrangements are checked against:
-G is computed straight from its definition as (1/pi^3) times the
-integral of cos(lx)cos(my)cos(nz)/(t - omega) over [0, pi]^3 by
-tensor-product Gauss-Legendre rules on subdivided cells.
+Serves as the ground truth the series arrangements are checked against.
+G is (1/pi^3) times the integral of cos(lx)cos(my)cos(nz)/(t - omega)
+over [0, pi]^3, with omega = gamma*cx*cy + cz*(cx + cy).  Writing
+t - omega = A - B cos z with A = t - gamma*cx*cy and B = cx + cy, the z
+integral has a closed form (Watson 1939; Joyce 1998):
 
-The structure function attains its maximum 2+gamma at the two cube
-corners (0,0,0) and (pi,pi,pi), so for t near the band edge the
-integrand has a 1/|r|^2 spike at each.  The integrand is symmetric
-under (x,y,z) -> (pi-x, pi-y, pi-z) whenever l+m+n is even (the only
-case admitted by GreenParams), so the domain is folded to
-x in [0, pi/2], doubled, leaving a single spiky corner at the origin.
-That corner is covered by geometrically shrinking dyadic shells, each
-smooth on its own scale.  Denominators are assembled from versines
-(2 sin^2(x/2)) rather than 1-cos differences, which keeps the corner
-cells free of subtractive cancellation; at t = 2+gamma the integrable
-singularity never coincides with a quadrature node.
+    int_0^pi cos(nz)/(A - B cos z) dz = pi rho^n / sqrt(A^2 - B^2),
+    rho = B / (A + sqrt(A^2 - B^2)),
 
-All cell contributions are reduced with math.fsum in a fixed order, so
-a given QuadratureSpec reproduces results bit-for-bit.
+so G = (1/pi^2) times a 2D integral over (x, y) in [0, pi]^2, computed
+by tensor-product Gauss-Legendre rules on subdivided boxes.  Both
+factors of A^2 - B^2 are assembled from versines v = 2 sin^2(x/2) and
+u = 2 - v, which makes every summand non-negative:
+
+    A - B = s + gamma*q(vx, vy) + vx + vy,
+    A + B = s + gamma*q(ux, uy) + ux + uy,
+
+with s = t - 2 - gamma and q(a, b) = a + b - a*b.  Near the points where
+a factor vanishes it is built from positive pieces rather than from a
+difference of cosines.
+
+A - B vanishes at (0, 0) and A + B at (pi, pi) when t = 2+gamma; there
+the 2D integrand has an integrable 1/r point.  The integrand is
+symmetric under (x, y) -> (pi-x, pi-y) whenever l+m+n is even (the only
+case admitted by GreenParams), so the domain is folded to x in
+[0, pi/2], doubled, leaving one singular corner at the origin.  That
+corner is covered by geometrically shrinking dyadic shells of 3 boxes
+each, smooth on their own scale, and the innermost square is split into
+two triangles under a Duffy map whose Jacobian cancels the 1/r point.
+
+Every box contributes its signed sum and its sum of magnitudes; both are
+reduced with math.fsum in a fixed order, so a given QuadratureSpec
+reproduces results bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,13 +47,24 @@ import numpy as np
 from .errors import DomainError
 from .params import GreenParams, SeriesEvaluation
 
-PI3 = math.pi**3
 _HALF = math.pi / 2.0
+_MAX_LEVELS = 60
+# rounding floor of the error estimate, relative to the sum of |w*f|
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution knobs; the defaults handle t >= 3.5 to ~1e-10."""
+    """Resolution knobs of the 2D rule.
+
+    Each box gets ``nodes_per_axis`` Gauss-Legendre nodes on each of
+    ``subdivisions_per_axis`` cells per axis; dyadic corner shells use
+    half as many cells.  Within 1 of the band edge the corner path runs
+    ``corner_refinement_levels`` shells, or more when t is so close to
+    the edge that the innermost square would reach the core of radius
+    ~sqrt(t-2-gamma).  The defaults reach ~1e-15 relative error over
+    the whole admitted range, the band edge included.
+    """
 
     nodes_per_axis: int = 24
     subdivisions_per_axis: int = 4
@@ -54,16 +80,6 @@ class QuadratureSpec:
             raise ValueError("corner_refinement_levels must be non-negative")
         if not (math.isfinite(self.target_tol) and self.target_tol > 0.0):
             raise ValueError("target_tol must be positive and finite")
-
-
-def omega(x, y, z, gamma: float = 1.0):
-    """Structure function gamma*cos x cos y + cos y cos z + cos z cos x.
-
-    Accepts scalars or numpy arrays.  Range is [-(something below
-    2+gamma), 2+gamma]; the maximum sits at (0,0,0) and (pi,pi,pi).
-    """
-    cx, cy, cz = np.cos(x), np.cos(y), np.cos(z)
-    return gamma * cx * cy + cy * cz + cz * cx
 
 
 @lru_cache(maxsize=32)
@@ -85,56 +101,95 @@ def _axis_rule(lo: float, hi: float, nodes: int, cells: int):
     return pts, wts
 
 
-def _box_sum(params: GreenParams, lo, hi, nodes: int, cells: int):
-    """Integral of the raw integrand over one box (no 1/pi^3 factor).
+def _factors(params: GreenParams, x, y):
+    """(A - B, A + B) at (x, y), each a sum of non-negative terms."""
+    shift, gamma = params.t - params.band_edge, params.gamma
+    vx = 2.0 * np.sin(0.5 * x) ** 2
+    vy = 2.0 * np.sin(0.5 * y) ** 2
+    ux = 2.0 - vx
+    uy = 2.0 - vy
+    minus = shift + gamma * (vx + vy - vx * vy) + vx + vy
+    plus = shift + gamma * (ux + uy - ux * uy) + ux + uy
+    return minus, plus
 
-    t - omega is expanded in versines v = 2 sin^2(x/2):
-    t - omega = (t-2-gamma) + gamma*q(x,y) + q(y,z) + q(z,x) with
-    q(u,v) = vu + vv - vu*vv, every summand non-negative on the domain,
-    so the denominator near the origin corner is built from positive
-    pieces instead of differences of cosines.
+
+def _z_integral(params: GreenParams, x, y):
+    """(1/pi) int_0^pi cos(nz)/(t - omega) dz at (x, y), in closed form."""
+    minus, plus = _factors(params, x, y)
+    root = np.sqrt(minus) * np.sqrt(plus)  # the product overflows past t ~ 1e154
+    if params.n == 0:
+        return 1.0 / root
+    cx, cy = np.cos(x), np.cos(y)
+    rho = (cx + cy) / (params.t - params.gamma * cx * cy + root)
+    return rho**params.n / root
+
+
+def _piece_sums(params: GreenParams, x, y, wx, wy):
+    """Per-piece (sums of w*f, sums of |w*f|) over nodes (x, y), w = wx*wy.
+
+    Axis 0 of the broadcast node arrays indexes the pieces; axes 1 and 2
+    hold each piece's nodes.
     """
-    t, gamma = params.t, params.gamma
-    shift = t - 2.0 - gamma
-    px, wx = _axis_rule(lo[0], hi[0], nodes, cells)
-    py, wy = _axis_rule(lo[1], hi[1], nodes, cells)
-    pz, wz = _axis_rule(lo[2], hi[2], nodes, cells)
-    vx = 2.0 * np.sin(0.5 * px) ** 2
-    vy = 2.0 * np.sin(0.5 * py) ** 2
-    vz = 2.0 * np.sin(0.5 * pz) ** 2
-    qxy = vx[:, None] + vy[None, :] - vx[:, None] * vy[None, :]
-    qyz = vy[:, None] + vz[None, :] - vy[:, None] * vz[None, :]
-    qzx = vz[:, None] + vx[None, :] - vz[:, None] * vx[None, :]
-    denom = shift + gamma * qxy[:, :, None] + qyz[None, :, :] + qzx.T[:, None, :]
-    num = (
-        (np.cos(params.l * px) * wx)[:, None, None]
-        * (np.cos(params.m * py) * wy)[None, :, None]
-        * (np.cos(params.n * pz) * wz)[None, None, :]
-    )
-    return float(np.sum(num / denom)), px.size * py.size * pz.size
+    f = (wx * np.cos(params.l * x)) * (wy * np.cos(params.m * y))
+    f *= _z_integral(params, x, y)
+    return f.sum(axis=(1, 2)), np.abs(f).sum(axis=(1, 2))
 
 
-def _corner_boxes(levels: int):
-    """Boxes tiling [0, pi/2] x [0, pi]^2, dyadically refined at the origin.
+def _boxes(px, wx, py, wy):
+    """Node arrays of tensor-product boxes from per-box axis rules.
 
-    Yields (lo, hi, is_bulk).  Three bulk boxes cover everything outside
-    the corner cube [0, pi/2]^3; the corner cube splits into ``levels``
-    shells of 7 boxes each plus one innermost cube.
+    Row k of (px, wx) and of (py, wy) is the rule of box k on x and y.
     """
-    s = _HALF
-    yield (0.0, s, 0.0), (s, math.pi, s), True
-    yield (0.0, 0.0, s), (s, s, math.pi), True
-    yield (0.0, s, s), (s, math.pi, math.pi), True
-    outer = s
-    for _ in range(levels):
-        inner = 0.5 * outer
-        for bits in range(1, 8):
-            bx, by, bz = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
-            lo = (inner if bx else 0.0, inner if by else 0.0, inner if bz else 0.0)
-            hi = (outer if bx else inner, outer if by else inner, outer if bz else inner)
-            yield lo, hi, False
-        outer = inner
-    yield (0.0, 0.0, 0.0), (outer, outer, outer), False
+    return px[:, :, None], py[:, None, :], wx[:, :, None], wy[:, None, :]
+
+
+def _levels(params: GreenParams, spec: QuadratureSpec) -> int:
+    """Dyadic shells for the corner path.
+
+    Off the edge the innermost square must stay inside the core of
+    radius ~sqrt(s) around the origin, where the integrand is smooth;
+    at s = 0 the Duffy map handles the 1/r point at any depth.
+    """
+    shift = params.t - params.band_edge
+    if shift <= 0.0:
+        return spec.corner_refinement_levels
+    core = math.ceil(math.log2(_HALF / math.sqrt(shift))) + 1
+    return min(_MAX_LEVELS, max(spec.corner_refinement_levels, core))
+
+
+def _corner_pieces(params: GreenParams, spec: QuadratureSpec):
+    """Node arrays tiling [0, pi/2] x [0, pi], innermost last.
+
+    One bulk box [0, pi/2] x [pi/2, pi]; then per level, in the square
+    [0, 2h]^2, the boxes [h, 2h] x [0, h], [0, h] x [h, 2h] and
+    [h, 2h]^2; then the innermost square as two Duffy triangles.
+    """
+    nodes, cells = spec.nodes_per_axis, spec.subdivisions_per_axis
+    bx, bwx = _axis_rule(0.0, _HALF, nodes, cells)
+    by, bwy = _axis_rule(_HALF, math.pi, nodes, cells)
+    yield _boxes(bx[None], bwx[None], by[None], bwy[None])
+
+    # level k is level 0 scaled by 2^-k, exact in floating point; one
+    # level at a time keeps the temporaries small enough to stay in cache
+    levels = _levels(params, spec)
+    shell_cells = max(1, cells // 2)
+    near, wnear = _axis_rule(0.0, 0.5 * _HALF, nodes, shell_cells)
+    far, wfar = _axis_rule(0.5 * _HALF, _HALF, nodes, shell_cells)
+    px, wx = np.stack([far, near, far]), np.stack([wfar, wnear, wfar])
+    py, wy = np.stack([near, far, far]), np.stack([wnear, wfar, wfar])
+    for k in range(levels):
+        scale = 0.5**k
+        yield _boxes(scale * px, scale * wx, scale * py, scale * wy)
+
+    # x = u, y = u*w below the diagonal and its mirror above; the
+    # Jacobian u cancels a 1/r point at the origin, so the mapped
+    # integrand is smooth there even at the band edge
+    pu, wu = _axis_rule(0.0, _HALF * 0.5**levels, nodes, 1)
+    pw, ww = _axis_rule(0.0, 1.0, nodes, 1)
+    u = np.broadcast_to(pu[:, None], (pu.size, pw.size))
+    along = pu[:, None] * pw[None, :]
+    weights = (wu * pu)[:, None] * ww[None, :]
+    yield np.stack([u, along]), np.stack([along, u]), weights[None], 1.0
 
 
 def _use_corner(params: GreenParams, spec: QuadratureSpec) -> bool:
@@ -142,26 +197,25 @@ def _use_corner(params: GreenParams, spec: QuadratureSpec) -> bool:
 
 
 def _run(params: GreenParams, spec: QuadratureSpec):
+    """(value, sum of |w*f| on the same scale, node count)."""
     if _use_corner(params, spec):
-        shell_cells = max(1, spec.subdivisions_per_axis // 2)
-        pieces = []
-        count = 0
-        for lo, hi, is_bulk in _corner_boxes(spec.corner_refinement_levels):
-            cells = spec.subdivisions_per_axis if is_bulk else shell_cells
-            value, n = _box_sum(params, lo, hi, spec.nodes_per_axis, cells)
-            pieces.append(value)
-            count += n
+        groups = list(_corner_pieces(params, spec))
         # half-domain fold: the x >= pi/2 half mirrors through
-        # (pi-x, pi-y, pi-z), exact for even l+m+n
-        return 2.0 * math.fsum(pieces) / PI3, count
-    value, count = _box_sum(
-        params,
-        (0.0, 0.0, 0.0),
-        (math.pi, math.pi, math.pi),
-        spec.nodes_per_axis,
-        spec.subdivisions_per_axis,
-    )
-    return value / PI3, count
+        # (pi-x, pi-y), exact for even l+m+n
+        scale = 2.0 / math.pi**2
+    else:
+        px, wx = _axis_rule(
+            0.0, math.pi, spec.nodes_per_axis, spec.subdivisions_per_axis
+        )
+        groups = [_boxes(px[None], wx[None], px[None], wx[None])]
+        scale = 1.0 / math.pi**2
+    totals, magnitudes, count = [], [], 0
+    for x, y, wx, wy in groups:
+        total, magnitude = _piece_sums(params, x, y, wx, wy)
+        totals.extend(total.tolist())
+        magnitudes.extend(magnitude.tolist())
+        count += np.broadcast(x, y, wx, wy).size
+    return scale * math.fsum(totals), scale * math.fsum(magnitudes), count
 
 
 def green_by_quadrature(
@@ -172,8 +226,9 @@ def green_by_quadrature(
     Valid for t > 2+gamma; t = 2+gamma is accepted when corner
     refinement is on (the singularity is integrable).  The error
     estimate is the difference against a companion run at half the
-    resolution, so ``converged`` reflects self-consistency, not an
-    a-priori bound.
+    resolution, floored at the rounding level of the fine run's sum, so
+    ``converged`` reflects self-consistency, not an a-priori bound.
+    ``terms_used`` counts the 2D nodes of the fine run.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -186,7 +241,7 @@ def green_by_quadrature(
         raise DomainError(
             "t at the band edge requires corner_refinement_levels >= 1"
         )
-    fine, n_fine = _run(params, spec)
+    fine, magnitude, n_fine = _run(params, spec)
     coarse_spec = QuadratureSpec(
         nodes_per_axis=max(4, spec.nodes_per_axis // 2),
         subdivisions_per_axis=max(1, spec.subdivisions_per_axis // 2),
@@ -197,8 +252,8 @@ def green_by_quadrature(
         ),
         target_tol=spec.target_tol,
     )
-    coarse, _ = _run(params, coarse_spec)
-    estimate = abs(fine - coarse)
+    coarse, _, _ = _run(params, coarse_spec)
+    estimate = max(abs(fine - coarse), _ROUNDING * magnitude)
     return SeriesEvaluation(
         value=fine,
         terms_used=n_fine,

@@ -3,34 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature, omega
+from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature
+from greenfcc.quadrature import _factors, _z_integral
+
+WATSON_T3 = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
 
 
-class TestOmega:
-    def test_corner_values(self):
-        assert omega(0.0, 0.0, 0.0, 1.0) == pytest.approx(3.0, abs=1e-15)
-        assert omega(math.pi, math.pi, math.pi, 1.0) == pytest.approx(3.0, abs=1e-15)
-        assert omega(math.pi / 2, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_both_corners_reach_the_band_edge(self):
-        # the far corner mirrors the origin; the integrand is singular at both
-        for gamma in (0.5, 1.0, 2.0):
-            assert omega(0, 0, 0, gamma) == pytest.approx(2 + gamma, abs=1e-14)
-            assert omega(math.pi, math.pi, math.pi, gamma) == pytest.approx(
-                2 + gamma, abs=1e-14
-            )
-
-    def test_bounded_by_band_edge(self):
+class TestIntegrand:
+    def test_factors_bounded_below_by_shift(self):
+        # A - B and A + B are sums of non-negative terms plus s = t-2-gamma
         rng = np.random.default_rng(7)
-        pts = rng.uniform(0.0, math.pi, size=(2000, 3))
-        for gamma in (0.5, 1.0, 2.0):
-            vals = omega(pts[:, 0], pts[:, 1], pts[:, 2], gamma)
-            assert np.all(vals <= 2 + gamma + 1e-12)
+        x, y = rng.uniform(0.0, math.pi, size=(2, 4000))
+        for gamma in (0.5, 1.0, 2.0, 5.0):
+            for shift in (0.0, 1e-3, 1.0):
+                params = GreenParams(t=2.0 + gamma + shift, gamma=gamma)
+                minus, plus = _factors(params, x, y)
+                s = params.t - params.band_edge
+                assert np.all(minus >= s) and np.all(plus >= s)
+                cx, cy = np.cos(x), np.cos(y)
+                a, b = params.t - gamma * cx * cy, cx + cy
+                np.testing.assert_allclose(minus, a - b, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(plus, a + b, rtol=1e-12, atol=1e-12)
 
-    def test_xy_swap_symmetry(self):
-        assert omega(0.3, 1.1, 2.0, 1.7) == pytest.approx(
-            omega(1.1, 0.3, 2.0, 1.7), abs=1e-15
-        )
+    @pytest.mark.parametrize(
+        "x, y, n",
+        [(0.3, 1.1, 0), (0.3, 1.1, 3), (1.4, 2.9, 2), (0.05, 0.02, 1), (2.0, 0.7, 6)],
+    )
+    def test_z_closed_form_against_numeric(self, x, y, n):
+        # the trapezoid rule on a full period converges geometrically for
+        # this analytic periodic even integrand, and its mean over the
+        # period is (1/pi) times the integral over [0, pi]
+        z = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        for gamma, t in ((1.0, 3.0), (0.5, 2.6), (2.0, 6.0)):
+            params = GreenParams(t=t, gamma=gamma, l=n % 2, n=n)  # l sets parity
+            cx, cy = math.cos(x), math.cos(y)
+            omega = gamma * cx * cy + np.cos(z) * (cx + cy)
+            numeric = math.fsum(np.cos(n * z) / (t - omega)) / z.size
+            closed = float(_z_integral(params, np.array(x), np.array(y)))
+            assert closed == pytest.approx(numeric, rel=1e-12, abs=1e-16)
 
 
 class TestQuadratureSpec:
@@ -127,5 +137,79 @@ class TestGreenByQuadrature:
         q = green_by_quadrature(
             GreenParams(t=5.0), QuadratureSpec(nodes_per_axis=8, subdivisions_per_axis=2)
         )
-        assert q.terms_used == (8 * 2) ** 3
+        assert q.terms_used == (8 * 2) ** 2
         assert q.method == "quadrature"
+        # corner path: bulk box, 3 boxes per level on half the cells, and
+        # the two Duffy triangles of the innermost square
+        levels = QuadratureSpec().corner_refinement_levels
+        q = green_by_quadrature(GreenParams(t=3.5))
+        assert q.terms_used == 96**2 + 3 * levels * 48**2 + 2 * 24**2
+
+    def test_estimate_floored_at_rounding_level(self):
+        # the fine and coarse runs can agree to the last bit; the estimate
+        # must still cover the rounding of the sum itself
+        for params in (
+            GreenParams(t=4.2, gamma=2.0, l=3, m=3, n=2),
+            GreenParams(t=3.0, gamma=1.0),
+            GreenParams(t=4.5, gamma=2.0),
+        ):
+            q = green_by_quadrature(params)
+            assert q.abs_error_estimate > 0.0
+            assert q.abs_error_estimate <= 1e-14
+
+
+def _lattice_residual(t: float, gamma: float, site, spec: QuadratureSpec) -> float:
+    """(t - w)G at ``site`` minus the Kronecker delta, G by quadrature."""
+    cache: dict = {}
+
+    def g(l, m, n):
+        key = tuple(sorted((abs(l), abs(m)))) + (abs(n),)
+        if key not in cache:
+            params = GreenParams(t=t, gamma=gamma, l=key[0], m=key[1], n=key[2])
+            cache[key] = green_by_quadrature(params, spec).value
+        return cache[key]
+
+    l, m, n = site
+    pm = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    total = t * g(l, m, n)
+    total -= gamma / 4 * math.fsum(g(l + a, m + b, n) for a, b in pm)
+    total -= 0.25 * math.fsum(g(l, m + a, n + b) for a, b in pm)
+    total -= 0.25 * math.fsum(g(l + a, m, n + b) for a, b in pm)
+    return total - (1.0 if site == (0, 0, 0) else 0.0)
+
+
+class TestReferences:
+    """Checks against exact values that need no series and no deep run."""
+
+    def test_watson_origin_at_band_edge(self):
+        q = green_by_quadrature(GreenParams(t=3.0, gamma=1.0))
+        err = abs(q.value - WATSON_T3)
+        assert q.converged
+        assert err <= q.abs_error_estimate
+        assert err <= 1e-14
+
+    def test_neighbour_at_band_edge(self):
+        # the lattice equation at the origin, 3 G000 - 3 G110 = 1 at t = 3
+        q = green_by_quadrature(GreenParams(t=3.0, gamma=1.0, l=1, m=1, n=0))
+        err = abs(q.value - (WATSON_T3 - 1.0 / 3.0))
+        assert q.converged
+        assert err <= q.abs_error_estimate
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("shift", [1e-15, 1e-12, 1e-9, 1e-6])
+    def test_near_edge_window(self, gamma, shift):
+        # the innermost box must not straddle the core of radius ~sqrt(s)
+        params = GreenParams(t=2.0 + gamma + shift, gamma=gamma, l=2, m=1, n=1)
+        q = green_by_quadrature(params)
+        deep = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=40))
+        err = abs(q.value - deep.value)
+        assert err <= 1e-12
+        assert err <= q.abs_error_estimate
+        assert q.converged
+
+    @pytest.mark.parametrize("t", [3.0, 3.001, 4.2, 10.0])
+    def test_lattice_equation(self, t):
+        spec = QuadratureSpec()
+        for site in ((0, 0, 0), (2, 1, 1), (2, 2, 0)):
+            assert abs(_lattice_residual(t, 1.0, site, spec)) <= 1e-13, site
