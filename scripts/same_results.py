@@ -9,7 +9,9 @@ of its own:
 * every pooled series operation of the offedge_sweep and band_edge
   workloads in bench/references.json, recording value, error estimate,
   terms used, converged and accelerated;
-* the README's command-line examples and the commands of the cli pool in
+* the README's command-line examples, a few commands that cover what
+  those miss (series6 with a transform, ``convergence`` on series6 and
+  with aitken, a far site) and the commands of the cli pool in
   bench/references.json, each in a fresh temporary working directory,
   recording the exit code, stdout with ``wall_time_ms`` stripped, and
   any file the command wrote.
@@ -38,6 +40,14 @@ README_COMMANDS = (
     ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
     ["compare", "--t", "4", "--method", "series5,series6,quadrature"],
     ["convergence", "--t", "3", "--n-max", "200", "--accel", "wynn"],
+)
+EXTRA_COMMANDS = (
+    ["convergence", "--t", "3.2", "--lmn", "2", "1", "1", "--method", "series6",
+     "--accel", "aitken", "--n-max", "120"],
+    ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--method", "series6", "--accel", "wynn"],
+    ["sweep", "--t", "3:3.5:0.1", "--method", "series5,series6", "--accel", "aitken"],
+    # a far site whose terms rise before they decay: the scan stops too early
+    ["eval", "--t", "4", "--lmn", "12", "12", "0"],
 )
 
 
@@ -88,7 +98,11 @@ def collect(src: Path) -> dict[str, str]:
                 got = {"raised": repr(exc)}
             label = f"{workload}[{idx}] {op['route']} t={op['t']!r} gamma={op['gamma']!r} lmn={op['lmn']} {op['kwargs']}"
             results[label] = json.dumps(got)
-    commands = [*README_COMMANDS, *(op["argv"] for op in data["workloads"]["cli"]["ops"])]
+    commands = [
+        *README_COMMANDS,
+        *EXTRA_COMMANDS,
+        *(op["argv"] for op in data["workloads"]["cli"]["ops"]),
+    ]
     for argv in commands:
         results["greenfcc " + " ".join(argv)] = json.dumps(_run_cli(src, argv))
     return results

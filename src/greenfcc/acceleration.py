@@ -12,17 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateDifference
-
 _EPS = 2.0**-52
 
 
 @dataclass
 class PartialSumSequence:
-    """Partial sums S_0, S_1, ... of a series, tagged with their origin."""
+    """Partial sums S_0, S_1, ... of a series."""
 
     sums: list[float] = field(default_factory=list)
-    source_method: str = "series5"
 
     def __post_init__(self) -> None:
         if len(self.sums) < 1:
@@ -94,26 +91,14 @@ def _wynn_even_columns(sums: list[float]) -> tuple[list[float], float | None]:
     return evens, None
 
 
-def wynn_epsilon(seq: PartialSumSequence, raise_on_degenerate: bool = False) -> float:
-    """Limit estimate from the deepest useful even column of Wynn's table.
-
-    That is the first even column settled to rounding level (see
-    ``_wynn_even_columns``), or the deepest one built when none settles.
-    Exactly equal consecutive sums mean the raw series has stalled; the
-    stalled value is returned (it is the limit whenever the stall is real
-    convergence), unless ``raise_on_degenerate`` asks for the strict
-    behaviour.
-    """
-    sums = _dedupe(seq.sums)
-    if len(sums) < len(seq.sums) and raise_on_degenerate:
-        raise DegenerateDifference("consecutive partial sums are equal")
-    if len(sums) < 3:
-        return sums[-1]
-    return _wynn_even_columns(sums)[0][-1]
-
-
 def wynn_epsilon_with_estimate(seq: PartialSumSequence) -> tuple[float, float]:
     """(limit estimate, heuristic error) from the epsilon table.
+
+    The estimate is the last entry of the deepest useful even column:
+    the first one settled to rounding level (see ``_wynn_even_columns``),
+    or the deepest one built when none settles.  Exactly equal
+    consecutive sums are dropped first, so a series that has stalled
+    returns its stalled value.
 
     When an even column has settled to rounding level, the error
     heuristic is that column's in-column spread (the gap between its
@@ -136,7 +121,7 @@ def wynn_epsilon_with_estimate(seq: PartialSumSequence) -> tuple[float, float]:
     return evens[-1], abs(evens[-1] - evens[-2])
 
 
-def aitken_delta2(seq: PartialSumSequence, raise_on_degenerate: bool = False) -> float:
+def aitken_delta2(seq: PartialSumSequence) -> float:
     """Iterated Aitken delta-squared extrapolation; returns the last entry.
 
     Each pass maps S_i -> S_{i+2} - (S_{i+2} - S_{i+1})^2 / (second
@@ -145,8 +130,6 @@ def aitken_delta2(seq: PartialSumSequence, raise_on_degenerate: bool = False) ->
     iteration at the current stage.
     """
     sums = _dedupe(seq.sums)
-    if len(sums) < len(seq.sums) and raise_on_degenerate:
-        raise DegenerateDifference("consecutive partial sums are equal")
     while len(sums) >= 3:
         nxt = []
         for i in range(len(sums) - 2):

@@ -2,22 +2,23 @@
 
 Three quantities feed every series term:
 
-    I_n    = integral of cos^n(x)            -> cosine_power_integral
-    L_n(k) = integral of cos(kx) cos^n(x)    -> cosine_product_integral
-    J_n(k) = L_n(k) with the selection rules -> j_integral
+    I_n    = integral of cos^n(x)            -> IntegralTable.power_value
+    L_n(k) = integral of cos(kx) cos^n(x)    -> IntegralTable.product_value
+    J_n(k) = L_n(k) with the selection rules -> IntegralTable.j_value
 
 I_n vanishes for odd n and equals pi * 2^(-n) * C(n, n/2) for even n.
 L_n(k) is reduced to I integrals through the Chebyshev expansion of
 cos(kx) in powers of cos(x):
 
     L_n(k) = 2^(k-1) I_(k+n)
-             + k * sum_{i=1}^{floor(k/2)} (-1)^i 2^(k-2i-1) F_(i-1)(k-i-1) I_(k+n-2i) / i
+             + k * sum_{i=1}^{floor(k/2)} (-1)^i 2^(k-2i-1) C(k-i-1, i-1) I_(k+n-2i) / i
 
 That sum alternates and its leading term grows like 2^(k-1), so in floats
 it would lose roughly k bits to cancellation.  All cached values are
 therefore exact rationals with the factor pi split off; floats are formed
 only at the API boundary, making the parity zeros exact and every lookup
-bit-reproducible.
+bit-reproducible.  ``shared_table`` hands out one process-wide table,
+and ``j_integral`` reads J_n(k) from it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-
-from .combinatorics import _binomial_exact, summation_limit
 
 
 def _power_fraction(n: int) -> Fraction:
@@ -68,12 +67,12 @@ class IntegralTable:
         if cached is not None:
             return cached
         if k < 1:
-            raise ValueError("cosine_product_integral requires k >= 1")
+            raise ValueError("L_n(k) requires k >= 1")
         head = Fraction(1 << (k - 1)) * self._power(k + n)
         correction = Fraction(0)
-        for i in range(1, summation_limit(k) + 1):
+        for i in range(1, k // 2 + 1):
             piece = (
-                Fraction(_binomial_exact(k - i - 1, i - 1), i)
+                Fraction(math.comb(k - i - 1, i - 1), i)
                 * self._power(k + n - 2 * i)
             )
             exp2 = k - 2 * i - 1
@@ -93,7 +92,12 @@ class IntegralTable:
         return math.pi * float(self._power(n))
 
     def product_value(self, n: int, k: int) -> float:
-        """L_n(k) as a float."""
+        """L_n(k) as a float, for k >= 1.
+
+        At k = 1 the correction sum is empty and the value is I_(n+1).
+        The rational arithmetic gives the selection-rule zeros (odd k+n,
+        or k > n) exactly.
+        """
         if n < 0:
             raise ValueError("cosine power must be non-negative")
         return math.pi * float(self._product(n, k))
@@ -128,27 +132,6 @@ def shared_table(min_max_n: int) -> IntegralTable:
         if _default.max_n < min_max_n:
             _default = IntegralTable(max(min_max_n, 2 * _default.max_n))
         return _default
-
-
-def cosine_power_integral(n: int) -> float:
-    """I_n = integral of cos^n over [0, pi]; exactly 0.0 for odd n."""
-    if n < 0:
-        raise ValueError("cosine power must be non-negative")
-    return shared_table(n).power_value(n)
-
-
-def cosine_product_integral(n: int, k: int) -> float:
-    """L_n(k) = integral of cos(kx) cos^n(x) over [0, pi] for k >= 1.
-
-    At k = 1 the correction sum is empty and the value collapses to
-    I_(n+1).  The rational arithmetic reproduces the selection-rule zeros
-    (odd k+n, or k > n) exactly.
-    """
-    if n < 0:
-        raise ValueError("cosine power must be non-negative")
-    if k < 1:
-        raise ValueError("cosine_product_integral requires k >= 1")
-    return shared_table(n + k).product_value(n, k)
 
 
 def j_integral(n: int, k: int) -> float:

@@ -1,25 +1,12 @@
-"""Generalized binomial coefficients and the parity summation limit.
+"""Binomial coefficients as one shared float table.
 
-The series expansion needs n-choose-m for three kinds of upper argument:
-non-negative integers (ordinary binomials), negative integers (expansion
-coefficients of (t - w)^(-1-p)), and non-integer reals.  The first two
-reduce to the running product
-
-    F_m(n) = n (n-1) ... (n-m+1) / m!
-
-which stays exact in integer arithmetic because every prefix product is
-itself a binomial coefficient.  Non-integer upper arguments go through
-the gamma-function form
-
-    F_m(n) = (-1)^m Gamma(m-n) / (m! Gamma(-n))
-
-evaluated in log space with explicit sign tracking, so large m cannot
-overflow prematurely.
+Every series term is a sum of binomials C(i, j), 0 <= j <= i, times
+the cosine integrals J.  ``binomial_table`` builds them once per order
+by the exact integer Pascal recurrence and rounds each entry once.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,62 +17,6 @@ HARD_ORDER_CAP = 1000
 Float binomials C(i, i//2) stay below the double overflow threshold up
 to i of roughly 1020; the cap leaves headroom and keeps table sizes sane.
 """
-
-
-def summation_limit(n: int) -> int:
-    """Return floor(n/2), the upper index of the parity-reduced sums.
-
-    Equals the closed form n/2 - (1 - (-1)^n)/4 for every non-negative
-    integer n.
-    """
-    if n < 0:
-        raise ValueError("summation_limit requires n >= 0")
-    return n // 2
-
-
-def _binomial_exact(n: int, m: int) -> int:
-    """Exact integer n-choose-m by running product; n may be negative."""
-    if m < 0:
-        return 0
-    result = 1
-    for idx in range(1, m + 1):
-        # prefix products of the falling factorial are divisible by idx!
-        result = result * (n - idx + 1) // idx
-    return result
-
-
-def binomial_integer(n: int, m: int) -> float:
-    """F_m(n) for integer n of either sign; 0.0 when m < 0."""
-    if m < 0:
-        return 0.0
-    return float(_binomial_exact(int(n), int(m)))
-
-
-def _gamma_sign(x: float) -> float:
-    # Gamma alternates sign between consecutive negative integers.
-    if x > 0.0:
-        return 1.0
-    return -1.0 if math.floor(x) % 2 else 1.0
-
-
-def binomial_general(n: float, m: int) -> float:
-    """F_m(n) for real n.
-
-    Integer-valued n is routed to the exact product branch, which keeps
-    the gamma reflection away from its poles; non-integer n uses
-    (-1)^m Gamma(m-n) / (m! Gamma(-n)) via lgamma with sign tracking.
-    """
-    if m < 0:
-        return 0.0
-    if float(n).is_integer():
-        return binomial_integer(int(n), m)
-    a = m - n
-    b = -n
-    log_mag = math.lgamma(a) - math.lgamma(m + 1) - math.lgamma(b)
-    sign = _gamma_sign(a) * _gamma_sign(b)
-    if m % 2:
-        sign = -sign
-    return sign * math.exp(log_mag)
 
 
 @lru_cache(maxsize=4)

@@ -3,12 +3,3 @@
 
 class DomainError(ValueError):
     """An evaluation point violates a documented domain invariant."""
-
-
-class DegenerateDifference(ArithmeticError):
-    """A sequence transform hit exactly equal consecutive partial sums.
-
-    This means the raw series has already stalled (typically: converged),
-    so the transform is undefined; the stalled sum itself is the natural
-    limit estimate.
-    """

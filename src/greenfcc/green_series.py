@@ -34,6 +34,7 @@ bit-identical to its moment reconstruction.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -226,11 +227,6 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
     return _workspace(params, i).moment(i)
 
 
-def outer_term_series5(i: int, params: GreenParams) -> float:
-    """i-th outer term of the single expansion, without the 1/pi^3 factor."""
-    return moment_coefficient(i, params) * PI3 * params.t ** (-1 - i)
-
-
 def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: str):
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
@@ -265,46 +261,63 @@ class _ScanState:
         return self.bounds[-1] if self.bounds else math.inf
 
 
-class _Kahan:
-    __slots__ = ("total", "comp")
+def _scan(
+    row: Callable[[int], tuple[float, float, bool]],
+    ratio: float,
+    floor_index: int,
+    stop_tol: float,
+    n_max: int,
+) -> _ScanState:
+    """Kahan-sum the terms row(0), row(1), ... of either series.
 
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> float:
-        y = x - self.comp
-        s = self.total + y
-        self.comp = (s - self.total) - y
-        self.total = s
-        return s
-
-
-def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
-    ws = _workspace(params, n_max)
-    ratio = params.band_edge / params.t
+    ``row(i)`` returns (term, inner_error, inner_ok); series5 has no
+    inner sum and reports (term, 0.0, True).  After each term the
+    geometric tail bound ratio/(1-ratio) * max(term, ratio * prev) is
+    taken, and the running bound is the least of the bounds taken at
+    indices >= ``floor_index`` once some nonzero term has been seen.
+    Before that, and always when ``ratio >= 1``, it is inf.  Inner
+    errors are kept per term and ``inner_ok`` holds only if every row
+    reported it.  The scan stops once the running bound is <=
+    ``stop_tol``, or after ``n_max`` terms.
+    """
     geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    floor_index = (params.l + params.m + params.n + 1) // 2
     state = _ScanState()
-    acc = _Kahan()
+    total = comp = 0.0
     seen_nonzero = False
     running = math.inf
     for i in range(n_max):
-        term = ws.term5(i)
+        term, inner_error, inner_ok = row(i)
         state.terms.append(term)
+        state.inner_errors.append(inner_error)
+        state.inner_ok = state.inner_ok and inner_ok
         if term != 0.0:
             seen_nonzero = True
-            acc.add(term)
-        state.sums.append(acc.total)
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        state.sums.append(total)
         prev = state.terms[i - 1] if i >= 1 else 0.0
         bound = geo * max(term, ratio * prev) if ratio < 1.0 else math.inf
         if seen_nonzero and i >= floor_index:
             running = min(running, bound)
         state.bounds.append(running)
-        if running <= tol:
+        if running <= stop_tol:
             state.stopped = True
             break
     return state
+
+
+def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
+    ws = _workspace(params, n_max)
+    floor_index = (params.l + params.m + params.n + 1) // 2
+    return _scan(
+        lambda i: (ws.term5(i), 0.0, True),
+        params.band_edge / params.t,
+        floor_index,
+        tol,
+        n_max,
+    )
 
 
 def _scan_series6(
@@ -314,37 +327,17 @@ def _scan_series6(
     t, gamma = params.t, params.gamma
     x = gamma / t
     r_out = 2.0 / (t - gamma)
-    geo = r_out / (1.0 - r_out) if r_out < 1.0 else math.inf
-    state = _ScanState()
-    acc = _Kahan()
-    seen_row = False
-    running = math.inf
-    for i in range(n_max):
+
+    def row(i: int) -> tuple[float, float, bool]:
+        if ws.Jn[i] == 0.0:
+            return 0.0, 0.0, True
         if r_out < 1.0:
             tol_inner = max(tol * 0.25 * (1.0 - r_out) * r_out**i, 1e-300)
         else:
             tol_inner = max(tol * 0.25 / n_max, 1e-300)
-        jn_i = ws.Jn[i]
-        if jn_i == 0.0:
-            row_sum, row_err, row_ok = 0.0, 0.0, True
-        else:
-            row_sum, row_err, row_ok = _series6_row(ws, i, x, tol_inner, l_max)
-        state.terms.append(row_sum)
-        if row_sum != 0.0:
-            seen_row = True
-            acc.add(row_sum)
-        state.sums.append(acc.total)
-        state.inner_errors.append(row_err)
-        state.inner_ok = state.inner_ok and row_ok
-        prev = state.terms[i - 1] if i >= 1 else 0.0
-        bound = geo * max(row_sum, r_out * prev) if r_out < 1.0 else math.inf
-        if seen_row and i >= params.n:
-            running = min(running, bound)
-        state.bounds.append(running)
-        if running <= tol * 0.5:
-            state.stopped = True
-            break
-    return state
+        return _series6_row(ws, i, x, tol_inner, l_max)
+
+    return _scan(row, r_out, params.n, tol * 0.5, n_max)
 
 
 def _series6_row(
@@ -406,7 +399,7 @@ def _doubling_indices(count: int) -> list[int]:
     return idx
 
 
-def _transform(sums: list[float], method: str, source: str) -> tuple[float, float]:
+def _transform(sums: list[float], method: str) -> tuple[float, float]:
     """Sequence transform tuned for the band-edge tail.
 
     At t = 2+gamma the partial sums close in like 1/sqrt(i), which the
@@ -422,55 +415,50 @@ def _transform(sums: list[float], method: str, source: str) -> tuple[float, floa
         window = [sums[i] for i in idx]
     else:
         window = list(sums[-ACCEL_WINDOW:])
-    seq = PartialSumSequence(window, source_method=source)
+    seq = PartialSumSequence(window)
     if method == "wynn":
         return wynn_epsilon_with_estimate(seq)
     value = aitken_delta2(seq)
     if len(window) > 3:
-        prev = aitken_delta2(PartialSumSequence(window[:-1], source_method=source))
+        prev = aitken_delta2(PartialSumSequence(window[:-1]))
     else:
         prev = window[-1]
     return value, abs(value - prev)
 
 
-def _finish(
-    state: _ScanState,
-    params: GreenParams,
-    tol: float,
-    accel: str,
-    method: str,
-) -> SeriesEvaluation:
+def _finish(state: _ScanState, tol: float, accel: str, method: str) -> SeriesEvaluation:
+    """The evaluation a finished scan reports.
+
+    The raw result is the last partial sum, with the running tail bound
+    plus the inner errors as its estimate.  With ``accel`` set and the
+    raw sum unconverged after at least three terms, the transformed
+    value is reported instead, unless the stability guard rejects it:
+    a transform may not move more than ten tail bounds off the last
+    partial sum.
+    """
     raw_bound = state.best_bound + math.fsum(state.inner_errors)
     raw_converged = state.stopped and state.inner_ok and raw_bound <= tol
-    if accel == "none" or raw_converged or len(state.sums) < 3:
-        return SeriesEvaluation(
-            value=state.sums[-1],
-            terms_used=len(state.terms),
-            abs_error_estimate=raw_bound,
-            method=method,
-            accelerated="none",
-            converged=raw_converged,
-        )
-    value, estimate = _transform(state.sums, accel, method)
-    # stability guard: a transform may not wander off the raw sum scale
-    if math.isfinite(state.best_bound) and abs(value - state.sums[-1]) > 10.0 * max(
-        state.best_bound, 1e-300
-    ):
-        return SeriesEvaluation(
-            value=state.sums[-1],
-            terms_used=len(state.terms),
-            abs_error_estimate=raw_bound,
-            method=method,
-            accelerated="none",
-            converged=raw_converged,
-        )
+    if accel != "none" and not raw_converged and len(state.sums) >= 3:
+        value, estimate = _transform(state.sums, accel)
+        # stability guard: a transform may not wander off the raw sum scale
+        drift = abs(value - state.sums[-1])
+        bound = state.best_bound
+        if not (math.isfinite(bound) and drift > 10.0 * max(bound, 1e-300)):
+            return SeriesEvaluation(
+                value=value,
+                terms_used=len(state.terms),
+                abs_error_estimate=estimate,
+                method=method,
+                accelerated=accel,
+                converged=estimate <= tol,
+            )
     return SeriesEvaluation(
-        value=value,
+        value=state.sums[-1],
         terms_used=len(state.terms),
-        abs_error_estimate=estimate,
+        abs_error_estimate=raw_bound,
         method=method,
-        accelerated=accel,
-        converged=estimate <= tol,
+        accelerated="none",
+        converged=raw_converged,
     )
 
 
@@ -491,7 +479,7 @@ def evaluate_series5(
     """
     _validate_series_call(params, tol, n_max, accel)
     state = _scan_series5(params, tol, n_max)
-    return _finish(state, params, tol, accel, "series5")
+    return _finish(state, tol, accel, "series5")
 
 
 def evaluate_series6(
@@ -512,7 +500,7 @@ def evaluate_series6(
     if l_max < 1 or l_max > HARD_ORDER_CAP:
         raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     state = _scan_series6(params, tol, n_max, l_max)
-    return _finish(state, params, tol, accel, "series6")
+    return _finish(state, tol, accel, "series6")
 
 
 def convergence_rows(
@@ -540,7 +528,7 @@ def convergence_rows(
     ):
         accel_value: float | None = None
         if accel != "none" and i >= 2:
-            accel_value, _ = _transform(state.sums[: i + 1], accel, method)
+            accel_value, _ = _transform(state.sums[: i + 1], accel)
         rows.append(
             {
                 "i": i,

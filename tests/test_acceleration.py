@@ -4,13 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenfcc import (
-    DegenerateDifference,
-    PartialSumSequence,
-    aitken_delta2,
-    wynn_epsilon,
-    wynn_epsilon_with_estimate,
-)
+from greenfcc import PartialSumSequence, aitken_delta2, wynn_epsilon_with_estimate
 
 
 def geometric_sums(a: float, r: float, count: int) -> list[float]:
@@ -26,18 +20,15 @@ def geometric_sums(a: float, r: float, count: int) -> list[float]:
 class TestWynnEpsilon:
     def test_half_geometric_example(self):
         seq = PartialSumSequence([1.0, 1.5, 1.75, 1.875, 1.9375])
-        assert wynn_epsilon(seq) == pytest.approx(2.0, abs=1e-14)
+        assert wynn_epsilon_with_estimate(seq)[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_constant_sequence(self):
-        assert wynn_epsilon(PartialSumSequence([3.25, 3.25, 3.25])) == 3.25
-
-    def test_constant_raises_in_strict_mode(self):
-        with pytest.raises(DegenerateDifference):
-            wynn_epsilon(PartialSumSequence([1.0, 2.0, 2.0, 2.0]), raise_on_degenerate=True)
+        seq = PartialSumSequence([3.25, 3.25, 3.25])
+        assert wynn_epsilon_with_estimate(seq)[0] == 3.25
 
     def test_short_sequences_pass_through(self):
-        assert wynn_epsilon(PartialSumSequence([4.0])) == 4.0
-        assert wynn_epsilon(PartialSumSequence([4.0, 5.0])) == 5.0
+        assert wynn_epsilon_with_estimate(PartialSumSequence([4.0]))[0] == 4.0
+        assert wynn_epsilon_with_estimate(PartialSumSequence([4.0, 5.0]))[0] == 5.0
 
     def test_estimate_shrinks_on_geometric(self):
         seq = PartialSumSequence(geometric_sums(1.0, 0.7, 14))
@@ -59,7 +50,7 @@ class TestWynnEpsilon:
         # contractual exactness bar: 12 terms, |r| <= 0.9, relative 1e-12
         seq = PartialSumSequence(geometric_sums(a, r, 12))
         limit = a / (1.0 - r)
-        assert wynn_epsilon(seq) == pytest.approx(limit, rel=1e-12)
+        assert wynn_epsilon_with_estimate(seq)[0] == pytest.approx(limit, rel=1e-12)
 
     @pytest.mark.parametrize(
         "sums, step",
@@ -88,7 +79,8 @@ class TestWynnEpsilon:
         sums = [
             5.0 - 2.0 * 0.5**k - 1.0 * 0.25**k for k in range(12)
         ]
-        assert wynn_epsilon(PartialSumSequence(sums)) == pytest.approx(5.0, rel=1e-11)
+        seq = PartialSumSequence(sums)
+        assert wynn_epsilon_with_estimate(seq)[0] == pytest.approx(5.0, rel=1e-11)
 
 
 class TestAitken:
@@ -99,10 +91,6 @@ class TestAitken:
 
     def test_constant_sequence(self):
         assert aitken_delta2(PartialSumSequence([2.5, 2.5, 2.5])) == 2.5
-
-    def test_constant_raises_in_strict_mode(self):
-        with pytest.raises(DegenerateDifference):
-            aitken_delta2(PartialSumSequence([2.5, 2.5, 2.5]), raise_on_degenerate=True)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
@@ -128,5 +116,5 @@ class TestPartialSumSequence:
     @settings(max_examples=100, deadline=None)
     def test_transforms_total_on_any_finite_input(self, sums):
         seq = PartialSumSequence(sums)
-        assert math.isfinite(wynn_epsilon(seq))
+        assert math.isfinite(wynn_epsilon_with_estimate(seq)[0])
         assert math.isfinite(aitken_delta2(seq))

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greenfcc import (
-    IntegralTable,
-    cosine_power_integral,
-    cosine_product_integral,
-    j_integral,
-    shared_table,
-)
+from greenfcc import IntegralTable, j_integral, shared_table
 
 
 def quad_oracle(n: int, k: int) -> float:
@@ -33,47 +27,52 @@ def closed_form(n: int, k: int) -> float:
     return math.pi * math.comb(n, (n - k) // 2) / 2.0**n
 
 
+@pytest.fixture
+def table() -> IntegralTable:
+    return IntegralTable(64)
+
+
 class TestCosinePowerIntegral:
-    def test_frozen_values(self):
-        assert cosine_power_integral(0) == math.pi
-        assert cosine_power_integral(1) == 0.0
-        assert cosine_power_integral(2) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert cosine_power_integral(8) == pytest.approx(
+    def test_frozen_values(self, table):
+        assert table.power_value(0) == math.pi
+        assert table.power_value(1) == 0.0
+        assert table.power_value(2) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert table.power_value(8) == pytest.approx(
             35 * math.pi / 128, rel=1e-15
         )
 
-    def test_odd_orders_exactly_zero(self):
+    def test_odd_orders_exactly_zero(self, table):
         for n in range(1, 60, 2):
-            assert cosine_power_integral(n) == 0.0
+            assert table.power_value(n) == 0.0
 
-    def test_against_quadrature(self):
+    def test_against_quadrature(self, table):
         for n in range(0, 21):
-            assert cosine_power_integral(n) == pytest.approx(
+            assert table.power_value(n) == pytest.approx(
                 quad_oracle(n, 0), abs=1e-12
             )
 
-    def test_gamma_quotient_route(self):
+    def test_gamma_quotient_route(self, table):
         # sqrt(pi) Gamma((n+1)/2) / Gamma(n/2 + 1) is the other printed form
         for n in range(0, 40, 2):
             want = math.sqrt(math.pi) * math.gamma((n + 1) / 2) / math.gamma(n / 2 + 1)
-            assert cosine_power_integral(n) == pytest.approx(want, rel=1e-13)
+            assert table.power_value(n) == pytest.approx(want, rel=1e-13)
 
 
 class TestCosineProductIntegral:
-    def test_frozen_values(self):
-        assert cosine_product_integral(2, 2) == pytest.approx(math.pi / 4, rel=1e-15)
-        assert cosine_product_integral(4, 2) == pytest.approx(math.pi / 4, rel=1e-15)
-        assert cosine_product_integral(1, 3) == 0.0
+    def test_frozen_values(self, table):
+        assert table.product_value(2, 2) == pytest.approx(math.pi / 4, rel=1e-15)
+        assert table.product_value(4, 2) == pytest.approx(math.pi / 4, rel=1e-15)
+        assert table.product_value(1, 3) == 0.0
 
-    def test_collapses_to_power_integral_at_k1(self):
+    def test_collapses_to_power_integral_at_k1(self, table):
         # the alternating sum is empty at k=1, leaving 2^0 I_{n+1}
         for n in range(0, 20):
-            assert cosine_product_integral(n, 1) == cosine_power_integral(n + 1)
+            assert table.product_value(n, 1) == table.power_value(n + 1)
 
-    def test_against_quadrature(self):
+    def test_against_quadrature(self, table):
         for n in range(0, 16):
             for k in range(2, 16):
-                assert cosine_product_integral(n, k) == pytest.approx(
+                assert table.product_value(n, k) == pytest.approx(
                     quad_oracle(n, k), abs=1e-12
                 )
 
@@ -126,7 +125,11 @@ class TestIntegralTable:
         assert big.max_n >= 64
         assert big.j_value(5, 3) == small.j_value(5, 3)
 
-    def test_values_match_free_functions(self):
-        table = IntegralTable(24)
-        assert table.j_value(6, 0) == cosine_power_integral(6)
-        assert table.j_value(6, 4) == cosine_product_integral(6, 4)
+    def test_j_value_is_the_rounded_closed_form(self):
+        # J_n(k) = pi * C(n, (n-k)/2) / 2^n, bit for bit: both the exact
+        # quotient and the product with pi are rounded once
+        table = shared_table(1300)
+        for k in range(9):
+            for n in range(k, 1201, 2):
+                want = math.pi * (math.comb(n, (n - k) // 2) / (1 << n))
+                assert table.j_value(n, k) == want, (n, k)

@@ -2,93 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from greenfcc import (
-    binomial_general,
-    binomial_integer,
-    binomial_table,
-    summation_limit,
-)
-
-
-class TestSummationLimit:
-    def test_known_values(self):
-        assert summation_limit(4) == 2
-        assert summation_limit(5) == 2
-        assert summation_limit(0) == 0
-
-    def test_matches_floor_halving(self):
-        for n in range(1001):
-            assert summation_limit(n) == n // 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            summation_limit(-1)
-
-
-class TestIntegerBinomial:
-    def test_examples(self):
-        assert binomial_integer(4, 2) == 6.0
-        assert binomial_integer(5, 0) == 1.0
-        assert binomial_integer(3, -1) == 0.0
-
-    def test_pascal_triangle_exact(self):
-        # exact up to n=60: C(60,30) ~ 1.2e17 < 2^63, representable path
-        row = [1]
-        for n in range(61):
-            for m in range(n + 1):
-                assert binomial_integer(n, m) == float(math.comb(n, m))
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-
-    def test_above_diagonal_zero(self):
-        assert binomial_integer(3, 4) == 0.0
-        assert binomial_integer(0, 1) == 0.0
-
-    def test_negative_order_running_product(self):
-        # (-1 choose m) alternates sign; (-3 choose 2) = (-3)(-4)/2
-        assert binomial_integer(-1, 3) == -1.0
-        assert binomial_integer(-3, 2) == 6.0
-
-
-class TestGeneralBinomial:
-    def test_examples(self):
-        assert binomial_general(-1, 3) == -1.0
-        assert binomial_general(0.5, 1) == pytest.approx(0.5, rel=1e-14)
-        assert binomial_general(-1.5, 2) == pytest.approx(1.875, rel=1e-13)
-
-    def test_negative_index_is_zero(self):
-        assert binomial_general(0.5, -2) == 0.0
-
-    def test_integer_order_delegates(self):
-        for n in range(41):
-            for m in range(41):
-                general = binomial_general(float(n), m)
-                integer = binomial_integer(n, m)
-                assert general == pytest.approx(integer, rel=1e-15, abs=0.0)
-
-    def test_direct_product_small_orders(self):
-        # running product n(n-1)...(n-m+1)/m! is an independent route
-        for n in (-2.5, -0.5, 0.3, 1.7, 4.2):
-            value = 1.0
-            for m in range(12):
-                assert binomial_general(n, m) == pytest.approx(value, rel=1e-12)
-                value *= (n - m) / (m + 1)
-
-    @given(
-        st.floats(min_value=-5.0, max_value=5.0).filter(
-            lambda x: abs(x - round(x)) > 1e-6
-        ),
-        st.integers(min_value=1, max_value=30),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_ratio_recurrence(self, n, m):
-        prev = binomial_general(n, m - 1)
-        cur = binomial_general(n, m)
-        # n - (m-1) in one subtraction: the two-step form n - m + 1 cancels
-        # badly for tiny n and would test the harness, not the function
-        assert cur == pytest.approx(prev * (n - (m - 1)) / m, rel=1e-13, abs=1e-300)
+from greenfcc import binomial_table
 
 
 class TestBinomialTable:

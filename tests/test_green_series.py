@@ -16,9 +16,15 @@ from greenfcc import (
     evaluate_series6,
     green_by_quadrature,
     moment_coefficient,
-    outer_term_series5,
 )
-from greenfcc.green_series import _safe_order, _series6_row, _site_tables, _workspace
+from greenfcc.green_series import (
+    _finish,
+    _safe_order,
+    _scan,
+    _series6_row,
+    _site_tables,
+    _workspace,
+)
 from walk_oracle import walk_moment
 
 PI3 = math.pi**3
@@ -234,18 +240,20 @@ class TestSiteTableCache:
 
 
 class TestOuterTerm:
+    """The i-th series5 term, moment_coefficient(i) * t^(-1-i)."""
+
     def test_leading_term_is_one_over_t(self):
         p = GreenParams(t=4.0)
-        assert outer_term_series5(0, p) == pytest.approx(PI3 / 4.0, rel=1e-15)
+        assert _workspace(p, 0).term5(0) == pytest.approx(1 / 4.0, rel=1e-15)
 
     def test_leading_term_off_origin_vanishes(self):
         p = GreenParams(t=4.0, l=2, m=0, n=0)
-        assert outer_term_series5(0, p) == 0.0
+        assert _workspace(p, 0).term5(0) == 0.0
 
     def test_second_moment_term(self):
         p = GreenParams(t=4.0, gamma=1.0)
-        want = 0.75 * PI3 * 4.0 ** (-3)
-        assert outer_term_series5(2, p) == pytest.approx(want, rel=1e-14)
+        want = 0.75 * 4.0 ** (-3)
+        assert _workspace(p, 2).term5(2) == pytest.approx(want, rel=1e-14)
 
     @given(
         st.integers(0, 12),
@@ -255,7 +263,61 @@ class TestOuterTerm:
     @settings(max_examples=120, deadline=None)
     def test_terms_non_negative(self, i, gamma, site):
         p = GreenParams(t=4.0, gamma=gamma, l=site[0], m=site[1], n=site[2])
-        assert outer_term_series5(i, p) >= 0.0
+        assert moment_coefficient(i, p) >= 0.0
+
+
+def _rows(terms, errors=None, oks=None):
+    """A row function over fixed terms, inner errors and inner flags."""
+
+    def row(i):
+        return (
+            terms[i],
+            errors[i] if errors else 0.0,
+            oks[i] if oks else True,
+        )
+
+    return row
+
+
+class TestScan:
+    """The summation loop of both series, on synthetic rows."""
+
+    def test_zero_terms_before_the_floor_never_stop_it(self):
+        # at ratio 1/2 the bound after a zero that follows a zero is 0.0
+        terms = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        state = _scan(_rows(terms), 0.5, 4, 0.0, len(terms))
+        assert state.bounds[:4] == [math.inf] * 4
+        assert state.stopped and len(state.terms) == 5
+        # before the first nonzero term no bound counts either
+        state = _scan(_rows([0.0] * 6), 0.5, 0, 0.0, 6)
+        assert not state.stopped and state.bounds == [math.inf] * 6
+
+    def test_stops_at_the_first_bound_within_tol(self):
+        terms = [2.0**-i for i in range(20)]
+        state = _scan(_rows(terms), 0.5, 0, 2.0**-5, len(terms))
+        # the bound after term i is max(2^-i, 2^-1 * 2^-(i-1)) = 2^-i
+        assert state.bounds == [2.0**-i for i in range(6)]
+        assert state.stopped and len(state.terms) == 6
+        assert state.sums[-1] == 2.0 - 2.0**-5
+
+    def test_inner_errors_and_flags_are_combined(self):
+        terms = [1.0, 0.5, 0.25]
+        errors = [1e-3, 2e-3, 4e-3]
+        state = _scan(_rows(terms, errors, [True, False, True]), 0.5, 0, 0.0, 3)
+        assert state.inner_errors == errors
+        assert not state.inner_ok
+        ev = _finish(state, 1.0, "none", "series6")
+        assert ev.abs_error_estimate == state.best_bound + math.fsum(errors)
+        assert not ev.converged
+        state = _scan(_rows(terms, errors, [True] * 3), 0.5, 0, 0.0, 3)
+        assert state.inner_ok
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.5])
+    def test_ratio_at_or_above_one_never_stops(self, ratio):
+        terms = [1e-300 * 0.5**i for i in range(8)]
+        state = _scan(_rows(terms), ratio, 0, 1.0, len(terms))
+        assert not state.stopped and len(state.terms) == 8
+        assert state.bounds == [math.inf] * 8
 
 
 class TestEvaluateSeries5:
