@@ -10,21 +10,25 @@ of its own:
   workloads in bench/references.json, recording value, error estimate,
   terms used, converged and accelerated;
 * the README's command-line examples, a few commands that cover what
-  those miss (series6 with a transform, ``convergence`` on series6 and
-  with aitken, a far site) and the commands of the cli pool in
-  bench/references.json, each in a fresh temporary working directory,
-  recording the exit code, stdout with ``wall_time_ms`` stripped, and
-  any file the command wrote.
+  those miss (series6 with a transform, ``convergence`` on series6 with
+  aitken and with inner sums that reach ``--l-max``, a far site) and the
+  commands of the cli pool in bench/references.json, each in a fresh
+  temporary working directory, recording the exit code, stdout with
+  ``wall_time_ms`` stripped, and any file the command wrote.
 
 Floats are compared through their repr, so "same" means bit-identical.
-Every difference is printed; the exit code is 1 if there is one and 0 if
-there is none.
+Every difference is printed, followed by one line that sizes them: the
+largest relative change of any float, and the number of results whose
+other fields changed (terms used, converged, accelerated, exit code, or
+any output that is not a float).  The exit code is 1 if there is a
+difference and 0 if there is none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +48,8 @@ README_COMMANDS = (
 EXTRA_COMMANDS = (
     ["convergence", "--t", "3.2", "--lmn", "2", "1", "1", "--method", "series6",
      "--accel", "aitken", "--n-max", "120"],
+    # inner sums still open at j = 120: the rows must end on eval's value
+    ["convergence", "--t", "3.01", "--lmn", "2", "1", "1", "--method", "series6", "--n-max", "120"],
     ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--method", "series6", "--accel", "wynn"],
     ["sweep", "--t", "3:3.5:0.1", "--method", "series5,series6", "--accel", "aitken"],
     # a far site whose terms rise before they decay: the scan stops too early
@@ -108,6 +114,59 @@ def collect(src: Path) -> dict[str, str]:
     return results
 
 
+def _leaves(value) -> list:
+    """The scalars of a result, with every float-valued piece of text as a float.
+
+    JSON text is decoded, other text is split into lines, and a line
+    that is not JSON into CSV cells; a cell that reads as a float (and
+    not as an integer) becomes one.
+    """
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in [key, *_leaves(value[key])]]
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    if isinstance(value, str):
+        try:
+            decoded = json.loads(value)
+        except ValueError:
+            decoded = value
+        if decoded != value:
+            return _leaves(decoded)
+        for sep in ("\n", ","):
+            if sep in value:
+                return [leaf for part in value.split(sep) for leaf in _leaves(part)]
+        try:
+            int(value)
+        except ValueError:
+            try:
+                return [float(value)]
+            except ValueError:
+                pass
+    return [value]
+
+
+def _relative_change(old: str | None, new: str | None) -> float | None:
+    """Largest relative change between the floats of two results.
+
+    None if anything but a float differs: a missing result, another
+    shape, or a changed integer, flag or piece of text.
+    """
+    if old is None or new is None:
+        return None
+    a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if type(x) is not float or type(y) is not float:
+            if type(x) is not type(y) or x != y:
+                return None
+        elif x != y:
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
 def _collect_in_child(src: Path) -> dict[str, str]:
     proc = subprocess.run(
         [sys.executable, __file__, "--collect", str(src)],
@@ -136,11 +195,22 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         old = _collect_in_child(Path(tmp) / "src")
     new = _collect_in_child(ROOT / "src")
-    differ = 0
+    differ = other = 0
+    worst, worst_label = 0.0, None
     for label in sorted(old.keys() | new.keys()):
         if old.get(label) != new.get(label):
             differ += 1
             print(f"DIFF {label}\n  {args.rev}: {old.get(label)}\n  tree: {new.get(label)}")
+            change = _relative_change(old.get(label), new.get(label))
+            if change is None:
+                other += 1
+            elif change > worst:
+                worst, worst_label = change, label
+    print(
+        f"largest relative float change {worst:.3g}"
+        + (f" ({worst_label})" if worst_label else "")
+        + f"; {other} results changed other than in floats"
+    )
     print(f"{len(old.keys() | new.keys())} results compared, {differ} differ")
     return 1 if differ else 0
 

@@ -321,7 +321,12 @@ def cmd_convergence(args) -> tuple[list[dict], bool, list[str]]:
     l, m, n = _site(args)
     params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
     rows = convergence_rows(
-        params, tol=args.tol, n_max=args.n_max, method=method, accel=args.accel
+        params,
+        tol=args.tol,
+        n_max=args.n_max,
+        method=method,
+        accel=args.accel,
+        l_max=args.l_max,
     )
     fields = ["i", "term", "partial_sum", "tail_bound", "accelerated_estimate"]
     last_bound = rows[-1]["tail_bound"] if rows else None

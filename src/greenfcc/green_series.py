@@ -24,11 +24,13 @@ edge the terms decay only like i^(-3/2); the evaluators accept t = 2+gamma
 but cannot mark the result converged unless a sequence transform is
 applied.
 
-Intermediate magnitudes are kept inside the double range by folding
-powers of 1/t into the term sums once the raw moments would overflow
-(they grow like (2+gamma)^i); below that point terms are computed
-literally as moment_coefficient(i) * t^(-1-i) so the reported series is
-bit-identical to its moment reconstruction.
+The raw moments grow like (2+gamma)^i and leave the double range past
+order 680/ln(2+gamma).  Series5 therefore works with the normalized
+moments nu_i = moment_i / s^i, s = 2+gamma: the double sum with the
+weights C(i,j) (gamma/s)^(i-j) (2/s)^j, a binomial distribution, over
+inner rows scaled by 2^-j, each at most pi^2.  Nothing in nu_i
+overflows and nothing depends on t; the i-th term is nu_i r^i / t with
+r = s/t, and the i-th moment is nu_i s^i.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,10 +80,10 @@ def _j_vector(table: IntegralTable, site: int, length: int) -> np.ndarray:
 
 
 def _safe_order(gamma: float) -> int:
-    """Last order whose unscaled moment stays inside the double range.
+    """Last order whose moment nu_i s^i stays inside the double range.
 
-    Moments grow like (2+gamma)^i; beyond this index the unscaled double
-    sum would overflow and the folded form takes over.
+    Moments grow like (2+gamma)^i; moment_coefficient refuses orders
+    beyond this index.
     """
     return int(680.0 / math.log(2.0 + gamma))
 
@@ -129,13 +131,18 @@ def _site_tables(l: int, m: int, n: int, depth: int, j_depth: int) -> _SiteTable
     )
 
 
+_POW2NEG = np.ldexp(1.0, -np.arange(HARD_ORDER_CAP + 1))
+"""2^-j for j <= HARD_ORDER_CAP: keeps the inner row j of nu_i below pi^2."""
+
+
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: binomials, site tables and power ladders.
+    """Per-evaluation tables: binomials, site tables and the gamma ladders.
 
     The binomial table and the site tables come from process-wide caches;
-    only the gamma ladder, and past ``safe_order`` the folded ladders in
-    gamma/t, 1/2 and 2/t, are built for each evaluation.
+    only the ladders (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, are
+    built for each evaluation, on series5's first term.  Nothing here
+    depends on t.
     """
 
     params: GreenParams
@@ -148,57 +155,46 @@ class _Workspace:
         site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
         self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
         self.hankel, self.jm_rev = site.hankel, site.jm_rev
-        self.safe_order = _safe_order(p.gamma)
-        # term5 reads gamma^k only up to safe_order; deeper powers overflow
-        self.gamma_pows = np.power(
-            float(p.gamma), np.arange(min(self.depth, self.safe_order) + 1)
-        )
-        if self.depth > self.safe_order:
-            # only the folded terms past safe_order read these
-            ladder = np.arange(self.depth + 1)
-            self.ut_pows = np.power(p.gamma / p.t, ladder)
-            self.pow2neg = np.ldexp(1.0, -ladder)
-            self.twot_pows = np.power(2.0 / p.t, ladder)
 
-    def _double_sum(self, i: int, upow: np.ndarray, extra_scales=()) -> float:
-        """sum_j F[i,j] upow[i-j] Jn[j] * sum_k F[j,k] Jl[i-j+k] Jm[i-k].
+    @cached_property
+    def gs_pows(self) -> np.ndarray:
+        p = self.params
+        return np.power(p.gamma / p.band_edge, np.arange(self.depth + 1))
 
-        Only the rows j = n, n+2, ..., i (n the site index) are formed:
-        J_j(n) vanishes for j < n and for odd j - n, and those zeros are
-        exact, so every skipped row would enter the outer sum as w = 0.0
-        times a finite row.  Row j reads Jl[i-j+k] as row i-j of the
-        Hankel view; for k > j the view reaches past Jl[i] (or into the
-        zero padding), where the zero upper half of the binomial table
-        annihilates it.  The formed rows land in a zeroed full-length
-        vector, so each k sum and the final j sum add the same products
-        in the same order as the dense (i+1)^2 form, bit for bit.
-        ``extra_scales`` multiply the j rows one factor at a time, which
-        lets callers stage power scalings that would under- or overflow
-        if fused.
+    @cached_property
+    def jn_scaled(self) -> np.ndarray:
+        ladder = np.power(2.0 / self.params.band_edge, np.arange(self.depth + 1))
+        return ladder * self.Jn[: self.depth + 1]
+
+    def nu(self, i: int) -> float:
+        """nu_i = (1/pi^3) sum_j w_j * sum_k F[j,k] Jl[i-j+k] Jm[i-k].
+
+        w_j = F[i,j] 2^-j (gamma/s)^(i-j) (2/s)^j Jn[j].  Only the rows
+        j = n, n+2, ..., i (n the site index) are formed: J_j(n) vanishes
+        for j < n and for odd j - n.  Row j reads Jl[i-j+k] as row i-j of
+        the Hankel view; for k > j the view reaches past Jl[i] (or into
+        the zero padding), where the zero upper half of the binomial
+        table annihilates it.  The 2^-j and (2/s)^j factors stay apart:
+        their product s^-j underflows where the weights still count.
         """
         n = self.params.n
+        if i < n:
+            return 0.0
         sl = slice(0, i + 1)
-        rows = np.zeros(i + 1)
-        if i >= n:
-            js = slice(n, i + 1, 2)
-            part = self.F[js, sl] * self.hankel[i - n :: -2, sl]
-            part *= self.Jm[i::-1]
-            rows[js] = part.sum(axis=1)
-        for scale in extra_scales:
-            rows = rows * scale[sl]
-        w = self.F[i, sl] * upow[i::-1] * self.Jn[sl]
-        return float((w * rows).sum())
+        js = slice(n, i + 1, 2)
+        part = self.F[js, sl] * self.hankel[i - n :: -2, sl]
+        part *= self.Jm[i::-1]
+        w = self.F[i, js] * _POW2NEG[js]
+        w *= self.gs_pows[i - n :: -2]
+        w *= self.jn_scaled[js]
+        return float(np.dot(w, part.sum(axis=1))) / PI3
 
     def moment(self, i: int) -> float:
-        return self._double_sum(i, self.gamma_pows) / PI3
+        return self.nu(i) * self.params.band_edge**i
 
     def term5(self, i: int) -> float:
-        if i <= self.safe_order:
-            return self.moment(i) * self.params.t ** (-1 - i)
-        folded = self._double_sum(
-            i, self.ut_pows, extra_scales=(self.pow2neg, self.twot_pows)
-        )
-        return folded / self.params.t / PI3
+        t = self.params.t
+        return self.nu(i) * (self.params.band_edge / t) ** i / t
 
 
 def _workspace(params: GreenParams, depth: int, j_depth: int | None = None) -> _Workspace:
@@ -323,6 +319,8 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
 def _scan_series6(
     params: GreenParams, tol: float, n_max: int, l_max: int
 ) -> _ScanState:
+    if l_max < 1 or l_max > HARD_ORDER_CAP:
+        raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     ws = _workspace(params, n_max, j_depth=n_max + l_max)
     t, gamma = params.t, params.gamma
     x = gamma / t
@@ -497,8 +495,6 @@ def evaluate_series6(
     Agrees with evaluate_series5 within combined error estimates.
     """
     _validate_series_call(params, tol, n_max, accel)
-    if l_max < 1 or l_max > HARD_ORDER_CAP:
-        raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     state = _scan_series6(params, tol, n_max, l_max)
     return _finish(state, tol, accel, "series6")
 
@@ -509,17 +505,19 @@ def convergence_rows(
     n_max: int = 400,
     method: str = "series5",
     accel: str = "none",
+    l_max: int = 400,
 ) -> list[dict]:
     """Per-term diagnostics: term, partial sum, tail bound, transform value.
 
     The accelerated estimate in row i is the transform of the partial
     sums up to i over the same trailing window the evaluators use.
+    ``l_max`` bounds the inner sums of series6 as in evaluate_series6.
     """
     _validate_series_call(params, tol, n_max, accel)
     if method == "series5":
         state = _scan_series5(params, tol, n_max)
     elif method == "series6":
-        state = _scan_series6(params, tol, n_max, n_max)
+        state = _scan_series6(params, tol, n_max, l_max)
     else:
         raise ValueError("convergence diagnostics need a series method")
     rows = []

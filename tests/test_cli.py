@@ -238,6 +238,14 @@ class TestConvergence:
         r = run("convergence", "--t", "3", "--n-max", "30")
         assert r.returncode == 2
 
+    def test_series6_rows_end_on_eval_value(self):
+        # --l-max 20 stops inner sums that would run on at t = 3.01
+        point = ["--t", "3.01", "--lmn", "2", "1", "1", "--method", "series6",
+                 "--n-max", "60", "--l-max", "20"]
+        rows = json_lines(run("convergence", *point).stdout)
+        value = json_lines(run("eval", *point).stdout)[0]["value"]
+        assert rows[-1]["partial_sum"] == value
+
 
 class TestDeterminism:
     def test_sweep_bytes(self):

@@ -30,25 +30,21 @@ from walk_oracle import walk_moment
 PI3 = math.pi**3
 
 
-def _gather_double_sum(i, F, Jl, Jm, Jn, upow, extra_scales=()):
-    """The dense (i+1)^2 Toeplitz-gather form of the double sum (reference)."""
+def _gather_nu(ws, i):
+    """nu_i from the dense (i+1)^2 Toeplitz-gather rows (reference).
+
+    Every row is gathered; the rows j = n, n+2, ..., i, the only ones
+    J_j(n) does not zero, are then reduced against their weights by one
+    dot product, in the same order as the strided form.
+    """
+    F, Jl, Jm, Jn = ws.F, ws.Jl, ws.Jm, ws.Jn
     sl = slice(0, i + 1)
     a = np.arange(i + 1)
     idx = np.clip(a[None, :] - a[:, None] + i, 0, i)
     rows = (F[sl, sl] * Jl[idx] * Jm[i::-1][None, :]).sum(axis=1)
-    for scale in extra_scales:
-        rows = rows * scale[sl]
-    w = F[i, sl] * upow[i::-1] * Jn[sl]
-    return float((w * rows).sum())
-
-
-def _gather_term5(ws, i):
-    if i <= ws.safe_order:
-        raw = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.gamma_pows)
-        return raw / PI3 * ws.params.t ** (-1 - i)
-    scales = (ws.pow2neg, ws.twot_pows)
-    raw = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.ut_pows, scales)
-    return raw / ws.params.t / PI3
+    j = a[ws.params.n :: 2]
+    w = F[i, j] * np.ldexp(1.0, -j) * ws.gs_pows[i - j] * ws.jn_scaled[j]
+    return float(np.dot(w, rows[j])) / PI3
 
 
 def _series6_row_per_j(ws, i, x, tol_inner, l_max):
@@ -146,11 +142,13 @@ class TestStridedLoops:
         for site in self.SITES:
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
             ws = _workspace(p, safe + 2)
+            s, r = p.band_edge, p.band_edge / p.t
             for i in orders:
-                assert ws.term5(i) == _gather_term5(ws, i), (site, i)
+                nu = _gather_nu(ws, i)
+                assert ws.nu(i) == nu, (site, i)
+                assert ws.term5(i) == nu * r**i / p.t, (site, i)
                 if i <= safe:
-                    want = _gather_double_sum(i, ws.F, ws.Jl, ws.Jm, ws.Jn, ws.gamma_pows)
-                    assert ws.moment(i) == want / PI3, (site, i)
+                    assert ws.moment(i) == nu * s**i, (site, i)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
     def test_series6_blocks_match_per_j_sums(self, site):
@@ -213,12 +211,10 @@ class TestSiteTableCache:
         assert results() == cold
         assert _site_tables.cache_info().hits > hits
 
-    def test_folded_path_cold_and_warm(self):
-        # n_max = 1000 runs past safe_order (618 at gamma = 1) into the
-        # folded terms, the only ones that read the per-call ladders
+    def test_deep_terms_cold_and_warm(self):
+        # n_max = 1000 runs past order 618, the last whose moment fits a
+        # double at gamma = 1; the terms nu_i r^i / t go on regardless
         p = GreenParams(t=3.0, gamma=1.0, l=2, m=0, n=0)
-        assert hasattr(_workspace(p, 1000), "ut_pows")
-        assert not hasattr(_workspace(p, 400), "ut_pows")
         _site_tables.cache_clear()
         cold = evaluate_series5(p, n_max=1000, accel="aitken")
         assert cold.terms_used == 1000
@@ -240,7 +236,10 @@ class TestSiteTableCache:
 
 
 class TestOuterTerm:
-    """The i-th series5 term, moment_coefficient(i) * t^(-1-i)."""
+    """The i-th series5 term, nu_i r^i / t = moment_coefficient(i) t^(-1-i).
+
+    nu_i is the i-th moment over (2+gamma)^i and r = (2+gamma)/t.
+    """
 
     def test_leading_term_is_one_over_t(self):
         p = GreenParams(t=4.0)
@@ -264,6 +263,32 @@ class TestOuterTerm:
     def test_terms_non_negative(self, i, gamma, site):
         p = GreenParams(t=4.0, gamma=gamma, l=site[0], m=site[1], n=site[2])
         assert moment_coefficient(i, p) >= 0.0
+
+
+class TestMomentEnvelope:
+    """The origin's even normalized moments bound every site's.
+
+    With |w| <= 2+gamma and |cos| <= 1, |nu_i(site)| <= nu_(2 floor(i/2))
+    at the origin, and the even origin moments never increase.  A
+    certified tail bound for series5 can rest on both.
+    """
+
+    SITES = [(2, 0, 0), (2, 1, 1), (2, 2, 0), (4, 2, 0), (3, 3, 2), (12, 12, 0), (24, 0, 0), (9, 8, 1)]
+    DEPTH = 400
+
+    def _nu_table(self, gamma, site):
+        p = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
+        ws = _workspace(p, self.DEPTH)
+        return np.array([ws.nu(i) for i in range(self.DEPTH + 1)])
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
+    def test_origin_bounds_every_site(self, gamma):
+        even = self._nu_table(gamma, (0, 0, 0))[::2]
+        assert np.all(np.diff(even) <= 0.0)
+        envelope = np.repeat(even, 2)[: self.DEPTH + 1]
+        for site in self.SITES:
+            nu = self._nu_table(gamma, site)
+            assert np.all(np.abs(nu) <= envelope), site
 
 
 def _rows(terms, errors=None, oks=None):
@@ -482,6 +507,13 @@ class TestConvergenceRows:
             GreenParams(t=3.0), tol=1e-10, n_max=40, accel="wynn"
         )
         assert any(r["accelerated_estimate"] is not None for r in rows)
+
+    def test_series6_rows_end_on_the_evaluated_sum(self):
+        # both default to l_max = 400; 120 outer terms leave the sum
+        # unconverged at t = 3.01, so the raw value is the last partial sum
+        p = GreenParams(t=3.01, gamma=1.0, l=2, m=1, n=1)
+        rows = convergence_rows(p, n_max=120, method="series6")
+        assert rows[-1]["partial_sum"] == evaluate_series6(p, n_max=120).value
 
     def test_series6_rows(self):
         rows = convergence_rows(
