@@ -27,7 +27,7 @@ def main():
     print("  ".join(f"{h:>12}" for h in header))
     for t in args.t:
         params = GreenParams(t=t, gamma=args.gamma)
-        rows = convergence_rows(params, tol=1e-300, n_max=args.n_max)
+        rows, _ = convergence_rows(params, tol=1e-300, n_max=args.n_max)
         terms = [r["term"] for r in rows]
         rate = (2.0 + args.gamma) / t
         cells = [f"{t:>12g}", f"{rate:>12.6f}"]
@@ -41,7 +41,7 @@ def main():
     print()
     print("deficit 1 - ratio/rate at t = %g (expect ~ 3/(2i)):" % args.t[0])
     params = GreenParams(t=args.t[0], gamma=args.gamma)
-    rows = convergence_rows(params, tol=1e-300, n_max=args.n_max)
+    rows, _ = convergence_rows(params, tol=1e-300, n_max=args.n_max)
     terms = [r["term"] for r in rows]
     rate = (2.0 + args.gamma) / args.t[0]
     for i in args.probe:

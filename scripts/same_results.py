@@ -11,8 +11,9 @@ of its own:
   terms used, converged and accelerated;
 * the README's command-line examples, a few commands that cover what
   those miss (series6 with a transform, ``convergence`` on series6 with
-  aitken and with inner sums that reach ``--l-max``, a far site) and the
-  commands of the cli pool in bench/references.json, each in a fresh
+  aitken and with inner sums that reach ``--l-max``, a far site, series5
+  at the hard order cap) and the commands of the cli pool in
+  bench/references.json, each in a fresh
   temporary working directory, recording the exit code, stdout with
   ``wall_time_ms`` stripped, and any file the command wrote.
 
@@ -54,6 +55,10 @@ EXTRA_COMMANDS = (
     ["sweep", "--t", "3:3.5:0.1", "--method", "series5,series6", "--accel", "aitken"],
     # a far site whose terms rise before they decay: the scan stops too early
     ["eval", "--t", "4", "--lmn", "12", "12", "0"],
+    # the tail bound meets tol while the inner sums stop at l_max: exit 2 as eval
+    ["convergence", "--t", "3.5", "--lmn", "2", "1", "1", "--method", "series6", "--l-max", "20"],
+    # the deepest series5 path, up to the hard order cap
+    ["eval", "--t", "3", "--n-max", "1000", "--accel", "wynn"],
 )
 
 

@@ -320,7 +320,7 @@ def cmd_convergence(args) -> tuple[list[dict], bool, list[str]]:
         raise ValueError("convergence diagnostics need a series method")
     l, m, n = _site(args)
     params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
-    rows = convergence_rows(
+    rows, evaluation = convergence_rows(
         params,
         tol=args.tol,
         n_max=args.n_max,
@@ -329,9 +329,7 @@ def cmd_convergence(args) -> tuple[list[dict], bool, list[str]]:
         l_max=args.l_max,
     )
     fields = ["i", "term", "partial_sum", "tail_bound", "accelerated_estimate"]
-    last_bound = rows[-1]["tail_bound"] if rows else None
-    converged = last_bound is not None and last_bound <= args.tol
-    return rows, converged, fields
+    return rows, evaluation.converged, fields
 
 
 _HANDLERS = {

@@ -28,9 +28,12 @@ The raw moments grow like (2+gamma)^i and leave the double range past
 order 680/ln(2+gamma).  Series5 therefore works with the normalized
 moments nu_i = moment_i / s^i, s = 2+gamma: the double sum with the
 weights C(i,j) (gamma/s)^(i-j) (2/s)^j, a binomial distribution, over
-inner rows scaled by 2^-j, each at most pi^2.  Nothing in nu_i
-overflows and nothing depends on t; the i-th term is nu_i r^i / t with
-r = s/t, and the i-th moment is nu_i s^i.
+inner rows scaled by 2^-j, each at most pi^2.  Since C(j,k) =
+j!/(k!(j-k)!), the inner rows of one order are j! times a single
+convolution of J_m[i-k]/k! with J_l[i-d]/d!, so every row of nu_i comes
+from one np.convolve.  Nothing in nu_i overflows and nothing depends on
+t; the i-th term is nu_i r^i / t with r = s/t, and the i-th moment is
+nu_i s^i.
 """
 
 from __future__ import annotations
@@ -90,12 +93,12 @@ def _safe_order(gamma: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _SiteTables:
-    """J vectors of one site and the strided views the hot loops read.
+    """J vectors of one site and the strided views series6 reads.
 
     ``hankel[a, k] = Jl[a + k]`` and ``jm_rev[a, c] = Jm[a + depth - c]``
-    are zero-copy views.  The zero padding behind ``hankel`` gives series5
-    rows up to a + k = 2 * depth; series6 has j_depth = depth + l_max
-    entries.  Every array is read-only.
+    are zero-copy views of width depth + 1; series6 has j_depth =
+    depth + l_max entries, enough rows for every inner index j < l_max.
+    Every array is read-only.
     """
 
     Jl: np.ndarray
@@ -110,39 +113,53 @@ def _site_tables(l: int, m: int, n: int, depth: int, j_depth: int) -> _SiteTable
     """The integer-only tables of site (l, m, n), shared by every t and gamma.
 
     The J vectors hold J_p(site) for p <= j_depth, read from the shared
-    exact table; ``depth`` fixes the padding and the window width of the
-    views.  Nothing here depends on t or gamma, so the cache keeps a
-    sweep, a comparison or a repeated call from rebuilding them; every
-    power ladder, double sum and scan still runs per call.
+    exact table; ``depth`` fixes the window width of the views.  Nothing
+    here depends on t or gamma, so the cache keeps a sweep, a comparison
+    or a repeated call from rebuilding them; every power ladder, double
+    sum and scan still runs per call.
     """
     table = shared_table(j_depth + max(l, m, n, 8) + 2)
     Jl = _j_vector(table, l, j_depth + 1)
     Jm = _j_vector(table, m, j_depth + 1)
     Jn = _j_vector(table, n, j_depth + 1)
-    padded = np.zeros(max(2 * depth + 2, Jl.size))
-    padded[: Jl.size] = Jl
-    padded.flags.writeable = False
     return _SiteTables(
         Jl=Jl,
         Jm=Jm,
         Jn=Jn,
-        hankel=sliding_window_view(padded, depth + 1),
+        hankel=sliding_window_view(Jl, depth + 1),
         jm_rev=sliding_window_view(Jm, depth + 1)[:, ::-1],
     )
 
 
-_POW2NEG = np.ldexp(1.0, -np.arange(HARD_ORDER_CAP + 1))
-"""2^-j for j <= HARD_ORDER_CAP: keeps the inner row j of nu_i below pi^2."""
+@lru_cache(maxsize=4)
+def _factorial_scales(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[k] = 256^k / k! and G[j] = j! / 2^(9j) for k, j <= depth.
+
+    Each entry is one correctly rounded division of Python integers.
+    E[k] E[d] G[k+d] = C(k+d, k) 2^-(k+d), so the scaled factorials carry
+    both the binomials and the 2^-j row scaling of nu_i.  Up to the hard
+    order cap the base 256 keeps E within [4e-160, 4e109], G within
+    [2e-221, 1] and every product E[k] E[d] J J below 1e221.  Both
+    arrays are read-only and shared.
+    """
+    fact = [1]
+    for k in range(1, depth + 1):
+        fact.append(fact[-1] * k)
+    E = np.array([(1 << 8 * k) / f for k, f in enumerate(fact)])
+    G = np.array([f / (1 << 9 * k) for k, f in enumerate(fact)])
+    E.flags.writeable = False
+    G.flags.writeable = False
+    return E, G
 
 
 @dataclass
 class _Workspace:
     """Per-evaluation tables: binomials, site tables and the gamma ladders.
 
-    The binomial table and the site tables come from process-wide caches;
-    only the ladders (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, are
-    built for each evaluation, on series5's first term.  Nothing here
-    depends on t.
+    The binomial table, the scaled factorials and the site tables come
+    from process-wide caches; only the ladders (gamma/s)^k and
+    (2/s)^j J_n[j], s = 2+gamma, are built for each evaluation, on
+    series5's first term.  Nothing here depends on t.
     """
 
     params: GreenParams
@@ -152,6 +169,7 @@ class _Workspace:
     def __post_init__(self) -> None:
         p = self.params
         self.F = binomial_table(self.depth)
+        self.E, self.G = _factorial_scales(self.depth)
         site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
         self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
         self.hankel, self.jm_rev = site.hankel, site.jm_rev
@@ -167,27 +185,30 @@ class _Workspace:
         return ladder * self.Jn[: self.depth + 1]
 
     def nu(self, i: int) -> float:
-        """nu_i = (1/pi^3) sum_j w_j * sum_k F[j,k] Jl[i-j+k] Jm[i-k].
+        """nu_i = (1/pi^3) sum_j w_j * 2^-j sum_k C(j,k) Jl[i-j+k] Jm[i-k].
 
-        w_j = F[i,j] 2^-j (gamma/s)^(i-j) (2/s)^j Jn[j].  Only the rows
-        j = n, n+2, ..., i (n the site index) are formed: J_j(n) vanishes
-        for j < n and for odd j - n.  Row j reads Jl[i-j+k] as row i-j of
-        the Hankel view; for k > j the view reaches past Jl[i] (or into
-        the zero padding), where the zero upper half of the binomial
-        table annihilates it.  The 2^-j and (2/s)^j factors stay apart:
-        their product s^-j underflows where the weights still count.
+        w_j = F[i,j] (gamma/s)^(i-j) (2/s)^j Jn[j], over the rows
+        j = n, n+2, ..., i (n the site index): J_j(n) vanishes for j < n
+        and for odd j - n.  With u[k] = E[k] Jm[i-k] and
+        v[d] = E[d] Jl[i-d], row j is G[j] (u * v)[j].  Jm[i-k] vanishes
+        unless k has the parity ku of i-m, and Jl[i-d] unless d has the
+        parity kv of i-l, so u and v keep only those entries; output q of
+        their convolution is row ku+kv+2q, of n's parity, and a row
+        j < ku+kv is zero.  Every summand is >= 0.
         """
-        n = self.params.n
-        if i < n:
+        n, l, m = self.params.n, self.params.l, self.params.m
+        ku, kv = (i - m) % 2, (i - l) % 2
+        j0 = max(n, ku + kv)
+        if i < j0:
             return 0.0
-        sl = slice(0, i + 1)
-        js = slice(n, i + 1, 2)
-        part = self.F[js, sl] * self.hankel[i - n :: -2, sl]
-        part *= self.Jm[i::-1]
-        w = self.F[i, js] * _POW2NEG[js]
-        w *= self.gs_pows[i - n :: -2]
+        u = self.E[ku : i + 1 : 2] * self.Jm[i - ku :: -2]
+        v = self.E[kv : i + 1 : 2] * self.Jl[i - kv :: -2]
+        js = slice(j0, i + 1, 2)
+        q0 = (j0 - ku - kv) // 2
+        rows = np.convolve(u, v)[q0 : q0 + (i - j0) // 2 + 1] * self.G[js]
+        w = self.F[i, js] * self.gs_pows[i - j0 :: -2]
         w *= self.jn_scaled[js]
-        return float(np.dot(w, part.sum(axis=1))) / PI3
+        return float(np.dot(w, rows)) / PI3
 
     def moment(self, i: int) -> float:
         return self.nu(i) * self.params.band_edge**i
@@ -506,12 +527,15 @@ def convergence_rows(
     method: str = "series5",
     accel: str = "none",
     l_max: int = 400,
-) -> list[dict]:
-    """Per-term diagnostics: term, partial sum, tail bound, transform value.
+) -> tuple[list[dict], SeriesEvaluation]:
+    """Per-term diagnostics, and the evaluation the same scan gives.
 
-    The accelerated estimate in row i is the transform of the partial
-    sums up to i over the same trailing window the evaluators use.
-    ``l_max`` bounds the inner sums of series6 as in evaluate_series6.
+    Each row holds the term, partial sum, tail bound and transform
+    value.  The accelerated estimate in row i is the transform of the
+    partial sums up to i over the same trailing window the evaluators
+    use.  ``l_max`` bounds the inner sums of series6 as in
+    evaluate_series6; the evaluation is the one evaluate_series5 or
+    evaluate_series6 reports for the same arguments.
     """
     _validate_series_call(params, tol, n_max, accel)
     if method == "series5":
@@ -536,4 +560,4 @@ def convergence_rows(
                 "accelerated_estimate": accel_value,
             }
         )
-    return rows
+    return rows, _finish(state, tol, accel, method)

@@ -238,6 +238,13 @@ class TestConvergence:
         r = run("convergence", "--t", "3", "--n-max", "30")
         assert r.returncode == 2
 
+    def test_exit_code_matches_eval(self):
+        # --l-max 20 leaves the inner sums open: the outer tail bound meets
+        # the tolerance, but the evaluation of the same scan is unconverged
+        point = ["--t", "3.5", "--lmn", "2", "1", "1", "--method", "series6", "--l-max", "20"]
+        assert run("eval", *point).returncode == 2
+        assert run("convergence", *point).returncode == 2
+
     def test_series6_rows_end_on_eval_value(self):
         # --l-max 20 stops inner sums that would run on at t = 3.01
         point = ["--t", "3.01", "--lmn", "2", "1", "1", "--method", "series6",

@@ -17,7 +17,9 @@ from greenfcc import (
     green_by_quadrature,
     moment_coefficient,
 )
+from greenfcc.combinatorics import HARD_ORDER_CAP
 from greenfcc.green_series import (
+    _factorial_scales,
     _finish,
     _safe_order,
     _scan,
@@ -35,7 +37,7 @@ def _gather_nu(ws, i):
 
     Every row is gathered; the rows j = n, n+2, ..., i, the only ones
     J_j(n) does not zero, are then reduced against their weights by one
-    dot product, in the same order as the strided form.
+    dot product.
     """
     F, Jl, Jm, Jn = ws.F, ws.Jl, ws.Jm, ws.Jn
     sl = slice(0, i + 1)
@@ -45,6 +47,26 @@ def _gather_nu(ws, i):
     j = a[ws.params.n :: 2]
     w = F[i, j] * np.ldexp(1.0, -j) * ws.gs_pows[i - j] * ws.jn_scaled[j]
     return float(np.dot(w, rows[j])) / PI3
+
+
+def _exact_nu(i, site, gamma):
+    """nu_i as an exact rational, with J_p(q)/pi = C(p, (p-q)/2) / 2^p.
+
+    With gamma = a/b and s = 2+gamma the powers of 2 and pi cancel:
+    nu_i = sum_j C(i,j) a^(i-j) b^j c_n(j) sum_k C(j,k) c_l(i-j+k) c_m(i-k)
+    over ((2b+a)^i 4^i), c_q(p) = C(p, (p-q)/2) for p >= q of q's parity.
+    """
+    a, b = Fraction(gamma).as_integer_ratio()
+    l, m, n = site
+
+    def c(p, q):
+        return math.comb(p, (p - q) // 2) if p >= q and (p - q) % 2 == 0 else 0
+
+    total = 0
+    for j in range(n, i + 1, 2):
+        inner = sum(math.comb(j, k) * c(i - j + k, l) * c(i - k, m) for k in range(j + 1))
+        total += math.comb(i, j) * a ** (i - j) * b**j * c(j, n) * inner
+    return Fraction(total, (2 * b + a) ** i * 4**i)
 
 
 def _series6_row_per_j(ws, i, x, tol_inner, l_max):
@@ -131,24 +153,42 @@ class TestMomentCoefficient:
 
 
 class TestStridedLoops:
-    """The strided hot loops reproduce the gather forms bit for bit."""
+    """The hot loops against independent reference forms."""
 
     SITES = [(0, 0, 0), (2, 0, 0), (2, 1, 1), (3, 3, 2), (5, 0, 1), (1, 1, 4)]
+    EPS = Fraction(2.0**-52)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
-    def test_double_sum_matches_gather(self, gamma):
+    def test_nu_matches_exact_moments(self, gamma):
+        # all summands are >= 0, so the rounding is at most a relative
+        # (i+1) eps, and an exact zero must come out as 0.0
         safe = _safe_order(gamma)
-        orders = [0, 1, 2, 3, 6, 7, 40, 41, safe - 1, safe, safe + 1, safe + 2]
+        exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201]
+        deep_orders = [safe - 1, safe, safe + 1, safe + 2]
         for site in self.SITES:
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
             ws = _workspace(p, safe + 2)
             s, r = p.band_edge, p.band_edge / p.t
-            for i in orders:
-                nu = _gather_nu(ws, i)
-                assert ws.nu(i) == nu, (site, i)
+            for i in exact_orders + deep_orders:
+                nu = ws.nu(i)
+                if i in exact_orders:
+                    want = _exact_nu(i, site, gamma)
+                    assert abs(Fraction(nu) - want) <= (i + 1) * self.EPS * want, (site, i)
+                else:
+                    gather = Fraction(_gather_nu(ws, i))
+                    assert abs(Fraction(nu) - gather) <= 2 * (i + 1) * self.EPS * gather, (site, i)
                 assert ws.term5(i) == nu * r**i / p.t, (site, i)
                 if i <= safe:
                     assert ws.moment(i) == nu * s**i, (site, i)
+
+    def test_factorial_scales_correctly_rounded(self):
+        E, G = _factorial_scales(HARD_ORDER_CAP)
+        for k in range(HARD_ORDER_CAP + 1):
+            assert E[k] == float(Fraction(256**k, math.factorial(k))), k
+            assert G[k] == float(Fraction(math.factorial(k), 2 ** (9 * k))), k
+        for arr in (E, G):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
     def test_series6_blocks_match_per_j_sums(self, site):
@@ -186,8 +226,7 @@ class TestSiteTableCache:
             arr = getattr(ws, name)
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
-            # every array a view is built on, the zero-padded J_l included,
-            # is read-only too
+            # every array a view is built on is read-only too
             while arr is not None:
                 if isinstance(arr, np.ndarray):
                     assert not arr.flags.writeable, name
@@ -486,7 +525,7 @@ class TestAccelerationPipeline:
 
 class TestConvergenceRows:
     def test_row_count_and_keys(self):
-        rows = convergence_rows(GreenParams(t=5.0), tol=1e-30, n_max=30)
+        rows, _ = convergence_rows(GreenParams(t=5.0), tol=1e-30, n_max=30)
         assert len(rows) == 30
         assert list(rows[0]) == [
             "i",
@@ -498,12 +537,12 @@ class TestConvergenceRows:
         assert rows[0]["accelerated_estimate"] is None
 
     def test_partial_sums_monotone(self):
-        rows = convergence_rows(GreenParams(t=4.0), tol=1e-30, n_max=40)
+        rows, _ = convergence_rows(GreenParams(t=4.0), tol=1e-30, n_max=40)
         sums = [r["partial_sum"] for r in rows]
         assert sums == sorted(sums)
 
     def test_accelerated_column_present_with_wynn(self):
-        rows = convergence_rows(
+        rows, _ = convergence_rows(
             GreenParams(t=3.0), tol=1e-10, n_max=40, accel="wynn"
         )
         assert any(r["accelerated_estimate"] is not None for r in rows)
@@ -512,11 +551,12 @@ class TestConvergenceRows:
         # both default to l_max = 400; 120 outer terms leave the sum
         # unconverged at t = 3.01, so the raw value is the last partial sum
         p = GreenParams(t=3.01, gamma=1.0, l=2, m=1, n=1)
-        rows = convergence_rows(p, n_max=120, method="series6")
-        assert rows[-1]["partial_sum"] == evaluate_series6(p, n_max=120).value
+        rows, evaluation = convergence_rows(p, n_max=120, method="series6")
+        assert evaluation == evaluate_series6(p, n_max=120)
+        assert rows[-1]["partial_sum"] == evaluation.value
 
     def test_series6_rows(self):
-        rows = convergence_rows(
+        rows, _ = convergence_rows(
             GreenParams(t=5.0), tol=1e-10, n_max=30, method="series6"
         )
         assert len(rows) >= 1
