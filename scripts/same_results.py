@@ -12,8 +12,8 @@ of its own:
 * the README's command-line examples, a few commands that cover what
   those miss (series6 with a transform, ``convergence`` on series6 with
   aitken and with inner sums that reach ``--l-max``, a far site, series5
-  at the hard order cap) and the commands of the cli pool in
-  bench/references.json, each in a fresh
+  at the hard order cap, series6 rows up to order 593) and the commands
+  of the cli pool in bench/references.json, each in a fresh
   temporary working directory, recording the exit code, stdout with
   ``wall_time_ms`` stripped, and any file the command wrote.
 
@@ -59,6 +59,9 @@ EXTRA_COMMANDS = (
     ["convergence", "--t", "3.5", "--lmn", "2", "1", "1", "--method", "series6", "--l-max", "20"],
     # the deepest series5 path, up to the hard order cap
     ["eval", "--t", "3", "--n-max", "1000", "--accel", "wynn"],
+    # series6 rows up to order 593, where C(i, i//2) reaches 1e177
+    ["eval", "--t", "3.01", "--lmn", "2", "1", "1", "--method", "series6", "--n-max", "1000",
+     "--l-max", "200", "--accel", "wynn"],
 )
 
 

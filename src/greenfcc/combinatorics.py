@@ -1,8 +1,10 @@
-"""Binomial coefficients as one shared float table.
+"""The series order cap, and binomial coefficients as a dense float table.
 
-Every series term is a sum of binomials C(i, j), 0 <= j <= i, times
-the cosine integrals J.  ``binomial_table`` builds them once per order
-by the exact integer Pascal recurrence and rounds each entry once.
+Every series term is a sum of binomials C(i, j), 0 <= j <= i, times the
+cosine integrals J.  The series take them from scaled factorials
+(``green_series._factorial_scales``) and never build this table:
+``binomial_table`` is off the evaluation path, kept as a public name
+that the benchmark's tracer still resolves.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import numpy as np
 HARD_ORDER_CAP = 1000
 """Largest supported series order.
 
-Float binomials C(i, i//2) stay below the double overflow threshold up
-to i of roughly 1020; the cap leaves headroom and keeps table sizes sane.
+Up to this order the scaled factorials E[k] = 256^k / k! and
+G[j] = j! / 2^(9j), from which both series take their binomials, lie in
+[4.3e-160, 3.8e109] and [2.5e-221, 1], and the largest product they
+stand for, C(i, j) R_j with R_j <= pi^2 an inner row of series5 scaled
+by 2^-j, stays below 2.7e300.  Near i = 1030 C(i, i//2) pi^2 leaves the
+double range; the cap leaves headroom below that.
 """
 
 
@@ -23,10 +29,10 @@ to i of roughly 1020; the cap leaves headroom and keeps table sizes sane.
 def binomial_table(max_order: int) -> np.ndarray:
     """Dense float table T[i, j] = C(i, j) for 0 <= j <= i <= max_order.
 
-    Entries above the diagonal are zero, which downstream sums rely on to
-    skip masking.  Rows are built by the exact integer Pascal recurrence
-    and rounded once on conversion, so T[i, j] is the correctly rounded
-    value of C(i, j).  The returned array is read-only and shared.
+    Entries above the diagonal are zero.  Rows are built by the exact
+    integer Pascal recurrence and rounded once on conversion, so T[i, j]
+    is the correctly rounded value of C(i, j).  The returned array is
+    read-only and shared.
     """
     if not 0 <= max_order <= HARD_ORDER_CAP:
         raise ValueError(

@@ -34,6 +34,11 @@ convolution of J_m[i-k]/k! with J_l[i-d]/d!, so every row of nu_i comes
 from one np.convolve.  Nothing in nu_i overflows and nothing depends on
 t; the i-th term is nu_i r^i / t with r = s/t, and the i-th moment is
 nu_i s^i.
+
+Both series take every binomial from the scaled factorials
+E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
+series5 and C(i,k) 2^-i = E[k] E[i-k] G[i] in series6.  No binomial
+table is built.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .acceleration import (
     wynn_epsilon_with_estimate,
 )
 from .basic_integrals import IntegralTable, shared_table
-from .combinatorics import HARD_ORDER_CAP, binomial_table
+from .combinatorics import HARD_ORDER_CAP
 from .errors import DomainError
 from .params import GreenParams, SeriesEvaluation
 
@@ -131,19 +136,21 @@ def _site_tables(l: int, m: int, n: int, depth: int, j_depth: int) -> _SiteTable
     )
 
 
-@lru_cache(maxsize=4)
-def _factorial_scales(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[k] = 256^k / k! and G[j] = j! / 2^(9j) for k, j <= depth.
+@lru_cache(maxsize=1)
+def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
+    """E[k] = 256^k / k! and G[j] = j! / 2^(9j) for k, j <= HARD_ORDER_CAP.
 
-    Each entry is one correctly rounded division of Python integers.
-    E[k] E[d] G[k+d] = C(k+d, k) 2^-(k+d), so the scaled factorials carry
-    both the binomials and the 2^-j row scaling of nu_i.  Up to the hard
-    order cap the base 256 keeps E within [4e-160, 4e109], G within
-    [2e-221, 1] and every product E[k] E[d] J J below 1e221.  Both
-    arrays are read-only and shared.
+    Each entry is one correctly rounded division of Python integers and
+    does not depend on the order a caller needs, so one table at the cap
+    serves every depth.  E[k] E[d] G[k+d] = C(k+d, k) 2^-(k+d) and
+    G[i] / G[i-j] = C(i, j) G[j], so the scaled factorials carry every
+    binomial of both series and the 2^-j row scaling of nu_i.  Up to the
+    cap the base 256 keeps E within [4e-160, 4e109], G within [2e-221, 1]
+    and every product E[k] E[d] J J below 1e221.  Both arrays are
+    read-only and shared.
     """
     fact = [1]
-    for k in range(1, depth + 1):
+    for k in range(1, HARD_ORDER_CAP + 1):
         fact.append(fact[-1] * k)
     E = np.array([(1 << 8 * k) / f for k, f in enumerate(fact)])
     G = np.array([f / (1 << 9 * k) for k, f in enumerate(fact)])
@@ -154,12 +161,13 @@ def _factorial_scales(depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: binomials, site tables and the gamma ladders.
+    """Per-evaluation tables: scaled factorials, site tables and the gamma ladders.
 
-    The binomial table, the scaled factorials and the site tables come
-    from process-wide caches; only the ladders (gamma/s)^k and
-    (2/s)^j J_n[j], s = 2+gamma, are built for each evaluation, on
-    series5's first term.  Nothing here depends on t.
+    The scaled factorials E, G (the binomials of both series) and the
+    site tables come from process-wide caches; only the ladders
+    (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, are built for each
+    evaluation, on series5's first term.  Nothing here depends on t, and
+    nothing of size depth^2 is built.
     """
 
     params: GreenParams
@@ -168,8 +176,7 @@ class _Workspace:
 
     def __post_init__(self) -> None:
         p = self.params
-        self.F = binomial_table(self.depth)
-        self.E, self.G = _factorial_scales(self.depth)
+        self.E, self.G = _factorial_scales()
         site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
         self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
         self.hankel, self.jm_rev = site.hankel, site.jm_rev
@@ -187,14 +194,20 @@ class _Workspace:
     def nu(self, i: int) -> float:
         """nu_i = (1/pi^3) sum_j w_j * 2^-j sum_k C(j,k) Jl[i-j+k] Jm[i-k].
 
-        w_j = F[i,j] (gamma/s)^(i-j) (2/s)^j Jn[j], over the rows
+        w_j = C(i,j) (gamma/s)^(i-j) (2/s)^j Jn[j], over the rows
         j = n, n+2, ..., i (n the site index): J_j(n) vanishes for j < n
         and for odd j - n.  With u[k] = E[k] Jm[i-k] and
-        v[d] = E[d] Jl[i-d], row j is G[j] (u * v)[j].  Jm[i-k] vanishes
+        v[d] = E[d] Jl[i-d], row j is G[j] (u * v)[j], and the G[j] goes
+        into the weight as C(i,j) G[j] = G[i] / G[i-j].  Jm[i-k] vanishes
         unless k has the parity ku of i-m, and Jl[i-d] unless d has the
         parity kv of i-l, so u and v keep only those entries; output q of
         their convolution is row ku+kv+2q, of n's parity, and a row
         j < ku+kv is zero.  Every summand is >= 0.
+
+        The weight multiplies the ratio G[i] / G[i-j] (up to 1e79) into
+        the gamma ladder before the J_n ladder: at gamma = 1, i = 1000,
+        j near 512 the two ladders alone multiply to about 1e-323, a
+        subnormal.
         """
         n, l, m = self.params.n, self.params.l, self.params.m
         ku, kv = (i - m) % 2, (i - l) % 2
@@ -205,9 +218,9 @@ class _Workspace:
         v = self.E[kv : i + 1 : 2] * self.Jl[i - kv :: -2]
         js = slice(j0, i + 1, 2)
         q0 = (j0 - ku - kv) // 2
-        rows = np.convolve(u, v)[q0 : q0 + (i - j0) // 2 + 1] * self.G[js]
-        w = self.F[i, js] * self.gs_pows[i - j0 :: -2]
-        w *= self.jn_scaled[js]
+        rows = np.convolve(u, v)[q0 : q0 + (i - j0) // 2 + 1]
+        G = self.G
+        w = G[i] / G[i - j0 :: -2] * self.gs_pows[i - j0 :: -2] * self.jn_scaled[js]
         return float(np.dot(w, rows)) / PI3
 
     def moment(self, i: int) -> float:
@@ -364,20 +377,21 @@ def _series6_row(
 ) -> tuple[float, float, bool]:
     """One outer row of the double series: adaptive sum over j.
 
-    The inner products sum_k F[i,k] Jl[j+k] Jm[j+i-k] are formed for
-    ``_ROW_BLOCK`` values of j at a time from the workspace's sliding
-    window of Jl and reversed sliding window of Jm.  Each block row holds
-    the same products, in the same order, as the 1-D sum for that j and
-    is reduced along its own contiguous axis, so every row value is
-    bit-identical to the one-j-at-a-time form; the stop test still runs
-    j by j, so at most one block is formed past the stopping j.
+    The inner products sum_k C(i,k) 2^-i Jl[j+k] Jm[j+i-k] are formed
+    for ``_ROW_BLOCK`` values of j at a time from the workspace's sliding
+    window of Jl and reversed sliding window of Jm, as G[i] times the
+    sum over E[k] E[i-k] Jl Jm.  Each block row holds the same products,
+    in the same order, as the 1-D sum for that j and is reduced along its
+    own contiguous axis, so every row value is bit-identical to the
+    one-j-at-a-time form; the stop test still runs j by j, so at most one
+    block is formed past the stopping j.
     """
     params = ws.params
-    base = ws.F[i, : i + 1]
+    base = ws.E[: i + 1] * ws.E[i::-1]
     jl_windows = ws.hankel[:, : i + 1]
     jm_windows = ws.jm_rev[:, ws.depth - i :]
     jn_i = ws.Jn[i]
-    scale_i = math.ldexp(1.0, -i)
+    g_i = float(ws.G[i])  # a numpy scalar would slow every piece's products
     c = (2.0 / params.t) ** i  # C(i+j, j) (gamma/t)^j (2/t)^i at j = 0
     pieces: list[float] = []
     prev_piece = 0.0
@@ -391,7 +405,7 @@ def _series6_row(
             block = base * jl_windows[j:stop] * jm_windows[j:stop]
             block_rows = block.sum(axis=1).tolist()
         row = block_rows[j % _ROW_BLOCK]
-        piece = c * (row * scale_i) * jn_i / params.t / PI3
+        piece = c * (row * g_i) * jn_i / params.t / PI3
         pieces.append(piece)
         if piece != 0.0:
             seen = True

@@ -1,6 +1,8 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -32,14 +34,26 @@ from walk_oracle import walk_moment
 PI3 = math.pi**3
 
 
+@lru_cache(maxsize=1)
+def _float_binomials():
+    """C(a, b) for 0 <= b <= a <= HARD_ORDER_CAP, each rounded once from the exact integer."""
+    table = np.zeros((HARD_ORDER_CAP + 1, HARD_ORDER_CAP + 1))
+    row = [1]
+    for a in range(HARD_ORDER_CAP + 1):
+        table[a, : a + 1] = [float(v) for v in row]
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+    return table
+
+
 def _gather_nu(ws, i):
     """nu_i from the dense (i+1)^2 Toeplitz-gather rows (reference).
 
-    Every row is gathered; the rows j = n, n+2, ..., i, the only ones
-    J_j(n) does not zero, are then reduced against their weights by one
-    dot product.
+    Every row is gathered, with float binomials C(j, k) rounded from the
+    exact integers; the rows j = n, n+2, ..., i, the only ones J_j(n)
+    does not zero, are then reduced against their weights by one dot
+    product.
     """
-    F, Jl, Jm, Jn = ws.F, ws.Jl, ws.Jm, ws.Jn
+    F, Jl, Jm = _float_binomials(), ws.Jl, ws.Jm
     sl = slice(0, i + 1)
     a = np.arange(i + 1)
     idx = np.clip(a[None, :] - a[:, None] + i, 0, i)
@@ -69,14 +83,36 @@ def _exact_nu(i, site, gamma):
     return Fraction(total, (2 * b + a) ** i * 4**i)
 
 
+def _exact_series6_row(ws, i, x, l_max):
+    """The sum over j < l_max of one series6 row, as an exact rational.
+
+    Exact binomials C(i, k) and C(i+j, j) over the float inputs: the J
+    vectors, x, 2/t, t and pi^3 as the code rounds them.
+    """
+    p = ws.params
+    total = Fraction(0)
+    for j in range(l_max):
+        inner = sum(
+            math.comb(i, k) * Fraction(ws.Jl[j + k]) * Fraction(ws.Jm[j + i - k])
+            for k in range(i + 1)
+        )
+        total += math.comb(i + j, j) * Fraction(x) ** j * inner
+    scale = Fraction(2.0 / p.t) ** i / 2**i * Fraction(ws.Jn[i])
+    return total * scale / Fraction(p.t) / Fraction(PI3)
+
+
 def _series6_row_per_j(ws, i, x, tol_inner, l_max):
-    """The one-j-at-a-time form of the series6 inner sum (reference)."""
-    base = ws.F[i, : i + 1]
+    """The one-j-at-a-time form of the series6 inner sum (reference).
+
+    Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i, so
+    the block form must match it bit for bit.
+    """
+    base = ws.E[: i + 1] * ws.E[i::-1]
     c = (2.0 / ws.params.t) ** i
     pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
     for j in range(l_max):
         row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
-        piece = c * (row * math.ldexp(1.0, -i)) * ws.Jn[i] / ws.params.t / PI3
+        piece = c * (row * ws.G[i]) * ws.Jn[i] / ws.params.t / PI3
         pieces.append(piece)
         seen = seen or piece != 0.0
         ratio = x * (i + j + 2) / (j + 2)
@@ -158,7 +194,7 @@ class TestStridedLoops:
     SITES = [(0, 0, 0), (2, 0, 0), (2, 1, 1), (3, 3, 2), (5, 0, 1), (1, 1, 4)]
     EPS = Fraction(2.0**-52)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
     def test_nu_matches_exact_moments(self, gamma):
         # all summands are >= 0, so the rounding is at most a relative
         # (i+1) eps, and an exact zero must come out as 0.0
@@ -182,13 +218,54 @@ class TestStridedLoops:
                     assert ws.moment(i) == nu * s**i, (site, i)
 
     def test_factorial_scales_correctly_rounded(self):
-        E, G = _factorial_scales(HARD_ORDER_CAP)
+        E, G = _factorial_scales()
+        assert E.size == G.size == HARD_ORDER_CAP + 1
         for k in range(HARD_ORDER_CAP + 1):
             assert E[k] == float(Fraction(256**k, math.factorial(k))), k
             assert G[k] == float(Fraction(math.factorial(k), 2 ** (9 * k))), k
         for arr in (E, G):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
+    def test_deepest_orders(self, gamma):
+        # nu_i and a series6 row at the order cap, where the scaled
+        # factorials reach their extremes: finite, >= 0, exactly 0 where
+        # parity zeroes them, and within 2(i+1) eps of the references
+        # (an overflow would raise: RuntimeWarning is an error here).
+        # Below the normal range only an absolute 2^-1022 holds: at
+        # gamma = 7 the series6 row starts from (2/t)^1000, about 1e-653.
+        l_max = 4
+        tiny = Fraction(sys.float_info.min)
+        for site in [(0, 0, 0), (24, 0, 0)]:
+            p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
+            ws = _workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+            x = p.gamma / p.t
+            for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
+                got_nu = ws.nu(i)
+                got_row = _series6_row(ws, i, x, 0.0, l_max)[0]
+                want_nu = Fraction(_gather_nu(ws, i))
+                want_row = _exact_series6_row(ws, i, x, l_max)
+                for got, want in ((got_nu, want_nu), (got_row, want_row)):
+                    assert math.isfinite(got) and got >= 0.0, (site, i)
+                    assert want != 0 or got == 0.0, (site, i)
+                    bound = 2 * (i + 1) * self.EPS * want + tiny
+                    assert abs(Fraction(got) - want) <= bound, (site, i)
+
+    @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
+    def test_series6_row_matches_exact_binomials(self, site):
+        # every summand is >= 0, so the inner sum rounds by at most a
+        # relative (i/2 + 4) eps, its E and G roundings included; the
+        # ladder C(i+j, j) x^j adds 1.5 eps a step, and pow, the last
+        # products and fsum 4 eps more; an exact zero must come out as 0.0
+        p = GreenParams(t=4.5, gamma=1.5, l=site[0], m=site[1], n=site[2])
+        n_max, l_max = 60, 6
+        ws = _workspace(p, n_max, j_depth=n_max + l_max)
+        x = p.gamma / p.t
+        for i in (0, 1, 2, 7, 30, 31, 59):
+            got = Fraction(_series6_row(ws, i, x, 0.0, l_max)[0])
+            want = _exact_series6_row(ws, i, x, l_max)
+            assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
     def test_series6_blocks_match_per_j_sums(self, site):
@@ -261,7 +338,7 @@ class TestSiteTableCache:
 
     def test_series6_past_the_order_cap(self):
         # the J vectors of series6 reach n_max + l_max = 1100, beyond the
-        # hard order cap of the binomial table
+        # hard order cap
         p = GreenParams(t=3.6, gamma=1.0, l=2, m=2, n=0)
         _site_tables.cache_clear()
         cold = evaluate_series6(p, n_max=600, l_max=500)
