@@ -12,10 +12,12 @@ of its own:
 * the README's command-line examples, a few commands that cover what
   those miss (series6 with a transform, ``convergence`` on series6 with
   aitken and with inner sums that reach ``--l-max``, a far site, series5
-  at the hard order cap, series6 rows up to order 593) and the commands
-  of the cli pool in bench/references.json, each in a fresh
-  temporary working directory, recording the exit code, stdout with
-  ``wall_time_ms`` stripped, and any file the command wrote.
+  at the hard order cap, series6 rows up to order 593, series6 at
+  t = 2 gamma where the inner ratio is exactly 1, and ``convergence`` on
+  series6 with inner sums of up to 179 terms that end on the tail test)
+  and the commands of the cli pool in bench/references.json, each in a
+  fresh temporary working directory, recording the exit code, stdout
+  with ``wall_time_ms`` stripped, and any file the command wrote.
 
 Floats are compared through their repr, so "same" means bit-identical.
 Every difference is printed, followed by one line that sizes them: the
@@ -62,6 +64,11 @@ EXTRA_COMMANDS = (
     # series6 rows up to order 593, where C(i, i//2) reaches 1e177
     ["eval", "--t", "3.01", "--lmn", "2", "1", "1", "--method", "series6", "--n-max", "1000",
      "--l-max", "200", "--accel", "wynn"],
+    # t = 2 gamma: the inner ratio gamma (i+j+2) / (t (j+2)) is exactly 1 at j = i - 2
+    ["eval", "--t", "6", "--gamma", "3", "--lmn", "2", "1", "1", "--method", "series6"],
+    # inner sums that stop on their own after up to 179 terms, over several chunks
+    ["convergence", "--t", "4.5", "--gamma", "2", "--lmn", "2", "1", "1", "--method", "series6",
+     "--tol", "1e-13"],
 )
 
 

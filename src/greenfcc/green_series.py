@@ -44,6 +44,7 @@ table is built.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -72,13 +73,6 @@ transform tables.
 """
 
 _ACCEL_CHOICES = ("none", "wynn", "aitken")
-
-_ROW_BLOCK = 16
-"""Inner series6 rows formed per numpy call.
-
-Off the band edge an inner sum typically stops after 17 to 128 values
-of j, so a block of 16 forms at most 15 rows past the stop.
-"""
 
 
 def _j_vector(table: IntegralTable, site: int, length: int) -> np.ndarray:
@@ -190,6 +184,11 @@ class _Workspace:
     def jn_scaled(self) -> np.ndarray:
         ladder = np.power(2.0 / self.params.band_edge, np.arange(self.depth + 1))
         return ladder * self.Jn[: self.depth + 1]
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """The integers 0 .. j_depth + 1 as floats, series6's ladder and ratio factors."""
+        return np.arange(self.j_depth + 2, dtype=float)
 
     def nu(self, i: int) -> float:
         """nu_i = (1/pi^3) sum_j w_j * 2^-j sum_k C(j,k) Jl[i-j+k] Jm[i-k].
@@ -357,70 +356,142 @@ def _scan_series6(
         raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     ws = _workspace(params, n_max, j_depth=n_max + l_max)
     t, gamma = params.t, params.gamma
-    x = gamma / t
+    x_ramp = gamma / t * ws.ramp
     r_out = 2.0 / (t - gamma)
+    first = 8
 
     def row(i: int) -> tuple[float, float, bool]:
+        nonlocal first
         if ws.Jn[i] == 0.0:
             return 0.0, 0.0, True
         if r_out < 1.0:
             tol_inner = max(tol * 0.25 * (1.0 - r_out) * r_out**i, 1e-300)
         else:
             tol_inner = max(tol * 0.25 / n_max, 1e-300)
-        return _series6_row(ws, i, x, tol_inner, l_max)
+        value, error, ok, count = _series6_row(ws, i, x_ramp, tol_inner, l_max, first)
+        first = count + 4
+        return value, error, ok
 
     return _scan(row, r_out, params.n, tol * 0.5, n_max)
 
 
+def _ladder_start(r: float, i: int) -> tuple[float, int]:
+    """r**i for 0 < r < 1 as math.frexp splits it, also where r**i is not normal.
+
+    Where the power is a normal number the result is frexp(r**i)
+    exactly.  Below that the mantissa of r, which lies in [0.5, 1), is
+    raised instead; its power stays normal up to i = 1021, past
+    HARD_ORDER_CAP.
+    """
+    c = r**i
+    if c >= sys.float_info.min:
+        return math.frexp(c)
+    mr, er = math.frexp(r)
+    m, e = math.frexp(mr**i)
+    return m, e + er * i
+
+
 def _series6_row(
-    ws: _Workspace, i: int, x: float, tol_inner: float, l_max: int
-) -> tuple[float, float, bool]:
+    ws: _Workspace, i: int, x_ramp: np.ndarray, tol_inner: float, l_max: int, first: int
+) -> tuple[float, float, bool, int]:
     """One outer row of the double series: adaptive sum over j.
 
-    The inner products sum_k C(i,k) 2^-i Jl[j+k] Jm[j+i-k] are formed
-    for ``_ROW_BLOCK`` values of j at a time from the workspace's sliding
-    window of Jl and reversed sliding window of Jm, as G[i] times the
-    sum over E[k] E[i-k] Jl Jm.  Each block row holds the same products,
-    in the same order, as the 1-D sum for that j and is reduced along its
-    own contiguous axis, so every row value is bit-identical to the
-    one-j-at-a-time form; the stop test still runs j by j, so at most one
-    block is formed past the stopping j.
+    With x = gamma/t and ``x_ramp`` = x * ws.ramp, piece j is
+    c_j (row_j G[i]) Jn[i] / t / pi^3, where c_j = C(i+j, j) x^j (2/t)^i
+    and row_j G[i] = sum_k C(i,k) 2^-i Jl[j+k] Jm[j+i-k], formed as G[i]
+    times the sum over E[k] E[i-k] Jl Jm.  The sum stops at the first j
+    whose ratio x (i+j+2)/(j+2) of successive binomial weights is below
+    1, with some piece so far nonzero and the tail bound
+    2 max(piece_j, ratio piece_(j-1)) ratio / (1 - ratio) at most
+    ``tol_inner``; otherwise after ``l_max`` pieces.  Returns the fsum
+    of the pieces, the last tail bound taken (0.0 if none), whether the
+    stop test was met, and the number of pieces.
+
+    The indices j run in chunks [j, stop), each evaluated in numpy with
+    no interpreted loop per j.  The rows of a chunk come from the
+    workspace's sliding windows of Jl and reversed Jm, each reduced
+    along its own contiguous axis.  The ladder comes from
+    np.multiply.accumulate, which multiplies in sequence just as
+    c *= x (i+j+1)/(j+1) does.  Pieces, ratios and bounds are formed
+    elementwise in the scalar form's operation order, and argmax finds
+    the first j that passes the stop test.  So every piece, bound, flag
+    and sum is bit-identical to the one-j-at-a-time form.  The ratio
+    never rises with j, so the indices that take a bound are a suffix of
+    the chunk; the bound is formed on that suffix alone and never
+    divides by 1 - ratio = 0 (at t = 2 gamma the ratio is exactly 1 at
+    j = i - 2).
+
+    The first chunk is ``first`` wide; the scan passes the previous
+    row's count plus 4, so most rows end within their first chunk.
+    Later chunks are 16 wide.
+
+    The ladder is carried as a mantissa, renormalised by math.frexp at
+    each chunk start, and a binary exponent, applied with ldexp: at large
+    gamma (2/t)^i is subnormal or 0 at deep rows whose sum is a normal
+    number.  Scaling by 2^k is exact between normal numbers, so each c_j
+    equals the unscaled ladder's wherever that stays normal.  The
+    mantissa grows by at most the largest ladder factor, x (i+1) at
+    j = 0, per step, so the first chunk is cut short enough that it
+    stays below 2^1000.
     """
-    params = ws.params
+    t = ws.params.t
     base = ws.E[: i + 1] * ws.E[i::-1]
     jl_windows = ws.hankel[:, : i + 1]
     jm_windows = ws.jm_rev[:, ws.depth - i :]
     jn_i = ws.Jn[i]
     g_i = float(ws.G[i])  # a numpy scalar would slow every piece's products
-    c = (2.0 / params.t) ** i  # C(i+j, j) (gamma/t)^j (2/t)^i at j = 0
+    ramp = ws.ramp
+    m, e = _ladder_start(2.0 / t, i)
+    if x_ramp[i + 1] > 2.0:
+        first = min(first, int(1000.0 / math.log2(x_ramp[i + 1])))
     pieces: list[float] = []
     prev_piece = 0.0
     seen = False
     bound = math.inf
     ok = False
-    j = 0
+    j, width = 0, first
     while j < l_max:
-        if j % _ROW_BLOCK == 0:
-            stop = min(j + _ROW_BLOCK, l_max)
-            block = base * jl_windows[j:stop] * jm_windows[j:stop]
-            block_rows = block.sum(axis=1).tolist()
-        row = block_rows[j % _ROW_BLOCK]
-        piece = c * (row * g_i) * jn_i / params.t / PI3
-        pieces.append(piece)
-        if piece != 0.0:
-            seen = True
-        ratio = x * (i + j + 2) / (j + 2)
-        if ratio < 1.0:
+        stop = min(j + width, l_max)
+        # f[q] = x (i+j+q)/(j+q): the ladder factor at j+q-1 and the
+        # ratio at j+q-2, in the scalar form's operation order
+        f = np.empty(stop - j + 2)
+        f[0] = m
+        np.divide(x_ramp[i + j + 1 : i + stop + 2], ramp[j + 1 : stop + 2], out=f[1:])
+        ladder = np.multiply.accumulate(f[:-1])  # c_j .. c_stop over 2^e
+        rows = np.add.reduce(base * jl_windows[j:stop] * jm_windows[j:stop], axis=1)
+        # buf holds the piece before the chunk, then the chunk's pieces
+        buf = np.empty(stop - j + 1)
+        buf[0] = prev_piece
+        piece = np.multiply(np.ldexp(ladder[:-1], e), rows * g_i, out=buf[1:])
+        piece *= jn_i
+        piece /= t
+        piece /= PI3
+        ratio = f[2:]
+        count = stop - j
+        u = 0 if ratio[0] < 1.0 else int(np.count_nonzero(ratio >= 1.0))
+        if u < count:
+            r = ratio[u:]
             # binomial ratio governs the tail; the J factors vary slowly
             # and the factor 2 covers their residual growth
-            bound = 2.0 * max(piece, ratio * prev_piece) * ratio / (1.0 - ratio)
-            if seen and bound <= tol_inner:
-                ok = True
-                break
-        prev_piece = piece
-        c *= x * (i + j + 1) / (j + 1)
-        j += 1
-    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok
+            bounds = 2.0 * np.maximum(piece[u:], r * buf[u:-1]) * r / (1.0 - r)
+            halt = bounds <= tol_inner
+            if not (seen or piece[0]):
+                halt &= np.logical_or.accumulate(piece != 0.0)[u:]
+            k = int(halt.argmax())
+            ok = bool(halt[k])
+            if ok:
+                count = u + k + 1
+            bound = bounds[k] if ok else bounds[-1]
+        pieces.extend(piece[:count].tolist())
+        if ok:
+            break
+        prev_piece = piece[-1]
+        if not seen:
+            seen = bool(piece.any())
+        m, de = math.frexp(ladder[-1])
+        e += de
+        j, width = stop, 16
+    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok, len(pieces)
 
 
 def _doubling_indices(count: int) -> list[int]:

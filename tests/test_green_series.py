@@ -19,6 +19,7 @@ from greenfcc import (
     green_by_quadrature,
     moment_coefficient,
 )
+from greenfcc import green_series
 from greenfcc.combinatorics import HARD_ORDER_CAP
 from greenfcc.green_series import (
     _factorial_scales,
@@ -101,12 +102,15 @@ def _exact_series6_row(ws, i, x, l_max):
     return total * scale / Fraction(p.t) / Fraction(PI3)
 
 
-def _series6_row_per_j(ws, i, x, tol_inner, l_max):
+def _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max, first=None):
     """The one-j-at-a-time form of the series6 inner sum (reference).
 
     Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i, so
-    the block form must match it bit for bit.
+    the chunked form must match it bit for bit wherever its ladder stays
+    normal.  It takes the chunked form's arguments and ignores ``first``,
+    the first chunk's width.
     """
+    x = float(x_ramp[1])
     base = ws.E[: i + 1] * ws.E[i::-1]
     c = (2.0 / ws.params.t) ** i
     pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
@@ -123,7 +127,29 @@ def _series6_row_per_j(ws, i, x, tol_inner, l_max):
                 break
         prev_piece = piece
         c *= x * (i + j + 1) / (j + 1)
-    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok
+    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok, len(pieces)
+
+
+def _lgamma_series6_row(ws, i, l_max):
+    """One series6 row over j < l_max, its ladder taken from math.lgamma.
+
+    The ladder C(i+j, j) x^j (2/t)^i is exp of a sum of logarithms, so
+    it has no subnormal start; the products sum_k E[k] E[i-k] Jl Jm are
+    the code's own.  The logarithms reach about 1e4, so each ladder
+    value carries a relative error of about 1e-12.
+    """
+    p = ws.params
+    x = p.gamma / p.t
+    base = ws.E[: i + 1] * ws.E[i::-1]
+    terms = []
+    for j in range(l_max):
+        row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
+        log_c = (
+            math.lgamma(i + j + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
+            + j * math.log(x) + i * math.log(2.0 / p.t)
+        )
+        terms.append(math.exp(log_c) * (row * float(ws.G[i])) * float(ws.Jn[i]) / p.t / PI3)
+    return math.fsum(terms)
 
 
 class TestGreenParams:
@@ -243,7 +269,7 @@ class TestStridedLoops:
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
                 got_nu = ws.nu(i)
-                got_row = _series6_row(ws, i, x, 0.0, l_max)[0]
+                got_row = _series6_row(ws, i, x * ws.ramp, 0.0, l_max, 8)[0]
                 want_nu = Fraction(_gather_nu(ws, i))
                 want_row = _exact_series6_row(ws, i, x, l_max)
                 for got, want in ((got_nu, want_nu), (got_row, want_row)):
@@ -263,25 +289,73 @@ class TestStridedLoops:
         ws = _workspace(p, n_max, j_depth=n_max + l_max)
         x = p.gamma / p.t
         for i in (0, 1, 2, 7, 30, 31, 59):
-            got = Fraction(_series6_row(ws, i, x, 0.0, l_max)[0])
+            got = Fraction(_series6_row(ws, i, x * ws.ramp, 0.0, l_max, 8)[0])
             want = _exact_series6_row(ws, i, x, l_max)
             assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
     def test_series6_blocks_match_per_j_sums(self, site):
-        # l_max = 16, 17, 18 end the sum on j = 15, 16, 17, either side of a
-        # block edge; tol_inner = 0 never stops early, so the returned bound
-        # is built from the last rows themselves
-        p = GreenParams(t=4.5, gamma=1.5, l=site[0], m=site[1], n=site[2])
-        n_max, l_max_top = 30, 40
-        ws = _workspace(p, n_max, j_depth=n_max + l_max_top)
-        x = p.gamma / p.t
-        for i in (0, 1, 4, 9, 29):
-            for l_max in (1, 15, 16, 17, 18, 33, l_max_top):
-                for tol_inner in (0.0, 1e-13):
-                    got = _series6_row(ws, i, x, tol_inner, l_max)
-                    want = _series6_row_per_j(ws, i, x, tol_inner, l_max)
-                    assert got == want, (i, l_max, tol_inner)
+        # the sum ends on either side of the first chunk's edge (l_max =
+        # first, first + 1) and of the next chunk's (first + 16, + 17);
+        # tol_inner = 0 never stops early, so the returned bound is built
+        # from the last pieces themselves.  At t = 2 gamma = 6 the ratio
+        # is exactly 1 at j = i - 2, where a bound would divide by zero
+        # (a RuntimeWarning is an error here).
+        for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
+            p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
+            n_max, l_max_top = 30, 60
+            ws = _workspace(p, n_max, j_depth=n_max + l_max_top)
+            x_ramp = p.gamma / p.t * ws.ramp
+            for i in (0, 1, 2, 4, 9, 29):
+                for first in (1, 8, 20):
+                    edges = (first - 1, first, first + 1, first + 16, first + 17)
+                    for l_max in sorted({1, 15, 33, l_max_top, *(e for e in edges if e >= 1)}):
+                        for tol_inner in (0.0, 1e-13):
+                            got = _series6_row(ws, i, x_ramp, tol_inner, l_max, first)
+                            want = _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max)
+                            assert got == want, (t, i, first, l_max, tol_inner)
+
+    def test_series6_scan_matches_per_j_rows(self, monkeypatch):
+        # the first chunk's width follows the previous row's count, so
+        # whole scans are compared with scans over the one-j-at-a-time
+        # rows: every distinct (t, gamma) of the bench's off-edge pool,
+        # t = 2 gamma = 6 where the ratio reaches exactly 1, short and
+        # open inner sums (l_max 1, 17, 50) and a transform
+        points = [
+            (3.0, 0.5), (3.5, 0.5), (3.5, 1.0), (4.0, 1.0), (4.5, 2.0),
+            (5.0, 0.5), (5.0, 2.0), (5.5, 1.0), (6.5, 2.0), (7.5, 0.5),
+            (8.0, 1.0), (9.0, 2.0), (12.0, 0.5), (12.0, 1.0), (12.0, 2.0),
+            (6.0, 3.0),
+        ]
+        kwargs = [{}, {"l_max": 1}, {"l_max": 17}, {"l_max": 50}, {"accel": "wynn"}]
+        calls = []
+        for t, gamma in points:
+            for site in [(0, 0, 0), (2, 1, 1), (3, 3, 2)]:
+                p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
+                calls += [(p, kw) for kw in kwargs]
+        chunked = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
+        monkeypatch.setattr(green_series, "_series6_row", _series6_row_per_j)
+        per_j = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
+        for (p, kw), got, want in zip(calls, chunked, per_j):
+            assert got == want, (p, kw)
+
+    def test_series6_rows_past_the_subnormal_ladder_start(self):
+        # at gamma = 7, t = 9.01 the ladder's start (2/t)^i leaves the
+        # normal range near i = 471 and is 0.0 from i = 496, while the
+        # rows are normal numbers near 1e-28: no row may come out 0.0,
+        # and the scan may not stop on two zero terms near row 497
+        p = GreenParams(t=9.01, gamma=7.0)
+        l_max = 1000
+        ws = _workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+        x_ramp = p.gamma / p.t * ws.ramp
+        for i in (470, 494, 496, 500):
+            got = _series6_row(ws, i, x_ramp, 1e-300, l_max, 8)[0]
+            want = _lgamma_series6_row(ws, i, l_max)
+            assert math.isfinite(got) and got > 0.0, i
+            assert abs(got - want) <= 1e-10 * want, i
+        rows, _ = convergence_rows(p, tol=1e-300, n_max=510, method="series6", l_max=l_max)
+        assert len(rows) == 510
+        assert all(row["term"] > 0.0 for row in rows[::2])
 
 
 class TestSiteTableCache:
