@@ -13,11 +13,15 @@ of its own:
   those miss (series6 with a transform, ``convergence`` on series6 with
   aitken and with inner sums that reach ``--l-max``, a far site, series5
   at the hard order cap, series6 rows up to order 593, series6 at
-  t = 2 gamma where the inner ratio is exactly 1, and ``convergence`` on
-  series6 with inner sums of up to 179 terms that end on the tail test)
-  and the commands of the cli pool in bench/references.json, each in a
-  fresh temporary working directory, recording the exit code, stdout
-  with ``wall_time_ms`` stripped, and any file the command wrote.
+  t = 2 gamma where the inner ratio is exactly 1, ``convergence`` on
+  series6 with inner sums of up to 179 terms that end on the tail test,
+  series6 inner sums cut at ``--l-max`` 50 at t = 9.01, gamma = 7, a
+  Wynn value at t = 3.001 within ``--tol`` 1e-7, and the error paths of
+  an unknown method, ``compare`` with one method, ``compare`` at
+  t = nan and ``convergence`` on the quadrature) and the commands of the
+  cli pool in bench/references.json, each in a fresh temporary working
+  directory, recording the exit code, stdout with ``wall_time_ms``
+  stripped, stderr, and any file the command wrote.
 
 Floats are compared through their repr, so "same" means bit-identical.
 Every difference is printed, followed by one line that sizes them: the
@@ -69,6 +73,16 @@ EXTRA_COMMANDS = (
     # inner sums that stop on their own after up to 179 terms, over several chunks
     ["convergence", "--t", "4.5", "--gamma", "2", "--lmn", "2", "1", "1", "--method", "series6",
      "--tol", "1e-13"],
+    # inner sums cut at l_max before their ratio falls below 1: no tail bound exists
+    ["eval", "--t", "9.01", "--gamma", "7", "--lmn", "2", "1", "1", "--method", "series6",
+     "--l-max", "50"],
+    # a Wynn estimate of 1.7e-8 within tol, where the true error is 1.6e-3
+    ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--accel", "wynn", "--tol", "1e-7"],
+    # error paths
+    ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
+    ["compare", "--t", "4", "--method", "series5"],
+    ["compare", "--t", "nan", "--method", "series5,series6"],
+    ["convergence", "--t", "4", "--method", "quadrature"],
 )
 
 
@@ -94,7 +108,12 @@ def _run_cli(src: Path, argv: list[str]) -> dict:
             cwd=cwd, env=env, capture_output=True, text=True, timeout=600, check=False,
         )
         files = {p.name: p.read_text() for p in sorted(Path(cwd).iterdir())}
-    return {"exit": proc.returncode, "stdout": _strip_wall_time(proc.stdout), "files": files}
+    return {
+        "exit": proc.returncode,
+        "stdout": _strip_wall_time(proc.stdout),
+        "stderr": proc.stderr,
+        "files": files,
+    }
 
 
 def collect(src: Path) -> dict[str, str]:

@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
@@ -180,34 +181,28 @@ def _dispatch(method: str, params: GreenParams, args) -> SeriesEvaluation:
     return green_by_quadrature(params, QuadratureSpec(target_tol=args.tol))
 
 
-def _site(args) -> tuple[int, int, int]:
-    l, m, n = args.lmn
-    return l, m, n
-
-
-def cmd_eval(args) -> tuple[list[dict], bool, list[str]]:
-    t = _single_float(args.t, "t")
-    gamma = _single_float(args.gamma, "gamma")
-    method = _method_list(args.method, allow_many=False)[0]
-    l, m, n = _site(args)
-    params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
-    start = time.perf_counter()
-    ev = _dispatch(method, params, args)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    record = {
-        "t": t,
-        "gamma": gamma,
-        "l": l,
-        "m": m,
-        "n": n,
+def _record(params: GreenParams, method: str, ev: SeriesEvaluation) -> dict:
+    """One result as eval and compare report it, keys in schema order."""
+    return {
+        **asdict(params),
         "method": method,
         "accel": ev.accelerated,
         "value": ev.value,
         "abs_error_estimate": ev.abs_error_estimate,
         "terms_used": ev.terms_used,
         "converged": ev.converged,
-        "wall_time_ms": round(wall_ms, 3),
     }
+
+
+def cmd_eval(args) -> tuple[list[dict], bool, list[str]]:
+    t = _single_float(args.t, "t")
+    gamma = _single_float(args.gamma, "gamma")
+    method = _method_list(args.method, allow_many=False)[0]
+    params = GreenParams(t, gamma, *args.lmn)
+    start = time.perf_counter()
+    ev = _dispatch(method, params, args)
+    wall_ms = (time.perf_counter() - start) * 1e3
+    record = {**_record(params, method, ev), "wall_time_ms": round(wall_ms, 3)}
     return [record], ev.converged, list(record)
 
 
@@ -215,7 +210,7 @@ def cmd_sweep(args) -> tuple[list[dict], bool, list[str]]:
     ts = _parse_range(args.t, "t")
     gammas = _parse_range(args.gamma, "gamma")
     methods = _method_list(args.method, allow_many=True)
-    l, m, n = _site(args)
+    l, m, n = args.lmn
     wide = len(methods) > 1
     fields = ["t", "gamma", "l", "m", "n"]
     if wide:
@@ -258,50 +253,14 @@ def cmd_compare(args) -> tuple[list[dict], bool, list[str]]:
     methods = _method_list(args.method, allow_many=True)
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
-    l, m, n = _site(args)
-    params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
-    fields = [
-        "t",
-        "gamma",
-        "l",
-        "m",
-        "n",
-        "method",
-        "accel",
-        "value",
-        "abs_error_estimate",
-        "terms_used",
-        "converged",
-    ]
+    params = GreenParams(t, gamma, *args.lmn)
     results = {meth: _dispatch(meth, params, args) for meth in methods}
-    records = []
-    for meth in methods:
-        ev = results[meth]
-        records.append(
-            {
-                "t": t,
-                "gamma": gamma,
-                "l": l,
-                "m": m,
-                "n": n,
-                "method": meth,
-                "accel": ev.accelerated,
-                "value": ev.value,
-                "abs_error_estimate": ev.abs_error_estimate,
-                "terms_used": ev.terms_used,
-                "converged": ev.converged,
-            }
-        )
+    records = [_record(params, meth, ev) for meth, ev in results.items()]
     for a, b in combinations(methods, 2):
         ea, eb = results[a], results[b]
         records.append(
             {
-                "t": t,
-                "gamma": gamma,
-                "l": l,
-                "m": m,
-                "n": n,
-                "method": f"diff:{a}-{b}",
+                **_record(params, f"diff:{a}-{b}", ea),
                 "accel": args.accel,
                 "value": ea.value - eb.value,
                 "abs_error_estimate": ea.abs_error_estimate + eb.abs_error_estimate,
@@ -309,7 +268,7 @@ def cmd_compare(args) -> tuple[list[dict], bool, list[str]]:
                 "converged": ea.converged and eb.converged,
             }
         )
-    return records, all(ev.converged for ev in results.values()), fields
+    return records, all(ev.converged for ev in results.values()), list(records[0])
 
 
 def cmd_convergence(args) -> tuple[list[dict], bool, list[str]]:
@@ -318,8 +277,7 @@ def cmd_convergence(args) -> tuple[list[dict], bool, list[str]]:
     method = _method_list(args.method, allow_many=False)[0]
     if method == "quadrature":
         raise ValueError("convergence diagnostics need a series method")
-    l, m, n = _site(args)
-    params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
+    params = GreenParams(t, gamma, *args.lmn)
     rows, evaluation = convergence_rows(
         params,
         tol=args.tol,

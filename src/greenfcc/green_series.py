@@ -21,8 +21,9 @@ partial sums increase monotonically toward G and a geometric tail bound
 with ratio r = (2+gamma)/t (series 5) or 2/(t-gamma) (series 6) gives a
 sound truncation test away from the band edge t = 2+gamma.  At the band
 edge the terms decay only like i^(-3/2); the evaluators accept t = 2+gamma
-but cannot mark the result converged unless a sequence transform is
-applied.
+but do not mark the result converged.  A sequence transform sharpens the
+value there, but its estimate is not a bound, so a transformed result
+never claims convergence either.
 
 The raw moments grow like (2+gamma)^i and leave the double range past
 order 680/ln(2+gamma).  Series5 therefore works with the normalized
@@ -63,14 +64,6 @@ from .errors import DomainError
 from .params import GreenParams, SeriesEvaluation
 
 PI3 = math.pi**3
-
-ACCEL_WINDOW = 64
-"""Trailing-window size for the transform fallback on short runs.
-
-Long runs are subsampled at doubling indices instead (see _transform);
-windows much deeper than this only feed rounding noise into the
-transform tables.
-"""
 
 _ACCEL_CHOICES = ("none", "wynn", "aitken")
 
@@ -293,7 +286,6 @@ class _ScanState:
 def _scan(
     row: Callable[[int], tuple[float, float, bool]],
     ratio: float,
-    floor_index: int,
     stop_tol: float,
     n_max: int,
 ) -> _ScanState:
@@ -302,9 +294,11 @@ def _scan(
     ``row(i)`` returns (term, inner_error, inner_ok); series5 has no
     inner sum and reports (term, 0.0, True).  After each term the
     geometric tail bound ratio/(1-ratio) * max(term, ratio * prev) is
-    taken, and the running bound is the least of the bounds taken at
-    indices >= ``floor_index`` once some nonzero term has been seen.
-    Before that, and always when ``ratio >= 1``, it is inf.  Inner
+    taken, and the running bound is the least of the bounds taken once
+    some nonzero term has been seen.  Before that, and always when
+    ``ratio >= 1``, it is inf.  The terms of both series are >= 0 and
+    exactly 0.0 until the first order whose walks reach the site, so
+    the first nonzero term needs no floor index of its own.  Inner
     errors are kept per term and ``inner_ok`` holds only if every row
     reported it.  The scan stops once the running bound is <=
     ``stop_tol``, or after ``n_max`` terms.
@@ -328,7 +322,7 @@ def _scan(
         state.sums.append(total)
         prev = state.terms[i - 1] if i >= 1 else 0.0
         bound = geo * max(term, ratio * prev) if ratio < 1.0 else math.inf
-        if seen_nonzero and i >= floor_index:
+        if seen_nonzero:
             running = min(running, bound)
         state.bounds.append(running)
         if running <= stop_tol:
@@ -339,14 +333,7 @@ def _scan(
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     ws = _workspace(params, n_max)
-    floor_index = (params.l + params.m + params.n + 1) // 2
-    return _scan(
-        lambda i: (ws.term5(i), 0.0, True),
-        params.band_edge / params.t,
-        floor_index,
-        tol,
-        n_max,
-    )
+    return _scan(lambda i: (ws.term5(i), 0.0, True), params.band_edge / params.t, tol, n_max)
 
 
 def _scan_series6(
@@ -372,7 +359,7 @@ def _scan_series6(
         first = count + 4
         return value, error, ok
 
-    return _scan(row, r_out, params.n, tol * 0.5, n_max)
+    return _scan(row, r_out, tol * 0.5, n_max)
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:
@@ -404,8 +391,9 @@ def _series6_row(
     1, with some piece so far nonzero and the tail bound
     2 max(piece_j, ratio piece_(j-1)) ratio / (1 - ratio) at most
     ``tol_inner``; otherwise after ``l_max`` pieces.  Returns the fsum
-    of the pieces, the last tail bound taken (0.0 if none), whether the
-    stop test was met, and the number of pieces.
+    of the pieces, the last tail bound taken (inf if ``l_max`` ended the
+    sum before the ratio fell below 1, so no tail bound exists), whether
+    the stop test was met, and the number of pieces.
 
     The indices j run in chunks [j, stop), each evaluated in numpy with
     no interpreted loop per j.  The rows of a chunk come from the
@@ -491,7 +479,7 @@ def _series6_row(
         m, de = math.frexp(ladder[-1])
         e += de
         j, width = stop, 16
-    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok, len(pieces)
+    return math.fsum(pieces), bound, ok, len(pieces)
 
 
 def _doubling_indices(count: int) -> list[int]:
@@ -512,13 +500,11 @@ def _transform(sums: list[float], method: str) -> tuple[float, float]:
     component into a geometric one in k, exactly the regime where Wynn
     and Aitken converge; away from the edge the subsampled tail decays
     even faster, so the same sampling is used whenever enough terms
-    exist, with a short trailing window as the small-run fallback.
+    exist.  Fewer than four doubling indices means at most 15 sums, and
+    those are transformed whole.
     """
     idx = _doubling_indices(len(sums))
-    if len(idx) >= 4:
-        window = [sums[i] for i in idx]
-    else:
-        window = list(sums[-ACCEL_WINDOW:])
+    window = [sums[i] for i in idx] if len(idx) >= 4 else list(sums)
     seq = PartialSumSequence(window)
     if method == "wynn":
         return wynn_epsilon_with_estimate(seq)
@@ -538,7 +524,10 @@ def _finish(state: _ScanState, tol: float, accel: str, method: str) -> SeriesEva
     raw sum unconverged after at least three terms, the transformed
     value is reported instead, unless the stability guard rejects it:
     a transform may not move more than ten tail bounds off the last
-    partial sum.
+    partial sum.  A transformed value never claims convergence: its
+    estimate is the change between the last transforms, not a bound,
+    and at the band edge it falls below tol while the true error is far
+    larger.
     """
     raw_bound = state.best_bound + math.fsum(state.inner_errors)
     raw_converged = state.stopped and state.inner_ok and raw_bound <= tol
@@ -554,7 +543,7 @@ def _finish(state: _ScanState, tol: float, accel: str, method: str) -> SeriesEva
                 abs_error_estimate=estimate,
                 method=method,
                 accelerated=accel,
-                converged=estimate <= tol,
+                converged=False,
             )
     return SeriesEvaluation(
         value=state.sums[-1],
@@ -616,11 +605,11 @@ def convergence_rows(
     """Per-term diagnostics, and the evaluation the same scan gives.
 
     Each row holds the term, partial sum, tail bound and transform
-    value.  The accelerated estimate in row i is the transform of the
-    partial sums up to i over the same trailing window the evaluators
-    use.  ``l_max`` bounds the inner sums of series6 as in
-    evaluate_series6; the evaluation is the one evaluate_series5 or
-    evaluate_series6 reports for the same arguments.
+    value.  The accelerated estimate in row i is the transform the
+    evaluators apply, taken over the partial sums up to i.  ``l_max``
+    bounds the inner sums of series6 as in evaluate_series6; the
+    evaluation is the one evaluate_series5 or evaluate_series6 reports
+    for the same arguments.
     """
     _validate_series_call(params, tol, n_max, accel)
     if method == "series5":

@@ -82,6 +82,21 @@ class TestEval:
         (rec,) = json_lines(r.stdout)
         assert rec["converged"] is False
 
+    def test_l_max_cut_prints_null_estimate(self):
+        r = run("eval", "--t", "9.01", "--gamma", "7", "--lmn", "2", "1", "1",
+                "--method", "series6", "--l-max", "50")
+        assert r.returncode == 2
+        (rec,) = json_lines(r.stdout)
+        assert rec["abs_error_estimate"] is None
+        assert rec["converged"] is False
+
+    def test_transformed_value_exits_unconverged(self):
+        r = run("eval", "--t", "3.001", "--lmn", "2", "2", "0", "--accel", "wynn", "--tol", "1e-7")
+        assert r.returncode == 2
+        (rec,) = json_lines(r.stdout)
+        assert rec["accel"] == "wynn"
+        assert rec["converged"] is False
+
     def test_accel_echoes_effective_choice(self):
         r = run("eval", "--t", "3", "--accel", "wynn")
         assert r.returncode == 2

@@ -127,7 +127,7 @@ def _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max, first=None):
                 break
         prev_piece = piece
         c *= x * (i + j + 1) / (j + 1)
-    return math.fsum(pieces), (bound if math.isfinite(bound) else 0.0), ok, len(pieces)
+    return math.fsum(pieces), bound, ok, len(pieces)
 
 
 def _lgamma_series6_row(ws, i, l_max):
@@ -494,22 +494,46 @@ def _rows(terms, errors=None, oks=None):
     return row
 
 
+class TestZeroTermsBeforeTheSite:
+    """Both series' terms are exactly 0.0 until the first walk reaches the site.
+
+    Every summand is >= 0, so a term is 0.0 unless a walk of its order
+    reaches (l, m, n).  For series5 that order is max((l+m+n)/2, l, m, n),
+    at least (l+m+n+1)//2; for series6 no row before n can reach the
+    site.  So the scan's first nonzero term never comes before either
+    index, and it needs no floor of its own.
+    """
+
+    SITES = [(0, 0, 0), (2, 1, 1), (9, 8, 1), (12, 12, 0), (24, 0, 0)]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("site", SITES)
+    def test_first_nonzero_term(self, site, gamma):
+        l, m, n = site
+        p = GreenParams(t=3.0 + gamma, gamma=gamma, l=l, m=m, n=n)
+        first = max((l + m + n) // 2, l, m, n)
+        assert first >= (l + m + n + 1) // 2
+        rows, _ = convergence_rows(p, method="series5")
+        terms = [row["term"] for row in rows]
+        assert terms[:first] == [0.0] * first
+        assert terms[first] > 0.0
+        rows, _ = convergence_rows(p, method="series6")
+        assert len(rows) > n
+        assert [row["term"] for row in rows[:n]] == [0.0] * n
+
+
 class TestScan:
     """The summation loop of both series, on synthetic rows."""
 
     def test_zero_terms_before_the_floor_never_stop_it(self):
-        # at ratio 1/2 the bound after a zero that follows a zero is 0.0
-        terms = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        state = _scan(_rows(terms), 0.5, 4, 0.0, len(terms))
-        assert state.bounds[:4] == [math.inf] * 4
-        assert state.stopped and len(state.terms) == 5
-        # before the first nonzero term no bound counts either
-        state = _scan(_rows([0.0] * 6), 0.5, 0, 0.0, 6)
+        # at ratio 1/2 the bound after a zero that follows a zero is
+        # 0.0, but before the first nonzero term no bound counts
+        state = _scan(_rows([0.0] * 6), 0.5, 0.0, 6)
         assert not state.stopped and state.bounds == [math.inf] * 6
 
     def test_stops_at_the_first_bound_within_tol(self):
         terms = [2.0**-i for i in range(20)]
-        state = _scan(_rows(terms), 0.5, 0, 2.0**-5, len(terms))
+        state = _scan(_rows(terms), 0.5, 2.0**-5, len(terms))
         # the bound after term i is max(2^-i, 2^-1 * 2^-(i-1)) = 2^-i
         assert state.bounds == [2.0**-i for i in range(6)]
         assert state.stopped and len(state.terms) == 6
@@ -518,19 +542,19 @@ class TestScan:
     def test_inner_errors_and_flags_are_combined(self):
         terms = [1.0, 0.5, 0.25]
         errors = [1e-3, 2e-3, 4e-3]
-        state = _scan(_rows(terms, errors, [True, False, True]), 0.5, 0, 0.0, 3)
+        state = _scan(_rows(terms, errors, [True, False, True]), 0.5, 0.0, 3)
         assert state.inner_errors == errors
         assert not state.inner_ok
         ev = _finish(state, 1.0, "none", "series6")
         assert ev.abs_error_estimate == state.best_bound + math.fsum(errors)
         assert not ev.converged
-        state = _scan(_rows(terms, errors, [True] * 3), 0.5, 0, 0.0, 3)
+        state = _scan(_rows(terms, errors, [True] * 3), 0.5, 0.0, 3)
         assert state.inner_ok
 
     @pytest.mark.parametrize("ratio", [1.0, 1.5])
     def test_ratio_at_or_above_one_never_stops(self, ratio):
         terms = [1e-300 * 0.5**i for i in range(8)]
-        state = _scan(_rows(terms), ratio, 0, 1.0, len(terms))
+        state = _scan(_rows(terms), ratio, 1.0, len(terms))
         assert not state.stopped and len(state.terms) == 8
         assert state.bounds == [math.inf] * 8
 
@@ -652,6 +676,17 @@ class TestEvaluateSeries6:
         with pytest.raises(ValueError):
             evaluate_series6(GreenParams(t=4.0), l_max=0)
 
+    def test_l_max_cut_reports_an_infinite_estimate(self):
+        # l_max = 50 ends the inner sums while their ratio
+        # x (i+j+2)/(j+2) is still above 1, so no tail bound exists; the
+        # l_max = 1000 sum is larger by 4.8e-3
+        p = GreenParams(t=9.01, gamma=7.0, l=2, m=1, n=1)
+        ev = evaluate_series6(p, l_max=50)
+        assert ev.abs_error_estimate == math.inf
+        assert not ev.converged
+        deep = evaluate_series6(p, l_max=1000)
+        assert deep.value - ev.value > 4e-3
+
 
 class TestAccelerationPipeline:
     def test_band_edge_with_wynn(self):
@@ -665,6 +700,22 @@ class TestAccelerationPipeline:
         accel = evaluate_series5(GreenParams(t=4.0), accel="wynn")
         assert accel.value == plain.value
         assert accel.accelerated == "none"
+
+    def test_transformed_values_never_claim_convergence(self):
+        # at t = 3.001, (2,2,0) Wynn's estimate 1.7e-8 is below tol 1e-7
+        # while the true error is 1.6e-3
+        ev = evaluate_series5(GreenParams(t=3.001, l=2, m=2), tol=1e-7, accel="wynn")
+        assert ev.accelerated == "wynn"
+        assert ev.abs_error_estimate < 1e-7
+        assert not ev.converged
+        for gamma in (0.5, 1.0, 2.0):
+            for gap in (1e-4, 1e-3, 1e-2, 0.1):
+                for l, m, n in [(0, 0, 0), (2, 0, 0), (2, 2, 0), (2, 1, 1)]:
+                    p = GreenParams(t=2.0 + gamma + gap, gamma=gamma, l=l, m=m, n=n)
+                    for tol in (1e-5, 1e-7, 1e-10):
+                        for accel in ("wynn", "aitken"):
+                            ev = evaluate_series5(p, tol=tol, accel=accel)
+                            assert ev.accelerated == "none" or not ev.converged, (p, tol, accel)
 
     def test_guard_returns_raw_when_transform_is_wild(self):
         # short run in the mixed regime: the subsampled transform is worse
