@@ -6,9 +6,9 @@ REV's src/ is exported with ``git archive`` into a temporary directory,
 which writes nothing into .git.  Each tree then runs, in a child process
 of its own:
 
-* every pooled series operation of the offedge_sweep and band_edge
-  workloads in bench/references.json, recording value, error estimate,
-  terms used, converged and accelerated;
+* every pooled operation of the offedge_sweep, band_edge and
+  quadrature_oracle workloads in bench/references.json, recording
+  value, error estimate, terms used, converged and accelerated;
 * the README's command-line examples, a few commands that cover what
   those miss (series6 with a transform, ``convergence`` on series6 with
   aitken and with inner sums that reach ``--l-max``, a far site, series5
@@ -16,7 +16,8 @@ of its own:
   t = 2 gamma where the inner ratio is exactly 1, ``convergence`` on
   series6 with inner sums of up to 179 terms that end on the tail test,
   series6 inner sums cut at ``--l-max`` 50 at t = 9.01, gamma = 7, a
-  Wynn value at t = 3.001 within ``--tol`` 1e-7, and the error paths of
+  Wynn value at t = 3.001 within ``--tol`` 1e-7, the quadrature at the
+  far axis site (12, 0, 0), and the error paths of
   an unknown method, ``compare`` with one method, ``compare`` at
   t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
@@ -24,10 +25,11 @@ of its own:
   stripped, stderr, and any file the command wrote.
 
 Floats are compared through their repr, so "same" means bit-identical.
-Every difference is printed, followed by one line that sizes them: the
-largest relative change of any float, and the number of results whose
-other fields changed (terms used, converged, accelerated, exit code, or
-any output that is not a float).  The exit code is 1 if there is a
+Every difference is printed with each float it moved and that float's
+relative change, followed by one line that sizes them: the largest
+relative change of any float, and the number of results whose other
+fields changed (terms used, converged, accelerated, exit code, or any
+output that is not a float).  The exit code is 1 if there is a
 difference and 0 if there is none.
 """
 
@@ -44,8 +46,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = ROOT / "bench" / "references.json"
-SERIES_WORKLOADS = ("offedge_sweep", "band_edge")
-ROUTES = {"series5": "evaluate_series5", "series6": "evaluate_series6"}
+WORKLOADS = ("offedge_sweep", "band_edge", "quadrature_oracle")
+ROUTES = {
+    "series5": "evaluate_series5",
+    "series6": "evaluate_series6",
+    "quadrature": "green_by_quadrature",
+}
 README_COMMANDS = (
     ["eval", "--t", "4", "--gamma", "1", "--lmn", "0", "0", "0"],
     ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
@@ -78,6 +84,8 @@ EXTRA_COMMANDS = (
      "--l-max", "50"],
     # a Wynn estimate of 1.7e-8 within tol, where the true error is 1.6e-3
     ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--accel", "wynn", "--tol", "1e-7"],
+    # a far axis site that the quadrature grid must resolve
+    ["eval", "--t", "4", "--lmn", "12", "0", "0", "--method", "quadrature"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],
@@ -125,7 +133,7 @@ def collect(src: Path) -> dict[str, str]:
         raise ImportError(f"greenfcc imported from {greenfcc.__file__}, not {src}")
     data = json.loads(REFERENCES.read_text())
     results = {}
-    for workload in SERIES_WORKLOADS:
+    for workload in WORKLOADS:
         for idx, op in enumerate(data["workloads"][workload]["ops"]):
             if op["route"] not in ROUTES:
                 continue
@@ -179,26 +187,30 @@ def _leaves(value) -> list:
     return [value]
 
 
-def _relative_change(old: str | None, new: str | None) -> float | None:
-    """Largest relative change between the floats of two results.
+def _relative(x: float, y: float) -> float:
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if math.isfinite(scale) else math.inf
 
-    None if anything but a float differs: a missing result, another
-    shape, or a changed integer, flag or piece of text.
+
+def _changes(old: str | None, new: str | None) -> tuple[list[tuple[float, float]], bool]:
+    """The float pairs that differ between two results, and whether anything else does.
+
+    Anything else is a missing result, another shape, or a changed
+    integer, flag or piece of text; another shape moves no float pair.
     """
     if old is None or new is None:
-        return None
+        return [], True
     a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
     if len(a) != len(b):
-        return None
-    worst = 0.0
+        return [], True
+    moved, other = [], False
     for x, y in zip(a, b):
-        if type(x) is not float or type(y) is not float:
-            if type(x) is not type(y) or x != y:
-                return None
-        elif x != y:
-            scale = max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
-    return worst
+        if type(x) is float and type(y) is float:
+            if x != y:
+                moved.append((x, y))
+        elif type(x) is not type(y) or x != y:
+            other = True
+    return moved, other
 
 
 def _collect_in_child(src: Path) -> dict[str, str]:
@@ -235,11 +247,12 @@ def main(argv=None) -> int:
         if old.get(label) != new.get(label):
             differ += 1
             print(f"DIFF {label}\n  {args.rev}: {old.get(label)}\n  tree: {new.get(label)}")
-            change = _relative_change(old.get(label), new.get(label))
-            if change is None:
-                other += 1
-            elif change > worst:
-                worst, worst_label = change, label
+            moved, changed = _changes(old.get(label), new.get(label))
+            other += changed
+            for x, y in moved:
+                print(f"  float {x!r} -> {y!r}, relative change {_relative(x, y):.3g}")
+                if _relative(x, y) > worst:
+                    worst, worst_label = _relative(x, y), label
     print(
         f"largest relative float change {worst:.3g}"
         + (f" ({worst_label})" if worst_label else "")

@@ -4,8 +4,9 @@ Evaluates G(t, l, m, n; gamma), the lattice Green function of the
 (anisotropic) face-centered-cubic structure function
 gamma*cos x cos y + cos y cos z + cos z cos x, for t on or above the
 spectral band edge 2+gamma.  Two independent series arrangements and a
-Gauss-Legendre quadrature of the defining integral (its z integral
-taken in closed form) cross-validate each other; Wynn and Aitken
+quadrature of the defining integral (its z integral taken in closed
+form, then a periodic trapezoid rule, corner-refined Gauss-Legendre
+next to the band edge) cross-validate each other; Wynn and Aitken
 sequence transforms extend usable accuracy to the band edge itself.
 """
 

@@ -9,8 +9,7 @@ integral has a closed form (Watson 1939; Joyce 1998):
     int_0^pi cos(nz)/(A - B cos z) dz = pi rho^n / sqrt(A^2 - B^2),
     rho = B / (A + sqrt(A^2 - B^2)),
 
-so G = (1/pi^2) times a 2D integral over (x, y) in [0, pi]^2, computed
-by tensor-product Gauss-Legendre rules on subdivided boxes.  Both
+so G = (1/pi^2) times a 2D integral over (x, y) in [0, pi]^2.  Both
 factors of A^2 - B^2 are assembled from versines v = 2 sin^2(x/2) and
 u = 2 - v, which makes every summand non-negative:
 
@@ -21,17 +20,28 @@ with s = t - 2 - gamma and q(a, b) = a + b - a*b.  Near the points where
 a factor vanishes it is built from positive pieces rather than from a
 difference of cosines.
 
-A - B vanishes at (0, 0) and A + B at (pi, pi) when t = 2+gamma; there
-the 2D integrand has an integrable 1/r point.  The integrand is
-symmetric under (x, y) -> (pi-x, pi-y) whenever l+m+n is even (the only
-case admitted by GreenParams), so the domain is folded to x in
-[0, pi/2], doubled, leaving one singular corner at the origin.  That
-corner is covered by geometrically shrinking dyadic shells of 3 boxes
-each, smooth on their own scale, and the innermost square is split into
-two triangles under a Duffy map whose Jacobian cancels the 1/r point.
+The 2D integrand is even and 2pi-periodic in x and y, so away from the
+band edge the periodic trapezoid rule converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  Its rate is set by the
+distance ~sqrt(2s/(1+gamma)) from the real plane to the zeros of A - B
+and A + B.  The rule is run on nested grids, N doubling, and the
+difference of the last two rules, whose nodes are shared, is the error
+estimate.
 
-Every box contributes its signed sum and its sum of magnitudes; both are
-reduced with math.fsum in a fixed order, so a given QuadratureSpec
+A - B vanishes at (0, 0) and A + B at (pi, pi) when t = 2+gamma; there
+the 2D integrand has an integrable 1/r point, and within
+s < 0.008 (1+gamma) of it a corner path takes over, built from
+tensor-product Gauss-Legendre rules.  The integrand is symmetric under
+(x, y) -> (pi-x, pi-y) whenever l+m+n is even (the only case admitted by
+GreenParams), so the domain is folded to x in [0, pi/2], doubled,
+leaving one singular corner at the origin.  That corner is covered by
+geometrically shrinking dyadic shells of 3 boxes each, smooth on their
+own scale, and the innermost square is split into two triangles under a
+Duffy map whose Jacobian cancels the 1/r point.  Its error estimate is
+the difference against a companion run at half the resolution.
+
+Every grid block and every box contributes its signed sum and its sum of
+magnitudes, added in a fixed order, so a given QuadratureSpec
 reproduces results bit-for-bit.
 """
 
@@ -51,19 +61,31 @@ _HALF = math.pi / 2.0
 _MAX_LEVELS = 60
 # rounding floor of the error estimate, relative to the sum of |w*f|
 _ROUNDING = 16.0 * sys.float_info.epsilon
+# The periodic trapezoid converges like exp(-N d), with d = acosh(1 + w)
+# ~ sqrt(2 w) the distance from the real plane to the zeros of A - B and
+# A + B, w = (t - edge)/(1 + gamma).  From w = 0.008 up it stops by
+# N = 512 and beats the corner path; at w = 0.007 some sites need
+# N = 1024 and take 3-4x the corner path's time.
+_CORNER_WIDTH = 0.008
+# the trapezoid doubles N up to this, and resolves sites up to a quarter of it
+_MAX_TRAPEZOID = 2048
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution knobs of the 2D rule.
+    """Resolution knobs of the corner path, and the convergence target.
 
-    Each box gets ``nodes_per_axis`` Gauss-Legendre nodes on each of
-    ``subdivisions_per_axis`` cells per axis; dyadic corner shells use
-    half as many cells.  Within 1 of the band edge the corner path runs
-    ``corner_refinement_levels`` shells, or more when t is so close to
-    the edge that the innermost square would reach the core of radius
-    ~sqrt(t-2-gamma).  The defaults reach ~1e-15 relative error over
-    the whole admitted range, the band edge included.
+    The Gauss-Legendre fields shape only the corner path, which runs
+    where t - 2 - gamma < 0.008 (1 + gamma), at t = 2 + gamma included;
+    elsewhere the nested trapezoid chooses its own grid.  Each box of
+    the corner path gets ``nodes_per_axis`` Gauss-Legendre nodes on each
+    of ``subdivisions_per_axis`` cells per axis; dyadic corner shells use
+    half as many cells.  It runs ``corner_refinement_levels`` shells, or
+    more when t is so close to the edge that the innermost square would
+    reach the core of radius ~sqrt(t-2-gamma).  ``target_tol`` decides
+    ``converged``.
+    The defaults reach ~1e-15 relative error over the whole admitted
+    range, the band edge included.
     """
 
     nodes_per_axis: int = 24
@@ -192,30 +214,86 @@ def _corner_pieces(params: GreenParams, spec: QuadratureSpec):
     yield np.stack([u, along]), np.stack([along, u]), weights[None], 1.0
 
 
-def _use_corner(params: GreenParams, spec: QuadratureSpec) -> bool:
-    return (params.t - params.band_edge) < 1.0 and spec.corner_refinement_levels >= 1
+def _use_corner(params: GreenParams) -> bool:
+    return (params.t - params.band_edge) / (1.0 + params.gamma) < _CORNER_WIDTH
 
 
-def _run(params: GreenParams, spec: QuadratureSpec):
-    """(value, sum of |w*f| on the same scale, node count)."""
-    if _use_corner(params, spec):
-        groups = list(_corner_pieces(params, spec))
-        # half-domain fold: the x >= pi/2 half mirrors through
-        # (pi-x, pi-y), exact for even l+m+n
-        scale = 2.0 / math.pi**2
-    else:
-        px, wx = _axis_rule(
-            0.0, math.pi, spec.nodes_per_axis, spec.subdivisions_per_axis
-        )
-        groups = [_boxes(px[None], wx[None], px[None], wx[None])]
-        scale = 1.0 / math.pi**2
+def _corner_run(params: GreenParams, spec: QuadratureSpec):
+    """(value, sum of |w*f| on the same scale, node count) of the corner path."""
     totals, magnitudes, count = [], [], 0
-    for x, y, wx, wy in groups:
+    for x, y, wx, wy in _corner_pieces(params, spec):
         total, magnitude = _piece_sums(params, x, y, wx, wy)
         totals.extend(total.tolist())
         magnitudes.extend(magnitude.tolist())
         count += np.broadcast(x, y, wx, wy).size
+    # half-domain fold: the x >= pi/2 half mirrors through (pi-x, pi-y),
+    # exact for even l+m+n
+    scale = 2.0 / math.pi**2
     return scale * math.fsum(totals), scale * math.fsum(magnitudes), count
+
+
+def _half_grid(n: int, site: int, start: int = 0, step: int = 1):
+    """Nodes 2 pi k/n for k = start, start+step, .. <= n/2, and weights times cos(site x).
+
+    The weight is 1 at k = 0 and k = n/2 and 2 in between.  The cosine
+    takes its argument reduced mod n in integers, so cos(site x) keeps
+    period n exactly: from the rounded node itself it would carry an
+    error ~ site * eps that does not cancel over the grid.
+    """
+    k = np.arange(start, n // 2 + 1, step)
+    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0)
+    angle = 2.0 * math.pi / n
+    return angle * k, weights * np.cos(angle * (site % n * k % n))
+
+
+def _grid(params: GreenParams, x, wx, y, wy):
+    """wx*wy times the z integral over the tensor grid x by y."""
+    return (wx[:, None] * wy[None, :]) * _z_integral(params, x[:, None], y[None, :])
+
+
+def _nested_trapezoid(params: GreenParams, n: int):
+    """Yield (N, I_N, I_N/2, sum of |w*f| on the scale of I_N) for N = n, 2n, ...
+
+    I_N is the N-point periodic trapezoid rule on [0, 2pi)^2, folded by
+    evenness onto the half grid theta_k = 2 pi k/N, k = 0 .. N/2, with
+    weight 1 at both ends and 2 inside.  The N/2 grid is the even-index
+    part of the N grid, with the same weights, so I_N/2 costs nothing
+    and each doubling evaluates only the new nodes: odd rows by every
+    column, then even rows by odd columns.
+    """
+    l, m = params.l, params.m
+    f = _grid(params, *_half_grid(n, l), *_half_grid(n, m))
+    previous = float(f[::2, ::2].sum())
+    total, magnitude = float(f.sum()), float(np.abs(f).sum())
+    while True:
+        yield n, total / n**2, previous / (n // 2) ** 2, magnitude / n**2
+        n *= 2
+        previous = total
+        for f in (
+            _grid(params, *_half_grid(n, l, 1, 2), *_half_grid(n, m)),
+            _grid(params, *_half_grid(n, l, 0, 2), *_half_grid(n, m, 1, 2)),
+        ):
+            total += float(f.sum())
+            magnitude += float(np.abs(f).sum())
+
+
+def _trapezoid_run(params: GreenParams):
+    """(value, error estimate, node count) of the nested trapezoid.
+
+    Starts at the smallest power of two N >= max(32, 4 max(l, m)), so
+    the first grid resolves cos(lx) and cos(my), and doubles N until two
+    successive rules agree to the rounding level of their sum, or until
+    N reaches _MAX_TRAPEZOID.  A site the finest grid cannot resolve
+    gets an infinite estimate: there both rules may alias cos(lx) alike.
+    """
+    resolve = 4 * max(params.l, params.m)
+    start = min(_MAX_TRAPEZOID, 1 << (max(32, resolve) - 1).bit_length())
+    for n, value, previous, magnitude in _nested_trapezoid(params, start):
+        difference = abs(value - previous)
+        if difference <= _ROUNDING * magnitude or n >= _MAX_TRAPEZOID:
+            break
+    estimate = max(difference, _ROUNDING * magnitude)
+    return value, estimate if resolve <= _MAX_TRAPEZOID else math.inf, (n // 2 + 1) ** 2
 
 
 def green_by_quadrature(
@@ -225,10 +303,11 @@ def green_by_quadrature(
 
     Valid for t > 2+gamma; t = 2+gamma is accepted when corner
     refinement is on (the singularity is integrable).  The error
-    estimate is the difference against a companion run at half the
-    resolution, floored at the rounding level of the fine run's sum, so
-    ``converged`` reflects self-consistency, not an a-priori bound.
-    ``terms_used`` counts the 2D nodes of the fine run.
+    estimate is the difference between the two finest trapezoid rules,
+    or on the corner path the difference against a companion run at
+    half the resolution; either is floored at the rounding level of the
+    sum, so ``converged`` reflects self-consistency, not an a-priori
+    bound.  ``terms_used`` counts the 2D nodes of the finest rule.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -241,22 +320,21 @@ def green_by_quadrature(
         raise DomainError(
             "t at the band edge requires corner_refinement_levels >= 1"
         )
-    fine, magnitude, n_fine = _run(params, spec)
-    coarse_spec = QuadratureSpec(
-        nodes_per_axis=max(4, spec.nodes_per_axis // 2),
-        subdivisions_per_axis=max(1, spec.subdivisions_per_axis // 2),
-        corner_refinement_levels=(
-            max(1, spec.corner_refinement_levels - 4)
-            if _use_corner(params, spec)
-            else spec.corner_refinement_levels
-        ),
-        target_tol=spec.target_tol,
-    )
-    coarse, _, _ = _run(params, coarse_spec)
-    estimate = max(abs(fine - coarse), _ROUNDING * magnitude)
+    if _use_corner(params):
+        value, magnitude, count = _corner_run(params, spec)
+        coarse_spec = QuadratureSpec(
+            nodes_per_axis=max(4, spec.nodes_per_axis // 2),
+            subdivisions_per_axis=max(1, spec.subdivisions_per_axis // 2),
+            corner_refinement_levels=max(1, spec.corner_refinement_levels - 4),
+            target_tol=spec.target_tol,
+        )
+        coarse, _, _ = _corner_run(params, coarse_spec)
+        estimate = max(abs(value - coarse), _ROUNDING * magnitude)
+    else:
+        value, estimate, count = _trapezoid_run(params)
     return SeriesEvaluation(
-        value=fine,
-        terms_used=n_fine,
+        value=value,
+        terms_used=count,
         abs_error_estimate=estimate,
         method="quadrature",
         converged=estimate <= spec.target_tol,

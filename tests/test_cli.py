@@ -113,6 +113,13 @@ class TestEval:
         (ref,) = json_lines(s.stdout)
         assert abs(rec["value"] - ref["value"]) < 1e-8
 
+    def test_quadrature_far_axis_site_converges(self):
+        # the trapezoid grid resolves cos(12x), so its estimate is honest
+        r = run("eval", "--t", "4", "--lmn", "12", "0", "0", "--method", "quadrature")
+        assert r.returncode == 0
+        (rec,) = json_lines(r.stdout)
+        assert rec["converged"] is True
+
     def test_bad_method(self):
         r = run("eval", "--t", "4", "--method", "series7")
         assert r.returncode == 1

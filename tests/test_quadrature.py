@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature
-from greenfcc.quadrature import _factors, _z_integral
+from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature, quadrature
+from greenfcc.quadrature import (
+    _ROUNDING,
+    _factors,
+    _half_grid,
+    _nested_trapezoid,
+    _z_integral,
+)
 
 WATSON_T3 = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
 
@@ -78,24 +84,19 @@ class TestGreenByQuadrature:
         assert q.value == pytest.approx(target, abs=1e-9)
 
     def test_refinement_doublings_shrink_differences(self):
-        # with corner assistance off, halving the mesh twice must show
-        # clear decay of successive differences for t >= 3.5
+        # the periodic trapezoid converges geometrically: each doubling
+        # cuts |I_N - I_N/2| at least tenfold until it reaches the
+        # rounding floor of the sum
         for t in (3.5, 5.0):
-            params = GreenParams(t=t, gamma=1.0)
-            values = [
-                green_by_quadrature(
-                    params,
-                    QuadratureSpec(
-                        nodes_per_axis=nodes,
-                        subdivisions_per_axis=cells,
-                        corner_refinement_levels=0,
-                    ),
-                ).value
-                for nodes, cells in ((6, 1), (12, 2), (24, 4))
-            ]
-            d1 = abs(values[1] - values[0])
-            d2 = abs(values[2] - values[1])
-            assert d2 <= max(d1 / 10.0, 5e-15)
+            differences = []
+            for n, value, previous, magnitude in _nested_trapezoid(GreenParams(t=t), 8):
+                differences.append(abs(value - previous))
+                if differences[-1] <= _ROUNDING * magnitude or n >= 256:
+                    break
+            assert differences[-1] <= _ROUNDING * magnitude
+            assert len(differences) >= 3
+            for coarse, fine in zip(differences, differences[1:]):
+                assert fine <= coarse / 10.0
 
     def test_positive_at_origin(self):
         q = green_by_quadrature(GreenParams(t=5.0, gamma=1.0))
@@ -124,25 +125,41 @@ class TestGreenByQuadrature:
         assert first.terms_used == second.terms_used
 
     def test_error_estimate_covers_truth(self):
-        params = GreenParams(t=4.0, gamma=0.8)
+        # w = (t - edge)/(1 + gamma) = 0.0056 is on the corner path, where
+        # the Gauss-Legendre fields set the resolution
+        params = GreenParams(t=2.81, gamma=0.8)
         coarse = green_by_quadrature(
             params, QuadratureSpec(nodes_per_axis=8, subdivisions_per_axis=1)
         )
         fine = green_by_quadrature(params)
+        assert coarse.terms_used < fine.terms_used
         assert abs(coarse.value - fine.value) <= 10 * max(
             coarse.abs_error_estimate, 1e-15
         )
 
+    def test_nested_estimate_covers_truth(self):
+        # every unconverged trapezoid level's |I_N - I_N/2| bounds the
+        # error of I_N against the level that reached the rounding floor
+        levels = []
+        for n, value, previous, magnitude in _nested_trapezoid(GreenParams(t=4.0, gamma=0.8), 8):
+            levels.append((value, abs(value - previous)))
+            if levels[-1][1] <= _ROUNDING * magnitude:
+                break
+        converged = levels[-1][0]
+        assert len(levels) >= 3
+        assert levels[0][0] != converged
+        for value, difference in levels[:-1]:
+            assert abs(value - converged) <= difference
+
     def test_node_count_reported(self):
-        q = green_by_quadrature(
-            GreenParams(t=5.0), QuadratureSpec(nodes_per_axis=8, subdivisions_per_axis=2)
-        )
-        assert q.terms_used == (8 * 2) ** 2
+        # trapezoid: the (N/2 + 1)^2 nodes of the final half grid, N = 64
+        q = green_by_quadrature(GreenParams(t=5.0))
+        assert q.terms_used == (64 // 2 + 1) ** 2
         assert q.method == "quadrature"
         # corner path: bulk box, 3 boxes per level on half the cells, and
         # the two Duffy triangles of the innermost square
         levels = QuadratureSpec().corner_refinement_levels
-        q = green_by_quadrature(GreenParams(t=3.5))
+        q = green_by_quadrature(GreenParams(t=3.01))
         assert q.terms_used == 96**2 + 3 * levels * 48**2 + 2 * 24**2
 
     def test_estimate_floored_at_rounding_level(self):
@@ -208,8 +225,71 @@ class TestReferences:
         assert err <= q.abs_error_estimate
         assert q.converged
 
-    @pytest.mark.parametrize("t", [3.0, 3.001, 4.2, 10.0])
+    # at gamma = 1, t = 3.015 takes the corner path and 3.016 the
+    # trapezoid: one on each side of the switch
+    @pytest.mark.parametrize("t", [3.0, 3.001, 3.015, 3.016, 3.03, 4.2, 10.0])
     def test_lattice_equation(self, t):
         spec = QuadratureSpec()
         for site in ((0, 0, 0), (2, 1, 1), (2, 2, 0)):
             assert abs(_lattice_residual(t, 1.0, site, spec)) <= 1e-13, site
+
+    @pytest.mark.parametrize(
+        "site, reference",
+        # the full series5 sum at tol 1e-300, n_max 1000, whose terms are
+        # all non-negative
+        [((12, 0, 0), 1.0104433939668701e-07), ((24, 0, 0), 4.905725479875256e-13)],
+    )
+    def test_far_axis_sites(self, site, reference):
+        q = green_by_quadrature(GreenParams(t=4.0, gamma=1.0, l=site[0], m=site[1], n=site[2]))
+        assert q.converged
+        assert abs(q.value - reference) <= q.abs_error_estimate
+
+
+class TestSwitch:
+    """The trapezoid and the corner path agree where the switch may sit."""
+
+    @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
+    @pytest.mark.parametrize("shift", [0.03, 0.05, 0.1])
+    def test_trapezoid_matches_corner_path(self, monkeypatch, shift, gamma, site):
+        params = GreenParams(t=2.0 + gamma + shift, gamma=gamma, l=site[0], m=site[1], n=site[2])
+        monkeypatch.setattr(quadrature, "_CORNER_WIDTH", 0.0)
+        trapezoid = green_by_quadrature(params)
+        monkeypatch.setattr(quadrature, "_CORNER_WIDTH", math.inf)
+        corner = green_by_quadrature(params)
+        assert trapezoid.terms_used != corner.terms_used
+        difference = abs(trapezoid.value - corner.value)
+        assert difference <= 1e-15
+        assert difference <= trapezoid.abs_error_estimate + corner.abs_error_estimate
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
+    def test_trapezoid_stops_by_512_at_the_switch(self, gamma):
+        # from the switch up the trapezoid needs N <= 512, where it beats
+        # the corner path; a little below it N = 1024 is needed, which
+        # takes 3-4x the corner path's time
+        width = quadrature._CORNER_WIDTH * (1.0 + 1e-12)
+        for site in ((0, 0, 0), (2, 1, 1), (3, 3, 2), (8, 0, 0)):
+            params = GreenParams(t=2.0 + gamma + width * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
+            q = green_by_quadrature(params)
+            assert q.converged
+            assert q.terms_used in [(n // 2 + 1) ** 2 for n in (32, 64, 128, 256, 512)]
+
+    def test_below_the_switch_trapezoid_needs_1024(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_CORNER_WIDTH", 0.0)
+        q = green_by_quadrature(GreenParams(t=3.014, gamma=1.0, l=3, m=3, n=2))
+        assert q.terms_used == (1024 // 2 + 1) ** 2
+
+    def test_site_factor_exactly_periodic(self):
+        # cos(l x) on the grid depends on l mod N only, bit for bit, so
+        # rounding of the nodes cannot break the rule's periodicity
+        nodes, weights = _half_grid(64, 3)
+        for site in (67, 3 + 64 * 10**6):
+            shifted_nodes, shifted = _half_grid(64, site)
+            assert np.array_equal(shifted_nodes, nodes)
+            assert np.array_equal(shifted, weights)
+
+    def test_site_beyond_finest_grid_not_converged(self):
+        # N = 2048 aliases cos(2048 x) to 1 on both nested grids alike
+        q = green_by_quadrature(GreenParams(t=4.0, l=2048))
+        assert q.abs_error_estimate == math.inf
+        assert not q.converged
