@@ -17,7 +17,9 @@ of its own:
   series6 with inner sums of up to 179 terms that end on the tail test,
   series6 inner sums cut at ``--l-max`` 50 at t = 9.01, gamma = 7, a
   Wynn value at t = 3.001 within ``--tol`` 1e-7, the quadrature at the
-  far axis site (12, 0, 0), and the error paths of
+  far axis site (12, 0, 0), series5 at the far site (24, 0, 0) with
+  ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
+  on a short series5 scan, and the error paths of
   an unknown method, ``compare`` with one method, ``compare`` at
   t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
@@ -86,6 +88,12 @@ EXTRA_COMMANDS = (
     ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--accel", "wynn", "--tol", "1e-7"],
     # a far axis site that the quadrature grid must resolve
     ["eval", "--t", "4", "--lmn", "12", "0", "0", "--method", "quadrature"],
+    # series5 terms that rise for a long stretch before they decay, to a tight tol
+    ["eval", "--t", "4", "--lmn", "24", "0", "0", "--tol", "1e-13"],
+    # t = 1e6 with gamma = 100003: r = 0.1 and gamma/s near 1, a table of a few orders
+    ["eval", "--t", "1e6", "--gamma", "100003"],
+    # every series5 term of a short scan, read from one nu table
+    ["convergence", "--t", "6", "--n-max", "40"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],

@@ -144,7 +144,10 @@ def _single_float(text: str, name: str) -> float:
 
 def _parse_range(text: str, name: str) -> list[float]:
     if ":" not in text:
-        return [_single_float(text, name)]
+        value = _single_float(text, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        return [value]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} range must be A:B:STEP")

@@ -30,11 +30,14 @@ order 680/ln(2+gamma).  Series5 therefore works with the normalized
 moments nu_i = moment_i / s^i, s = 2+gamma: the double sum with the
 weights C(i,j) (gamma/s)^(i-j) (2/s)^j, a binomial distribution, over
 inner rows scaled by 2^-j, each at most pi^2.  Since C(j,k) =
-j!/(k!(j-k)!), the inner rows of one order are j! times a single
-convolution of J_m[i-k]/k! with J_l[i-d]/d!, so every row of nu_i comes
-from one np.convolve.  Nothing in nu_i overflows and nothing depends on
-t; the i-th term is nu_i r^i / t with r = s/t, and the i-th moment is
-nu_i s^i.
+j!/(k!(j-k)!), the inner rows are j! times sums of products
+E[k] E[j-k] J_l J_m, and after a change of index those sums are
+entries of matrix products of a Hankel times a Toeplitz view of the J
+vectors with two strided views of E.  One call builds the whole table
+nu_0 .. nu_(D-1) it needs from such products, tile by tile, and reads
+each nu_i back along an anti-diagonal (see ``_nu_table``).  Nothing in
+nu_i overflows and nothing depends on t; the i-th term is nu_i r^i / t
+with r = s/t, and the i-th moment is nu_i s^i.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -66,6 +69,13 @@ from .params import GreenParams, SeriesEvaluation
 PI3 = math.pi**3
 
 _ACCEL_CHOICES = ("none", "wynn", "aitken")
+
+# the nu table's fixed tiles: s2 rows per matrix product, c columns per block.
+# Picked by timing tables of 146 to 1000 orders against sizes from 8 x 32 to
+# 128 x 128: 32 x 32 ties, 64 columns win at 1000 orders but peak past 2 MB,
+# and 64 x 64 or larger tiles are slower below 400 orders.
+_ROW_TILE = 16
+_COL_TILE = 32
 
 
 def _j_vector(table: IntegralTable, site: int, length: int) -> np.ndarray:
@@ -148,13 +158,14 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: scaled factorials, site tables and the gamma ladders.
+    """Per-evaluation tables: scaled factorials, site tables, gamma ladders, nu.
 
     The scaled factorials E, G (the binomials of both series) and the
-    site tables come from process-wide caches; only the ladders
-    (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, are built for each
-    evaluation, on series5's first term.  Nothing here depends on t, and
-    nothing of size depth^2 is built.
+    site tables come from process-wide caches; the ladders
+    (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, and the table ``nus`` of
+    nu_0, nu_1, ... are built for each evaluation, on series5's first
+    term.  Nothing here depends on t, and nothing of size depth^2 is
+    built.
     """
 
     params: GreenParams
@@ -167,6 +178,7 @@ class _Workspace:
         site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
         self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
         self.hankel, self.jm_rev = site.hankel, site.jm_rev
+        self.nus = np.zeros(0)
 
     @cached_property
     def gs_pows(self) -> np.ndarray:
@@ -184,36 +196,8 @@ class _Workspace:
         return np.arange(self.j_depth + 2, dtype=float)
 
     def nu(self, i: int) -> float:
-        """nu_i = (1/pi^3) sum_j w_j * 2^-j sum_k C(j,k) Jl[i-j+k] Jm[i-k].
-
-        w_j = C(i,j) (gamma/s)^(i-j) (2/s)^j Jn[j], over the rows
-        j = n, n+2, ..., i (n the site index): J_j(n) vanishes for j < n
-        and for odd j - n.  With u[k] = E[k] Jm[i-k] and
-        v[d] = E[d] Jl[i-d], row j is G[j] (u * v)[j], and the G[j] goes
-        into the weight as C(i,j) G[j] = G[i] / G[i-j].  Jm[i-k] vanishes
-        unless k has the parity ku of i-m, and Jl[i-d] unless d has the
-        parity kv of i-l, so u and v keep only those entries; output q of
-        their convolution is row ku+kv+2q, of n's parity, and a row
-        j < ku+kv is zero.  Every summand is >= 0.
-
-        The weight multiplies the ratio G[i] / G[i-j] (up to 1e79) into
-        the gamma ladder before the J_n ladder: at gamma = 1, i = 1000,
-        j near 512 the two ladders alone multiply to about 1e-323, a
-        subnormal.
-        """
-        n, l, m = self.params.n, self.params.l, self.params.m
-        ku, kv = (i - m) % 2, (i - l) % 2
-        j0 = max(n, ku + kv)
-        if i < j0:
-            return 0.0
-        u = self.E[ku : i + 1 : 2] * self.Jm[i - ku :: -2]
-        v = self.E[kv : i + 1 : 2] * self.Jl[i - kv :: -2]
-        js = slice(j0, i + 1, 2)
-        q0 = (j0 - ku - kv) // 2
-        rows = np.convolve(u, v)[q0 : q0 + (i - j0) // 2 + 1]
-        G = self.G
-        w = G[i] / G[i - j0 :: -2] * self.gs_pows[i - j0 :: -2] * self.jn_scaled[js]
-        return float(np.dot(w, rows)) / PI3
+        """nu_i, read from ``nus``; an order past the table raises IndexError."""
+        return float(self.nus[i])
 
     def moment(self, i: int) -> float:
         return self.nu(i) * self.params.band_edge**i
@@ -227,6 +211,159 @@ def _workspace(params: GreenParams, depth: int, j_depth: int | None = None) -> _
     return _Workspace(params, depth, depth if j_depth is None else j_depth)
 
 
+def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """The view whose entry [x, y, ...] is arr[start + x steps[0] + y steps[1] + ...].
+
+    numpy checks that every entry lies inside ``arr``.
+    """
+    size = arr.itemsize
+    return np.ndarray(shape, buffer=arr, offset=start * size, strides=[s * size for s in steps])
+
+
+def _shifted(values: np.ndarray, offset: int, length: int, fill: float = 0.0) -> np.ndarray:
+    """``length`` entries, values[x] at offset + x and ``fill`` elsewhere."""
+    out = np.full(length, fill)
+    take = max(0, min(values.size, length - offset))
+    out[offset : offset + take] = values[:take]
+    return out
+
+
+def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
+    """nu_first .. nu_(count-1) of the workspace's site, from blocked matrix products.
+
+    The entries below ``first`` are NaN.
+
+    With q the inner row index and p = i - q,
+
+        pi^3 nu_i = sum_q w(i, q) R(p, q),  R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k],
+
+    w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q], where
+    G[i] / G[p] = C(i, q) G[q], and R(p, q) G[q] is the row q = j of the
+    double sum.  The weight is formed in that order: the ratio (up to
+    1e79) goes into the gamma ladder before the J_n ladder, since at
+    gamma = 1, i = 1000, q near 512 the two ladders alone multiply to
+    about 1e-323.  J_q(n) vanishes unless q = n + 2c with c >= 0.
+    Write h = (l+m+n)/2, a = (n+l-m)/2, b = n - a and
+    s' = p + (q-l-m)/2 = 2 s2 + par with par = 0 or 1; then
+    i = s' + c + h, and with k = a + c + 2e - par
+
+        R = sum_e P_par[s2, e] B_par[e, c],
+        P_par[s2, e] = Jl[l + 2(s2+e)] Jm[m + 2(s2+par-e)],
+        B_par[e, c] = E[a - par + c + 2e] E[b + par + c - 2e],
+
+    a Hankel times a Toeplitz view of the J vectors and two strided
+    views of E, all zero-padded, so every term of the sum is >= 0.
+    Weights with q > i are zero.
+
+    The products run in fixed tiles of ``_ROW_TILE`` rows s2 by
+    ``_COL_TILE`` columns c, both parities at once.  A tile is formed only
+    if its least order 2 s2 + c + h is below ``count``, its greatest
+    order is at least ``first`` and some of its weights are nonzero, and
+    it sums over the range of e where its P and B can both be nonzero.
+    One column block at a time, the weighted tiles are interleaved by s'
+    and summed along the anti-diagonals s' + c = i - h of a sheared view;
+    the blocks add into nu_i in column order.  So no sum depends on
+    ``count`` or ``first``: a table of fewer orders equals the first
+    entries of a longer one bit for bit, and nu_i is the same number
+    whichever table holds it.  No temporary holds more than about 2^16
+    doubles.
+    """
+    l, m, n = ws.params.l, ws.params.m, ws.params.n
+    h, a = (l + m + n) // 2, (n + l - m) // 2
+    b, lm = n - a, h - n  # lm = (l+m-n)/2, so p = s' - c + lm
+    ts, tc = _ROW_TILE, _COL_TILE
+    blocks = []  # (c0, [(s0, e_lo, e_hi), ...]) in column order
+    for c0 in range(0, max(count - h, 0), tc):
+        c1 = c0 + tc - 1
+        tiles = []
+        for s0 in range(0, (count - h - c0 + 1) // 2, ts):
+            s1 = s0 + ts - 1
+            e_lo = max(-s1, -((a + c1) // 2))
+            e_hi = min(s1 + 1, (b + c1 + 1) // 2)
+            if c0 <= 2 * s1 + 1 + lm and e_lo <= e_hi and 2 * s1 + c1 + h + 1 >= first:
+                tiles.append((s0, e_lo, e_hi))
+        if tiles:
+            blocks.append((c0, tiles))
+    nus = np.zeros(count)
+    nus[:first] = np.nan
+    if not blocks:
+        return nus
+    s_end = max(col[-1][0] for _, col in blocks) + ts
+    c_end = blocks[-1][0] + tc
+    k_max = max(hi - lo + 1 for _, col in blocks for _, lo, hi in col)
+    # every array below covers the indices its views reach with zeros
+    # (ones for G in a denominator); pad shifts index 0 of the J and E arrays
+    pad = k_max + 2 * (ts + tc)
+    jl = _shifted(ws.Jl[l::2], pad, 2 * pad + 2 * s_end)
+    jm = _shifted(ws.Jm[m::2], pad, 2 * pad + 2 * s_end)
+    ep = _shifted(ws.E, pad, 2 * pad + n + 2 * c_end)
+    gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
+    p_pad = c_end + abs(lm) + tc
+    gp = _shifted(ws.G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
+    gs = _shifted(ws.gs_pows[:count], p_pad, gp.size)
+    jn = _shifted(ws.jn_scaled[:count], 0, n + 2 * c_end + 2 * tc)
+    # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
+    hankel = _strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1))
+    toeplitz = _strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1))
+    # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[top - r + par + c]
+    top = ep.size - tc - 1
+    e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
+    e_down = _strided(ep, top, (2, top + 1, tc), (1, -1, 1))
+    # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
+    g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
+    g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
+    gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
+    for c0, tiles in blocks:
+        r0 = tiles[0][0]
+        rows = tiles[-1][0] + ts - r0
+        e0 = min(e_lo for _, e_lo, _ in tiles)
+        width = max(e_hi for _, _, e_hi in tiles) - e0 + 1
+        r_up = pad + a + c0 + 2 * e0 - 1
+        r_down = top - pad - b - c0 + 2 * e0
+        B = e_up[:, r_up : r_up + 2 * width : 2] * e_down[:, r_down : r_down + 2 * width : 2]
+        # rows tc-1 .. tc-2+2*rows hold the block interleaved by s', the rest stay 0
+        buf = np.zeros((2 * rows + 2 * tc - 2, tc))
+        block = buf[tc - 1 : tc - 1 + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
+        for s0, e_lo, e_hi in tiles:
+            k = e_hi - e_lo + 1
+            x = pad + s0 + e_lo
+            y = pad + s0 - e_lo - k_max + 1
+            P = hankel[x : x + ts, :k] * toeplitz[:, y : y + ts, :k]
+            np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
+        i0 = 2 * r0 + c0 + h
+        p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
+        q0 = n + 2 * c0
+        w = g_i[:, i0 : i0 + 2 * rows : 2] / g_p[:, p0 : p0 + 2 * rows : 2]
+        w *= gs_p[:, p0 : p0 + 2 * rows : 2]
+        w *= jn[q0 : q0 + 2 * tc : 2]
+        block *= w
+        # sheared[d, c] = buf[tc - 1 + d - c, c], the entry of order i0 + d
+        sheared = _strided(buf, (tc - 1) * tc, (2 * rows + tc - 1, tc), (tc, 1 - tc))
+        sums = sheared.sum(axis=1)
+        stop = min(count, i0 + sums.size)
+        nus[i0:stop] += sums[: stop - i0]
+    nus /= PI3
+    return nus
+
+
+def _nu_depth(params: GreenParams, tol: float, n_max: int) -> int:
+    """The orders of nu that series5's scan reads before it stops.
+
+    Every |nu_i| <= 1, so once some term is nonzero the scan's tail bound
+    after term i is at most r/(1-r) r^i / t, r = (2+gamma)/t, and the
+    first nonzero term comes by order max((l+m+n)/2, l, m, n) <= l+m+n.
+    So the scan stops by order max(i*, l+m+n), with i* the first i where
+    that bound meets ``tol``; two more orders cover the rounding of the
+    bound and of the logarithms here.  At r >= 1 nothing stops the scan
+    before ``n_max``.
+    """
+    r = params.band_edge / params.t
+    if r >= 1.0:
+        return n_max
+    i_star = (math.log(tol) + math.log(params.t) + math.log1p(-r) - math.log(r)) / math.log(r)
+    return min(n_max, max(math.ceil(i_star), params.l + params.m + params.n) + 2)
+
+
 def moment_coefficient(i: int, params: GreenParams) -> float:
     """i-th moment of the structure function against the site cosines.
 
@@ -236,7 +373,9 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
     the 12-neighbour FCC shell: 1, 0, 3/4, 3/4, ...  Values grow like
     (2+gamma)^i, so orders above int(680 / ln(2+gamma)) (618 at
     gamma = 1, always below the hard order cap) would leave the double
-    range and are rejected.
+    range and are rejected.  It forms every tile of the nu table that
+    reaches order i, so one order costs a fair part of a full table's
+    matrix products; series5 builds its table once and does not call it.
     """
     if i < 0:
         raise ValueError("moment order must be non-negative")
@@ -246,7 +385,9 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"moment order {i} exceeds {limit}, the largest whose value "
             f"fits a double at gamma={params.gamma}"
         )
-    return _workspace(params, i).moment(i)
+    ws = _workspace(params, i)
+    ws.nus = _nu_table(ws, i + 1, first=i)
+    return ws.moment(i)
 
 
 def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: str):
@@ -333,6 +474,7 @@ def _scan(
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     ws = _workspace(params, n_max)
+    ws.nus = _nu_table(ws, _nu_depth(params, tol, n_max))
     return _scan(lambda i: (ws.term5(i), 0.0, True), params.band_edge / params.t, tol, n_max)
 
 

@@ -66,12 +66,17 @@ class TestEval:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--t", "inf", "--method", "quadrature"), "t must be finite"),
-            (("--t", "4", "--gamma", "inf"), "gamma must be finite"),
+            (("eval", "--t", "inf", "--method", "quadrature"), "t must be finite"),
+            (("eval", "--t", "4", "--gamma", "inf"), "gamma must be finite"),
+            # a sweep over one non-finite point is refused before any row
+            (("sweep", "--t", "nan"), "t must be finite"),
+            (("sweep", "--t", "inf"), "t must be finite"),
+            (("sweep", "--t", "4", "--gamma", "nan"), "gamma must be finite"),
+            (("sweep", "--t", "4", "--gamma", "inf", "--format", "csv"), "gamma must be finite"),
         ],
     )
     def test_non_finite_input_rejected(self, args, message):
-        r = run("eval", *args)
+        r = run(*args)
         assert r.returncode == 1
         assert r.stdout == ""
         assert message in r.stderr

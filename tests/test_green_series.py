@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +23,12 @@ from greenfcc import (
 from greenfcc import green_series
 from greenfcc.combinatorics import HARD_ORDER_CAP
 from greenfcc.green_series import (
+    _COL_TILE,
+    _ROW_TILE,
     _factorial_scales,
     _finish,
+    _nu_depth,
+    _nu_table,
     _safe_order,
     _scan,
     _series6_row,
@@ -44,6 +49,13 @@ def _float_binomials():
         table[a, : a + 1] = [float(v) for v in row]
         row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
     return table
+
+
+def _nu_workspace(params, depth, j_depth=None):
+    """A workspace whose nu table holds every order up to ``depth``."""
+    ws = _workspace(params, depth, j_depth)
+    ws.nus = _nu_table(ws, depth + 1)
+    return ws
 
 
 def _gather_nu(ws, i):
@@ -225,11 +237,16 @@ class TestStridedLoops:
         # all summands are >= 0, so the rounding is at most a relative
         # (i+1) eps, and an exact zero must come out as 0.0
         safe = _safe_order(gamma)
-        exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201]
         deep_orders = [safe - 1, safe, safe + 1, safe + 2]
+        # the table's tiles first reach order i = 2 s2 + c + h at multiples
+        # of this step past h = (l+m+n)/2
+        step = math.gcd(2 * _ROW_TILE, _COL_TILE)
         for site in self.SITES:
+            h = sum(site) // 2
+            edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+            exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201, *edges]
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws = _workspace(p, safe + 2)
+            ws = _nu_workspace(p, safe + 2)
             s, r = p.band_edge, p.band_edge / p.t
             for i in exact_orders + deep_orders:
                 nu = ws.nu(i)
@@ -265,7 +282,7 @@ class TestStridedLoops:
         tiny = Fraction(sys.float_info.min)
         for site in [(0, 0, 0), (24, 0, 0)]:
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws = _workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+            ws = _nu_workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
                 got_nu = ws.nu(i)
@@ -358,6 +375,64 @@ class TestStridedLoops:
         assert all(row["term"] > 0.0 for row in rows[::2])
 
 
+class TestNuTable:
+    """One table of nu per call, from tiled matrix products."""
+
+    SITES = [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0), (1, 1, 4)]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    def test_shorter_table_is_a_prefix(self, gamma):
+        # no sum depends on the table's length or its first order, so eval,
+        # sweep, compare and moment_coefficient read the same nu_i whatever
+        # table they build
+        step = math.gcd(2 * _ROW_TILE, _COL_TILE)
+        for site in self.SITES:
+            p = GreenParams(t=3.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
+            full = _nu_table(_workspace(p, HARD_ORDER_CAP), HARD_ORDER_CAP + 1)
+            h = sum(site) // 2
+            for count in (1, 2, 17, h + step - 1, h + step, h + step + 1, 145, 146, 400, 401):
+                ws = _workspace(p, count)
+                part = _nu_table(ws, count)
+                assert np.array_equal(part, full[:count]), (site, count)
+                for first in (count // 2, count - 1):
+                    tail = _nu_table(ws, count, first=first)
+                    assert np.isnan(tail[:first]).all(), (site, count, first)
+                    assert np.array_equal(tail[first:], full[first:count]), (site, count, first)
+            safe = _safe_order(gamma)
+            assert moment_coefficient(safe, p) == full[safe] * p.band_edge**safe, site
+
+    def test_order_past_the_table_raises(self):
+        # a depth too small for the scan must fail, not rebuild the table
+        ws = _workspace(GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1), 300)
+        ws.nus = _nu_table(ws, 40)
+        assert ws.nu(39) == _nu_table(ws, 301)[39]
+        with pytest.raises(IndexError):
+            ws.nu(40)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    def test_scan_stops_inside_the_table(self, gamma):
+        # the scan builds nu only to _nu_depth; it must never read past it
+        for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
+            for tol in (1e-5, 1e-11, 1e-14):
+                for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
+                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+                    ev = evaluate_series5(p, tol=tol)
+                    assert ev.terms_used <= _nu_depth(p, tol, 400), (offset, tol, l, m, n)
+
+    def test_deepest_call_stays_small(self):
+        # the tiles keep every temporary near 2^16 doubles; an untiled
+        # table of 1000 orders peaked at 13.7 MB
+        p = GreenParams(t=3.0)
+        evaluate_series5(p, n_max=1000, accel="wynn")
+        tracemalloc.start()
+        try:
+            evaluate_series5(p, n_max=1000, accel="wynn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+
 class TestSiteTableCache:
     """One process-wide set of site tables serves every t and gamma."""
 
@@ -433,16 +508,16 @@ class TestOuterTerm:
 
     def test_leading_term_is_one_over_t(self):
         p = GreenParams(t=4.0)
-        assert _workspace(p, 0).term5(0) == pytest.approx(1 / 4.0, rel=1e-15)
+        assert _nu_workspace(p, 0).term5(0) == pytest.approx(1 / 4.0, rel=1e-15)
 
     def test_leading_term_off_origin_vanishes(self):
         p = GreenParams(t=4.0, l=2, m=0, n=0)
-        assert _workspace(p, 0).term5(0) == 0.0
+        assert _nu_workspace(p, 0).term5(0) == 0.0
 
     def test_second_moment_term(self):
         p = GreenParams(t=4.0, gamma=1.0)
         want = 0.75 * 4.0 ** (-3)
-        assert _workspace(p, 2).term5(2) == pytest.approx(want, rel=1e-14)
+        assert _nu_workspace(p, 2).term5(2) == pytest.approx(want, rel=1e-14)
 
     @given(
         st.integers(0, 12),
@@ -468,8 +543,7 @@ class TestMomentEnvelope:
 
     def _nu_table(self, gamma, site):
         p = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-        ws = _workspace(p, self.DEPTH)
-        return np.array([ws.nu(i) for i in range(self.DEPTH + 1)])
+        return _nu_workspace(p, self.DEPTH).nus
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
     def test_origin_bounds_every_site(self, gamma):
