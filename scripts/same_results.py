@@ -19,9 +19,10 @@ of its own:
   Wynn value at t = 3.001 within ``--tol`` 1e-7, the quadrature at the
   far axis site (12, 0, 0), series5 at the far site (24, 0, 0) with
   ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
-  on a short series5 scan, and the error paths of
-  an unknown method, ``compare`` with one method, ``compare`` at
-  t = nan and ``convergence`` on the quadrature) and the commands of the
+  on a short series5 scan, series6 at the far site (24, 0, 0), series6
+  inner sums of up to 1000 terms at t = 9.01, gamma = 7, and the error
+  paths of an unknown method, ``compare`` with one method, ``compare``
+  at t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
   directory, recording the exit code, stdout with ``wall_time_ms``
   stripped, stderr, and any file the command wrote.
@@ -94,6 +95,11 @@ EXTRA_COMMANDS = (
     ["eval", "--t", "1e6", "--gamma", "100003"],
     # every series5 term of a short scan, read from one nu table
     ["convergence", "--t", "6", "--n-max", "40"],
+    # series6 stops on the first nonzero row at a far site, whose value is far too small
+    ["eval", "--t", "4", "--lmn", "24", "0", "0", "--method", "series6"],
+    # series6 rows to j = 1000 at gamma = 7, whose ladders pass 1e308
+    ["eval", "--t", "9.01", "--gamma", "7", "--lmn", "2", "1", "1", "--method", "series6",
+     "--l-max", "1000"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],

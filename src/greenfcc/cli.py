@@ -31,6 +31,7 @@ from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
+from .combinatorics import HARD_ORDER_CAP
 from .errors import DomainError
 from .green_series import (
     convergence_rows,
@@ -172,6 +173,13 @@ def _method_list(text: str, allow_many: bool) -> list[str]:
     if not allow_many and len(methods) != 1:
         raise ValueError("this command takes exactly one method")
     return methods
+
+
+def _check_orders(args) -> None:
+    """Refuse an --n-max or --l-max outside [1, HARD_ORDER_CAP], whatever the method."""
+    for flag, value in (("--n-max", args.n_max), ("--l-max", args.l_max)):
+        if not 1 <= value <= HARD_ORDER_CAP:
+            raise ValueError(f"{flag} must lie in [1, {HARD_ORDER_CAP}]; got {value}")
 
 
 def _dispatch(method: str, params: GreenParams, args) -> SeriesEvaluation:
@@ -348,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
+        _check_orders(args)
         records, converged, fields = _HANDLERS[args.command](args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

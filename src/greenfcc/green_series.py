@@ -29,15 +29,16 @@ The raw moments grow like (2+gamma)^i and leave the double range past
 order 680/ln(2+gamma).  Series5 therefore works with the normalized
 moments nu_i = moment_i / s^i, s = 2+gamma: the double sum with the
 weights C(i,j) (gamma/s)^(i-j) (2/s)^j, a binomial distribution, over
-inner rows scaled by 2^-j, each at most pi^2.  Since C(j,k) =
-j!/(k!(j-k)!), the inner rows are j! times sums of products
-E[k] E[j-k] J_l J_m, and after a change of index those sums are
-entries of matrix products of a Hankel times a Toeplitz view of the J
-vectors with two strided views of E.  One call builds the whole table
-nu_0 .. nu_(D-1) it needs from such products, tile by tile, and reads
-each nu_i back along an anti-diagonal (see ``_nu_table``).  Nothing in
-nu_i overflows and nothing depends on t; the i-th term is nu_i r^i / t
-with r = s/t, and the i-th moment is nu_i s^i.
+inner rows scaled by 2^-j, each at most pi^2.  Nothing in nu_i
+overflows and nothing depends on t; the i-th term is nu_i r^i / t with
+r = s/t, and the i-th moment is nu_i s^i.
+
+Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
+J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  One
+tile builder, ``_r_blocks``, forms R as matrix products of J and E
+views, a column block of q at a time, with two readouts: series5 sums
+weighted anti-diagonals into its table nu_0 .. nu_(D-1) (``_nu_table``),
+series6 reads columns as its rows (``_series6_rows``).
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -47,6 +48,7 @@ table is built.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections.abc import Callable
@@ -54,14 +56,13 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .acceleration import (
     PartialSumSequence,
     aitken_delta2,
     wynn_epsilon_with_estimate,
 )
-from .basic_integrals import IntegralTable, shared_table
+from .basic_integrals import shared_table
 from .combinatorics import HARD_ORDER_CAP
 from .errors import DomainError
 from .params import GreenParams, SeriesEvaluation
@@ -76,12 +77,8 @@ _ACCEL_CHOICES = ("none", "wynn", "aitken")
 # and 64 x 64 or larger tiles are slower below 400 orders.
 _ROW_TILE = 16
 _COL_TILE = 32
-
-
-def _j_vector(table: IntegralTable, site: int, length: int) -> np.ndarray:
-    vec = np.array([table.j_value(p, site) for p in range(length)])
-    vec.flags.writeable = False
-    return vec
+# series6 forms its rows in groups of this many, as the scan reaches them
+_ROW_GROUP = 16
 
 
 def _safe_order(gamma: float) -> int:
@@ -93,44 +90,21 @@ def _safe_order(gamma: float) -> int:
     return int(680.0 / math.log(2.0 + gamma))
 
 
-@dataclass(frozen=True, eq=False)
-class _SiteTables:
-    """J vectors of one site and the strided views series6 reads.
-
-    ``hankel[a, k] = Jl[a + k]`` and ``jm_rev[a, c] = Jm[a + depth - c]``
-    are zero-copy views of width depth + 1; series6 has j_depth =
-    depth + l_max entries, enough rows for every inner index j < l_max.
-    Every array is read-only.
-    """
-
-    Jl: np.ndarray
-    Jm: np.ndarray
-    Jn: np.ndarray
-    hankel: np.ndarray
-    jm_rev: np.ndarray
-
-
 @lru_cache(maxsize=32)
-def _site_tables(l: int, m: int, n: int, depth: int, j_depth: int) -> _SiteTables:
-    """The integer-only tables of site (l, m, n), shared by every t and gamma.
+def _site_tables(l: int, m: int, n: int, j_depth: int) -> tuple[np.ndarray, ...]:
+    """The read-only J vectors J_p(l), J_p(m), J_p(n), p <= j_depth, of one site.
 
-    The J vectors hold J_p(site) for p <= j_depth, read from the shared
-    exact table; ``depth`` fixes the window width of the views.  Nothing
-    here depends on t or gamma, so the cache keeps a sweep, a comparison
-    or a repeated call from rebuilding them; every power ladder, double
-    sum and scan still runs per call.
+    They are read from the shared exact table and depend on neither t
+    nor gamma, so the cache keeps a sweep, a comparison or a repeated
+    call from rebuilding them.  Series6 has j_depth = n_max + l_max,
+    enough for every inner index j < l_max.
     """
     table = shared_table(j_depth + max(l, m, n, 8) + 2)
-    Jl = _j_vector(table, l, j_depth + 1)
-    Jm = _j_vector(table, m, j_depth + 1)
-    Jn = _j_vector(table, n, j_depth + 1)
-    return _SiteTables(
-        Jl=Jl,
-        Jm=Jm,
-        Jn=Jn,
-        hankel=sliding_window_view(Jl, depth + 1),
-        jm_rev=sliding_window_view(Jm, depth + 1)[:, ::-1],
-    )
+    vectors = []
+    for site in (l, m, n):
+        vectors.append(np.array([table.j_value(p, site) for p in range(j_depth + 1)]))
+        vectors[-1].flags.writeable = False
+    return tuple(vectors)
 
 
 @lru_cache(maxsize=1)
@@ -158,14 +132,14 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: scaled factorials, site tables, gamma ladders, nu.
+    """Per-evaluation tables: scaled factorials, J vectors, gamma ladders, nu.
 
-    The scaled factorials E, G (the binomials of both series) and the
-    site tables come from process-wide caches; the ladders
-    (gamma/s)^k and (2/s)^j J_n[j], s = 2+gamma, and the table ``nus`` of
-    nu_0, nu_1, ... are built for each evaluation, on series5's first
-    term.  Nothing here depends on t, and nothing of size depth^2 is
-    built.
+    E, G (the binomials of both series) and the J vectors come from
+    process-wide caches; the ladders (gamma/s)^k and (2/s)^j J_n[j],
+    s = 2+gamma, and series5's table ``nus`` of nu_0, nu_1, ... are built
+    per evaluation.  Both series read these through the one tile builder
+    ``_r_blocks``, with two readouts: series5 sums weighted anti-diagonals,
+    series6 reads columns.  Nothing here depends on t or is depth^2 big.
     """
 
     params: GreenParams
@@ -175,9 +149,7 @@ class _Workspace:
     def __post_init__(self) -> None:
         p = self.params
         self.E, self.G = _factorial_scales()
-        site = _site_tables(p.l, p.m, p.n, self.depth, self.j_depth)
-        self.Jl, self.Jm, self.Jn = site.Jl, site.Jm, site.Jn
-        self.hankel, self.jm_rev = site.hankel, site.jm_rev
+        self.Jl, self.Jm, self.Jn = _site_tables(p.l, p.m, p.n, self.j_depth)
         self.nus = np.zeros(0)
 
     @cached_property
@@ -189,11 +161,6 @@ class _Workspace:
     def jn_scaled(self) -> np.ndarray:
         ladder = np.power(2.0 / self.params.band_edge, np.arange(self.depth + 1))
         return ladder * self.Jn[: self.depth + 1]
-
-    @cached_property
-    def ramp(self) -> np.ndarray:
-        """The integers 0 .. j_depth + 1 as floats, series6's ladder and ratio factors."""
-        return np.arange(self.j_depth + 2, dtype=float)
 
     def nu(self, i: int) -> float:
         """nu_i, read from ``nus``; an order past the table raises IndexError."""
@@ -222,30 +189,38 @@ def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndar
 
 def _shifted(values: np.ndarray, offset: int, length: int, fill: float = 0.0) -> np.ndarray:
     """``length`` entries, values[x] at offset + x and ``fill`` elsewhere."""
-    out = np.full(length, fill)
+    out = np.full(length, fill) if fill else np.zeros(length)
     take = max(0, min(values.size, length - offset))
     out[offset : offset + take] = values[:take]
     return out
 
 
-def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
-    """nu_first .. nu_(count-1) of the workspace's site, from blocked matrix products.
+def _tiles(params: GreenParams, c0: int, s_stop: int, s1_min: int) -> list[tuple[int, int, int]]:
+    """The tiles (s0, e_lo, e_hi) of column block c0 whose product can be nonzero.
 
-    The entries below ``first`` are NaN.
+    s0 < ``s_stop`` runs over multiples of ``_ROW_TILE`` whose last row
+    s0 + _ROW_TILE - 1 is at least ``s1_min``; [e_lo, e_hi] is where P
+    and B (see ``_r_blocks``) can both be nonzero, and must not be empty.
+    """
+    a, b = (params.n + params.l - params.m) // 2, (params.n - params.l + params.m) // 2
+    ts, c1 = _ROW_TILE, c0 + _COL_TILE - 1
+    tiles = []
+    for s0 in range(-(-max(0, s1_min + 1 - ts) // ts) * ts, s_stop, ts):
+        s1 = s0 + ts - 1
+        e_lo = max(-s1, -((a + c1) // 2))
+        e_hi = min(s1 + 1, (b + c1 + 1) // 2)
+        if e_lo <= e_hi:
+            tiles.append((s0, e_lo, e_hi))
+    return tiles
 
-    With q the inner row index and p = i - q,
 
-        pi^3 nu_i = sum_q w(i, q) R(p, q),  R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k],
+def _r_blocks(ws: _Workspace, blocks: list, lead: int):
+    """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k], one column block at a time.
 
-    w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q], where
-    G[i] / G[p] = C(i, q) G[q], and R(p, q) G[q] is the row q = j of the
-    double sum.  The weight is formed in that order: the ratio (up to
-    1e79) goes into the gamma ladder before the J_n ladder, since at
-    gamma = 1, i = 1000, q near 512 the two ladders alone multiply to
-    about 1e-323.  J_q(n) vanishes unless q = n + 2c with c >= 0.
-    Write h = (l+m+n)/2, a = (n+l-m)/2, b = n - a and
-    s' = p + (q-l-m)/2 = 2 s2 + par with par = 0 or 1; then
-    i = s' + c + h, and with k = a + c + 2e - par
+    R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
+    a = (n+l-m)/2, b = n - a, lm = h - n and s' = p + (q-l-m)/2 =
+    2 s2 + par with par = 0 or 1, so p = s' - c + lm; R = 0 for s' < 0.
+    With k = a + c + 2e - par
 
         R = sum_e P_par[s2, e] B_par[e, c],
         P_par[s2, e] = Jl[l + 2(s2+e)] Jm[m + 2(s2+par-e)],
@@ -253,55 +228,27 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
 
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
-    Weights with q > i are zero.
 
-    The products run in fixed tiles of ``_ROW_TILE`` rows s2 by
-    ``_COL_TILE`` columns c, both parities at once.  A tile is formed only
-    if its least order 2 s2 + c + h is below ``count``, its greatest
-    order is at least ``first`` and some of its weights are nonzero, and
-    it sums over the range of e where its P and B can both be nonzero.
-    One column block at a time, the weighted tiles are interleaved by s'
-    and summed along the anti-diagonals s' + c = i - h of a sheared view;
-    the blocks add into nu_i in column order.  So no sum depends on
-    ``count`` or ``first``: a table of fewer orders equals the first
-    entries of a longer one bit for bit, and nu_i is the same number
-    whichever table holds it.  No temporary holds more than about 2^16
-    doubles.
+    For each (c0, r0, rows, tiles) of ``blocks``, in column order, this
+    yields (buf, block), block[par, s2 - r0, c - c0] = R(p, q) for
+    r0 <= s2 < r0 + rows and c0 <= c < c0 + _COL_TILE: ``_ROW_TILE`` x
+    ``_COL_TILE`` products over each tile's range of e, both parities at
+    once, and 0 off the tiles.  buf[lead + s' - 2 r0, c - c0] interleaves
+    the block by s', after ``lead`` zero rows and before _COL_TILE - 1.
+    No temporary holds more than about 2^16 doubles.
     """
     l, m, n = ws.params.l, ws.params.m, ws.params.n
-    h, a = (l + m + n) // 2, (n + l - m) // 2
-    b, lm = n - a, h - n  # lm = (l+m-n)/2, so p = s' - c + lm
+    a, b = (n + l - m) // 2, (n - l + m) // 2
     ts, tc = _ROW_TILE, _COL_TILE
-    blocks = []  # (c0, [(s0, e_lo, e_hi), ...]) in column order
-    for c0 in range(0, max(count - h, 0), tc):
-        c1 = c0 + tc - 1
-        tiles = []
-        for s0 in range(0, (count - h - c0 + 1) // 2, ts):
-            s1 = s0 + ts - 1
-            e_lo = max(-s1, -((a + c1) // 2))
-            e_hi = min(s1 + 1, (b + c1 + 1) // 2)
-            if c0 <= 2 * s1 + 1 + lm and e_lo <= e_hi and 2 * s1 + c1 + h + 1 >= first:
-                tiles.append((s0, e_lo, e_hi))
-        if tiles:
-            blocks.append((c0, tiles))
-    nus = np.zeros(count)
-    nus[:first] = np.nan
-    if not blocks:
-        return nus
-    s_end = max(col[-1][0] for _, col in blocks) + ts
+    s_end = max(r0 + rows for _, r0, rows, _ in blocks)
     c_end = blocks[-1][0] + tc
-    k_max = max(hi - lo + 1 for _, col in blocks for _, lo, hi in col)
-    # every array below covers the indices its views reach with zeros
-    # (ones for G in a denominator); pad shifts index 0 of the J and E arrays
+    k_max = max((hi - lo + 1 for *_, tiles in blocks for _, lo, hi in tiles), default=1)
+    # every array below covers the indices its views reach with zeros;
+    # pad shifts index 0 of the J and E arrays
     pad = k_max + 2 * (ts + tc)
     jl = _shifted(ws.Jl[l::2], pad, 2 * pad + 2 * s_end)
     jm = _shifted(ws.Jm[m::2], pad, 2 * pad + 2 * s_end)
     ep = _shifted(ws.E, pad, 2 * pad + n + 2 * c_end)
-    gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
-    p_pad = c_end + abs(lm) + tc
-    gp = _shifted(ws.G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
-    gs = _shifted(ws.gs_pows[:count], p_pad, gp.size)
-    jn = _shifted(ws.jn_scaled[:count], 0, n + 2 * c_end + 2 * tc)
     # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
     hankel = _strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1))
     toeplitz = _strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1))
@@ -309,27 +256,69 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
     top = ep.size - tc - 1
     e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
     e_down = _strided(ep, top, (2, top + 1, tc), (1, -1, 1))
-    # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
-    g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
-    g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
-    gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
-    for c0, tiles in blocks:
-        r0 = tiles[0][0]
-        rows = tiles[-1][0] + ts - r0
-        e0 = min(e_lo for _, e_lo, _ in tiles)
-        width = max(e_hi for _, _, e_hi in tiles) - e0 + 1
+    for c0, r0, rows, tiles in blocks:
+        buf = np.zeros((lead + 2 * rows + tc - 1, tc))
+        block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
+        e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
+        width = max((e_hi for _, _, e_hi in tiles), default=0) - e0 + 1
         r_up = pad + a + c0 + 2 * e0 - 1
         r_down = top - pad - b - c0 + 2 * e0
         B = e_up[:, r_up : r_up + 2 * width : 2] * e_down[:, r_down : r_down + 2 * width : 2]
-        # rows tc-1 .. tc-2+2*rows hold the block interleaved by s', the rest stay 0
-        buf = np.zeros((2 * rows + 2 * tc - 2, tc))
-        block = buf[tc - 1 : tc - 1 + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
         for s0, e_lo, e_hi in tiles:
             k = e_hi - e_lo + 1
             x = pad + s0 + e_lo
             y = pad + s0 - e_lo - k_max + 1
             P = hankel[x : x + ts, :k] * toeplitz[:, y : y + ts, :k]
             np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
+        yield buf, block
+
+
+def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
+    """nu_first .. nu_(count-1) of the workspace's site; the entries below ``first`` are NaN.
+
+    pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the inner sums R of
+    ``_r_blocks``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
+    p = i - q, where G[i] / G[p] = C(i, q) G[q]: R(p, q) G[q] is the row
+    q = j of the double sum.  The weight is formed in that order: the
+    ratio (up to 1e79) goes into the gamma ladder before the J_n ladder,
+    since at gamma = 1, i = 1000, q near 512 the two ladders alone
+    multiply to about 1e-323.  Weights with q > i are zero.
+
+    A tile is formed only if its least order i = 2 s2 + c + h is below
+    ``count``, its greatest is at least ``first`` and some of its weights
+    are nonzero.  Each weighted block is summed along its anti-diagonals
+    s' + c = i - h, a sheared view of its buffer, into nu_i in column
+    order, so no sum depends on ``count`` or ``first``: a shorter table
+    is bit for bit a prefix of a longer one.
+    """
+    l, m, n = ws.params.l, ws.params.m, ws.params.n
+    h = (l + m + n) // 2
+    lm = h - n  # lm = (l+m-n)/2, so p = s' - c + lm
+    ts, tc = _ROW_TILE, _COL_TILE
+    blocks = []  # (c0, r0, rows, tiles) in column order
+    for c0 in range(0, max(count - h, 0), tc):
+        # the tile reaches p >= 0 and an order >= first
+        s1_min = max(-((1 + lm - c0) // 2), -((c0 + tc + h - first) // 2))
+        tiles = _tiles(ws.params, c0, (count - h - c0 + 1) // 2, s1_min)
+        if tiles:
+            blocks.append((c0, tiles[0][0], tiles[-1][0] + ts - tiles[0][0], tiles))
+    nus = np.zeros(count)
+    nus[:first] = np.nan
+    if not blocks:
+        return nus
+    s_end = max(r0 + rows for _, r0, rows, _ in blocks)
+    c_end = blocks[-1][0] + tc
+    # the weights' arrays are zero-padded like the tiles' (ones for G in a denominator)
+    gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
+    p_pad = c_end + abs(lm) + tc
+    gp = _shifted(ws.G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
+    gs = _shifted(ws.gs_pows[:count], p_pad, gp.size)
+    jn = _shifted(ws.jn_scaled[:count], 0, n + 2 * c_end + 2 * tc)
+    # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
+    g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
+    g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
+    gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
+    for (c0, r0, rows, _), (buf, block) in zip(blocks, _r_blocks(ws, blocks, tc - 1)):
         i0 = 2 * r0 + c0 + h
         p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
         q0 = n + 2 * c0
@@ -478,39 +467,105 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     return _scan(lambda i: (ws.term5(i), 0.0, True), params.band_edge / params.t, tol, n_max)
 
 
-def _scan_series6(
-    params: GreenParams, tol: float, n_max: int, l_max: int
-) -> _ScanState:
+def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
+    """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
+
+    A column block's R and a group are formed to the envelope width
+    (``_envelope_count``) of their last rows; where a row has not
+    stopped, the group's width doubles (R is rebuilt wider if it must
+    be), up to ``l_max``.  No width changes a result.
+    """
     if l_max < 1 or l_max > HARD_ORDER_CAP:
         raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     ws = _workspace(params, n_max, j_depth=n_max + l_max)
-    t, gamma = params.t, params.gamma
-    x_ramp = gamma / t * ws.ramp
-    r_out = 2.0 / (t - gamma)
-    first = 8
+    n, tc, r_out = params.n, _COL_TILE, 2.0 / (params.t - params.gamma)
+    depth = _nu_depth(params, tol, n_max)  # series6's terms decay at least as fast
+    rows: list[tuple[float, float, bool]] = []  # row n + 2c at index c
+    r_block = np.zeros((0, 0))  # R of the column block being read, [c % tc, p]
+
+    def tol_inner(q: int) -> float:
+        budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
+        return max(budget, 1e-300)
+
+    def group(c0: int, c1: int) -> range:
+        # rows n + 2c, c0 <= c < c1, and below the depth series5 would scan to
+        stop = min(n + 2 * c1, n_max)
+        return range(n + 2 * c0, min(stop, depth) if n + 2 * c0 < depth else stop, 2)
+
+    @lru_cache(maxsize=None)
+    def width(q: int) -> int:
+        return _envelope_count(ws, q, tol_inner(q), l_max)
 
     def row(i: int) -> tuple[float, float, bool]:
-        nonlocal first
+        nonlocal r_block
         if ws.Jn[i] == 0.0:
             return 0.0, 0.0, True
-        if r_out < 1.0:
-            tol_inner = max(tol * 0.25 * (1.0 - r_out) * r_out**i, 1e-300)
-        else:
-            tol_inner = max(tol * 0.25 / n_max, 1e-300)
-        value, error, ok, count = _series6_row(ws, i, x_ramp, tol_inner, l_max, first)
-        first = count + 4
-        return value, error, ok
+        while (i - n) // 2 >= len(rows):
+            c0 = len(rows)
+            k = c0 % tc  # the group's first column in its block
+            qs = group(c0, c0 - k + min(k + _ROW_GROUP, tc))
+            w = width(qs[-1])
+            if k == 0:
+                block = group(c0, c0 + tc)
+                r_block = _series6_r(ws, c0, len(block), max(w, width(block[-1])))
+            while True:
+                if k + len(qs) > r_block.shape[0] or w > r_block.shape[1]:
+                    r_block = _series6_r(ws, c0 - k, tc, max(w, r_block.shape[1]))
+                R = r_block[k : k + len(qs), :w]
+                formed, done = _series6_rows(ws, c0, [tol_inner(q) for q in qs], R)
+                if done or w == l_max:
+                    break
+                w = min(2 * w, l_max)
+            rows.extend(formed)
+        return rows[(i - n) // 2]
 
     return _scan(row, r_out, tol * 0.5, n_max)
+
+
+def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
+    """The pieces row q of series6 takes if every R(p, q) G[q] is pi^2, its bound.
+
+    J <= pi and sum_k C(q, k) 2^-q = 1 give piece_p <= env_p = c_p Jn[q] /
+    (pi t) and ratio_p env_(p-1) < env_p, so once a piece is nonzero the
+    row stops by the first p with ratio_p < 1 and 2 env_p ratio_p /
+    (1 - ratio_p) <= ``tol_q``: found by bisection on logarithms.
+    """
+    t, x = ws.params.t, ws.params.gamma / ws.params.t
+    log_x = math.log(x)
+    log_a = math.log(2.0 * ws.Jn[q] / (math.pi * t * tol_q)) + q * math.log(2.0 / t)
+    log_a -= math.lgamma(q + 1)
+
+    def passes(p: int) -> bool:
+        ratio = x * (q + p + 2) / (p + 2)
+        log_c = math.lgamma(q + p + 1) - math.lgamma(p + 1) + p * log_x
+        return ratio < 1.0 and log_a + log_c + math.log(ratio / (1.0 - ratio)) <= 0.0
+
+    return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
+
+
+def _series6_r(ws: _Workspace, c0: int, cols: int, width: int) -> np.ndarray:
+    """R(p, q) as r[c - c0, p], q = n + 2c, for c0 <= c < c0 + ``cols`` and p < ``width``.
+
+    A view over one block of ``_r_blocks`` at column c0, from its first
+    tile that reaches p >= 0; rows of s' < 0 and of tiles left out are 0.
+    """
+    tc, lm = _COL_TILE, (ws.params.l + ws.params.m - ws.params.n) // 2
+    s_stop = (width + c0 + cols - 2 - lm) // 2 + 1
+    tiles = _tiles(ws.params, c0, s_stop, -((1 + lm - c0) // 2))
+    r0 = tiles[0][0] if tiles else 0
+    base = c0 - lm - 2 * r0  # the row of p = 0, column c0, past the lead
+    lead = max(0, -base)
+    rows = max(0, -(-(s_stop - r0) // _ROW_TILE) * _ROW_TILE)
+    buf, _ = next(_r_blocks(ws, [(c0, r0, rows, tiles)], lead))
+    # r[c - c0, p] = buf[lead + base + c - c0 + p, c - c0]
+    return _strided(buf, (lead + base) * tc, (cols, width), (tc + 1, tc))
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:
     """r**i for 0 < r < 1 as math.frexp splits it, also where r**i is not normal.
 
-    Where the power is a normal number the result is frexp(r**i)
-    exactly.  Below that the mantissa of r, which lies in [0.5, 1), is
-    raised instead; its power stays normal up to i = 1021, past
-    HARD_ORDER_CAP.
+    Below the normal range the mantissa of r, in [0.5, 1), is raised
+    instead; its power stays normal up to i = 1021, past HARD_ORDER_CAP.
     """
     c = r**i
     if c >= sys.float_info.min:
@@ -520,117 +575,67 @@ def _ladder_start(r: float, i: int) -> tuple[float, int]:
     return m, e + er * i
 
 
-def _series6_row(
-    ws: _Workspace, i: int, x_ramp: np.ndarray, tol_inner: float, l_max: int, first: int
-) -> tuple[float, float, bool, int]:
-    """One outer row of the double series: adaptive sum over j.
+def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> tuple[list, bool]:
+    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, and whether all stopped.
 
-    With x = gamma/t and ``x_ramp`` = x * ws.ramp, piece j is
-    c_j (row_j G[i]) Jn[i] / t / pi^3, where c_j = C(i+j, j) x^j (2/t)^i
-    and row_j G[i] = sum_k C(i,k) 2^-i Jl[j+k] Jm[j+i-k], formed as G[i]
-    times the sum over E[k] E[i-k] Jl Jm.  The sum stops at the first j
-    whose ratio x (i+j+2)/(j+2) of successive binomial weights is below
-    1, with some piece so far nonzero and the tail bound
-    2 max(piece_j, ratio piece_(j-1)) ratio / (1 - ratio) at most
-    ``tol_inner``; otherwise after ``l_max`` pieces.  Returns the fsum
-    of the pieces, the last tail bound taken (inf if ``l_max`` ended the
-    sum before the ratio fell below 1, so no tail bound exists), whether
-    the stop test was met, and the number of pieces.
+    With x = gamma/t, piece p of row q is c_p (R(p, q) G[q]) Jn[q] / t /
+    pi^3, c_p = C(q+p, p) x^p (2/t)^q, and R(p, q) G[q] = sum_k C(q,k)
+    2^-q Jl[p+k] Jm[p+q-k] is read from ``R``, p < W.  A row stops at the
+    first p whose ratio x (q+p+2)/(p+2) is below 1, with a piece so far
+    nonzero and 2 max(piece_p, ratio piece_(p-1)) ratio / (1 - ratio) at
+    most ``tols[c - c0]``; it gives the fsum of its pieces, that bound
+    (inf if the ratio never fell below 1) and whether it stopped, or
+    sums all W pieces.  All rows are formed at once, elementwise in this
+    operation order; the ratio never rises with p and is divided by only
+    where below 1 (at t = 2 gamma it is exactly 1 at p = q - 2).
 
-    The indices j run in chunks [j, stop), each evaluated in numpy with
-    no interpreted loop per j.  The rows of a chunk come from the
-    workspace's sliding windows of Jl and reversed Jm, each reduced
-    along its own contiguous axis.  The ladder comes from
-    np.multiply.accumulate, which multiplies in sequence just as
-    c *= x (i+j+1)/(j+1) does.  Pieces, ratios and bounds are formed
-    elementwise in the scalar form's operation order, and argmax finds
-    the first j that passes the stop test.  So every piece, bound, flag
-    and sum is bit-identical to the one-j-at-a-time form.  The ratio
-    never rises with j, so the indices that take a bound are a suffix of
-    the chunk; the bound is formed on that suffix alone and never
-    divides by 1 - ratio = 0 (at t = 2 gamma the ratio is exactly 1 at
-    j = i - 2).
-
-    The first chunk is ``first`` wide; the scan passes the previous
-    row's count plus 4, so most rows end within their first chunk.
-    Later chunks are 16 wide.
-
-    The ladder is carried as a mantissa, renormalised by math.frexp at
-    each chunk start, and a binary exponent, applied with ldexp: at large
-    gamma (2/t)^i is subnormal or 0 at deep rows whose sum is a normal
-    number.  Scaling by 2^k is exact between normal numbers, so each c_j
-    equals the unscaled ladder's wherever that stays normal.  The
-    mantissa grows by at most the largest ladder factor, x (i+1) at
-    j = 0, per step, so the first chunk is cut short enough that it
-    stays below 2^1000.
+    The ladder starts from (2/t)^q split by ``_ladder_start`` (subnormal
+    or 0 at deep rows of large gamma); every factor x (q+p)/p is split by
+    np.frexp, mantissas multiplied in sequence and exponents summed.  The
+    mantissa stays in [2^-(p+1), 1], never overflows (the ladder passes
+    1e308 at gamma = 7, t = 9.01 from q = 510) and stays normal, where
+    scaling by 2^k is exact: ldexp gives the unscaled ladder where normal.
     """
-    t = ws.params.t
-    base = ws.E[: i + 1] * ws.E[i::-1]
-    jl_windows = ws.hankel[:, : i + 1]
-    jm_windows = ws.jm_rev[:, ws.depth - i :]
-    jn_i = ws.Jn[i]
-    g_i = float(ws.G[i])  # a numpy scalar would slow every piece's products
-    ramp = ws.ramp
-    m, e = _ladder_start(2.0 / t, i)
-    if x_ramp[i + 1] > 2.0:
-        first = min(first, int(1000.0 / math.log2(x_ramp[i + 1])))
-    pieces: list[float] = []
-    prev_piece = 0.0
-    seen = False
-    bound = math.inf
-    ok = False
-    j, width = 0, first
-    while j < l_max:
-        stop = min(j + width, l_max)
-        # f[q] = x (i+j+q)/(j+q): the ladder factor at j+q-1 and the
-        # ratio at j+q-2, in the scalar form's operation order
-        f = np.empty(stop - j + 2)
-        f[0] = m
-        np.divide(x_ramp[i + j + 1 : i + stop + 2], ramp[j + 1 : stop + 2], out=f[1:])
-        ladder = np.multiply.accumulate(f[:-1])  # c_j .. c_stop over 2^e
-        rows = np.add.reduce(base * jl_windows[j:stop] * jm_windows[j:stop], axis=1)
-        # buf holds the piece before the chunk, then the chunk's pieces
-        buf = np.empty(stop - j + 1)
-        buf[0] = prev_piece
-        piece = np.multiply(np.ldexp(ladder[:-1], e), rows * g_i, out=buf[1:])
-        piece *= jn_i
-        piece /= t
-        piece /= PI3
-        ratio = f[2:]
-        count = stop - j
-        u = 0 if ratio[0] < 1.0 else int(np.count_nonzero(ratio >= 1.0))
-        if u < count:
-            r = ratio[u:]
-            # binomial ratio governs the tail; the J factors vary slowly
-            # and the factor 2 covers their residual growth
-            bounds = 2.0 * np.maximum(piece[u:], r * buf[u:-1]) * r / (1.0 - r)
-            halt = bounds <= tol_inner
-            if not (seen or piece[0]):
-                halt &= np.logical_or.accumulate(piece != 0.0)[u:]
-            k = int(halt.argmax())
-            ok = bool(halt[k])
-            if ok:
-                count = u + k + 1
-            bound = bounds[k] if ok else bounds[-1]
-        pieces.extend(piece[:count].tolist())
-        if ok:
-            break
-        prev_piece = piece[-1]
-        if not seen:
-            seen = bool(piece.any())
-        m, de = math.frexp(ladder[-1])
-        e += de
-        j, width = stop, 16
-    return math.fsum(pieces), bound, ok, len(pieces)
+    t, x = ws.params.t, ws.params.gamma / ws.params.t
+    count, width = R.shape
+    q0 = ws.params.n + 2 * c0
+    qs = range(q0, q0 + 2 * count, 2)
+    pv = np.arange(1, width + 2)
+    f = x * (np.arange(q0, q0 + 2 * count, 2)[:, None] + pv)
+    f /= pv  # f[:, p] = x (q+p+1)/(p+1): the ladder's step to p+1, the ratio at p-1
+    # pieces[:, 1 + p] holds piece p and pieces[:, 0] = 0, the piece before p = 0
+    pieces = np.zeros((count, width + 1))
+    ladder = pieces[:, 1:]
+    exps = np.empty(R.shape, dtype=np.int64)
+    ladder[:, 0], exps[:, 0] = zip(*(_ladder_start(2.0 / t, q) for q in qs))
+    np.frexp(f[:, : width - 1], out=(ladder[:, 1:], exps[:, 1:]))
+    np.multiply.accumulate(ladder, axis=1, out=ladder)
+    np.cumsum(exps, axis=1, out=exps)
+    piece = np.ldexp(ladder, exps, out=ladder)
+    piece *= R * ws.G[q0 : q0 + 2 * count : 2, None]
+    piece *= ws.Jn[q0 : q0 + 2 * count : 2, None]
+    piece /= t
+    piece /= PI3
+    ratio = f[:, 1:]
+    below = ratio < 1.0
+    bounds = ratio * pieces[:, :-1]
+    np.maximum(piece, bounds, out=bounds)
+    bounds *= 2.0
+    bounds *= ratio
+    np.divide(bounds, 1.0 - ratio, out=bounds, where=below)
+    halt = bounds <= np.array(tols)[:, None]
+    halt &= below
+    halt &= np.logical_or.accumulate(piece != 0.0, axis=1)
+    out = []
+    for row, (stop, ok) in enumerate(zip(halt.argmax(axis=1).tolist(), halt.any(axis=1).tolist())):
+        last = stop if ok else width - 1
+        bound = float(bounds[row, last]) if below[row, last] else math.inf
+        out.append((math.fsum(piece[row, : last + 1].tolist()), bound, ok))
+    return out, all(ok for *_, ok in out)
 
 
 def _doubling_indices(count: int) -> list[int]:
-    idx = []
-    k = 1
-    while (1 << k) - 1 < count:
-        idx.append((1 << k) - 1)
-        k += 1
-    return idx
+    return [(1 << k) - 1 for k in range(1, count.bit_length() + 1) if (1 << k) - 1 < count]
 
 
 def _transform(sums: list[float], method: str) -> tuple[float, float]:
@@ -651,10 +656,7 @@ def _transform(sums: list[float], method: str) -> tuple[float, float]:
     if method == "wynn":
         return wynn_epsilon_with_estimate(seq)
     value = aitken_delta2(seq)
-    if len(window) > 3:
-        prev = aitken_delta2(PartialSumSequence(window[:-1]))
-    else:
-        prev = window[-1]
+    prev = aitken_delta2(PartialSumSequence(window[:-1])) if len(window) > 3 else window[-1]
     return value, abs(value - prev)
 
 
@@ -761,9 +763,7 @@ def convergence_rows(
     else:
         raise ValueError("convergence diagnostics need a series method")
     rows = []
-    for i, (term, psum, bound) in enumerate(
-        zip(state.terms, state.sums, state.bounds)
-    ):
+    for i, (term, psum, bound) in enumerate(zip(state.terms, state.sums, state.bounds)):
         accel_value: float | None = None
         if accel != "none" and i >= 2:
             accel_value, _ = _transform(state.sums[: i + 1], accel)

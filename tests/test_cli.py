@@ -138,6 +138,28 @@ class TestEval:
         r = run("eval", "--t", "4", "--frobnicate")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eval", "--t", "4", "--method", "quadrature", "--n-max", "-5"),
+            ("eval", "--t", "4", "--method", "series5", "--l-max", "0"),
+            ("eval", "--t", "4", "--method", "series6", "--l-max", "0"),
+            ("compare", "--t", "4", "--method", "series5,quadrature", "--l-max", "5000"),
+            ("sweep", "--t", "4:5:0.5", "--method", "quadrature", "--n-max", "1001"),
+            ("convergence", "--t", "4", "--l-max", "-1"),
+        ],
+    )
+    def test_order_limits_checked_for_every_method(self, args):
+        # --n-max and --l-max lie in [1, 1000] whether or not the method reads them
+        r = run(*args)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "must lie in [1, 1000]" in r.stderr
+
+    def test_order_limits_at_the_cap_accepted(self):
+        r = run("eval", "--t", "4", "--method", "quadrature", "--n-max", "1000", "--l-max", "1")
+        assert r.returncode == 0
+
     def test_range_rejected_outside_sweep(self):
         r = run("eval", "--t", "3.5:10:0.5")
         assert r.returncode == 1

@@ -24,6 +24,7 @@ from greenfcc import green_series
 from greenfcc.combinatorics import HARD_ORDER_CAP
 from greenfcc.green_series import (
     _COL_TILE,
+    _ROW_GROUP,
     _ROW_TILE,
     _factorial_scales,
     _finish,
@@ -31,7 +32,8 @@ from greenfcc.green_series import (
     _nu_table,
     _safe_order,
     _scan,
-    _series6_row,
+    _series6_r,
+    _series6_rows,
     _site_tables,
     _workspace,
 )
@@ -102,27 +104,33 @@ def _exact_series6_row(ws, i, x, l_max):
     Exact binomials C(i, k) and C(i+j, j) over the float inputs: the J
     vectors, x, 2/t, t and pi^3 as the code rounds them.
     """
-    p = ws.params
-    total = Fraction(0)
-    for j in range(l_max):
-        inner = sum(
-            math.comb(i, k) * Fraction(ws.Jl[j + k]) * Fraction(ws.Jm[j + i - k])
-            for k in range(i + 1)
-        )
-        total += math.comb(i + j, j) * Fraction(x) ** j * inner
-    scale = Fraction(2.0 / p.t) ** i / 2**i * Fraction(ws.Jn[i])
-    return total * scale / Fraction(p.t) / Fraction(PI3)
+    return sum(_exact_series6_pieces(ws, i, x, l_max), Fraction(0))
 
 
-def _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max, first=None):
+def _series6_row(ws, i, tol_inner, l_max):
+    """Row i of series6 as the scan forms it, (value, error, ok), on l_max pieces.
+
+    The row is read from column i of the R block that holds it, as
+    ``_scan_series6`` reads it; rows whose J_i(n) is zero are 0.0.
+    """
+    if ws.Jn[i] == 0.0:
+        return 0.0, 0.0, True
+    c = (i - ws.params.n) // 2
+    c_block = c - c % _COL_TILE
+    R = _series6_r(ws, c_block, _COL_TILE, l_max)[c - c_block : c - c_block + 1]
+    (row,), _ = _series6_rows(ws, c, [tol_inner], R)
+    return row
+
+
+def _series6_row_per_j(ws, i, tol_inner, l_max):
     """The one-j-at-a-time form of the series6 inner sum (reference).
 
-    Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i, so
-    the chunked form must match it bit for bit wherever its ladder stays
-    normal.  It takes the chunked form's arguments and ignores ``first``,
-    the first chunk's width.
+    Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i,
+    and its ladder the same product in the same order; only the inner
+    sums over k are formed one j at a time.  Returns (value, bound, ok,
+    number of pieces).
     """
-    x = float(x_ramp[1])
+    x = ws.params.gamma / ws.params.t
     base = ws.E[: i + 1] * ws.E[i::-1]
     c = (2.0 / ws.params.t) ** i
     pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
@@ -140,6 +148,20 @@ def _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max, first=None):
         prev_piece = piece
         c *= x * (i + j + 1) / (j + 1)
     return math.fsum(pieces), bound, ok, len(pieces)
+
+
+def _exact_series6_pieces(ws, i, x, count):
+    """The first ``count`` pieces of series6 row i, each an exact rational (see below)."""
+    p = ws.params
+    scale = Fraction(2.0 / p.t) ** i / 2**i * Fraction(ws.Jn[i]) / Fraction(p.t) / Fraction(PI3)
+    pieces = []
+    for j in range(count):
+        inner = sum(
+            math.comb(i, k) * Fraction(ws.Jl[j + k]) * Fraction(ws.Jm[j + i - k])
+            for k in range(i + 1)
+        )
+        pieces.append(math.comb(i + j, j) * Fraction(x) ** j * inner * scale)
+    return pieces
 
 
 def _lgamma_series6_row(ws, i, l_max):
@@ -286,7 +308,7 @@ class TestStridedLoops:
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
                 got_nu = ws.nu(i)
-                got_row = _series6_row(ws, i, x * ws.ramp, 0.0, l_max, 8)[0]
+                got_row = _series6_row(ws, i, 0.0, l_max)[0]
                 want_nu = Fraction(_gather_nu(ws, i))
                 want_row = _exact_series6_row(ws, i, x, l_max)
                 for got, want in ((got_nu, want_nu), (got_row, want_row)):
@@ -306,38 +328,50 @@ class TestStridedLoops:
         ws = _workspace(p, n_max, j_depth=n_max + l_max)
         x = p.gamma / p.t
         for i in (0, 1, 2, 7, 30, 31, 59):
-            got = Fraction(_series6_row(ws, i, x * ws.ramp, 0.0, l_max, 8)[0])
+            got = Fraction(_series6_row(ws, i, 0.0, l_max)[0])
             want = _exact_series6_row(ws, i, x, l_max)
             assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
     def test_series6_blocks_match_per_j_sums(self, site):
-        # the sum ends on either side of the first chunk's edge (l_max =
-        # first, first + 1) and of the next chunk's (first + 16, + 17);
-        # tol_inner = 0 never stops early, so the returned bound is built
-        # from the last pieces themselves.  At t = 2 gamma = 6 the ratio
-        # is exactly 1 at j = i - 2, where a bound would divide by zero
-        # (a RuntimeWarning is an error here).
+        # rows read from the R blocks against the one-j-at-a-time sums:
+        # the same stop, bound and flag, and a value within the exact
+        # rational bound of test_series6_row_matches_exact_binomials over
+        # the pieces the row summed.  Rows 66-68 lie in the second column
+        # block, l_max on either side of a tile's and a group's width;
+        # tol_inner = 0 never stops early, so the bound is
+        # built from the last pieces themselves.  At t = 2 gamma = 6 the
+        # ratio is exactly 1 at j = i - 2, where a bound would divide by
+        # zero (a RuntimeWarning is an error here).  The BLAS products sum
+        # the inner sums in another order, so values and bounds agree to
+        # rounding, not bit for bit.
         for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
             p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            n_max, l_max_top = 30, 60
+            n_max, l_max_top = 80, 60
             ws = _workspace(p, n_max, j_depth=n_max + l_max_top)
-            x_ramp = p.gamma / p.t * ws.ramp
-            for i in (0, 1, 2, 4, 9, 29):
-                for first in (1, 8, 20):
-                    edges = (first - 1, first, first + 1, first + 16, first + 17)
-                    for l_max in sorted({1, 15, 33, l_max_top, *(e for e in edges if e >= 1)}):
-                        for tol_inner in (0.0, 1e-13):
-                            got = _series6_row(ws, i, x_ramp, tol_inner, l_max, first)
-                            want = _series6_row_per_j(ws, i, x_ramp, tol_inner, l_max)
-                            assert got == want, (t, i, first, l_max, tol_inner)
+            x = p.gamma / p.t
+            for i in (0, 1, 2, 4, 9, 29, 30, 31, 32, 33, 34, 35, 66, 67, 68):
+                if ws.Jn[i] == 0.0:
+                    continue
+                exact = _exact_series6_pieces(ws, i, x, l_max_top)
+                for l_max in (1, 2, 15, 16, 17, 31, 32, 33, l_max_top):
+                    for tol_inner in (0.0, 1e-13):
+                        value, bound, ok = _series6_row(ws, i, tol_inner, l_max)
+                        want = _series6_row_per_j(ws, i, tol_inner, l_max)
+                        assert ok == want[2], (t, i, l_max, tol_inner)
+                        assert bound == pytest.approx(want[1], rel=1e-13), (t, i, l_max)
+                        count = want[3]
+                        exact_sum = sum(exact[:count], Fraction(0))
+                        slack = (i + 1 + 2 * count + 6) * self.EPS * exact_sum
+                        assert abs(Fraction(value) - exact_sum) <= slack, (t, i, l_max)
 
     def test_series6_scan_matches_per_j_rows(self, monkeypatch):
-        # the first chunk's width follows the previous row's count, so
-        # whole scans are compared with scans over the one-j-at-a-time
-        # rows: every distinct (t, gamma) of the bench's off-edge pool,
-        # t = 2 gamma = 6 where the ratio reaches exactly 1, short and
-        # open inner sums (l_max 1, 17, 50) and a transform
+        # whole scans against scans over the one-j-at-a-time rows: every
+        # distinct (t, gamma) of the bench's off-edge pool, t = 2 gamma = 6
+        # where the ratio reaches exactly 1, short and open inner sums
+        # (l_max 1, 17, 50) and a transform.  Every stop, and so every
+        # terms_used, converged and accelerated, must match; the values
+        # differ only by the rounding of the inner sums
         points = [
             (3.0, 0.5), (3.5, 0.5), (3.5, 1.0), (4.0, 1.0), (4.5, 2.0),
             (5.0, 0.5), (5.0, 2.0), (5.5, 1.0), (6.5, 2.0), (7.5, 0.5),
@@ -350,29 +384,108 @@ class TestStridedLoops:
             for site in [(0, 0, 0), (2, 1, 1), (3, 3, 2)]:
                 p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
                 calls += [(p, kw) for kw in kwargs]
-        chunked = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
-        monkeypatch.setattr(green_series, "_series6_row", _series6_row_per_j)
+        blocked = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
+
+        def per_j_rows(ws, c0, tols, R):
+            qs = range(ws.params.n + 2 * c0, ws.params.n + 2 * (c0 + len(tols)), 2)
+            rows = [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
+            return rows, all(row[2] for row in rows)
+
+        monkeypatch.setattr(green_series, "_series6_rows", per_j_rows)
         per_j = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
-        for (p, kw), got, want in zip(calls, chunked, per_j):
-            assert got == want, (p, kw)
+        for (p, kw), got, want in zip(calls, blocked, per_j):
+            assert got.terms_used == want.terms_used, (p, kw)
+            assert got.converged == want.converged, (p, kw)
+            assert got.accelerated == want.accelerated, (p, kw)
+            assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0), (p, kw)
 
     def test_series6_rows_past_the_subnormal_ladder_start(self):
         # at gamma = 7, t = 9.01 the ladder's start (2/t)^i leaves the
         # normal range near i = 471 and is 0.0 from i = 496, while the
         # rows are normal numbers near 1e-28: no row may come out 0.0,
-        # and the scan may not stop on two zero terms near row 497
+        # and the scan may not stop on two zero terms near row 497.  From
+        # row 510 the ladder over j < 1000 without its start passes 1e308,
+        # so rows 520 and 600 also need the renormalised mantissa
         p = GreenParams(t=9.01, gamma=7.0)
         l_max = 1000
         ws = _workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
-        x_ramp = p.gamma / p.t * ws.ramp
-        for i in (470, 494, 496, 500):
-            got = _series6_row(ws, i, x_ramp, 1e-300, l_max, 8)[0]
+        for i in (470, 494, 496, 500, 520, 600):
+            got = _series6_row(ws, i, 1e-300, l_max)[0]
             want = _lgamma_series6_row(ws, i, l_max)
             assert math.isfinite(got) and got > 0.0, i
             assert abs(got - want) <= 1e-10 * want, i
         rows, _ = convergence_rows(p, tol=1e-300, n_max=510, method="series6", l_max=l_max)
         assert len(rows) == 510
         assert all(row["term"] > 0.0 for row in rows[::2])
+
+
+class TestSeries6Blocks:
+    """Series6 rows read by column from the R blocks, a group at a time."""
+
+    SITES = [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]
+
+    def test_every_row_stops_inside_its_width(self, monkeypatch):
+        # a group may end with a row that has not stopped only once its
+        # width is l_max; below that the width doubles and the group is
+        # formed again.  Far sites, whose first pieces are zero beyond the
+        # envelope's width, take the doubling path.
+        formed = []
+
+        def spy(ws, c0, tols, R):
+            rows, done = _series6_rows(ws, c0, tols, R)
+            formed.append((c0, R.shape[1], done, [ok for _, _, ok in rows]))
+            return rows, done
+
+        monkeypatch.setattr(green_series, "_series6_rows", spy)
+        doubled = 0
+        for gamma in (0.5, 2.0, 7.0):
+            for offset in (0.01, 0.5, 5.0):
+                for l, m, n in self.SITES:
+                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+                    formed.clear()
+                    evaluate_series6(p)
+                    widths = {}
+                    for c0, width, done, oks in formed:
+                        assert done == all(oks), (p, c0)
+                        widths.setdefault(c0, []).append((width, done))
+                    for c0, tries in widths.items():
+                        for (width, done), (wider, _) in zip(tries, tries[1:]):
+                            assert not done and wider == min(2 * width, 400), (p, c0)
+                        assert tries[-1][1] or tries[-1][0] == 400, (p, c0)
+                        doubled += len(tries) > 1
+        assert doubled > 0
+
+    @pytest.mark.parametrize("t, gamma, site", [(3.01, 1.0, (2, 1, 1)), (4.5, 2.0, (3, 3, 2))])
+    def test_rows_past_the_first_blocks(self, t, gamma, site):
+        # the scan forms row groups and R blocks as it reaches them: every
+        # row whose J_i(n) is nonzero is a positive number, in the first
+        # block or past it, and equals the row read alone from its block
+        p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
+        n_max = 3 * 2 * _COL_TILE + 8
+        rows, _ = convergence_rows(p, tol=1e-300, n_max=n_max, method="series6")
+        assert len(rows) == n_max
+        ws = _workspace(p, n_max, j_depth=n_max + 400)
+        for i, row in enumerate(rows):
+            if ws.Jn[i] == 0.0:
+                assert row["term"] == 0.0, i
+                continue
+            assert row["term"] > 0.0, i
+            if (i - p.n) // 2 % _ROW_GROUP in (0, _ROW_GROUP - 1):
+                alone = _series6_row(ws, i, 1e-300, 400)[0]  # the scan's tol_inner here
+                assert row["term"] == pytest.approx(alone, rel=1e-14), i
+
+    def test_deepest_call_stays_small(self):
+        # one R block and one row group at a time; per-row chunks of the
+        # inner sums peaked at 0.61 MB here
+        p = GreenParams(t=9.01, gamma=7.0, l=2, m=1, n=1)
+        evaluate_series6(p, l_max=1000)
+        tracemalloc.start()
+        try:
+            evaluate_series6(p, l_max=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
 
 class TestNuTable:
@@ -436,7 +549,7 @@ class TestNuTable:
 class TestSiteTableCache:
     """One process-wide set of site tables serves every t and gamma."""
 
-    VIEWS = ("Jl", "Jm", "Jn", "hankel", "jm_rev")
+    VIEWS = ("Jl", "Jm", "Jn")
 
     def test_same_key_shares_arrays(self):
         a = _workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
