@@ -20,7 +20,8 @@ of its own:
   far axis site (12, 0, 0), series5 at the far site (24, 0, 0) with
   ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
   on a short series5 scan, series6 at the far site (24, 0, 0), series6
-  inner sums of up to 1000 terms at t = 9.01, gamma = 7, and the error
+  inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
+  series6 at the site (0, 0, 2000) past the series depth, and the error
   paths of an unknown method, ``compare`` with one method, ``compare``
   at t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
@@ -100,6 +101,9 @@ EXTRA_COMMANDS = (
     # series6 rows to j = 1000 at gamma = 7, whose ladders pass 1e308
     ["eval", "--t", "9.01", "--gamma", "7", "--lmn", "2", "1", "1", "--method", "series6",
      "--l-max", "1000"],
+    # a site past the series depth: every J_p(2000) read is a selection-rule zero
+    ["eval", "--t", "4", "--lmn", "0", "0", "2000"],
+    ["eval", "--t", "4", "--lmn", "0", "0", "2000", "--method", "series6"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],

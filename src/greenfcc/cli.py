@@ -42,6 +42,8 @@ from .params import GreenParams, SeriesEvaluation
 from .quadrature import QuadratureSpec, green_by_quadrature
 
 _METHODS = ("series5", "series6", "quadrature")
+# the most points one A:B:STEP range may expand to
+MAX_RANGE_POINTS = 10**6
 _CONFIG_KEYS = (
     "t",
     "gamma",
@@ -155,10 +157,14 @@ def _parse_range(text: str, name: str) -> list[float]:
     start, stop, step = (_single_float(p, name) for p in parts)
     if step == 0.0 or not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"{name} range needs a finite non-zero step")
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    if count < 1:
+    # the last index, as a float: infinite when stop - start or the
+    # quotient overflows, so it is bounded before it becomes an int
+    last = (stop - start) / step + 1e-9
+    if last < 0:
         raise ValueError(f"{name} range {text!r} is empty")
-    return [start + k * step for k in range(count)]
+    if not last < MAX_RANGE_POINTS:
+        raise ValueError(f"{name} range {text!r} has more than {MAX_RANGE_POINTS} points")
+    return [start + k * step for k in range(math.floor(last) + 1)]
 
 
 def _method_list(text: str, allow_many: bool) -> list[str]:

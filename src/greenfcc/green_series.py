@@ -94,12 +94,12 @@ def _safe_order(gamma: float) -> int:
 def _site_tables(l: int, m: int, n: int, j_depth: int) -> tuple[np.ndarray, ...]:
     """The read-only J vectors J_p(l), J_p(m), J_p(n), p <= j_depth, of one site.
 
-    They are read from the shared exact table and depend on neither t
-    nor gamma, so the cache keeps a sweep, a comparison or a repeated
-    call from rebuilding them.  Series6 has j_depth = n_max + l_max,
+    They are read from the shared closed-form table and depend on
+    neither t nor gamma, so the cache keeps a sweep, a comparison or a
+    repeated call from rebuilding them.  Series6 has j_depth = n_max + l_max,
     enough for every inner index j < l_max.
     """
-    table = shared_table(j_depth + max(l, m, n, 8) + 2)
+    table = shared_table(j_depth)
     vectors = []
     for site in (l, m, n):
         vectors.append(np.array([table.j_value(p, site) for p in range(j_depth + 1)]))

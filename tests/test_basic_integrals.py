@@ -33,21 +33,23 @@ def table() -> IntegralTable:
 
 
 class TestCosinePowerIntegral:
+    """I_n, the integral of cos^n(x), is J_n(0)."""
+
     def test_frozen_values(self, table):
-        assert table.power_value(0) == math.pi
-        assert table.power_value(1) == 0.0
-        assert table.power_value(2) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert table.power_value(8) == pytest.approx(
+        assert table.j_value(0, 0) == math.pi
+        assert table.j_value(1, 0) == 0.0
+        assert table.j_value(2, 0) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert table.j_value(8, 0) == pytest.approx(
             35 * math.pi / 128, rel=1e-15
         )
 
     def test_odd_orders_exactly_zero(self, table):
         for n in range(1, 60, 2):
-            assert table.power_value(n) == 0.0
+            assert table.j_value(n, 0) == 0.0
 
     def test_against_quadrature(self, table):
         for n in range(0, 21):
-            assert table.power_value(n) == pytest.approx(
+            assert table.j_value(n, 0) == pytest.approx(
                 quad_oracle(n, 0), abs=1e-12
             )
 
@@ -55,24 +57,27 @@ class TestCosinePowerIntegral:
         # sqrt(pi) Gamma((n+1)/2) / Gamma(n/2 + 1) is the other printed form
         for n in range(0, 40, 2):
             want = math.sqrt(math.pi) * math.gamma((n + 1) / 2) / math.gamma(n / 2 + 1)
-            assert table.power_value(n) == pytest.approx(want, rel=1e-13)
+            assert table.j_value(n, 0) == pytest.approx(want, rel=1e-13)
 
 
 class TestCosineProductIntegral:
+    """L_n(k), the integral of cos(kx) cos^n(x), is J_n(k)."""
+
     def test_frozen_values(self, table):
-        assert table.product_value(2, 2) == pytest.approx(math.pi / 4, rel=1e-15)
-        assert table.product_value(4, 2) == pytest.approx(math.pi / 4, rel=1e-15)
-        assert table.product_value(1, 3) == 0.0
+        assert table.j_value(2, 2) == pytest.approx(math.pi / 4, rel=1e-15)
+        assert table.j_value(4, 2) == pytest.approx(math.pi / 4, rel=1e-15)
+        assert table.j_value(1, 3) == 0.0
 
     def test_collapses_to_power_integral_at_k1(self, table):
-        # the alternating sum is empty at k=1, leaving 2^0 I_{n+1}
+        # cos(x) cos^n(x) = cos^(n+1)(x): J_n(1) = J_(n+1)(0), bit for bit,
+        # since C(n+1, (n+1)/2) / 2^(n+1) = C(n, (n-1)/2) / 2^n exactly
         for n in range(0, 20):
-            assert table.product_value(n, 1) == table.power_value(n + 1)
+            assert table.j_value(n, 1) == table.j_value(n + 1, 0)
 
     def test_against_quadrature(self, table):
         for n in range(0, 16):
             for k in range(2, 16):
-                assert table.product_value(n, k) == pytest.approx(
+                assert table.j_value(n, k) == pytest.approx(
                     quad_oracle(n, k), abs=1e-12
                 )
 
@@ -119,6 +124,18 @@ class TestIntegralTable:
         with pytest.raises(ValueError):
             table.j_value(11, 1)
 
+    def test_selection_rules_before_cap(self):
+        # odd k+n and k > n are exact zeros even past the cap
+        table = IntegralTable(10)
+        assert table.j_value(11, 2) == 0.0
+        assert table.j_value(12, 14) == 0.0
+
+    def test_values_independent_of_table_size(self):
+        small, big = IntegralTable(64), IntegralTable(1300)
+        for n in range(65):
+            for k in range(n + 3):
+                assert small.j_value(n, k) == big.j_value(n, k), (n, k)
+
     def test_shared_table_growth(self):
         small = shared_table(8)
         big = shared_table(64)
@@ -129,7 +146,7 @@ class TestIntegralTable:
         # J_n(k) = pi * C(n, (n-k)/2) / 2^n, bit for bit: both the exact
         # quotient and the product with pi are rounded once
         table = shared_table(1300)
-        for k in range(9):
+        for k in [*range(9), 24, 40]:
             for n in range(k, 1201, 2):
                 want = math.pi * (math.comb(n, (n - k) // 2) / (1 << n))
                 assert table.j_value(n, k) == want, (n, k)

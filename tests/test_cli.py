@@ -6,6 +6,7 @@ user are what gets tested.
 """
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -31,10 +32,15 @@ EVAL_KEYS = [
 SWEEP_HEADER = "t,gamma,l,m,n,method,value,error,terms,converged"
 
 
-def run(*args, **kwargs):
+def run(*args, timeout=120, **kwargs):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=120, **kwargs
+        CMD + list(args), capture_output=True, text=True, timeout=timeout, **kwargs
     )
+
+
+def cap_address_space():
+    """Limit a child to 1 GiB of address space, so a runaway list fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def json_lines(text):
@@ -125,6 +131,16 @@ class TestEval:
         (rec,) = json_lines(r.stdout)
         assert rec["converged"] is True
 
+    @pytest.mark.parametrize("method", ["series5", "series6"])
+    def test_far_site_needs_no_deep_table(self, method):
+        # every J_p(20000) with p <= the series depth is a selection-rule
+        # zero, so no table column is built for the site
+        r = run("eval", "--t", "4", "--lmn", "0", "0", "20000", "--method", method, timeout=20)
+        assert r.returncode == 2
+        (rec,) = json_lines(r.stdout)
+        assert rec["value"] == 0.0
+        assert rec["abs_error_estimate"] is None
+
     def test_bad_method(self):
         r = run("eval", "--t", "4", "--method", "series7")
         assert r.returncode == 1
@@ -187,6 +203,15 @@ class TestSweep:
     def test_empty_range(self):
         r = run("sweep", "--t", "5:4:1")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("spec", ["0:1e308:1e-308", "3:4:1e-300"])
+    def test_unbounded_point_count_rejected(self, spec):
+        # an infinite or astronomically large count is refused before any point is built
+        r = run("sweep", "--t", spec, preexec_fn=cap_address_space)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:")
+        assert "more than 1000000 points" in r.stderr
 
     def test_gamma_range(self):
         r = run("sweep", "--t", "4", "--gamma", "0.5:1.5:0.5", "--format", "csv")
