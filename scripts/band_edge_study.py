@@ -1,8 +1,7 @@
 """Behavior of the evaluator as t walks down onto the band edge 2+gamma.
 
 Three routes are compared at each t: the raw truncated series, the
-Wynn-accelerated series, and the corner-refined quadrature (taken as the
-reference).  Away from the edge all three agree and acceleration changes
+Wynn-accelerated series, and the quadrature (taken as the reference).  Away from the edge all three agree and acceleration changes
 nothing; at the edge the raw series is still centuries away at 400 terms
 while the accelerated value lands within ~1e-8.
 
@@ -11,12 +10,7 @@ Usage: python3 scripts/band_edge_study.py [--gamma G]
 
 import argparse
 
-from greenfcc import (
-    GreenParams,
-    QuadratureSpec,
-    evaluate_series5,
-    green_by_quadrature,
-)
+from greenfcc import GreenParams, evaluate_series5, green_by_quadrature
 
 
 def main():
@@ -27,14 +21,13 @@ def main():
 
     edge = 2.0 + args.gamma
     offsets = [1.0, 0.3, 0.1, 0.03, 0.01, 0.0]
-    spec = QuadratureSpec(corner_refinement_levels=18)
 
     print(f"{'t':>10}  {'reference':>18}  {'raw err':>10}  {'raw n':>6}  "
           f"{'wynn err':>10}  {'wynn says':>10}")
     for off in offsets:
         t = edge + off
         params = GreenParams(t=t, gamma=args.gamma)
-        ref = green_by_quadrature(params, spec).value
+        ref = green_by_quadrature(params).value
         raw = evaluate_series5(params, n_max=args.n_max)
         acc = evaluate_series5(params, n_max=args.n_max, accel="wynn")
         print(
@@ -47,11 +40,9 @@ def main():
         import math
 
         closed = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
-        ref = green_by_quadrature(
-            GreenParams(t=3.0), QuadratureSpec(corner_refinement_levels=22)
-        ).value
+        ref = green_by_quadrature(GreenParams(t=3.0)).value
         print()
-        print(f"edge value, deep quadrature : {ref:.15f}")
+        print(f"edge value, quadrature      : {ref:.15f}")
         print(f"edge value, gamma-function  : {closed:.15f}")
         print(f"difference                  : {abs(ref - closed):.2e}")
 

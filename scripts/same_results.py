@@ -17,8 +17,9 @@ of its own:
   series6 with inner sums of up to 179 terms that end on the tail test,
   series6 inner sums cut at ``--l-max`` 50 at t = 9.01, gamma = 7, a
   Wynn value at t = 3.001 within ``--tol`` 1e-7, the quadrature at the
-  far axis site (12, 0, 0), series5 at the far site (24, 0, 0) with
-  ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
+  far axis site (12, 0, 0), the corner quadrature at (24, 0, 0) on the
+  band edge and at (40, 0, 0) next to it, series5 at the far site
+  (24, 0, 0) with ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
   on a short series5 scan, series6 at the far site (24, 0, 0), series6
   inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
   series6 at the site (0, 0, 2000) past the series depth, and the error
@@ -90,6 +91,9 @@ EXTRA_COMMANDS = (
     ["eval", "--t", "3.001", "--lmn", "2", "2", "0", "--accel", "wynn", "--tol", "1e-7"],
     # a far axis site that the quadrature grid must resolve
     ["eval", "--t", "4", "--lmn", "12", "0", "0", "--method", "quadrature"],
+    # far axis sites on the corner path, at and next to the band edge
+    ["eval", "--t", "3", "--lmn", "24", "0", "0", "--method", "quadrature"],
+    ["eval", "--t", "3.01", "--lmn", "40", "0", "0", "--method", "quadrature"],
     # series5 terms that rise for a long stretch before they decay, to a tight tol
     ["eval", "--t", "4", "--lmn", "24", "0", "0", "--tol", "1e-13"],
     # t = 1e6 with gamma = 100003: r = 0.1 and gamma/s near 1, a table of a few orders

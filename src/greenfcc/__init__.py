@@ -5,8 +5,8 @@ Evaluates G(t, l, m, n; gamma), the lattice Green function of the
 gamma*cos x cos y + cos y cos z + cos z cos x, for t on or above the
 spectral band edge 2+gamma.  Two independent series arrangements and a
 quadrature of the defining integral (its z integral taken in closed
-form, then a periodic trapezoid rule, corner-refined Gauss-Legendre
-next to the band edge) cross-validate each other; Wynn and Aitken
+form, then a periodic trapezoid rule, a tanh-sinh product rule next
+to the band edge) cross-validate each other; Wynn and Aitken
 sequence transforms extend usable accuracy to the band edge itself.
 """
 

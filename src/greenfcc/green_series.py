@@ -470,10 +470,12 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
     """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
 
-    A column block's R and a group are formed to the envelope width
-    (``_envelope_count``) of their last rows; where a row has not
-    stopped, the group's width doubles (R is rebuilt wider if it must
-    be), up to ``l_max``.  No width changes a result.
+    A column block's R and a group are formed to the width of their
+    rows: the envelope width (``_envelope_count``) of the last row, and
+    at least one past the first p where R(p, q) of the first row can be
+    nonzero.  Where a row has not stopped, the group's width doubles (R
+    is rebuilt wider if it must be), up to ``l_max``.  No width changes
+    a result.
     """
     if l_max < 1 or l_max > HARD_ORDER_CAP:
         raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
@@ -496,6 +498,11 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     def width(q: int) -> int:
         return _envelope_count(ws, q, tol_inner(q), l_max)
 
+    def first(q: int) -> int:
+        # R(p, q) = 0 until p + q >= l, p + q >= m and 2p + q >= l + m;
+        # the envelope holds from the first nonzero piece on
+        return max(params.l - q, params.m - q, (params.l + params.m - q + 1) // 2)
+
     def row(i: int) -> tuple[float, float, bool]:
         nonlocal r_block
         if ws.Jn[i] == 0.0:
@@ -504,7 +511,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
             c0 = len(rows)
             k = c0 % tc  # the group's first column in its block
             qs = group(c0, c0 - k + min(k + _ROW_GROUP, tc))
-            w = width(qs[-1])
+            w = min(max(width(qs[-1]), first(qs[0]) + 1), l_max)
             if k == 0:
                 block = group(c0, c0 + tc)
                 r_block = _series6_r(ws, c0, len(block), max(w, width(block[-1])))

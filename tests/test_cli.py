@@ -131,6 +131,20 @@ class TestEval:
         (rec,) = json_lines(r.stdout)
         assert rec["converged"] is True
 
+    @pytest.mark.parametrize(
+        "t, l, reference",
+        # the Gauss-Legendre corner rule at 32 nodes on 6 cells per axis
+        # and 30 dyadic shells, which a run at 40 nodes on 8 cells and 34
+        # shells meets within 1.2e-16
+        [("3", "24", 0.0066300111060372735), ("3.01", "40", 7.278643276239724e-05)],
+    )
+    def test_quadrature_far_site_near_edge_converges(self, t, l, reference):
+        r = run("eval", "--t", t, "--lmn", l, "0", "0", "--method", "quadrature")
+        assert r.returncode == 0
+        (rec,) = json_lines(r.stdout)
+        assert rec["converged"] is True
+        assert abs(rec["value"] - reference) <= rec["abs_error_estimate"]
+
     @pytest.mark.parametrize("method", ["series5", "series6"])
     def test_far_site_needs_no_deep_table(self, method):
         # every J_p(20000) with p <= the series depth is a selection-rule

@@ -424,11 +424,8 @@ class TestSeries6Blocks:
 
     SITES = [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]
 
-    def test_every_row_stops_inside_its_width(self, monkeypatch):
-        # a group may end with a row that has not stopped only once its
-        # width is l_max; below that the width doubles and the group is
-        # formed again.  Far sites, whose first pieces are zero beyond the
-        # envelope's width, take the doubling path.
+    def _spy_rows(self, monkeypatch) -> list:
+        """Record (c0, width, done, per-row stops) of every group formed."""
         formed = []
 
         def spy(ws, c0, tols, R):
@@ -437,6 +434,18 @@ class TestSeries6Blocks:
             return rows, done
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
+        return formed
+
+    def test_every_row_stops_inside_its_width(self, monkeypatch):
+        # a group may end with a row that has not stopped only once its
+        # width is l_max; below that the width doubles and the group is
+        # formed again.  An envelope cut to a quarter of its width sends
+        # the groups down the doubling path.
+        formed = self._spy_rows(monkeypatch)
+        envelope = green_series._envelope_count
+        monkeypatch.setattr(
+            green_series, "_envelope_count", lambda *args: max(1, envelope(*args) // 4)
+        )
         doubled = 0
         for gamma in (0.5, 2.0, 7.0):
             for offset in (0.01, 0.5, 5.0):
@@ -454,6 +463,21 @@ class TestSeries6Blocks:
                         assert tries[-1][1] or tries[-1][0] == 400, (p, c0)
                         doubled += len(tries) > 1
         assert doubled > 0
+
+    def test_each_group_formed_once(self, monkeypatch):
+        # the width covers the pieces that are 0 until p reaches the site
+        # and the envelope from there on, so no group is formed twice;
+        # at (24, 0, 0), gamma = 0.5, t = 7.5 the first group used to run
+        # at width 19 and again at 38
+        formed = self._spy_rows(monkeypatch)
+        for gamma in (0.5, 1.0, 2.0, 7.0):
+            for offset in (0.01, 0.5, 2.0, 5.0, 20.0):
+                for l, m, n in self.SITES + [(40, 0, 0), (6, 4, 2), (0, 0, 12)]:
+                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+                    formed.clear()
+                    evaluate_series6(p)
+                    starts = [c0 for c0, *_ in formed]
+                    assert len(starts) == len(set(starts)), p
 
     @pytest.mark.parametrize("t, gamma, site", [(3.01, 1.0, (2, 1, 1)), (4.5, 2.0, (3, 3, 2))])
     def test_rows_past_the_first_blocks(self, t, gamma, site):

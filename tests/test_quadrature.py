@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from greenfcc.quadrature import (
 )
 
 WATSON_T3 = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
+# G at 207 corner-path points by an independent deep rule, keyed by
+# (gamma, t, l, m, n); how they were made is in the file
+CORNER_REFERENCES = {
+    tuple(point[:5]): point[5]
+    for point in json.loads((Path(__file__).parent / "corner_references.json").read_text())["points"]
+}
 
 
 class TestIntegrand:
@@ -126,16 +134,19 @@ class TestGreenByQuadrature:
 
     def test_error_estimate_covers_truth(self):
         # w = (t - edge)/(1 + gamma) = 0.0056 is on the corner path, where
-        # the Gauss-Legendre fields set the resolution
+        # corner_refinement_levels caps the halvings of the step: 0 keeps
+        # the first grid, whose estimate is |I_h - I_2h|, and 1 adds one
+        # halving, estimated by the d^2/d model
         params = GreenParams(t=2.81, gamma=0.8)
-        coarse = green_by_quadrature(
-            params, QuadratureSpec(nodes_per_axis=8, subdivisions_per_axis=1)
-        )
         fine = green_by_quadrature(params)
-        assert coarse.terms_used < fine.terms_used
-        assert abs(coarse.value - fine.value) <= 10 * max(
-            coarse.abs_error_estimate, 1e-15
-        )
+        for levels in (0, 1):
+            coarse = green_by_quadrature(
+                params, QuadratureSpec(corner_refinement_levels=levels)
+            )
+            assert coarse.terms_used < fine.terms_used
+            assert abs(coarse.value - fine.value) <= 10 * max(
+                coarse.abs_error_estimate, 1e-15
+            )
 
     def test_nested_estimate_covers_truth(self):
         # every unconverged trapezoid level's |I_N - I_N/2| bounds the
@@ -156,11 +167,10 @@ class TestGreenByQuadrature:
         q = green_by_quadrature(GreenParams(t=5.0))
         assert q.terms_used == (64 // 2 + 1) ** 2
         assert q.method == "quadrature"
-        # corner path: bulk box, 3 boxes per level on half the cells, and
-        # the two Duffy triangles of the innermost square
-        levels = QuadratureSpec().corner_refinement_levels
+        # corner path: the tanh-sinh product rule of step h = 1/32, whose
+        # nodes |k| h <= 3.5 number 7/h + 1 on each axis
         q = green_by_quadrature(GreenParams(t=3.01))
-        assert q.terms_used == 96**2 + 3 * levels * 48**2 + 2 * 24**2
+        assert q.terms_used == (7 * 32 + 1) ** 2
 
     def test_estimate_floored_at_rounding_level(self):
         # the fine and coarse runs can agree to the last bit; the estimate
@@ -216,14 +226,23 @@ class TestReferences:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("shift", [1e-15, 1e-12, 1e-9, 1e-6])
     def test_near_edge_window(self, gamma, shift):
-        # the innermost box must not straddle the core of radius ~sqrt(s)
+        # the nodes next to the corner must resolve the core of radius ~sqrt(s)
         params = GreenParams(t=2.0 + gamma + shift, gamma=gamma, l=2, m=1, n=1)
         q = green_by_quadrature(params)
-        deep = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=40))
-        err = abs(q.value - deep.value)
+        err = abs(q.value - CORNER_REFERENCES[(gamma, params.t, 2, 1, 1)])
         assert err <= 1e-12
         assert err <= q.abs_error_estimate
         assert q.converged
+
+    def test_corner_grid_against_deep_references(self):
+        # every corner-path point of the reference file: up to the exact
+        # edge, and to sites whose cosines the first grid must resolve
+        for (gamma, t, l, m, n), reference in CORNER_REFERENCES.items():
+            params = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
+            assert quadrature._use_corner(params)
+            q = green_by_quadrature(params)
+            assert q.converged, (gamma, t, l, m, n)
+            assert abs(q.value - reference) <= q.abs_error_estimate, (gamma, t, l, m, n)
 
     # at gamma = 1, t = 3.015 takes the corner path and 3.016 the
     # trapezoid: one on each side of the switch
@@ -264,9 +283,8 @@ class TestSwitch:
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
     def test_trapezoid_stops_by_512_at_the_switch(self, gamma):
-        # from the switch up the trapezoid needs N <= 512, where it beats
-        # the corner path; a little below it N = 1024 is needed, which
-        # takes 3-4x the corner path's time
+        # from the switch up the trapezoid needs N <= 512; a little below
+        # it N = 1024 is needed, which takes 4-7x the corner path's time
         width = quadrature._CORNER_WIDTH * (1.0 + 1e-12)
         for site in ((0, 0, 0), (2, 1, 1), (3, 3, 2), (8, 0, 0)):
             params = GreenParams(t=2.0 + gamma + width * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
