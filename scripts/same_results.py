@@ -18,7 +18,9 @@ of its own:
   series6 inner sums cut at ``--l-max`` 50 at t = 9.01, gamma = 7, a
   Wynn value at t = 3.001 within ``--tol`` 1e-7, the quadrature at the
   far axis site (12, 0, 0), the corner quadrature at (24, 0, 0) on the
-  band edge and at (40, 0, 0) next to it, series5 at the far site
+  band edge and at (40, 0, 0) next to it, the quadrature at an odd
+  n >= 3, at t = 2+gamma exactly with gamma = 1e9 and with
+  gamma = 1e-9, at t = 1e300, series5 at the far site
   (24, 0, 0) with ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
   on a short series5 scan, series6 at the far site (24, 0, 0), series6
   inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
@@ -94,6 +96,13 @@ EXTRA_COMMANDS = (
     # far axis sites on the corner path, at and next to the band edge
     ["eval", "--t", "3", "--lmn", "24", "0", "0", "--method", "quadrature"],
     ["eval", "--t", "3.01", "--lmn", "40", "0", "0", "--method", "quadrature"],
+    # an odd n >= 3, whose integrand changes sign
+    ["eval", "--t", "4.03", "--gamma", "2", "--lmn", "5", "4", "9", "--method", "quadrature"],
+    # t = 2+gamma exactly, at gamma = 1e9 and at gamma = 1e-9
+    ["eval", "--t", "1000000002", "--gamma", "1e9", "--method", "quadrature"],
+    ["eval", "--t", "2.000000001", "--gamma", "1e-9", "--method", "quadrature"],
+    # t = 1e300: the product of the two factors would overflow
+    ["eval", "--t", "1e300", "--lmn", "2", "0", "0", "--method", "quadrature"],
     # series5 terms that rise for a long stretch before they decay, to a tight tol
     ["eval", "--t", "4", "--lmn", "24", "0", "0", "--tol", "1e-13"],
     # t = 1e6 with gamma = 100003: r = 0.1 and gamma/s near 1, a table of a few orders

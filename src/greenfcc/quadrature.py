@@ -9,16 +9,20 @@ integral has a closed form (Watson 1939; Joyce 1998):
     int_0^pi cos(nz)/(A - B cos z) dz = pi rho^n / sqrt(A^2 - B^2),
     rho = B / (A + sqrt(A^2 - B^2)),
 
-so G = (1/pi^2) times a 2D integral over (x, y) in [0, pi]^2.  Both
-factors of A^2 - B^2 are assembled from versines v = 2 sin^2(x/2) and
-u = 2 - v, which makes every summand non-negative:
+so G = (1/pi^2) times a 2D integral over (x, y) in [0, pi]^2.  On a
+tensor grid both factors of A^2 - B^2 are rank-2 products of per-axis
+vectors, built from the versines v = 2 sin^2(x/2) and u = 2 cos^2(x/2):
+below x = pi/2
 
-    A - B = s + gamma*q(vx, vy) + vx + vy,
-    A + B = s + gamma*q(ux, uy) + ux + uy,
+    A - B = (s + (1+gamma) vx) + (1 + gamma cx) vy,
+    A + B = (s + 4 + (gamma-1) vx) + (gamma cx - 1) vy,
 
-with s = t - 2 - gamma and q(a, b) = a + b - a*b.  Near the points where
-a factor vanishes it is built from positive pieces rather than from a
-difference of cosines.
+with s = t - 2 - gamma, and past it the same two forms in u, with
+|cx|, give A + B and A - B.  Each factor is P_x + Q_x b_y, one small
+matrix product per grid block; near the points where it vanishes it is
+a sum of non-negative pieces, and elsewhere no piece exceeds it more
+than threefold, whatever gamma, so no factor is a difference of
+cosines.
 
 The 2D integrand is even and 2pi-periodic in x and y, so away from the
 band edge the periodic trapezoid rule converges geometrically
@@ -40,7 +44,9 @@ like exp(-c/h) in its step h despite the 1/r point.  It runs nested as
 the trapezoid does, h halving, and estimates its error from the last
 two differences, since each halving roughly squares a DE rule's error.
 
-Every grid block contributes its signed sum and its sum of magnitudes,
+The z integral F is formed on each grid block without weights.  The
+weights factor per axis, w = wx wy, so a block's sum of w F and of
+|w F| are the contractions wx^T F wy and |wx|^T |F| |wy|.  Blocks are
 added in a fixed order, so a given QuadratureSpec reproduces results
 bit-for-bit.
 """
@@ -64,16 +70,18 @@ _ROUNDING = 16.0 * sys.float_info.epsilon
 # ~ sqrt(2 w) the distance from the real plane to the zeros of A - B and
 # A + B, w = (t - edge)/(1 + gamma); the corner rule's cost hardly moves
 # with w but grows with max(l, m).  Corner time over trapezoid time,
-# median (range) over gamma in {0.5, 1, 2, 7}, best of 7 on a 2-core
-# x86 host:
+# each best of 7 on a 2-core x86 host, median over gamma in {0.5, 1, 2,
+# 7} and the sites of a row (l, m <= 8: (0, 0, 0), (2, 1, 1), (3, 3, 2),
+# (8, 0, 0)); a column of several w (0.002, 0.004, 0.006 | 0.008, 0.01,
+# 0.02 | 0.05, 0.08, 0.12) gives the range of those medians:
 #   w              0.002-0.006  0.008-0.02  0.03  0.05-0.12  0.15
-#   l, m <= 8      0.14-0.23    0.72-0.73   1.74  1.78-1.89  3.43
-#   (12|24, 0, 0)  0.19-0.20    0.65-0.67   0.68  1.64-1.90  1.70
-#   (40, 0, 0)     0.73-0.75    0.88-3.05   3.04  2.94-11.6  10.9
+#   l, m <= 8      0.15-0.17    0.73-0.74   1.35  1.39-1.42  2.17
+#   (12|24, 0, 0)  0.13-0.14    0.61-0.63   0.62  1.30-1.39  1.36
+#   (40, 0, 0)     0.80-0.82    0.80-4.63   4.71  4.57-14.2  14.0
 # The crossover lies near w = 0.025 for near sites, 0.04 for (12, 0, 0)
 # and (24, 0, 0), and 0.009 for (40, 0, 0).  Below 0.008 the trapezoid
 # needs N = 1024 and the corner rule wins at every site; a wider switch
-# would save ~30% on sites up to (24, 0, 0) and slow (40, 0, 0) 3x.
+# would save ~30% on sites up to (24, 0, 0) and slow (40, 0, 0) 4.6x.
 _CORNER_WIDTH = 0.008
 # the trapezoid doubles N up to this, and resolves sites up to a quarter of it
 _MAX_TRAPEZOID = 2048
@@ -113,73 +121,114 @@ class QuadratureSpec:
             raise ValueError("target_tol must be positive and finite")
 
 
-def _factors(params: GreenParams, x, y):
-    """(A - B, A + B) at (x, y), each a sum of non-negative terms.
+def _axis_factors(params: GreenParams, x, y):
+    """Per-axis columns whose products give A - B, A + B and 2B on the grid x by y.
 
-    Formed in place, a term at a time: on the large grids temporaries,
-    not the arithmetic, would set the time.  Both are arrays, also for
-    0-d (x, y), whose sums numpy would return as scalars.
+    With v = 2 sin^2(x/2), u = 2 cos^2(x/2) and c = cos x, each factor
+    is P_x + Q_x b_y, with b = v for x <= pi/2 and b = u past it:
+
+        near = (s + (1+gamma) a_x) + (1 + gamma |c_x|) b_y,
+        far  = (s + 4 + (gamma-1) a_x) + (gamma |c_x| - 1) b_y,
+
+    with a = v or u as b.  near is A - B on x <= pi/2, where it vanishes
+    at the origin, and A + B past it, where it vanishes at (pi, pi); far
+    is the other.  near is a sum of non-negative pieces, and where
+    Q_x < 0 in far, |Q_x b_y| <= 2 against far >= s + 1, so no factor is
+    formed by cancellation, whatever gamma.  With ``rows`` from x and
+    ``columns`` = (1, v, u, 1, c) from y, on the grid
+
+        near = rows[:, 0:3] @ columns[:, 0:3].T,
+        far = rows[:, 3:6] @ columns[:, 0:3].T,
+        2B = 2(c_x + c_y) = rows[:, 6:8] @ columns[:, 3:5].T.
     """
     shift, gamma = params.t - params.band_edge, params.gamma
-    vx = 2.0 * np.sin(0.5 * x) ** 2
-    vy = 2.0 * np.sin(0.5 * y) ** 2
-    ux = 2.0 - vx
-    uy = 2.0 - vy
-    factors = []
-    for a, b in ((vx, vy), (ux, uy)):
-        # shift + gamma*(a + b - a*b) + a + b
-        f = np.asarray(a + b)
-        f -= a * b
-        f *= gamma
-        f += shift
-        f += a
-        f += b
-        factors.append(f)
-    return tuple(factors)
+    v, u = _versines(x)
+    upper = v > u
+    a, c = np.minimum(v, u), np.cos(x)
+    g = gamma * np.abs(c)
+    rows = np.zeros((x.size, 8))
+    rows[:, 0] = shift + (1.0 + gamma) * a
+    rows[:, 3] = shift + 4.0 + (gamma - 1.0) * a
+    # Q_x multiplies v_y below pi/2 and u_y past it
+    for column, q in ((1, g + 1.0), (4, g - 1.0)):
+        np.copyto(rows[:, column], q, where=~upper)
+        np.copyto(rows[:, column + 1], q, where=upper)
+    rows[:, 6] = 2.0 * c
+    rows[:, 7] = 2.0
+    columns = np.ones((y.size, 5))
+    columns[:, 1], columns[:, 2] = _versines(y)
+    np.cos(y, out=columns[:, 4])
+    return rows, columns
 
 
-def _z_integral(params: GreenParams, x, y):
-    """(1/pi) int_0^pi cos(nz)/(t - omega) dz at (x, y), in closed form."""
-    minus, plus = _factors(params, x, y)
-    # sqrt(minus) * sqrt(plus): the product overflows past t ~ 1e154
-    root = np.sqrt(minus, out=minus)
-    root *= np.sqrt(plus, out=plus)
+def _versines(x):
+    """(2 sin^2(x/2), 2 cos^2(x/2)): 1 - cos x and 1 + cos x, each accurate where small."""
+    half = 0.5 * x
+    v, u = np.sin(half), np.cos(half)
+    v *= v
+    u *= u
+    v += v
+    u += u
+    return v, u
+
+
+def _z_grid(params: GreenParams, rows, columns):
+    """(1/pi) int_0^pi cos(nz)/(t - omega) dz over a tensor grid, in closed form.
+
+    F = rho^n/(sqrt(A - B) sqrt(A + B)), rho = B/(A + sqrt(A^2 - B^2)),
+    from the products of ``rows`` and ``columns`` of _axis_factors; it
+    carries no quadrature weight.
+    """
+    near = rows[:, 0:3] @ columns[:, 0:3].T
+    far = rows[:, 3:6] @ columns[:, 0:3].T
+    # sqrt(near) * sqrt(far): the product overflows past t ~ 1e154
+    np.sqrt(near, out=near)
+    np.sqrt(far, out=far)
     if params.n == 0:
-        return np.divide(1.0, root, out=root)
-    cx, cy = np.cos(x), np.cos(y)
-    # rho = (cx + cy)/(t - gamma*cx*cy + root)
-    rho = np.asarray(params.gamma * cx * cy)
-    np.subtract(params.t, rho, out=rho)
-    rho += root
-    np.divide(cx + cy, rho, out=rho)
+        far *= near
+        return np.divide(1.0, far, out=far)
+    root = near * far
+    # 2(A + root) = (sqrt(near) + sqrt(far))^2, a sum of positive pieces,
+    # divided out one factor at a time: its square overflows past t ~ 4e307
+    near += far
+    rho = rows[:, 6:8] @ columns[:, 3:5].T
+    rho /= near
+    rho /= near
     rho **= params.n
     rho /= root
     return rho
 
 
-def _half_grid(n: int, site: int, start: int = 0, step: int = 1):
-    """Nodes 2 pi k/n for k = start, start+step, .. <= n/2, and weights times cos(site x).
+def _contract(params: GreenParams, f, wx, wy):
+    """(wx^T F wy, |wx|^T |F| |wy|): the sums of wx wy F and of |wx wy F|.
+
+    The weights factor per axis, so both sums are contractions of the
+    unweighted F.  F is overwritten with |F|.
+    """
+    signed = float((wx @ f) @ wy)
+    # F >= 0 for even n
+    if params.n % 2:
+        np.abs(f, out=f)
+    return signed, float((np.abs(wx) @ f) @ np.abs(wy))
+
+
+def _half_grid(n: int, site: int):
+    """Nodes 2 pi k/n for k = 0 .. n/2, and weights times cos(site x).
 
     The weight is 1 at k = 0 and k = n/2 and 2 in between.  The cosine
     takes its argument reduced mod n in integers, so cos(site x) keeps
     period n exactly: from the rounded node itself it would carry an
     error ~ site * eps that does not cancel over the grid.
     """
-    k = np.arange(start, n // 2 + 1, step)
-    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0)
+    k = np.arange(n // 2 + 1)
+    weights = np.full(k.size, 2.0)
+    weights[[0, -1]] = 1.0
     angle = 2.0 * math.pi / n
     return angle * k, weights * np.cos(angle * (site % n * k % n))
 
 
-def _grid(params: GreenParams, x, wx, y, wy):
-    """wx*wy times the z integral over the tensor grid x by y."""
-    f = wx[:, None] * wy[None, :]
-    f *= _z_integral(params, x[:, None], y[None, :])
-    return f
-
-
-def _tanh_sinh(n: int, site: int, start: int = 0, step: int = 1, *, end: float):
-    """Nodes of the tanh-sinh rule of step h = 1/n on [0, end] with index start, start+step, ..
+def _tanh_sinh(n: int, site: int, *, end: float):
+    """Nodes of the tanh-sinh rule of step h = 1/n on [0, end].
 
     Node k, |k| <= K = 3.5 n, is x = end (1 + tanh u)/2 with u = (pi/2)
     sinh(kh), and its weight is end pi h cosh(kh) e/(1+e)^2 with e =
@@ -191,7 +240,7 @@ def _tanh_sinh(n: int, site: int, start: int = 0, step: int = 1, *, end: float):
     part.  Returns the nodes and n times the weights times cos(site x).
     """
     reach = 7 * n // 2
-    k = np.arange(start - reach, reach + 1, step)
+    k = np.arange(-reach, reach + 1)
     kh = k / n
     e = np.exp(-math.pi * np.abs(np.sinh(kh)))
     near = end * e / (1.0 + e)
@@ -204,27 +253,37 @@ def _nested_product(params: GreenParams, n: int, x_rule, y_rule):
     """Yield (n, I_n, I_n/2, sum of |w*f| on the scale of I_n) for n, 2n, 4n, ...
 
     I_n is the product of the n-point rules ``x_rule`` on x and
-    ``y_rule`` on y, each called as rule(n, site, start, step) for the
-    nodes of index start, start+step, .. and n times their weights
-    times cos(site x).  The n/2 rule of either is the even-index part of
-    the n rule with the same scaled weights, so I_n/2 costs nothing and
-    each doubling evaluates only the new nodes: odd rows by every
-    column, then even rows by odd columns.
+    ``y_rule`` on y, each called as rule(n, site) for its nodes and n
+    times their weights times cos(site x).  The n/2 rule of either is
+    the even-index part of the n rule with the same scaled weights, so
+    each level evaluates each axis once and adds only its new nodes:
+    odd rows by every column, then even rows by odd columns.
     """
     l, m = params.l, params.m
-    f = _grid(params, *x_rule(n, l), *y_rule(n, m))
-    previous = float(f[::2, ::2].sum())
-    total, magnitude = float(f.sum()), float(np.abs(f).sum())
+    odd, even, every = slice(1, None, 2), slice(0, None, 2), slice(None)
+    first = True
     while True:
+        (x, wx), (y, wy) = x_rule(n, l), y_rule(n, m)
+        rows, columns = _axis_factors(params, x, y)
+        if first:
+            # the whole grid, and I_n/2 from its even-index part
+            f = _z_grid(params, rows, columns)
+            previous = float((wx[even] @ f[even, even]) @ wy[even])
+            total, magnitude = _contract(params, f, wx, wy)
+            first = False
+        else:
+            previous = total
+            for r, c in ((odd, every), (even, odd)):
+                f = _z_grid(params, rows[r], columns[c])
+                signed, size = _contract(params, f, wx[r], wy[c])
+                total += signed
+                magnitude += size
         yield n, total / n**2, previous / (n // 2) ** 2, magnitude / n**2
         n *= 2
-        previous = total
-        for f in (
-            _grid(params, *x_rule(n, l, 1, 2), *y_rule(n, m)),
-            _grid(params, *x_rule(n, l, 0, 2), *y_rule(n, m, 1, 2)),
-        ):
-            total += float(f.sum())
-            magnitude += float(np.abs(f).sum())
+
+
+# the corner path's rules, on x in [0, pi/2] and y in [0, pi]
+_CORNER_RULES = (partial(_tanh_sinh, end=_HALF), partial(_tanh_sinh, end=math.pi))
 
 
 def _nested_trapezoid(params: GreenParams, n: int):
@@ -280,10 +339,9 @@ def _corner_run(params: GreenParams, halvings: int):
     """
     resolve = -(-3 * max(params.l, params.m) // 4)
     start = 1 << (max(8, resolve) - 1).bit_length()
-    rules = (partial(_tanh_sinh, end=_HALF), partial(_tanh_sinh, end=math.pi))
     last = 0.0
     for level, (n, value, coarse, magnitude) in enumerate(
-        _nested_product(params, min(start, _MAX_TANH_SINH), *rules)
+        _nested_product(params, min(start, _MAX_TANH_SINH), *_CORNER_RULES)
     ):
         difference = abs(value - coarse)
         model = min(difference, difference**2 / last) if last and n >= 32 else difference

@@ -6,6 +6,7 @@ user are what gets tested.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -364,6 +365,25 @@ class TestDeterminism:
         a.pop("wall_time_ms")
         b.pop("wall_time_ms")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("compare", "--t", "3.01", "--lmn", "2", "1", "1", "--method",
+             "series5,series6,quadrature", "--n-max", "1000"),
+            ("eval", "--t", "3", "--method", "quadrature"),
+        ],
+    )
+    def test_bytes_independent_of_blas_threads(self, args):
+        # the series5 moments and the quadrature's contractions go through BLAS
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            records = json_lines(run(*args, env=env).stdout)
+            for record in records:
+                record.pop("wall_time_ms", None)
+            outputs.append(records)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature, quadrature
 from greenfcc.quadrature import (
+    _CORNER_RULES,
     _ROUNDING,
-    _factors,
+    _axis_factors,
     _half_grid,
+    _nested_product,
     _nested_trapezoid,
-    _z_integral,
+    _z_grid,
 )
 
 WATSON_T3 = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
@@ -23,38 +26,104 @@ CORNER_REFERENCES = {
 }
 
 
+def _products(params, x, y):
+    """The near and far factors and 2B over the tensor grid x by y."""
+    rows, columns = _axis_factors(params, x, y)
+    return rows[:, 0:3] @ columns[:, 0:3].T, rows[:, 3:6] @ columns[:, 0:3].T, rows[:, 6:8] @ columns[:, 3:5].T
+
+
+def _agm(a: float, b: float) -> float:
+    while abs(a - b) > 1e-15 * a:
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    return (a + b) / 2.0
+
+
+def _origin_by_agm(t: float, gamma: float, points: int = 128) -> float:
+    """G(t, 0, 0, 0; gamma) as the 1D integral left after the z and y integrals.
+
+    G = (1/pi) int_0^pi dx / M(sqrt((t+1)^2 - (gamma-1)^2 c^2),
+    sqrt((t-1)^2 - (1+gamma)^2 c^2)), c = cos x, with M the
+    arithmetic-geometric mean (DLMF 19.8).  The integrand is even and
+    pi-periodic, so the mean over equispaced points converges
+    geometrically.  Each difference of squares is taken as a product,
+    the small factor from the shift t - 2 - gamma and 1 - c = 2 sin^2(x/2).
+    """
+    shift = t - 2.0 - gamma
+    total = []
+    for k in range(points):
+        x = math.pi * k / points
+        c = math.cos(x)
+        a2 = (t + 1.0 - (gamma - 1.0) * c) * (t + 1.0 + (gamma - 1.0) * c)
+        b2 = (shift + 2.0 * (1.0 + gamma) * math.sin(x / 2.0) ** 2) * (t - 1.0 + (1.0 + gamma) * c)
+        total.append(1.0 / _agm(math.sqrt(a2), math.sqrt(b2)))
+    return math.fsum(total) / points
+
+
 class TestIntegrand:
     def test_factors_bounded_below_by_shift(self):
-        # A - B and A + B are sums of non-negative terms plus s = t-2-gamma
+        # A - B and A + B are P_x + Q_x b_y with non-negative pieces near
+        # their zeros, so neither falls below s = t-2-gamma; at gamma = 5
+        # Q_x < 0 is reached on [0, pi]^2, in both halves of the x axis
         rng = np.random.default_rng(7)
-        x, y = rng.uniform(0.0, math.pi, size=(2, 4000))
+        x, y = (np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, size=200)]) for _ in range(2))
+        cx, cy = np.cos(x)[:, None], np.cos(y)[None, :]
+        lower = (x <= math.pi / 2)[:, None]
         for gamma in (0.5, 1.0, 2.0, 5.0):
             for shift in (0.0, 1e-3, 1.0):
                 params = GreenParams(t=2.0 + gamma + shift, gamma=gamma)
-                minus, plus = _factors(params, x, y)
+                rows, _ = _axis_factors(params, x, y)
+                assert np.any(rows[x <= math.pi / 2, 4] < 0) and np.any(rows[x > math.pi / 2, 5] < 0)
+                near, far, twice_b = _products(params, x, y)
                 s = params.t - params.band_edge
-                assert np.all(minus >= s) and np.all(plus >= s)
-                cx, cy = np.cos(x), np.cos(y)
+                assert np.all(near >= s) and np.all(far >= s)
                 a, b = params.t - gamma * cx * cy, cx + cy
+                minus, plus = np.where(lower, near, far), np.where(lower, far, near)
                 np.testing.assert_allclose(minus, a - b, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(plus, a + b, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(twice_b, 2.0 * b, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "x, y, n",
-        [(0.3, 1.1, 0), (0.3, 1.1, 3), (1.4, 2.9, 2), (0.05, 0.02, 1), (2.0, 0.7, 6)],
+        [(0.3, 1.1, 0), (0.3, 1.1, 3), (1.4, 2.9, 2), (0.05, 0.02, 1), (2.0, 0.7, 6), (2.9, 3.1, 1)],
     )
     def test_z_closed_form_against_numeric(self, x, y, n):
         # the trapezoid rule on a full period converges geometrically for
         # this analytic periodic even integrand, and its mean over the
         # period is (1/pi) times the integral over [0, pi]
         z = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        for gamma, t in ((1.0, 3.0), (0.5, 2.6), (2.0, 6.0)):
+        for gamma, t in ((1.0, 3.0), (0.5, 2.6), (2.0, 6.0), (5.0, 7.5)):
             params = GreenParams(t=t, gamma=gamma, l=n % 2, n=n)  # l sets parity
             cx, cy = math.cos(x), math.cos(y)
             omega = gamma * cx * cy + np.cos(z) * (cx + cy)
             numeric = math.fsum(np.cos(n * z) / (t - omega)) / z.size
-            closed = float(_z_integral(params, np.array(x), np.array(y)))
-            assert closed == pytest.approx(numeric, rel=1e-12, abs=1e-16)
+            grid = _z_grid(params, *_axis_factors(params, np.array([0.7, x]), np.array([y, 1.3])))
+            assert grid.shape == (2, 2)
+            assert float(grid[1, 0]) == pytest.approx(numeric, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("gamma", [0.5, 5.0])
+    @pytest.mark.parametrize("site", [(2, 0, 0), (1, 0, 1), (1, 1, 2), (2, 1, 3), (4, 3, 9)])
+    @pytest.mark.parametrize("rule", ["trapezoid", "corner"])
+    def test_levels_are_explicit_grid_sums(self, rule, site, gamma):
+        # each level's I_n, I_n/2 and magnitude, formed block by block by
+        # contraction, is the plain weighted sum over the whole n-point
+        # tensor grid, and over the n/2-point grid for I_n/2
+        params = GreenParams(t=2.0 + gamma + 0.05 * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
+        rules = (_half_grid, _half_grid) if rule == "trapezoid" else _CORNER_RULES
+        start = 32 if rule == "trapezoid" else 8
+
+        def grid_sums(n):
+            (x, wx), (y, wy) = rules[0](n, params.l), rules[1](n, params.m)
+            terms = (wx[:, None] * wy[None, :] * _z_grid(params, *_axis_factors(params, x, y))).ravel()
+            return math.fsum(terms) / n**2, math.fsum(np.abs(terms)) / n**2
+
+        levels = _nested_product(params, start, *rules)
+        for _ in range(3):
+            n, value, previous, magnitude = next(levels)
+            total, size = grid_sums(n)
+            floor = 8 * sys.float_info.epsilon * magnitude
+            assert abs(value - total) <= floor
+            assert abs(previous - grid_sums(n // 2)[0]) <= floor
+            assert abs(magnitude - size) <= floor
 
 
 class TestQuadratureSpec:
@@ -123,6 +192,13 @@ class TestGreenByQuadrature:
     def test_large_t_relative_accuracy(self):
         q = green_by_quadrature(GreenParams(t=1e6, gamma=1.0))
         assert q.value * 1e6 == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("site", [(2, 0, 0), (1, 0, 1)])
+    def test_largest_t_raises_no_overflow(self, site):
+        # every RuntimeWarning is an error here; the factors, their roots
+        # and rho's denominator stay finite up to the largest floats
+        q = green_by_quadrature(GreenParams(t=1.7e308, l=site[0], m=site[1], n=site[2]))
+        assert abs(q.value) <= q.abs_error_estimate
 
     def test_deterministic_reruns(self):
         spec = QuadratureSpec()
@@ -222,6 +298,15 @@ class TestReferences:
         assert q.converged
         assert err <= q.abs_error_estimate
         assert err <= 1e-14
+
+    @pytest.mark.parametrize(
+        "t, gamma",
+        [(4.0, 1.0), (3.5, 1.0), (3.1, 1.0), (3.02, 1.0), (2.6, 0.5), (6.0, 2.0), (12.0, 0.5), (1e6, 100003.0)],
+    )
+    def test_origin_against_agm(self, t, gamma):
+        # a 1D oracle that shares no code with the 2D rule
+        q = green_by_quadrature(GreenParams(t=t, gamma=gamma))
+        assert q.value == pytest.approx(_origin_by_agm(t, gamma), rel=2e-15)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("shift", [1e-15, 1e-12, 1e-9, 1e-6])
