@@ -24,7 +24,11 @@ of its own:
   (24, 0, 0) with ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
   on a short series5 scan, series6 at the far site (24, 0, 0), series6
   inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
-  series6 at the site (0, 0, 2000) past the series depth, and the error
+  series6 at the site (0, 0, 2000) past the series depth, series6 at
+  t = 4.5, gamma = 2 to tol 1e-14, at gamma = 30 and at gamma = 1e6,
+  ``convergence`` on series6 with ``--l-max`` 17, the quadrature at
+  gamma = 3e-8 next to the edge and at a t that passes fl(2 + gamma)
+  only by rounding, and the error
   paths of an unknown method, ``compare`` with one method, ``compare``
   at t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
@@ -117,6 +121,20 @@ EXTRA_COMMANDS = (
     # a site past the series depth: every J_p(2000) read is a selection-rule zero
     ["eval", "--t", "4", "--lmn", "0", "0", "2000"],
     ["eval", "--t", "4", "--lmn", "0", "0", "2000", "--method", "series6"],
+    # series6 rows read from the second column block on, to a tight tol
+    ["eval", "--t", "4.5", "--gamma", "2", "--lmn", "3", "3", "2", "--method", "series6",
+     "--tol", "1e-14"],
+    # series6 at large gamma, where x = gamma/t is near 1 and the rows are wide
+    ["eval", "--t", "32.5", "--gamma", "30", "--lmn", "2", "1", "1", "--method", "series6"],
+    # series6 at t - edge = 0.5 with gamma = 1e6: the depth's floor l+m+n
+    ["eval", "--t", "1000002.5", "--gamma", "1e6", "--method", "series6"],
+    # every row of a series6 scan whose groups are cut at l_max 17
+    ["convergence", "--t", "3.5", "--gamma", "0.5", "--lmn", "4", "2", "0", "--method", "series6",
+     "--l-max", "17"],
+    # the quadrature where 2 + gamma is not a float, and where t - 2 - gamma
+    # of the float inputs is -1e-17 though t >= fl(2 + gamma)
+    ["eval", "--t", "2.0000001", "--gamma", "3e-8", "--method", "quadrature"],
+    ["eval", "--t", "2.000000001", "--gamma", "1.0000000927403717e-09", "--method", "quadrature"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],

@@ -17,13 +17,18 @@ powers of 1/t.  Two rearrangements are implemented:
   whose inner sum is geometric-with-binomial weights in gamma/t.
 
 Every term of either arrangement is non-negative for gamma > 0, so the
-partial sums increase monotonically toward G and a geometric tail bound
-with ratio r = (2+gamma)/t (series 5) or 2/(t-gamma) (series 6) gives a
-sound truncation test away from the band edge t = 2+gamma.  At the band
-edge the terms decay only like i^(-3/2); the evaluators accept t = 2+gamma
-but do not mark the result converged.  A sequence transform sharpens the
-value there, but its estimate is not a bound, so a transformed result
-never claims convergence either.
+partial sums increase monotonically toward G.  One scan, ``_scan``, sums
+the terms of both: it stops once a geometric tail bound with ratio
+r = (2+gamma)/t (series 5) or 2/(t-gamma) (series 6) meets the
+tolerance.  That is not a sound truncation test: it trusts the bound
+from the first nonzero term on, and at a far site the terms rise for a
+long stretch after that, so the scan can stop on a tiny term
+(``greenfcc eval --t 4 --lmn 12 12 0`` exits 0 as converged with value
+8.9e-16, where G = 7.52e-10).  At the band edge the terms decay only
+like i^(-3/2); the evaluators accept t = 2+gamma but do not mark the
+result converged.  A sequence transform sharpens the value there, but
+its estimate is not a bound, so a transformed result never claims
+convergence either.
 
 The raw moments grow like (2+gamma)^i and leave the double range past
 order 680/ln(2+gamma).  Series5 therefore works with the normalized
@@ -38,7 +43,9 @@ J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  One
 tile builder, ``_r_blocks``, forms R as matrix products of J and E
 views, a column block of q at a time, with two readouts: series5 sums
 weighted anti-diagonals into its table nu_0 .. nu_(D-1) (``_nu_table``),
-series6 reads columns as its rows (``_series6_rows``).
+series6 reads columns as its rows (``_series6_rows``).  Each series
+builds its terms to the depth ``_depth`` gives it and hands them to the
+scan as an iterable.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -49,9 +56,10 @@ table is built.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -132,14 +140,14 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: scaled factorials, J vectors, gamma ladders, nu.
+    """Per-evaluation tables: scaled factorials, J vectors, gamma ladders.
 
     E, G (the binomials of both series) and the J vectors come from
     process-wide caches; the ladders (gamma/s)^k and (2/s)^j J_n[j],
-    s = 2+gamma, and series5's table ``nus`` of nu_0, nu_1, ... are built
-    per evaluation.  Both series read these through the one tile builder
-    ``_r_blocks``, with two readouts: series5 sums weighted anti-diagonals,
-    series6 reads columns.  Nothing here depends on t or is depth^2 big.
+    s = 2+gamma, are built per evaluation.  Both series read these
+    through the one tile builder ``_r_blocks``, with two readouts:
+    series5 sums weighted anti-diagonals, series6 reads columns.
+    Nothing here depends on t or is depth^2 big.
     """
 
     params: GreenParams
@@ -150,7 +158,6 @@ class _Workspace:
         p = self.params
         self.E, self.G = _factorial_scales()
         self.Jl, self.Jm, self.Jn = _site_tables(p.l, p.m, p.n, self.j_depth)
-        self.nus = np.zeros(0)
 
     @cached_property
     def gs_pows(self) -> np.ndarray:
@@ -161,17 +168,6 @@ class _Workspace:
     def jn_scaled(self) -> np.ndarray:
         ladder = np.power(2.0 / self.params.band_edge, np.arange(self.depth + 1))
         return ladder * self.Jn[: self.depth + 1]
-
-    def nu(self, i: int) -> float:
-        """nu_i, read from ``nus``; an order past the table raises IndexError."""
-        return float(self.nus[i])
-
-    def moment(self, i: int) -> float:
-        return self.nu(i) * self.params.band_edge**i
-
-    def term5(self, i: int) -> float:
-        t = self.params.t
-        return self.nu(i) * (self.params.band_edge / t) ** i / t
 
 
 def _workspace(params: GreenParams, depth: int, j_depth: int | None = None) -> _Workspace:
@@ -335,22 +331,32 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
     return nus
 
 
-def _nu_depth(params: GreenParams, tol: float, n_max: int) -> int:
-    """The orders of nu that series5's scan reads before it stops.
+def _depth(params: GreenParams, ratio: float, denominator: float, stop_tol: float, n_max: int) -> int:
+    """The terms a scan reads before it stops, for terms term_i <= ratio^i / denominator.
 
-    Every |nu_i| <= 1, so once some term is nonzero the scan's tail bound
-    after term i is at most r/(1-r) r^i / t, r = (2+gamma)/t, and the
-    first nonzero term comes by order max((l+m+n)/2, l, m, n) <= l+m+n.
-    So the scan stops by order max(i*, l+m+n), with i* the first i where
-    that bound meets ``tol``; two more orders cover the rounding of the
-    bound and of the logarithms here.  At r >= 1 nothing stops the scan
-    before ``n_max``.
+    Once some term is nonzero, the scan's tail bound after term i is then
+    at most ratio/(1-ratio) ratio^i / denominator, and the first nonzero
+    term comes by order l+m+n.  So the scan stops by order
+    max(i*, l+m+n), with i* the first i where that bound meets
+    ``stop_tol``; two more orders cover the rounding of the bound and of
+    the logarithms here.  At ratio >= 1 nothing stops the scan before
+    ``n_max``.
+
+    Series5 passes (r, t, tol), r = (2+gamma)/t: its term is nu_i r^i / t
+    with |nu_i| <= 1, and its first nonzero term comes at order
+    max((l+m+n)/2, l, m, n).  Series6 passes (r6, t - gamma, tol/2),
+    r6 = 2/(t - gamma).  With x = gamma/t, piece p of its row q is
+    C(q+p, p) x^p (2/t)^q (R(p, q) G[q]) Jn[q] / (t pi^3).  Every J is at
+    most pi, so Jn[q] <= pi and R(p, q) G[q] = sum_k C(q, k) 2^-q Jl Jm
+    <= pi^2; with sum_p C(q+p, p) x^p = (1 - x)^-(q+1) the row is at most
+    (2/t)^q / t (t/(t - gamma))^(q+1) = r6^q / (t - gamma), and a row cut
+    at ``l_max`` sums fewer pieces.  Its first nonzero row is
+    q = max(l+m, n) <= l+m+n, at p = 0.
     """
-    r = params.band_edge / params.t
-    if r >= 1.0:
+    if ratio >= 1.0:
         return n_max
-    i_star = (math.log(tol) + math.log(params.t) + math.log1p(-r) - math.log(r)) / math.log(r)
-    return min(n_max, max(math.ceil(i_star), params.l + params.m + params.n) + 2)
+    logs = math.log(stop_tol) + math.log(denominator) + math.log1p(-ratio) - math.log(ratio)
+    return min(n_max, max(math.ceil(logs / math.log(ratio)), params.l + params.m + params.n) + 2)
 
 
 def moment_coefficient(i: int, params: GreenParams) -> float:
@@ -374,9 +380,7 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"moment order {i} exceeds {limit}, the largest whose value "
             f"fits a double at gamma={params.gamma}"
         )
-    ws = _workspace(params, i)
-    ws.nus = _nu_table(ws, i + 1, first=i)
-    return ws.moment(i)
+    return float(_nu_table(_workspace(params, i), i + 1, first=i)[i]) * params.band_edge**i
 
 
 def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: str):
@@ -414,32 +418,35 @@ class _ScanState:
 
 
 def _scan(
-    row: Callable[[int], tuple[float, float, bool]],
+    rows: Iterable[tuple[float, float, bool]],
     ratio: float,
     stop_tol: float,
     n_max: int,
 ) -> _ScanState:
-    """Kahan-sum the terms row(0), row(1), ... of either series.
+    """Kahan-sum the terms of either series, read as (term, inner_error, inner_ok) rows.
 
-    ``row(i)`` returns (term, inner_error, inner_ok); series5 has no
-    inner sum and reports (term, 0.0, True).  After each term the
-    geometric tail bound ratio/(1-ratio) * max(term, ratio * prev) is
-    taken, and the running bound is the least of the bounds taken once
-    some nonzero term has been seen.  Before that, and always when
-    ``ratio >= 1``, it is inf.  The terms of both series are >= 0 and
-    exactly 0.0 until the first order whose walks reach the site, so
+    Series5 has no inner sum and gives (term, 0.0, True).  After each
+    term the geometric tail bound ratio/(1-ratio) * max(term, ratio *
+    prev) is taken, and the running bound is the least of the bounds
+    taken once some nonzero term has been seen.  Before that, and always
+    when ``ratio >= 1``, it is inf.  The terms of both series are >= 0
+    and exactly 0.0 until the first order whose walks reach the site, so
     the first nonzero term needs no floor index of its own.  Inner
     errors are kept per term and ``inner_ok`` holds only if every row
     reported it.  The scan stops once the running bound is <=
     ``stop_tol``, or after ``n_max`` terms.
+
+    ``rows`` is built to the depth ``_depth`` gives, so it can end
+    before ``n_max`` only once the scan has stopped.  If it ends sooner
+    the scan raises IndexError, unless every term so far is 0.0 (below
+    the double range, as at t = 1e300): then it ends unstopped.
     """
     geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     state = _ScanState()
     total = comp = 0.0
     seen_nonzero = False
     running = math.inf
-    for i in range(n_max):
-        term, inner_error, inner_ok = row(i)
+    for i, (term, inner_error, inner_ok) in enumerate(itertools.islice(rows, n_max)):
         state.terms.append(term)
         state.inner_errors.append(inner_error)
         state.inner_ok = state.inner_ok and inner_ok
@@ -458,75 +465,63 @@ def _scan(
         if running <= stop_tol:
             state.stopped = True
             break
+    else:
+        if len(state.terms) < n_max and seen_nonzero:
+            raise IndexError(f"the rows ended after {len(state.terms)} of {n_max} terms")
     return state
 
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
-    ws = _workspace(params, n_max)
-    ws.nus = _nu_table(ws, _nu_depth(params, tol, n_max))
-    return _scan(lambda i: (ws.term5(i), 0.0, True), params.band_edge / params.t, tol, n_max)
+    t = params.t
+    r = params.band_edge / t
+    nus = _nu_table(_workspace(params, n_max), _depth(params, r, t, tol, n_max))
+    return _scan(((nu * r**i / t, 0.0, True) for i, nu in enumerate(nus.tolist())), r, tol, n_max)
 
 
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
     """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
 
-    A column block's R and a group are formed to the width of their
-    rows: the envelope width (``_envelope_count``) of the last row, and
-    at least one past the first p where R(p, q) of the first row can be
-    nonzero.  Where a row has not stopped, the group's width doubles (R
-    is rebuilt wider if it must be), up to ``l_max``.  No width changes
-    a result.
+    Rows q = n, n+2, ... below the depth are read by column from one R
+    block of ``_COL_TILE`` rows at a time, built to the widest of its
+    groups; the rows between, where J_q(n) = 0, are 0.  A group's width
+    is the envelope width (``_envelope_count``) of its last row, at
+    least one past the first p where R(p, q) of its first row can be
+    nonzero, and at most ``l_max``.  No width changes a row that stops
+    inside it, and a row that does not stop reports so.
     """
     if l_max < 1 or l_max > HARD_ORDER_CAP:
         raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
     ws = _workspace(params, n_max, j_depth=n_max + l_max)
-    n, tc, r_out = params.n, _COL_TILE, 2.0 / (params.t - params.gamma)
-    depth = _nu_depth(params, tol, n_max)  # series6's terms decay at least as fast
-    rows: list[tuple[float, float, bool]] = []  # row n + 2c at index c
-    r_block = np.zeros((0, 0))  # R of the column block being read, [c % tc, p]
+    l, m, n = params.l, params.m, params.n
+    gap = params.t - params.gamma
+    r_out = 2.0 / gap
+    depth = _depth(params, r_out, gap, tol * 0.5, n_max)
 
     def tol_inner(q: int) -> float:
         budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
         return max(budget, 1e-300)
 
-    def group(c0: int, c1: int) -> range:
-        # rows n + 2c, c0 <= c < c1, and below the depth series5 would scan to
-        stop = min(n + 2 * c1, n_max)
-        return range(n + 2 * c0, min(stop, depth) if n + 2 * c0 < depth else stop, 2)
-
-    @lru_cache(maxsize=None)
-    def width(q: int) -> int:
-        return _envelope_count(ws, q, tol_inner(q), l_max)
-
-    def first(q: int) -> int:
+    def width(qs: range) -> int:
         # R(p, q) = 0 until p + q >= l, p + q >= m and 2p + q >= l + m;
         # the envelope holds from the first nonzero piece on
-        return max(params.l - q, params.m - q, (params.l + params.m - q + 1) // 2)
+        first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
+        return min(max(_envelope_count(ws, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
 
-    def row(i: int) -> tuple[float, float, bool]:
-        nonlocal r_block
-        if ws.Jn[i] == 0.0:
-            return 0.0, 0.0, True
-        while (i - n) // 2 >= len(rows):
-            c0 = len(rows)
-            k = c0 % tc  # the group's first column in its block
-            qs = group(c0, c0 - k + min(k + _ROW_GROUP, tc))
-            w = min(max(width(qs[-1]), first(qs[0]) + 1), l_max)
-            if k == 0:
-                block = group(c0, c0 + tc)
-                r_block = _series6_r(ws, c0, len(block), max(w, width(block[-1])))
-            while True:
-                if k + len(qs) > r_block.shape[0] or w > r_block.shape[1]:
-                    r_block = _series6_r(ws, c0 - k, tc, max(w, r_block.shape[1]))
-                R = r_block[k : k + len(qs), :w]
-                formed, done = _series6_rows(ws, c0, [tol_inner(q) for q in qs], R)
-                if done or w == l_max:
-                    break
-                w = min(2 * w, l_max)
-            rows.extend(formed)
-        return rows[(i - n) // 2]
+    def rows():
+        yield from itertools.repeat((0.0, 0.0, True), min(n, depth))
+        for q0 in range(n, depth, 2 * _COL_TILE):
+            block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
+            groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
+            widths = [width(qs) for qs in groups]
+            R = _series6_r(ws, (q0 - n) // 2, len(block), max(widths))
+            for k, qs, w in zip(range(0, len(block), _ROW_GROUP), groups, widths):
+                tols = [tol_inner(q) for q in qs]
+                for q, row in zip(qs, _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])):
+                    yield row
+                    if q + 1 < depth:
+                        yield 0.0, 0.0, True
 
-    return _scan(row, r_out, tol * 0.5, n_max)
+    return _scan(rows(), r_out, tol * 0.5, n_max)
 
 
 def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
@@ -582,8 +577,8 @@ def _ladder_start(r: float, i: int) -> tuple[float, int]:
     return m, e + er * i
 
 
-def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> tuple[list, bool]:
-    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, and whether all stopped.
+def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> list:
+    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6.
 
     With x = gamma/t, piece p of row q is c_p (R(p, q) G[q]) Jn[q] / t /
     pi^3, c_p = C(q+p, p) x^p (2/t)^q, and R(p, q) G[q] = sum_k C(q,k)
@@ -638,7 +633,7 @@ def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> 
         last = stop if ok else width - 1
         bound = float(bounds[row, last]) if below[row, last] else math.inf
         out.append((math.fsum(piece[row, : last + 1].tolist()), bound, ok))
-    return out, all(ok for *_, ok in out)
+    return out
 
 
 def _doubling_indices(count: int) -> list[int]:
@@ -716,10 +711,12 @@ def evaluate_series5(
 
     Summation stops once the running geometric tail bound (ratio
     r = (2+gamma)/t) drops to ``tol`` or ``n_max`` terms are exhausted.
-    With ``accel`` set, a sequence transform is applied to the partial
-    sums whenever the raw tail fails to converge, guarded against
-    transform blow-ups; this is what makes the band edge t = 2+gamma
-    usable.
+    That stop is not sound: at t = 4, site (12, 12, 0) it claims
+    convergence with 8.9e-16 for G = 7.52e-10 (see the module
+    docstring).  With ``accel`` set, a sequence transform is applied to
+    the partial sums whenever the raw tail fails to converge, guarded
+    against transform blow-ups; this is what makes the band edge
+    t = 2+gamma usable.
     """
     _validate_series_call(params, tol, n_max, accel)
     state = _scan_series5(params, tol, n_max)

@@ -121,6 +121,16 @@ class QuadratureSpec:
             raise ValueError("target_tol must be positive and finite")
 
 
+def _shift(params: GreenParams) -> float:
+    """s = t - 2 - gamma of the float inputs, correctly rounded, and 0.0 below the edge.
+
+    t - band_edge would subtract the rounded 2 + gamma: at t = 2.000000001,
+    gamma = 1e-9 that gives 0 for s = 8.27e-17, an error of 2.9e-9 in G.
+    Where the exact s is negative, t >= band_edge only by rounding.
+    """
+    return max(0.0, math.fsum([params.t, -2.0, -params.gamma]))
+
+
 def _axis_factors(params: GreenParams, x, y):
     """Per-axis columns whose products give A - B, A + B and 2B on the grid x by y.
 
@@ -141,7 +151,7 @@ def _axis_factors(params: GreenParams, x, y):
         far = rows[:, 3:6] @ columns[:, 0:3].T,
         2B = 2(c_x + c_y) = rows[:, 6:8] @ columns[:, 3:5].T.
     """
-    shift, gamma = params.t - params.band_edge, params.gamma
+    shift, gamma = _shift(params), params.gamma
     v, u = _versines(x)
     upper = v > u
     a, c = np.minimum(v, u), np.cos(x)
@@ -317,7 +327,7 @@ def _trapezoid_run(params: GreenParams):
 
 
 def _use_corner(params: GreenParams) -> bool:
-    return (params.t - params.band_edge) / (1.0 + params.gamma) < _CORNER_WIDTH
+    return _shift(params) / (1.0 + params.gamma) < _CORNER_WIDTH
 
 
 def _corner_run(params: GreenParams, halvings: int):

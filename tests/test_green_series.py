@@ -26,9 +26,9 @@ from greenfcc.green_series import (
     _COL_TILE,
     _ROW_GROUP,
     _ROW_TILE,
+    _depth,
     _factorial_scales,
     _finish,
-    _nu_depth,
     _nu_table,
     _safe_order,
     _scan,
@@ -54,10 +54,15 @@ def _float_binomials():
 
 
 def _nu_workspace(params, depth, j_depth=None):
-    """A workspace whose nu table holds every order up to ``depth``."""
+    """A workspace and its nu table of every order up to ``depth``."""
     ws = _workspace(params, depth, j_depth)
-    ws.nus = _nu_table(ws, depth + 1)
-    return ws
+    return ws, _nu_table(ws, depth + 1)
+
+
+def _terms(params, count, method="series5", **kwargs):
+    """The first ``count`` terms of a scan that does not stop before them."""
+    rows, _ = convergence_rows(params, tol=1e-300, n_max=count, method=method, **kwargs)
+    return [row["term"] for row in rows]
 
 
 def _gather_nu(ws, i):
@@ -118,7 +123,7 @@ def _series6_row(ws, i, tol_inner, l_max):
     c = (i - ws.params.n) // 2
     c_block = c - c % _COL_TILE
     R = _series6_r(ws, c_block, _COL_TILE, l_max)[c - c_block : c - c_block + 1]
-    (row,), _ = _series6_rows(ws, c, [tol_inner], R)
+    (row,) = _series6_rows(ws, c, [tol_inner], R)
     return row
 
 
@@ -268,19 +273,20 @@ class TestStridedLoops:
             edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
             exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201, *edges]
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws = _nu_workspace(p, safe + 2)
+            ws, nus = _nu_workspace(p, safe + 2)
+            terms = _terms(p, safe + 3)
             s, r = p.band_edge, p.band_edge / p.t
             for i in exact_orders + deep_orders:
-                nu = ws.nu(i)
+                nu = float(nus[i])
                 if i in exact_orders:
                     want = _exact_nu(i, site, gamma)
                     assert abs(Fraction(nu) - want) <= (i + 1) * self.EPS * want, (site, i)
                 else:
                     gather = Fraction(_gather_nu(ws, i))
                     assert abs(Fraction(nu) - gather) <= 2 * (i + 1) * self.EPS * gather, (site, i)
-                assert ws.term5(i) == nu * r**i / p.t, (site, i)
+                assert terms[i] == nu * r**i / p.t, (site, i)
                 if i <= safe:
-                    assert ws.moment(i) == nu * s**i, (site, i)
+                    assert moment_coefficient(i, p) == nu * s**i, (site, i)
 
     def test_factorial_scales_correctly_rounded(self):
         E, G = _factorial_scales()
@@ -304,10 +310,10 @@ class TestStridedLoops:
         tiny = Fraction(sys.float_info.min)
         for site in [(0, 0, 0), (24, 0, 0)]:
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws = _nu_workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+            ws, nus = _nu_workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
-                got_nu = ws.nu(i)
+                got_nu = float(nus[i])
                 got_row = _series6_row(ws, i, 0.0, l_max)[0]
                 want_nu = Fraction(_gather_nu(ws, i))
                 want_row = _exact_series6_row(ws, i, x, l_max)
@@ -388,8 +394,7 @@ class TestStridedLoops:
 
         def per_j_rows(ws, c0, tols, R):
             qs = range(ws.params.n + 2 * c0, ws.params.n + 2 * (c0 + len(tols)), 2)
-            rows = [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
-            return rows, all(row[2] for row in rows)
+            return [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
 
         monkeypatch.setattr(green_series, "_series6_rows", per_j_rows)
         per_j = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
@@ -425,44 +430,66 @@ class TestSeries6Blocks:
     SITES = [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]
 
     def _spy_rows(self, monkeypatch) -> list:
-        """Record (c0, width, done, per-row stops) of every group formed."""
+        """Record (c0, width, per-row stops) of every group formed."""
         formed = []
 
         def spy(ws, c0, tols, R):
-            rows, done = _series6_rows(ws, c0, tols, R)
-            formed.append((c0, R.shape[1], done, [ok for _, _, ok in rows]))
-            return rows, done
+            rows = _series6_rows(ws, c0, tols, R)
+            formed.append((c0, R.shape[1], [ok for _, _, ok in rows]))
+            return rows
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
         return formed
 
-    def test_every_row_stops_inside_its_width(self, monkeypatch):
-        # a group may end with a row that has not stopped only once its
-        # width is l_max; below that the width doubles and the group is
-        # formed again.  An envelope cut to a quarter of its width sends
-        # the groups down the doubling path.
+    def _grid(self):
+        for gamma in (0.5, 1.0, 2.0, 7.0):
+            for offset in (0.01, 0.5, 2.0, 5.0, 20.0):
+                for l, m, n in self.SITES + [(40, 0, 0), (6, 4, 2), (0, 0, 12)]:
+                    yield GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+
+    def test_every_row_below_l_max_stops(self, monkeypatch):
+        # a group is formed once, to the envelope width of its last row:
+        # every row formed below l_max must stop inside that width
+        formed = self._spy_rows(monkeypatch)
+        below = 0
+        for p in self._grid():
+            formed.clear()
+            evaluate_series6(p)
+            for c0, width, oks in formed:
+                if width < 400:
+                    assert all(oks), (p, c0, width)
+                    below += 1
+        assert below > 0
+
+    def test_cut_envelope_never_claims_convergence(self, monkeypatch):
+        # an envelope cut to a quarter of its width leaves rows that have
+        # not stopped; they report so, and no result that read one claims
+        # convergence.  The near sites all read one; the far sites stop
+        # after their first nonzero row (ROADMAP item 1), whose width is
+        # set by the first p where R(p, q) can be nonzero
         formed = self._spy_rows(monkeypatch)
         envelope = green_series._envelope_count
         monkeypatch.setattr(
             green_series, "_envelope_count", lambda *args: max(1, envelope(*args) // 4)
         )
-        doubled = 0
+        cut = 0
         for gamma in (0.5, 2.0, 7.0):
             for offset in (0.01, 0.5, 5.0):
                 for l, m, n in self.SITES:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
                     formed.clear()
-                    evaluate_series6(p)
-                    widths = {}
-                    for c0, width, done, oks in formed:
-                        assert done == all(oks), (p, c0)
-                        widths.setdefault(c0, []).append((width, done))
-                    for c0, tries in widths.items():
-                        for (width, done), (wider, _) in zip(tries, tries[1:]):
-                            assert not done and wider == min(2 * width, 400), (p, c0)
-                        assert tries[-1][1] or tries[-1][0] == 400, (p, c0)
-                        doubled += len(tries) > 1
-        assert doubled > 0
+                    ev = evaluate_series6(p)
+                    read = [
+                        ok
+                        for c0, _, oks in formed
+                        for c, ok in enumerate(oks, c0)
+                        if n + 2 * c < ev.terms_used
+                    ]
+                    assert not ev.converged or all(read), p
+                    if max(l, m, n) < 12:
+                        assert not all(read) and not ev.converged, p
+                    cut += not all(read)
+        assert cut > 0
 
     def test_each_group_formed_once(self, monkeypatch):
         # the width covers the pieces that are 0 until p reaches the site
@@ -470,14 +497,11 @@ class TestSeries6Blocks:
         # at (24, 0, 0), gamma = 0.5, t = 7.5 the first group used to run
         # at width 19 and again at 38
         formed = self._spy_rows(monkeypatch)
-        for gamma in (0.5, 1.0, 2.0, 7.0):
-            for offset in (0.01, 0.5, 2.0, 5.0, 20.0):
-                for l, m, n in self.SITES + [(40, 0, 0), (6, 4, 2), (0, 0, 12)]:
-                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
-                    formed.clear()
-                    evaluate_series6(p)
-                    starts = [c0 for c0, *_ in formed]
-                    assert len(starts) == len(set(starts)), p
+        for p in self._grid():
+            formed.clear()
+            evaluate_series6(p)
+            starts = [c0 for c0, *_ in formed]
+            assert len(starts) == len(set(starts)), p
 
     @pytest.mark.parametrize("t, gamma, site", [(3.01, 1.0, (2, 1, 1)), (4.5, 2.0, (3, 3, 2))])
     def test_rows_past_the_first_blocks(self, t, gamma, site):
@@ -538,23 +562,60 @@ class TestNuTable:
             safe = _safe_order(gamma)
             assert moment_coefficient(safe, p) == full[safe] * p.band_edge**safe, site
 
-    def test_order_past_the_table_raises(self):
-        # a depth too small for the scan must fail, not rebuild the table
-        ws = _workspace(GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1), 300)
-        ws.nus = _nu_table(ws, 40)
-        assert ws.nu(39) == _nu_table(ws, 301)[39]
-        with pytest.raises(IndexError):
-            ws.nu(40)
+    def test_order_past_the_table_raises(self, monkeypatch):
+        # a depth too small for the scan must fail, not rebuild the table:
+        # the rows end before n_max while the scan runs on
+        p = GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1)
+        ws = _workspace(p, 300)
+        assert _nu_table(ws, 40)[39] == _nu_table(ws, 301)[39]
+        monkeypatch.setattr(green_series, "_depth", lambda *args: 40)
+        for evaluate in (evaluate_series5, evaluate_series6):
+            with pytest.raises(IndexError):
+                evaluate(p, tol=1e-300, n_max=300)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
     def test_scan_stops_inside_the_table(self, gamma):
-        # the scan builds nu only to _nu_depth; it must never read past it
+        # the scan builds nu only to _depth; it must never read past it
         for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
             for tol in (1e-5, 1e-11, 1e-14):
                 for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
                     ev = evaluate_series5(p, tol=tol)
-                    assert ev.terms_used <= _nu_depth(p, tol, 400), (offset, tol, l, m, n)
+                    depth = _depth(p, p.band_edge / p.t, p.t, tol, 400)
+                    assert ev.terms_used <= depth, (offset, tol, l, m, n)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("l_max", [17, 400])
+    def test_series6_scan_stops_inside_its_depth(self, gamma, l_max):
+        # series6 forms its rows only to _depth at r6 = 2/(t - gamma); at
+        # t - edge = 1e6 the floor l+m+n sets that depth
+        for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
+            for tol in (1e-5, 1e-11, 1e-14):
+                for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
+                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+                    ev = evaluate_series6(p, tol=tol, l_max=l_max)
+                    gap = p.t - p.gamma
+                    depth = _depth(p, 2.0 / gap, gap, tol / 2, 400)
+                    assert ev.terms_used <= depth, (offset, tol, l, m, n)
+
+    @pytest.mark.parametrize("t, gamma", [(3.01, 1.0), (4.5, 2.0), (6.0, 3.0), (9.01, 7.0), (12.0, 0.5)])
+    def test_series6_rows_within_their_bound(self, t, gamma):
+        # _depth's premise for series6: row q <= r6^q / (t - gamma)
+        for l, m, n in [(0, 0, 0), (2, 1, 1), (3, 3, 2), (24, 0, 0)]:
+            p = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
+            gap = p.t - p.gamma
+            for q, term in enumerate(_terms(p, 120, method="series6")):
+                assert term <= (2.0 / gap) ** q / gap, (l, m, n, q)
+
+    @pytest.mark.parametrize("method", ["series5", "series6"])
+    def test_terms_below_the_double_range(self, method):
+        # at t = 1e300 every term of (2, 0, 0) is 0.0, so the bound never
+        # starts: the scan ends unstopped at its depth instead of raising
+        p = GreenParams(t=1e300, l=2)
+        rows, ev = convergence_rows(p, method=method)
+        assert [row["term"] for row in rows] == [0.0] * ev.terms_used
+        assert ev.value == 0.0 and ev.abs_error_estimate == math.inf
+        assert not ev.converged
 
     def test_deepest_call_stays_small(self):
         # the tiles keep every temporary near 2^16 doubles; an untiled
@@ -645,16 +706,16 @@ class TestOuterTerm:
 
     def test_leading_term_is_one_over_t(self):
         p = GreenParams(t=4.0)
-        assert _nu_workspace(p, 0).term5(0) == pytest.approx(1 / 4.0, rel=1e-15)
+        assert _terms(p, 1)[0] == pytest.approx(1 / 4.0, rel=1e-15)
 
     def test_leading_term_off_origin_vanishes(self):
         p = GreenParams(t=4.0, l=2, m=0, n=0)
-        assert _nu_workspace(p, 0).term5(0) == 0.0
+        assert _terms(p, 1)[0] == 0.0
 
     def test_second_moment_term(self):
         p = GreenParams(t=4.0, gamma=1.0)
         want = 0.75 * 4.0 ** (-3)
-        assert _nu_workspace(p, 2).term5(2) == pytest.approx(want, rel=1e-14)
+        assert _terms(p, 3)[2] == pytest.approx(want, rel=1e-14)
 
     @given(
         st.integers(0, 12),
@@ -680,7 +741,7 @@ class TestMomentEnvelope:
 
     def _nu_table(self, gamma, site):
         p = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-        return _nu_workspace(p, self.DEPTH).nus
+        return _nu_workspace(p, self.DEPTH)[1]
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
     def test_origin_bounds_every_site(self, gamma):
@@ -693,16 +754,8 @@ class TestMomentEnvelope:
 
 
 def _rows(terms, errors=None, oks=None):
-    """A row function over fixed terms, inner errors and inner flags."""
-
-    def row(i):
-        return (
-            terms[i],
-            errors[i] if errors else 0.0,
-            oks[i] if oks else True,
-        )
-
-    return row
+    """Rows over fixed terms, inner errors and inner flags."""
+    return zip(terms, errors or [0.0] * len(terms), oks or [True] * len(terms))
 
 
 class TestZeroTermsBeforeTheSite:
@@ -768,6 +821,19 @@ class TestScan:
         state = _scan(_rows(terms), ratio, 1.0, len(terms))
         assert not state.stopped and len(state.terms) == 8
         assert state.bounds == [math.inf] * 8
+
+    def test_rows_ending_early_raise(self):
+        # a depth too small: the rows end before n_max, past a nonzero term
+        terms = [0.0, 0.0, 1.0, 0.5]
+        with pytest.raises(IndexError):
+            _scan(_rows(terms), 0.5, 0.0, 10)
+        assert len(_scan(_rows(terms), 0.5, 0.0, 4).terms) == 4
+
+    def test_zero_rows_ending_early_end_unstopped(self):
+        # every term underflowed to 0.0: no bound exists, and nothing raises
+        state = _scan(_rows([0.0] * 4), 0.5, 1.0, 10)
+        assert not state.stopped and state.sums == [0.0] * 4
+        assert _finish(state, 1.0, "none", "series5").abs_error_estimate == math.inf
 
 
 class TestEvaluateSeries5:

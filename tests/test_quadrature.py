@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,33 @@ class TestReferences:
         assert err <= 1e-12
         assert err <= q.abs_error_estimate
         assert q.converged
+
+    @pytest.mark.parametrize(
+        "t, gamma, reference",
+        # 40-digit mpmath values of the 1D AGM form of G at the origin,
+        # taken at the exact binary values of t and gamma
+        [
+            (2.000000001, 1e-9, 0.69660196152641020496),
+            (2.000001, 1e-9, 0.6962836761998532191),
+            (2.0000001, 3e-8, 0.69651772569186797844),
+        ],
+    )
+    def test_shift_of_the_float_inputs(self, t, gamma, reference):
+        # 2 + gamma is not a float here: t - fl(2 + gamma) moved the edge
+        # by up to 8e-17 and the value by up to 2.9e-9
+        q = green_by_quadrature(GreenParams(t=t, gamma=gamma))
+        assert q.converged
+        assert abs(q.value - reference) <= q.abs_error_estimate
+
+    def test_shift_below_the_edge_by_rounding(self):
+        # t >= fl(2 + gamma), but t - 2 - gamma = -1e-17 exactly: the
+        # shift is taken as 0, not fed to a square root
+        params = GreenParams(t=2.000000001, gamma=1.0000000927403717e-09)
+        assert math.fsum([params.t, -2.0, -params.gamma]) < 0.0 <= params.t - params.band_edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = green_by_quadrature(params)
+        assert q.converged and math.isfinite(q.value)
 
     def test_corner_grid_against_deep_references(self):
         # every corner-path point of the reference file: up to the exact
