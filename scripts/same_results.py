@@ -28,7 +28,9 @@ of its own:
   t = 4.5, gamma = 2 to tol 1e-14, at gamma = 30 and at gamma = 1e6,
   ``convergence`` on series6 with ``--l-max`` 17, the quadrature at
   gamma = 3e-8 next to the edge and at a t that passes fl(2 + gamma)
-  only by rounding, and the error
+  only by rounding, the trapezoid at N = 1024 with an odd n and at
+  N = 2048, two trapezoid points whose stop is decided at the rounding
+  floor of the sum, and the error
   paths of an unknown method, ``compare`` with one method, ``compare``
   at t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
@@ -135,6 +137,12 @@ EXTRA_COMMANDS = (
     # of the float inputs is -1e-17 though t >= fl(2 + gamma)
     ["eval", "--t", "2.0000001", "--gamma", "3e-8", "--method", "quadrature"],
     ["eval", "--t", "2.000000001", "--gamma", "1.0000000927403717e-09", "--method", "quadrature"],
+    # the trapezoid at N = 1024 with an odd n, and at N = 2048
+    ["eval", "--t", "3.016", "--lmn", "5", "4", "9", "--method", "quadrature"],
+    ["eval", "--t", "1010.008", "--gamma", "1000", "--lmn", "0", "0", "20", "--method", "quadrature"],
+    # trapezoid stops decided at the rounding floor of the sum
+    ["eval", "--t", "4.995226466775371", "--gamma", "0.1", "--method", "quadrature"],
+    ["eval", "--t", "2.5515612150592935", "--gamma", "0.5", "--lmn", "0", "0", "8", "--method", "quadrature"],
     # error paths
     ["eval", "--t", "4", "--lmn", "1", "0", "0", "--method", "bogus"],
     ["compare", "--t", "4", "--method", "series5"],

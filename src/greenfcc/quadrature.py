@@ -28,9 +28,11 @@ The 2D integrand is even and 2pi-periodic in x and y, so away from the
 band edge the periodic trapezoid rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Its rate is set by the
 distance ~sqrt(2s/(1+gamma)) from the real plane to the zeros of A - B
-and A + B.  The rule is run on nested grids, N doubling, and the
-difference of the last two rules, whose nodes are shared, is the error
-estimate.
+and A + B.  The rules are nested, N doubling, and the difference of the
+last two, whose nodes are shared, is the error estimate.  The rate is
+known, so one grid is evaluated at the N it predicts, and every
+coarser rule is read from that grid: the N/2^j rule is every 2^j-th
+node of each axis.
 
 A - B vanishes at (0, 0) and A + B at (pi, pi) when t = 2+gamma; there
 the 2D integrand has an integrable 1/r point, and within
@@ -41,14 +43,15 @@ case admitted by GreenParams), so the domain is folded to x in
 tanh-sinh product rule (Takahasi & Mori, Publ. RIMS 9, 1974), whose
 nodes crowd double-exponentially into the ends of each axis, converges
 like exp(-c/h) in its step h despite the 1/r point.  It runs nested as
-the trapezoid does, h halving, and estimates its error from the last
-two differences, since each halving roughly squares a DE rule's error.
+the trapezoid does, h halving, from one grid at h = 1/32 (or at its
+start, if finer), and estimates its error from the last two
+differences, since each halving roughly squares a DE rule's error.
 
-The z integral F is formed on each grid block without weights.  The
-weights factor per axis, w = wx wy, so a block's sum of w F and of
-|w F| are the contractions wx^T F wy and |wx|^T |F| |wy|.  Blocks are
-added in a fixed order, so a given QuadratureSpec reproduces results
-bit-for-bit.
+The z integral F is formed on each grid without weights, in row tiles.
+The weights factor per axis, w = wx wy, so with one column of Wx and of
+Wy per rule, every rule's sum of w F and of |w F| is a diagonal entry of
+Wx^T F Wy and of |Wx|^T |F| |Wy|.  Tiles and grids are added in a fixed
+order, so a given QuadratureSpec reproduces results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -75,16 +77,33 @@ _ROUNDING = 16.0 * sys.float_info.epsilon
 # (8, 0, 0)); a column of several w (0.002, 0.004, 0.006 | 0.008, 0.01,
 # 0.02 | 0.05, 0.08, 0.12) gives the range of those medians:
 #   w              0.002-0.006  0.008-0.02  0.03  0.05-0.12  0.15
-#   l, m <= 8      0.15-0.17    0.73-0.74   1.35  1.39-1.42  2.17
-#   (12|24, 0, 0)  0.13-0.14    0.61-0.63   0.62  1.30-1.39  1.36
-#   (40, 0, 0)     0.80-0.82    0.80-4.63   4.71  4.57-14.2  14.0
-# The crossover lies near w = 0.025 for near sites, 0.04 for (12, 0, 0)
+#   l, m <= 8      0.22-0.23    0.81-0.82   1.99  1.54-2.21  3.87
+#   (12|24, 0, 0)  0.22-0.23    0.80-0.81   0.70  1.54-2.16  1.54
+#   (40, 0, 0)     0.79-0.81    0.80-2.87   2.46  2.41-7.82  7.57
+# The crossover lies near w = 0.024 for near sites, where the
+# trapezoid's first grid falls from N = 512 to 256, 0.04 for (12, 0, 0)
 # and (24, 0, 0), and 0.009 for (40, 0, 0).  Below 0.008 the trapezoid
 # needs N = 1024 and the corner rule wins at every site; a wider switch
-# would save ~30% on sites up to (24, 0, 0) and slow (40, 0, 0) 4.6x.
+# would save ~19% on sites up to (24, 0, 0) and slow (40, 0, 0) 2.9x.
 _CORNER_WIDTH = 0.008
 # the trapezoid doubles N up to this, and resolves sites up to a quarter of it
 _MAX_TRAPEZOID = 2048
+# The trapezoid evaluates its first grid at the smallest N >= its start
+# with N d >= _REACH, d = acosh(1 + w).  Run from the start, the rule
+# stopped above it only at N d >= 57.8 in every sweep made (gamma 1e-9
+# to 1e9, odd n included): 27k points near w = 0.0256, 8000 random
+# points with w in [0.02, 0.03] (least 58.3) and 5000 with w in [0.008,
+# 100] (least 61.9; l, m <= 8, n <= 10).  With 56 no first grid lies
+# past the stop; of the 5000 points 2791 start at it, and the grids
+# evaluated fall from 20319 to 7230.
+_REACH = 56.0
+# F is formed in row tiles of at most this many values (128 KB), which
+# keeps a call's working memory under 1 MB: one N = 2048 block took
+# 17.5 MB.  Best-of times of whole calls, tiles against one block, on a
+# 2-core x86 host: 225^2 corner grid 0.43 against 0.40 ms, 129^2
+# trapezoid grid 0.18 against 0.17 ms, N = 2048 88 against 101 ms;
+# tiles of 2^12 were 3-23% slower than 2^14, and 2^15 or 2^16 within 9%.
+_TILE = 1 << 14
 # the corner rule halves its step h = 1/n down to 1/_MAX_TANH_SINH, and
 # resolves sites up to 4/3 of that
 _MAX_TANH_SINH = 128
@@ -150,24 +169,26 @@ def _axis_factors(params: GreenParams, x, y):
         near = rows[:, 0:3] @ columns[:, 0:3].T,
         far = rows[:, 3:6] @ columns[:, 0:3].T,
         2B = 2(c_x + c_y) = rows[:, 6:8] @ columns[:, 3:5].T.
+
+    When y is x, as on the trapezoid's grid, v, u and c are formed once.
     """
     shift, gamma = _shift(params), params.gamma
     v, u = _versines(x)
-    upper = v > u
-    a, c = np.minimum(v, u), np.cos(x)
-    g = gamma * np.abs(c)
-    rows = np.zeros((x.size, 8))
-    rows[:, 0] = shift + (1.0 + gamma) * a
-    rows[:, 3] = shift + 4.0 + (gamma - 1.0) * a
-    # Q_x multiplies v_y below pi/2 and u_y past it
-    for column, q in ((1, g + 1.0), (4, g - 1.0)):
-        np.copyto(rows[:, column], q, where=~upper)
-        np.copyto(rows[:, column + 1], q, where=upper)
-    rows[:, 6] = 2.0 * c
+    a, c = np.minimum(v, u)[:, None], np.cos(x)
+    rows = np.empty((x.size, 8))
+    # P_x of near and far in columns 0 and 3
+    np.multiply(a, (1.0 + gamma, gamma - 1.0), out=rows[:, 0:4:3])
+    rows[:, 0:4:3] += (shift, shift + 4.0)
+    # Q_x of near and far multiplies v_y below pi/2, in columns 1 and 4,
+    # and u_y past it, in columns 2 and 5; q [x <= pi/2] and
+    # q - q [x <= pi/2] are exact
+    q = np.abs(c)[:, None] * gamma + (1.0, -1.0)
+    np.multiply(q, (v <= u)[:, None], out=rows[:, 1:5:3])
+    np.subtract(q, rows[:, 1:5:3], out=rows[:, 2:6:3])
+    np.multiply(c, 2.0, out=rows[:, 6])
     rows[:, 7] = 2.0
     columns = np.ones((y.size, 5))
-    columns[:, 1], columns[:, 2] = _versines(y)
-    np.cos(y, out=columns[:, 4])
+    columns[:, 1], columns[:, 2], columns[:, 4] = (v, u, c) if y is x else (*_versines(y), np.cos(y))
     return rows, columns
 
 
@@ -209,116 +230,145 @@ def _z_grid(params: GreenParams, rows, columns):
     return rho
 
 
-def _contract(params: GreenParams, f, wx, wy):
-    """(wx^T F wy, |wx|^T |F| |wy|): the sums of wx wy F and of |wx wy F|.
+def _grid_sums(params: GreenParams, rows, columns, wx, wy):
+    """Each rule's sum of w F and of |w F| over F on the grid ``rows`` by ``columns``.
 
-    The weights factor per axis, so both sums are contractions of the
-    unweighted F.  F is overwritten with |F|.
+    ``wx`` and ``wy`` are _level_weights, node by rule, so the sums are
+    diag(Wx^T F Wy) and diag(|Wx|^T |F| |Wy|), returned as one list:
+    every rule's signed sum, then every rule's sum of magnitudes.  F
+    carries no weights and is formed in row tiles of at most _TILE
+    values, each contracted as soon as it is formed.
     """
-    signed = float((wx @ f) @ wy)
-    # F >= 0 for even n
-    if params.n % 2:
-        np.abs(f, out=f)
-    return signed, float((np.abs(wx) @ f) @ np.abs(wy))
+    rules, step = wx.shape[1] // 2, max(1, _TILE // len(columns))
+    for lo in range(0, len(rows), step):
+        f = _z_grid(params, rows[lo : lo + step], columns)
+        w = wx[lo : lo + step].T
+        if params.n % 2:
+            # F changes sign only for odd n
+            signed = w[:rules] @ f
+            np.abs(f, out=f)
+            part = np.vstack((signed, w[rules:] @ f))
+        else:
+            part = w @ f
+        sums = part if lo == 0 else sums + part
+    return (sums @ wy).diagonal().tolist()
 
 
-def _half_grid(n: int, site: int):
-    """Nodes 2 pi k/n for k = 0 .. n/2, and weights times cos(site x).
+def _half_grids(n: int, l: int, m: int):
+    """Nodes 2 pi k/n for k = 0 .. n/2 on both axes, and their weights times cos(lx) and cos(my).
 
     The weight is 1 at k = 0 and k = n/2 and 2 in between.  The cosine
     takes its argument reduced mod n in integers, so cos(site x) keeps
     period n exactly: from the rounded node itself it would carry an
-    error ~ site * eps that does not cancel over the grid.
+    error ~ site * eps that does not cancel over the grid.  Returns x,
+    y (the same array) and the weights of x and of y as two rows.
     """
     k = np.arange(n // 2 + 1)
     weights = np.full(k.size, 2.0)
-    weights[[0, -1]] = 1.0
+    weights[0] = weights[-1] = 1.0
     angle = 2.0 * math.pi / n
-    return angle * k, weights * np.cos(angle * (site % n * k % n))
+    x = angle * k
+    return x, x, weights * np.cos(angle * (np.array([[l % n], [m % n]]) * k % n))
 
 
-def _tanh_sinh(n: int, site: int, *, end: float):
-    """Nodes of the tanh-sinh rule of step h = 1/n on [0, end].
+def _corner_grids(n: int, l: int, m: int):
+    """Nodes of the tanh-sinh rule of step h = 1/n on [0, pi/2] and on [0, pi], with site factors.
 
-    Node k, |k| <= K = 3.5 n, is x = end (1 + tanh u)/2 with u = (pi/2)
-    sinh(kh), and its weight is end pi h cosh(kh) e/(1+e)^2 with e =
-    exp(-2|u|) (Takahasi & Mori, Publ. RIMS 9, 1974).  Its distance to
-    the nearer end, end e/(1+e), is formed directly and the node from
-    that end, so nodes next to the singular corner keep their relative
-    precision; the nearest lies 2.6e-23 end from it, so none is dropped.
-    The index is k + K with K even, so the n/2 rule is the even-index
-    part.  Returns the nodes and n times the weights times cos(site x).
+    Node k of the rule on [0, end], |k| <= K = 3.5 n, is x = end (1 +
+    tanh u)/2 with u = (pi/2) sinh(kh), and its weight is end pi h
+    cosh(kh) e/(1+e)^2 with e = exp(-2|u|) (Takahasi & Mori, Publ. RIMS
+    9, 1974).  Its distance to the nearer end, end e/(1+e), is formed
+    directly and the node from that end, so nodes next to the singular
+    corner keep their relative precision; the nearest lies 2.6e-23 end
+    from it, so none is dropped.
+    The index is k + K, so the n/2^j rule is every 2^j-th node while 2^j
+    divides K.  Returns the nodes x on [0, pi/2] and y on [0, pi], and
+    as two rows n times their weights times cos(lx) and cos(my).  y and
+    its weights are twice x and its weights, which doubling forms
+    exactly, so cos(my) = cos(2m x).
     """
     reach = 7 * n // 2
     k = np.arange(-reach, reach + 1)
     kh = k / n
     e = np.exp(-math.pi * np.abs(np.sinh(kh)))
-    near = end * e / (1.0 + e)
-    x = np.where(k < 0, near, end - near)
-    weights = (end * math.pi) * np.cosh(kh) * e / (1.0 + e) ** 2
-    return x, weights * np.cos(site * x)
+    near = _HALF * e / (1.0 + e)
+    x = np.where(k < 0, near, _HALF - near)
+    weights = (_HALF * math.pi) * np.cosh(kh) * e / (1.0 + e) ** 2
+    return x, 2.0 * x, np.array([[1.0], [2.0]]) * weights * np.cos(np.array([[l], [2 * m]]) * x)
 
 
-def _nested_product(params: GreenParams, n: int, x_rule, y_rule):
-    """Yield (n, I_n, I_n/2, sum of |w*f| on the scale of I_n) for n, 2n, 4n, ...
+def _level_weights(w, levels: int):
+    """For each row of ``w``, nodes by 2 ``levels``: column j holds every 2^j-th weight, 0 elsewhere.
 
-    I_n is the product of the n-point rules ``x_rule`` on x and
-    ``y_rule`` on y, each called as rule(n, site) for its nodes and n
-    times their weights times cos(site x).  The n/2 rule of either is
-    the even-index part of the n rule with the same scaled weights, so
-    each level evaluates each axis once and adds only its new nodes:
-    odd rows by every column, then even rows by odd columns.
+    Column ``levels`` + j holds the magnitudes of column j.
+    """
+    out = np.zeros((*w.shape, 2 * levels))
+    for j in range(levels):
+        out[:, :: 1 << j, j] = w[:, :: 1 << j]
+    np.abs(out[..., :levels], out=out[..., levels:])
+    return out
+
+
+def _nested_product(params: GreenParams, start: int, first: int, grids):
+    """Yield (n, I_n, I_n/2, sum of |w*f| on the scale of I_n) for n = start, 2 start, ...
+
+    I_n is the product of two n-point rules: ``grids(n, l, m)`` gives the
+    nodes of the x and the y axis, and as two rows n times their weights
+    times cos(lx) and cos(my).  The n/2 rule of either axis is its
+    even-index part with the same scaled weights, so one grid, at n =
+    ``first``, holds every rule from start/2 to first: rule first/2^j
+    reads every 2^j-th node of each axis, and with column j of the
+    weight matrices Wx and Wy holding its weights, every nested sum is
+    diag(Wx^T F Wy) or diag(|Wx|^T |F| |Wy|).  The levels up to first
+    are read from those sums; past it each level evaluates its axes
+    once and adds only its new nodes: odd rows by every column, then
+    even rows by odd columns.
     """
     l, m = params.l, params.m
+    x, y, w = grids(first, l, m)
+    rows, columns = _axis_factors(params, x, y)
+    levels = (first // start).bit_length() + 1
+    sums = _grid_sums(params, rows, columns, *_level_weights(w, levels))
+    for j in range(levels - 2, -1, -1):
+        n = first >> j
+        yield n, sums[j] / n**2, sums[j + 1] / (n // 2) ** 2, sums[levels + j] / n**2
+    total, magnitude, n = sums[0], sums[levels], first
     odd, even, every = slice(1, None, 2), slice(0, None, 2), slice(None)
-    first = True
     while True:
-        (x, wx), (y, wy) = x_rule(n, l), y_rule(n, m)
-        rows, columns = _axis_factors(params, x, y)
-        if first:
-            # the whole grid, and I_n/2 from its even-index part
-            f = _z_grid(params, rows, columns)
-            previous = float((wx[even] @ f[even, even]) @ wy[even])
-            total, magnitude = _contract(params, f, wx, wy)
-            first = False
-        else:
-            previous = total
-            for r, c in ((odd, every), (even, odd)):
-                f = _z_grid(params, rows[r], columns[c])
-                signed, size = _contract(params, f, wx[r], wy[c])
-                total += signed
-                magnitude += size
-        yield n, total / n**2, previous / (n // 2) ** 2, magnitude / n**2
         n *= 2
-
-
-# the corner path's rules, on x in [0, pi/2] and y in [0, pi]
-_CORNER_RULES = (partial(_tanh_sinh, end=_HALF), partial(_tanh_sinh, end=math.pi))
-
-
-def _nested_trapezoid(params: GreenParams, n: int):
-    """Yield (N, I_N, I_N/2, sum of |w*f| on the scale of I_N) for N = n, 2n, ...
-
-    I_N is the N-point periodic trapezoid rule on [0, 2pi)^2, folded by
-    evenness onto the half grid theta_k = 2 pi k/N, k = 0 .. N/2, with
-    weight 1 at both ends and 2 inside; the N/2 grid is its even-index
-    part.
-    """
-    return _nested_product(params, n, _half_grid, _half_grid)
+        x, y, w = grids(n, l, m)
+        rows, columns = _axis_factors(params, x, y)
+        wx, wy = _level_weights(w, 1)
+        previous = total
+        for r, c in ((odd, every), (even, odd)):
+            part, part_size = _grid_sums(params, rows[r], columns[c], wx[r], wy[c])
+            total += part
+            magnitude += part_size
+        yield n, total / n**2, previous / (n // 2) ** 2, magnitude / n**2
 
 
 def _trapezoid_run(params: GreenParams):
     """(value, error estimate, node count) of the nested trapezoid.
 
-    Starts at the smallest power of two N >= max(32, 4 max(l, m)), so
-    the first grid resolves cos(lx) and cos(my), and doubles N until two
-    successive rules agree to the rounding level of their sum, or until
-    N reaches _MAX_TRAPEZOID.  A site the finest grid cannot resolve
-    gets an infinite estimate: there both rules may alias cos(lx) alike.
+    I_N is the N-point periodic trapezoid rule on [0, 2pi)^2, folded by
+    evenness onto the half grid theta_k = 2 pi k/N, k = 0 .. N/2, with
+    weight 1 at both ends and 2 inside.  The rules start at the smallest
+    power of two N >= max(32, 4 max(l, m)), so the first grid resolves
+    cos(lx) and cos(my), and double until two successive rules agree to
+    the rounding level of their sum, or until N reaches _MAX_TRAPEZOID.
+    The one grid evaluated first is at the N the rule's rate predicts,
+    the smallest power of two from the start on with N d >= _REACH, and
+    every coarser rule is read from it.  A site the finest grid cannot
+    resolve gets an infinite estimate: there both rules may alias
+    cos(lx) alike.
     """
     resolve = 4 * max(params.l, params.m)
     start = min(_MAX_TRAPEZOID, 1 << (max(32, resolve) - 1).bit_length())
-    for n, value, previous, magnitude in _nested_trapezoid(params, start):
+    rate = math.acosh(1.0 + _shift(params) / (1.0 + params.gamma))
+    first = start
+    while first < _MAX_TRAPEZOID and first * rate < _REACH:
+        first *= 2
+    for n, value, previous, magnitude in _nested_product(params, start, first, _half_grids):
         difference = abs(value - previous)
         if difference <= _ROUNDING * magnitude or n >= _MAX_TRAPEZOID:
             break
@@ -345,13 +395,20 @@ def _corner_run(params: GreenParams, halvings: int):
     The model is not fed |I_8 - I_4|: the step-1/4 rule is too coarse
     for the squaring to hold (at gamma = 0.6, t - edge = 3.2e-6 it gave
     2e-15 for an error of 3e-13).  A site the finest step cannot
-    resolve gets an infinite estimate.
+    resolve gets an infinite estimate.  No corner point has been seen
+    to stop before n = 32 (of the 207 in tests/corner_references.json,
+    134 stop at 32 and 73 at 64), so the one grid evaluated first is at
+    n = 32, or at the start if that is finer, but never past the cap
+    that ``halvings`` and _MAX_TANH_SINH set; every coarser rule is read
+    from it.
     """
     resolve = -(-3 * max(params.l, params.m) // 4)
     start = 1 << (max(8, resolve) - 1).bit_length()
+    lowest = min(start, _MAX_TANH_SINH)
+    first = min(max(lowest, 32), lowest << halvings, _MAX_TANH_SINH)
     last = 0.0
     for level, (n, value, coarse, magnitude) in enumerate(
-        _nested_product(params, min(start, _MAX_TANH_SINH), *_CORNER_RULES)
+        _nested_product(params, lowest, first, _corner_grids)
     ):
         difference = abs(value - coarse)
         model = min(difference, difference**2 / last) if last and n >= 32 else difference

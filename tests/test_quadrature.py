@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,12 +10,11 @@ import pytest
 
 from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature, quadrature
 from greenfcc.quadrature import (
-    _CORNER_RULES,
     _ROUNDING,
     _axis_factors,
-    _half_grid,
+    _corner_grids,
+    _half_grids,
     _nested_product,
-    _nested_trapezoid,
     _z_grid,
 )
 
@@ -105,26 +105,29 @@ class TestIntegrand:
     @pytest.mark.parametrize("site", [(2, 0, 0), (1, 0, 1), (1, 1, 2), (2, 1, 3), (4, 3, 9)])
     @pytest.mark.parametrize("rule", ["trapezoid", "corner"])
     def test_levels_are_explicit_grid_sums(self, rule, site, gamma):
-        # each level's I_n, I_n/2 and magnitude, formed block by block by
-        # contraction, is the plain weighted sum over the whole n-point
-        # tensor grid, and over the n/2-point grid for I_n/2
+        # each level's I_n, I_n/2 and magnitude, read from the one grid at
+        # n = first or added block by block past it, is the plain weighted
+        # sum over the whole n-point tensor grid, and over the n/2-point
+        # grid for I_n/2
         params = GreenParams(t=2.0 + gamma + 0.05 * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
-        rules = (_half_grid, _half_grid) if rule == "trapezoid" else _CORNER_RULES
+        grids = _half_grids if rule == "trapezoid" else _corner_grids
         start = 32 if rule == "trapezoid" else 8
 
         def grid_sums(n):
-            (x, wx), (y, wy) = rules[0](n, params.l), rules[1](n, params.m)
+            x, y, (wx, wy) = grids(n, params.l, params.m)
             terms = (wx[:, None] * wy[None, :] * _z_grid(params, *_axis_factors(params, x, y))).ravel()
             return math.fsum(terms) / n**2, math.fsum(np.abs(terms)) / n**2
 
-        levels = _nested_product(params, start, *rules)
-        for _ in range(3):
-            n, value, previous, magnitude = next(levels)
-            total, size = grid_sums(n)
-            floor = 8 * sys.float_info.epsilon * magnitude
-            assert abs(value - total) <= floor
-            assert abs(previous - grid_sums(n // 2)[0]) <= floor
-            assert abs(magnitude - size) <= floor
+        for first in (start, 2 * start, 4 * start):
+            levels = _nested_product(params, start, first, grids)
+            for level in range(4):
+                n, value, previous, magnitude = next(levels)
+                assert n == start << level
+                total, size = grid_sums(n)
+                floor = 8 * sys.float_info.epsilon * magnitude
+                assert abs(value - total) <= floor
+                assert abs(previous - grid_sums(n // 2)[0]) <= floor
+                assert abs(magnitude - size) <= floor
 
 
 class TestQuadratureSpec:
@@ -167,7 +170,7 @@ class TestGreenByQuadrature:
         # rounding floor of the sum
         for t in (3.5, 5.0):
             differences = []
-            for n, value, previous, magnitude in _nested_trapezoid(GreenParams(t=t), 8):
+            for n, value, previous, magnitude in _nested_product(GreenParams(t=t), 8, 8, _half_grids):
                 differences.append(abs(value - previous))
                 if differences[-1] <= _ROUNDING * magnitude or n >= 256:
                     break
@@ -229,7 +232,7 @@ class TestGreenByQuadrature:
         # every unconverged trapezoid level's |I_N - I_N/2| bounds the
         # error of I_N against the level that reached the rounding floor
         levels = []
-        for n, value, previous, magnitude in _nested_trapezoid(GreenParams(t=4.0, gamma=0.8), 8):
+        for n, value, previous, magnitude in _nested_product(GreenParams(t=4.0, gamma=0.8), 8, 8, _half_grids):
             levels.append((value, abs(value - previous)))
             if levels[-1][1] <= _ROUNDING * magnitude:
                 break
@@ -260,6 +263,81 @@ class TestGreenByQuadrature:
             q = green_by_quadrature(params)
             assert q.abs_error_estimate > 0.0
             assert q.abs_error_estimate <= 1e-14
+
+
+# points on both paths, w = (t - edge)/(1 + gamma) from the edge up
+FIRST_GRID_POINTS = [
+    GreenParams(t=2.0 + gamma + w * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
+    for gamma in (0.5, 1.0, 7.0)
+    for w in (0.0, 1e-6, 0.004, 0.01, 0.03, 0.1, 1.0, 10.0)
+    for site in ((0, 0, 0), (2, 1, 1), (4, 2, 0), (8, 0, 0))
+]
+
+
+def _from_start(monkeypatch, firsts=None):
+    """Make each run evaluate its first grid at the start, recording the first it chose in ``firsts``."""
+    nested_product = quadrature._nested_product
+
+    def at_start(params, start, first, grids):
+        if firsts is not None:
+            firsts[params] = first
+        return nested_product(params, start, start, grids)
+
+    monkeypatch.setattr(quadrature, "_nested_product", at_start)
+
+
+class TestFirstGrid:
+    """The one grid evaluated first saves levels; it moves no result and adds no nodes."""
+
+    def test_first_grid_moves_no_result(self, monkeypatch):
+        chosen = [green_by_quadrature(params) for params in FIRST_GRID_POINTS]
+        _from_start(monkeypatch)
+        for params, q in zip(FIRST_GRID_POINTS, chosen):
+            reference = green_by_quadrature(params)
+            assert (q.terms_used, q.converged) == (reference.terms_used, reference.converged), params
+            assert abs(q.value - reference.value) <= max(q.abs_error_estimate, reference.abs_error_estimate)
+
+    def test_first_grid_is_no_finer_than_the_stop(self, monkeypatch):
+        # the first grid is at most the finest grid the rules reach from
+        # the start, so it adds no node
+        firsts = {}
+        _from_start(monkeypatch, firsts)
+        for params in FIRST_GRID_POINTS:
+            side = math.isqrt(green_by_quadrature(params).terms_used)
+            stop = (side - 1) // 7 if quadrature._use_corner(params) else 2 * (side - 1)
+            assert firsts[params] <= stop, params
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    def test_capped_corner_evaluates_no_finer_grid(self, monkeypatch, halvings):
+        corner_grids, seen = quadrature._corner_grids, []
+
+        def spy(n, l, m):
+            seen.append(n)
+            return corner_grids(n, l, m)
+
+        monkeypatch.setattr(quadrature, "_corner_grids", spy)
+        spec = QuadratureSpec(corner_refinement_levels=halvings)
+        # the step starts at 1/8, or at 1/32 for (24, 0, 0)
+        for site, start in (((0, 0, 0), 8), ((2, 1, 1), 8), ((24, 0, 0), 32)):
+            seen.clear()
+            green_by_quadrature(GreenParams(t=2.81, gamma=0.8, l=site[0], m=site[1], n=site[2]), spec)
+            assert seen and max(seen) <= start << halvings, site
+
+    @pytest.mark.parametrize(
+        "params",
+        # the trapezoid at N = 2048, and the corner rule at h = 1/64
+        [GreenParams(t=1010.008, gamma=1000.0, n=20), GreenParams(t=3.0, l=2, m=1, n=1)],
+    )
+    def test_working_memory_is_bounded(self, params):
+        # F is formed in row tiles: one block of the N = 2048 grid alone
+        # holds 8.4 MB
+        tracemalloc.start()
+        try:
+            green_by_quadrature(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 def _lattice_residual(t: float, gamma: float, site, spec: QuadratureSpec) -> float:
@@ -413,11 +491,12 @@ class TestSwitch:
     def test_site_factor_exactly_periodic(self):
         # cos(l x) on the grid depends on l mod N only, bit for bit, so
         # rounding of the nodes cannot break the rule's periodicity
-        nodes, weights = _half_grid(64, 3)
+        nodes, _, (weights, _) = _half_grids(64, 3, 0)
         for site in (67, 3 + 64 * 10**6):
-            shifted_nodes, shifted = _half_grid(64, site)
+            shifted_nodes, _, shifted = _half_grids(64, site, site)
             assert np.array_equal(shifted_nodes, nodes)
-            assert np.array_equal(shifted, weights)
+            assert np.array_equal(shifted[0], weights)
+            assert np.array_equal(shifted[1], weights)
 
     def test_site_beyond_finest_grid_not_converged(self):
         # N = 2048 aliases cos(2048 x) to 1 on both nested grids alike
