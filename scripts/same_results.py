@@ -9,6 +9,10 @@ of its own:
 * every pooled operation of the offedge_sweep, band_edge and
   quadrature_oracle workloads in bench/references.json, recording
   value, error estimate, terms used, converged and accelerated;
+* ``moment_coefficient`` at gamma 0.5, 1 and 7 on the sites (0, 0, 0),
+  (2, 1, 1), (12, 12, 0), (24, 0, 0) and (1, 1, 4), at the orders
+  h + 32k - 1, h + 32k and h + 32k + 1 for k = 1, 2, 3, h = (l+m+n)/2,
+  where the nu table's tiles begin, and at the largest order it accepts;
 * the README's command-line examples, a few commands that cover what
   those miss (series6 with a transform, ``convergence`` on series6 with
   aitken and with inner sums that reach ``--l-max``, a far site, series5
@@ -65,6 +69,10 @@ ROUTES = {
     "series6": "evaluate_series6",
     "quadrature": "green_by_quadrature",
 }
+MOMENT_GAMMAS = (0.5, 1.0, 7.0)
+MOMENT_SITES = ((0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0), (1, 1, 4))
+# the nu table's tiles first reach order 2 s2 + c + h at multiples of 32 past h
+MOMENT_TILE_STEP = 32
 README_COMMANDS = (
     ["eval", "--t", "4", "--gamma", "1", "--lmn", "0", "0", "0"],
     ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
@@ -203,6 +211,18 @@ def collect(src: Path) -> dict[str, str]:
                 got = {"raised": repr(exc)}
             label = f"{workload}[{idx}] {op['route']} t={op['t']!r} gamma={op['gamma']!r} lmn={op['lmn']} {op['kwargs']}"
             results[label] = json.dumps(got)
+    for gamma in MOMENT_GAMMAS:
+        largest = int(680.0 / math.log(2.0 + gamma))  # moment_coefficient's limit
+        for l, m, n in MOMENT_SITES:
+            h = (l + m + n) // 2
+            edges = [h + k * MOMENT_TILE_STEP + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+            params = greenfcc.GreenParams(t=3.0 + gamma, gamma=gamma, l=l, m=m, n=n)
+            for i in [*edges, largest]:
+                try:
+                    got = greenfcc.moment_coefficient(i, params)
+                except Exception as exc:
+                    got = {"raised": repr(exc)}
+                results[f"moment_coefficient({i}) gamma={gamma!r} lmn={[l, m, n]}"] = json.dumps(got)
     commands = [
         *README_COMMANDS,
         *EXTRA_COMMANDS,

@@ -10,22 +10,20 @@ to the band edge) cross-validate each other; Wynn and Aitken
 sequence transforms extend usable accuracy to the band edge itself.
 """
 
+# numpy first: imported from inside green_series it left a heap that glibc
+# trims and regrows around every series5 call (150 minor page faults per
+# call on the benchmark's band_edge pool, 30 in this order)
+import numpy  # noqa: F401
+
 from .acceleration import (
     PartialSumSequence,
     aitken_delta2,
     wynn_epsilon_with_estimate,
 )
-from .basic_integrals import (
-    IntegralTable,
-    j_integral,
-    shared_table,
-)
-from .combinatorics import (
-    HARD_ORDER_CAP,
-    binomial_table,
-)
+from .basic_integrals import j_integral
 from .errors import DomainError
 from .green_series import (
+    HARD_ORDER_CAP,
     convergence_rows,
     evaluate_series5,
     evaluate_series6,
@@ -40,19 +38,16 @@ __all__ = [
     "DomainError",
     "GreenParams",
     "HARD_ORDER_CAP",
-    "IntegralTable",
     "PartialSumSequence",
     "QuadratureSpec",
     "SeriesEvaluation",
     "aitken_delta2",
-    "binomial_table",
     "convergence_rows",
     "evaluate_series5",
     "evaluate_series6",
     "green_by_quadrature",
     "j_integral",
     "moment_coefficient",
-    "shared_table",
     "wynn_epsilon_with_estimate",
     "__version__",
 ]

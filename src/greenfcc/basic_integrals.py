@@ -30,8 +30,8 @@ class IntegralTable:
     """
 
     def __init__(self, max_n: int = 64):
-        if max_n < 0:
-            raise ValueError("max_n must be non-negative")
+        if type(max_n) is not int or max_n < 0:
+            raise ValueError(f"max_n must be a non-negative int; got {max_n!r}")
         self.max_n = max_n
         self.l_cache: dict[int, list[float]] = {}
 

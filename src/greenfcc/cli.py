@@ -31,9 +31,9 @@ from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
-from .combinatorics import HARD_ORDER_CAP
 from .errors import DomainError
 from .green_series import (
+    HARD_ORDER_CAP,
     convergence_rows,
     evaluate_series5,
     evaluate_series6,

@@ -1,10 +1,10 @@
-"""The series order cap, and binomial coefficients as a dense float table.
+"""Binomial coefficients as a dense float table.
 
 Every series term is a sum of binomials C(i, j), 0 <= j <= i, times the
 cosine integrals J.  The series take them from scaled factorials
 (``green_series._factorial_scales``) and never build this table:
-``binomial_table`` is off the evaluation path, kept as a public name
-that the benchmark's tracer still resolves.
+``binomial_table`` is off the evaluation path, kept as a name that the
+benchmark's tracer still resolves.
 """
 
 from __future__ import annotations
@@ -13,16 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-HARD_ORDER_CAP = 1000
-"""Largest supported series order.
-
-Up to this order the scaled factorials E[k] = 256^k / k! and
-G[j] = j! / 2^(9j), from which both series take their binomials, lie in
-[4.3e-160, 3.8e109] and [2.5e-221, 1], and the largest product they
-stand for, C(i, j) R_j with R_j <= pi^2 an inner row of series5 scaled
-by 2^-j, stays below 2.7e300.  Near i = 1030 C(i, i//2) pi^2 leaves the
-double range; the cap leaves headroom below that.
-"""
+from .green_series import HARD_ORDER_CAP
 
 
 @lru_cache(maxsize=4)

@@ -50,7 +50,9 @@ scan as an iterable.
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
 series5 and C(i,k) 2^-i = E[k] E[i-k] G[i] in series6.  No binomial
-table is built.
+table is built.  ``HARD_ORDER_CAP``, the deepest order either series
+sums, is set here by the range of E and G.  One entry, ``_scan_for``,
+checks every series call's arguments before a table is touched.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,11 +74,21 @@ from .acceleration import (
     wynn_epsilon_with_estimate,
 )
 from .basic_integrals import shared_table
-from .combinatorics import HARD_ORDER_CAP
 from .errors import DomainError
 from .params import GreenParams, SeriesEvaluation
 
 PI3 = math.pi**3
+
+HARD_ORDER_CAP = 1000
+"""Largest supported series order.
+
+Up to this order the scaled factorials E[k] = 256^k / k! and
+G[j] = j! / 2^(9j), from which both series take their binomials, lie in
+[4.3e-160, 3.8e109] and [2.5e-221, 1], and the largest product they
+stand for, C(i, j) R_j with R_j <= pi^2 an inner row of series5 scaled
+by 2^-j, stays below 2.7e300.  Near i = 1030 C(i, i//2) pi^2 leaves the
+double range; the cap leaves headroom below that.
+"""
 
 _ACCEL_CHOICES = ("none", "wynn", "aitken")
 
@@ -140,38 +153,22 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """Per-evaluation tables: scaled factorials, J vectors, gamma ladders.
+    """The tables of one evaluation: scaled factorials and the site's J vectors.
 
-    E, G (the binomials of both series) and the J vectors come from
-    process-wide caches; the ladders (gamma/s)^k and (2/s)^j J_n[j],
-    s = 2+gamma, are built per evaluation.  Both series read these
-    through the one tile builder ``_r_blocks``, with two readouts:
-    series5 sums weighted anti-diagonals, series6 reads columns.
-    Nothing here depends on t or is depth^2 big.
+    E, G (the binomials of both series) and the J vectors J_p(l), J_p(m),
+    J_p(n), p <= ``j_depth``, come from process-wide caches and depend on
+    neither t nor gamma.  Both series read them through the one tile
+    builder ``_r_blocks``, with two readouts: series5 sums weighted
+    anti-diagonals, series6 reads columns.
     """
 
     params: GreenParams
-    depth: int
     j_depth: int
 
     def __post_init__(self) -> None:
         p = self.params
         self.E, self.G = _factorial_scales()
         self.Jl, self.Jm, self.Jn = _site_tables(p.l, p.m, p.n, self.j_depth)
-
-    @cached_property
-    def gs_pows(self) -> np.ndarray:
-        p = self.params
-        return np.power(p.gamma / p.band_edge, np.arange(self.depth + 1))
-
-    @cached_property
-    def jn_scaled(self) -> np.ndarray:
-        ladder = np.power(2.0 / self.params.band_edge, np.arange(self.depth + 1))
-        return ladder * self.Jn[: self.depth + 1]
-
-
-def _workspace(params: GreenParams, depth: int, j_depth: int | None = None) -> _Workspace:
-    return _Workspace(params, depth, depth if j_depth is None else j_depth)
 
 
 def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
@@ -191,14 +188,17 @@ def _shifted(values: np.ndarray, offset: int, length: int, fill: float = 0.0) ->
     return out
 
 
-def _tiles(params: GreenParams, c0: int, s_stop: int, s1_min: int) -> list[tuple[int, int, int]]:
+def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, int]]:
     """The tiles (s0, e_lo, e_hi) of column block c0 whose product can be nonzero.
 
     s0 < ``s_stop`` runs over multiples of ``_ROW_TILE`` whose last row
-    s0 + _ROW_TILE - 1 is at least ``s1_min``; [e_lo, e_hi] is where P
-    and B (see ``_r_blocks``) can both be nonzero, and must not be empty.
+    s0 + _ROW_TILE - 1 is at least -((1 + lm - c0) // 2), the first row
+    s2 of the block that reaches p >= 0 (see ``_r_blocks``); [e_lo,
+    e_hi] is where P and B can both be nonzero, and must not be empty.
     """
     a, b = (params.n + params.l - params.m) // 2, (params.n - params.l + params.m) // 2
+    lm = (params.l + params.m - params.n) // 2
+    s1_min = -((1 + lm - c0) // 2)
     ts, c1 = _ROW_TILE, c0 + _COL_TILE - 1
     tiles = []
     for s0 in range(-(-max(0, s1_min + 1 - ts) // ts) * ts, s_stop, ts):
@@ -269,8 +269,8 @@ def _r_blocks(ws: _Workspace, blocks: list, lead: int):
         yield buf, block
 
 
-def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
-    """nu_first .. nu_(count-1) of the workspace's site; the entries below ``first`` are NaN.
+def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
+    """nu_0 .. nu_(count-1) of the workspace's site.
 
     pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the inner sums R of
     ``_r_blocks``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
@@ -278,14 +278,14 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
     q = j of the double sum.  The weight is formed in that order: the
     ratio (up to 1e79) goes into the gamma ladder before the J_n ladder,
     since at gamma = 1, i = 1000, q near 512 the two ladders alone
-    multiply to about 1e-323.  Weights with q > i are zero.
+    multiply to about 1e-323.  Both ladders are formed elementwise for
+    the table's orders.  Weights with q > i are zero.
 
     A tile is formed only if its least order i = 2 s2 + c + h is below
-    ``count``, its greatest is at least ``first`` and some of its weights
-    are nonzero.  Each weighted block is summed along its anti-diagonals
-    s' + c = i - h, a sheared view of its buffer, into nu_i in column
-    order, so no sum depends on ``count`` or ``first``: a shorter table
-    is bit for bit a prefix of a longer one.
+    ``count`` and some of its weights are nonzero.  Each weighted block
+    is summed along its anti-diagonals s' + c = i - h, a sheared view of
+    its buffer, into nu_i in column order, so no sum depends on
+    ``count``: a shorter table is bit for bit a prefix of a longer one.
     """
     l, m, n = ws.params.l, ws.params.m, ws.params.n
     h = (l + m + n) // 2
@@ -293,13 +293,10 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
     ts, tc = _ROW_TILE, _COL_TILE
     blocks = []  # (c0, r0, rows, tiles) in column order
     for c0 in range(0, max(count - h, 0), tc):
-        # the tile reaches p >= 0 and an order >= first
-        s1_min = max(-((1 + lm - c0) // 2), -((c0 + tc + h - first) // 2))
-        tiles = _tiles(ws.params, c0, (count - h - c0 + 1) // 2, s1_min)
+        tiles = _tiles(ws.params, c0, (count - h - c0 + 1) // 2)
         if tiles:
             blocks.append((c0, tiles[0][0], tiles[-1][0] + ts - tiles[0][0], tiles))
     nus = np.zeros(count)
-    nus[:first] = np.nan
     if not blocks:
         return nus
     s_end = max(r0 + rows for _, r0, rows, _ in blocks)
@@ -308,8 +305,9 @@ def _nu_table(ws: _Workspace, count: int, first: int = 0) -> np.ndarray:
     gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
     p_pad = c_end + abs(lm) + tc
     gp = _shifted(ws.G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
-    gs = _shifted(ws.gs_pows[:count], p_pad, gp.size)
-    jn = _shifted(ws.jn_scaled[:count], 0, n + 2 * c_end + 2 * tc)
+    orders, s = np.arange(count), ws.params.band_edge
+    gs = _shifted(np.power(ws.params.gamma / s, orders), p_pad, gp.size)
+    jn = _shifted(np.power(2.0 / s, orders) * ws.Jn[:count], 0, n + 2 * c_end + 2 * tc)
     # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
     g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
     g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
@@ -368,10 +366,12 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
     the 12-neighbour FCC shell: 1, 0, 3/4, 3/4, ...  Values grow like
     (2+gamma)^i, so orders above int(680 / ln(2+gamma)) (618 at
     gamma = 1, always below the hard order cap) would leave the double
-    range and are rejected.  It forms every tile of the nu table that
-    reaches order i, so one order costs a fair part of a full table's
-    matrix products; series5 builds its table once and does not call it.
+    range and are rejected, as are orders that are not integers.  It
+    builds the table nu_0 .. nu_i and reads its last entry, the same
+    float any longer table holds; series5 builds its table once and does
+    not call it.
     """
+    i = _whole(i, "moment order")
     if i < 0:
         raise ValueError("moment order must be non-negative")
     limit = _safe_order(params.gamma)
@@ -380,12 +380,23 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"moment order {i} exceeds {limit}, the largest whose value "
             f"fits a double at gamma={params.gamma}"
         )
-    return float(_nu_table(_workspace(params, i), i + 1, first=i)[i]) * params.band_edge**i
+    return float(_nu_table(_Workspace(params, i), i + 1)[i]) * params.band_edge**i
 
 
-def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: str):
+def _whole(value, name: str) -> int:
+    """``value`` as an int by operator.index; a bool, or what it refuses, is a ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return operator.index(value)
+
+
+def _scan_for(
+    params: GreenParams, method: str, tol: float, n_max: int, l_max: int | None, accel: str
+) -> _ScanState:
+    """The scan of ``method``, its arguments checked before any table is touched; series6 reads ``l_max``."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
+    n_max = _whole(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > HARD_ORDER_CAP:
@@ -399,6 +410,14 @@ def _validate_series_call(params: GreenParams, tol: float, n_max: int, accel: st
         raise DomainError(
             f"series methods need t >= 2+gamma = {params.band_edge}; got t={params.t}"
         )
+    if method == "series5":
+        return _scan_series5(params, tol, n_max)
+    if method != "series6":
+        raise ValueError("convergence diagnostics need a series method")
+    l_max = _whole(l_max, "l_max")
+    if l_max < 1 or l_max > HARD_ORDER_CAP:
+        raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
+    return _scan_series6(params, tol, n_max, l_max)
 
 
 @dataclass
@@ -474,7 +493,7 @@ def _scan(
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     t = params.t
     r = params.band_edge / t
-    nus = _nu_table(_workspace(params, n_max), _depth(params, r, t, tol, n_max))
+    nus = _nu_table(_Workspace(params, n_max), _depth(params, r, t, tol, n_max))
     return _scan(((nu * r**i / t, 0.0, True) for i, nu in enumerate(nus.tolist())), r, tol, n_max)
 
 
@@ -489,9 +508,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     nonzero, and at most ``l_max``.  No width changes a row that stops
     inside it, and a row that does not stop reports so.
     """
-    if l_max < 1 or l_max > HARD_ORDER_CAP:
-        raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
-    ws = _workspace(params, n_max, j_depth=n_max + l_max)
+    ws = _Workspace(params, n_max + l_max)
     l, m, n = params.l, params.m, params.n
     gap = params.t - params.gamma
     r_out = 2.0 / gap
@@ -553,7 +570,7 @@ def _series6_r(ws: _Workspace, c0: int, cols: int, width: int) -> np.ndarray:
     """
     tc, lm = _COL_TILE, (ws.params.l + ws.params.m - ws.params.n) // 2
     s_stop = (width + c0 + cols - 2 - lm) // 2 + 1
-    tiles = _tiles(ws.params, c0, s_stop, -((1 + lm - c0) // 2))
+    tiles = _tiles(ws.params, c0, s_stop)
     r0 = tiles[0][0] if tiles else 0
     base = c0 - lm - 2 * r0  # the row of p = 0, column c0, past the lead
     lead = max(0, -base)
@@ -718,8 +735,7 @@ def evaluate_series5(
     against transform blow-ups; this is what makes the band edge
     t = 2+gamma usable.
     """
-    _validate_series_call(params, tol, n_max, accel)
-    state = _scan_series5(params, tol, n_max)
+    state = _scan_for(params, "series5", tol, n_max, None, accel)
     return _finish(state, tol, accel, "series5")
 
 
@@ -737,8 +753,7 @@ def evaluate_series6(
     its own budgeted tolerance, so the reported error covers both limits.
     Agrees with evaluate_series5 within combined error estimates.
     """
-    _validate_series_call(params, tol, n_max, accel)
-    state = _scan_series6(params, tol, n_max, l_max)
+    state = _scan_for(params, "series6", tol, n_max, l_max, accel)
     return _finish(state, tol, accel, "series6")
 
 
@@ -759,13 +774,7 @@ def convergence_rows(
     evaluation is the one evaluate_series5 or evaluate_series6 reports
     for the same arguments.
     """
-    _validate_series_call(params, tol, n_max, accel)
-    if method == "series5":
-        state = _scan_series5(params, tol, n_max)
-    elif method == "series6":
-        state = _scan_series6(params, tol, n_max, l_max)
-    else:
-        raise ValueError("convergence diagnostics need a series method")
+    state = _scan_for(params, method, tol, n_max, l_max, accel)
     rows = []
     for i, (term, psum, bound) in enumerate(zip(state.terms, state.sums, state.bounds)):
         accel_value: float | None = None

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greenfcc import IntegralTable, j_integral, shared_table
+from greenfcc import j_integral
+from greenfcc.basic_integrals import IntegralTable, shared_table
 
 
 def quad_oracle(n: int, k: int) -> float:
@@ -123,6 +124,11 @@ class TestIntegralTable:
         table = IntegralTable(10)
         with pytest.raises(ValueError):
             table.j_value(11, 1)
+
+    @pytest.mark.parametrize("max_n", [64.0, True, -1])
+    def test_max_n_must_be_a_non_negative_int(self, max_n):
+        with pytest.raises(ValueError):
+            IntegralTable(max_n)
 
     def test_selection_rules_before_cap(self):
         # odd k+n and k > n are exact zeros even past the cap

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from greenfcc import binomial_table
+from greenfcc.combinatorics import binomial_table
 
 
 class TestBinomialTable:

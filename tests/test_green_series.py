@@ -20,12 +20,14 @@ from greenfcc import (
     green_by_quadrature,
     moment_coefficient,
 )
-from greenfcc import green_series
-from greenfcc.combinatorics import HARD_ORDER_CAP
+from greenfcc import basic_integrals, green_series
+from greenfcc.basic_integrals import IntegralTable
 from greenfcc.green_series import (
+    HARD_ORDER_CAP,
     _COL_TILE,
     _ROW_GROUP,
     _ROW_TILE,
+    _Workspace,
     _depth,
     _factorial_scales,
     _finish,
@@ -35,7 +37,6 @@ from greenfcc.green_series import (
     _series6_r,
     _series6_rows,
     _site_tables,
-    _workspace,
 )
 from walk_oracle import walk_moment
 
@@ -55,7 +56,7 @@ def _float_binomials():
 
 def _nu_workspace(params, depth, j_depth=None):
     """A workspace and its nu table of every order up to ``depth``."""
-    ws = _workspace(params, depth, j_depth)
+    ws = _Workspace(params, depth if j_depth is None else j_depth)
     return ws, _nu_table(ws, depth + 1)
 
 
@@ -78,8 +79,11 @@ def _gather_nu(ws, i):
     a = np.arange(i + 1)
     idx = np.clip(a[None, :] - a[:, None] + i, 0, i)
     rows = (F[sl, sl] * Jl[idx] * Jm[i::-1][None, :]).sum(axis=1)
+    s = ws.params.band_edge
+    gs_pows = np.power(ws.params.gamma / s, a)
+    jn_scaled = np.power(2.0 / s, a) * ws.Jn[: i + 1]
     j = a[ws.params.n :: 2]
-    w = F[i, j] * np.ldexp(1.0, -j) * ws.gs_pows[i - j] * ws.jn_scaled[j]
+    w = F[i, j] * np.ldexp(1.0, -j) * gs_pows[i - j] * jn_scaled[j]
     return float(np.dot(w, rows[j])) / PI3
 
 
@@ -331,7 +335,7 @@ class TestStridedLoops:
         # products and fsum 4 eps more; an exact zero must come out as 0.0
         p = GreenParams(t=4.5, gamma=1.5, l=site[0], m=site[1], n=site[2])
         n_max, l_max = 60, 6
-        ws = _workspace(p, n_max, j_depth=n_max + l_max)
+        ws = _Workspace(p, n_max + l_max)
         x = p.gamma / p.t
         for i in (0, 1, 2, 7, 30, 31, 59):
             got = Fraction(_series6_row(ws, i, 0.0, l_max)[0])
@@ -354,7 +358,7 @@ class TestStridedLoops:
         for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
             p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
             n_max, l_max_top = 80, 60
-            ws = _workspace(p, n_max, j_depth=n_max + l_max_top)
+            ws = _Workspace(p, n_max + l_max_top)
             x = p.gamma / p.t
             for i in (0, 1, 2, 4, 9, 29, 30, 31, 32, 33, 34, 35, 66, 67, 68):
                 if ws.Jn[i] == 0.0:
@@ -413,7 +417,7 @@ class TestStridedLoops:
         # so rows 520 and 600 also need the renormalised mantissa
         p = GreenParams(t=9.01, gamma=7.0)
         l_max = 1000
-        ws = _workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+        ws = _Workspace(p, HARD_ORDER_CAP + l_max)
         for i in (470, 494, 496, 500, 520, 600):
             got = _series6_row(ws, i, 1e-300, l_max)[0]
             want = _lgamma_series6_row(ws, i, l_max)
@@ -512,7 +516,7 @@ class TestSeries6Blocks:
         n_max = 3 * 2 * _COL_TILE + 8
         rows, _ = convergence_rows(p, tol=1e-300, n_max=n_max, method="series6")
         assert len(rows) == n_max
-        ws = _workspace(p, n_max, j_depth=n_max + 400)
+        ws = _Workspace(p, n_max + 400)
         for i, row in enumerate(rows):
             if ws.Jn[i] == 0.0:
                 assert row["term"] == 0.0, i
@@ -543,30 +547,26 @@ class TestNuTable:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
     def test_shorter_table_is_a_prefix(self, gamma):
-        # no sum depends on the table's length or its first order, so eval,
-        # sweep, compare and moment_coefficient read the same nu_i whatever
-        # table they build
+        # no sum depends on the table's length, so eval, sweep, compare and
+        # moment_coefficient read the same nu_i whatever table they build,
+        # also at the orders where the tiles' first order falls
         step = math.gcd(2 * _ROW_TILE, _COL_TILE)
         for site in self.SITES:
             p = GreenParams(t=3.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            full = _nu_table(_workspace(p, HARD_ORDER_CAP), HARD_ORDER_CAP + 1)
+            full = _nu_table(_Workspace(p, HARD_ORDER_CAP), HARD_ORDER_CAP + 1)
             h = sum(site) // 2
             for count in (1, 2, 17, h + step - 1, h + step, h + step + 1, 145, 146, 400, 401):
-                ws = _workspace(p, count)
-                part = _nu_table(ws, count)
+                part = _nu_table(_Workspace(p, count), count)
                 assert np.array_equal(part, full[:count]), (site, count)
-                for first in (count // 2, count - 1):
-                    tail = _nu_table(ws, count, first=first)
-                    assert np.isnan(tail[:first]).all(), (site, count, first)
-                    assert np.array_equal(tail[first:], full[first:count]), (site, count, first)
-            safe = _safe_order(gamma)
-            assert moment_coefficient(safe, p) == full[safe] * p.band_edge**safe, site
+            edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+            for i in [*edges, _safe_order(gamma)]:
+                assert moment_coefficient(i, p) == full[i] * p.band_edge**i, (site, i)
 
     def test_order_past_the_table_raises(self, monkeypatch):
         # a depth too small for the scan must fail, not rebuild the table:
         # the rows end before n_max while the scan runs on
         p = GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1)
-        ws = _workspace(p, 300)
+        ws = _Workspace(p, 300)
         assert _nu_table(ws, 40)[39] == _nu_table(ws, 301)[39]
         monkeypatch.setattr(green_series, "_depth", lambda *args: 40)
         for evaluate in (evaluate_series5, evaluate_series6):
@@ -637,15 +637,15 @@ class TestSiteTableCache:
     VIEWS = ("Jl", "Jm", "Jn")
 
     def test_same_key_shares_arrays(self):
-        a = _workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
-        b = _workspace(GreenParams(t=5.5, gamma=2.0, l=2, m=1, n=1), 60)
+        a = _Workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
+        b = _Workspace(GreenParams(t=5.5, gamma=2.0, l=2, m=1, n=1), 60)
         for name in self.VIEWS:
             assert getattr(a, name) is getattr(b, name), name
-        c = _workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60, j_depth=90)
+        c = _Workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 90)
         assert c.Jl is not a.Jl
 
     def test_cached_tables_read_only(self):
-        ws = _workspace(GreenParams(t=4.0, l=3, m=3, n=2), 40, j_depth=80)
+        ws = _Workspace(GreenParams(t=4.0, l=3, m=3, n=2), 80)
         for name in self.VIEWS:
             arr = getattr(ws, name)
             with pytest.raises(ValueError):
@@ -689,7 +689,7 @@ class TestSiteTableCache:
         p = GreenParams(t=3.6, gamma=1.0, l=2, m=2, n=0)
         _site_tables.cache_clear()
         cold = evaluate_series6(p, n_max=600, l_max=500)
-        assert _workspace(p, 600, j_depth=1100).Jl.size == 1101
+        assert _Workspace(p, 1100).Jl.size == 1101
         assert evaluate_series6(p, n_max=600, l_max=500) == cold
         assert cold.converged
 
@@ -1041,3 +1041,36 @@ class TestConvergenceRows:
         assert len(rows) >= 1
         total5 = evaluate_series5(GreenParams(t=5.0), tol=1e-10).value
         assert rows[-1]["partial_sum"] == pytest.approx(total5, abs=1e-8)
+
+
+class TestWholeOrders:
+    """An order that is not an integer is refused before any table is touched."""
+
+    def test_bad_orders_leave_the_tables_intact(self, monkeypatch):
+        # a float order once grew the process-wide J table to a float
+        # max_n, and every later series call raised TypeError
+        monkeypatch.setattr(basic_integrals, "_default", IntegralTable(64))
+        _site_tables.cache_clear()
+        p = GreenParams(4.0)
+        calls = [
+            lambda: evaluate_series5(p, n_max=400.0),
+            lambda: evaluate_series6(p, l_max=700.0),
+            lambda: convergence_rows(p, n_max=500.0),
+            lambda: moment_coefficient(700.0, GreenParams(4.0, gamma=0.5)),
+            lambda: evaluate_series5(p, n_max=True),
+            lambda: evaluate_series6(p, l_max=True),
+            lambda: moment_coefficient(True, p),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+            assert basic_integrals.shared_table(0).max_n == 64
+            assert type(basic_integrals.shared_table(0).max_n) is int
+        assert evaluate_series5(p).value == 0.2694162337972194
+
+    def test_numpy_integers_pass(self):
+        p = GreenParams(4.0, l=2, m=1, n=1)
+        assert evaluate_series5(p, n_max=np.int64(300)) == evaluate_series5(p, n_max=300)
+        six = evaluate_series6(p, n_max=np.int32(300), l_max=np.int64(200))
+        assert six == evaluate_series6(p, n_max=300, l_max=200)
+        assert moment_coefficient(np.int64(7), p) == moment_coefficient(7, p)
