@@ -3,9 +3,11 @@
 The truncation policy assumes the tail is eventually geometric with ratio
 (2+gamma)/t.  This script prints the measured term ratios for a few t so
 the approach to that rate is visible: the ratio creeps up from below and
-the gap closes only algebraically (roughly like 1 - 3/(2i)), which is why
-the tail bound carries a safety factor instead of trusting the ratio at
-face value from the start.
+the gap closes only algebraically (roughly like 1 - 3/(2i)).  The scan's
+tail bound, geo * max(term, rate * previous term) with geo =
+rate/(1 - rate), carries no safety factor: it trusts the rate from the
+first nonzero term on, so it is not a sound bound (README, ROADMAP
+item 1).
 
 Usage: python3 scripts/convergence_study.py [--gamma G] [--n-max N]
 """

@@ -30,7 +30,9 @@ of its own:
   inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
   series6 at the site (0, 0, 2000) past the series depth, series6 at
   t = 4.5, gamma = 2 to tol 1e-14, at gamma = 30 and at gamma = 1e6,
-  ``convergence`` on series6 with ``--l-max`` 17, the quadrature at
+  ``convergence`` on series6 with ``--l-max`` 17, series6 ``eval`` and
+  ``convergence`` at the far site (40, 30, 0) and ``eval`` at
+  (0, 200, 0), whose R blocks need a lead past 31 zero rows, the quadrature at
   gamma = 3e-8 next to the edge and at a t that passes fl(2 + gamma)
   only by rounding, the trapezoid at N = 1024 with an odd n and at
   N = 2048, two trapezoid points whose stop is decided at the rounding
@@ -141,6 +143,12 @@ EXTRA_COMMANDS = (
     # every row of a series6 scan whose groups are cut at l_max 17
     ["convergence", "--t", "3.5", "--gamma", "0.5", "--lmn", "4", "2", "0", "--method", "series6",
      "--l-max", "17"],
+    # series6 at (40, 30, 0), lm = (l+m-n)/2 = 35: R buffers lead past 31 zero rows
+    ["eval", "--t", "4", "--lmn", "40", "30", "0", "--method", "series6"],
+    ["convergence", "--t", "4", "--lmn", "40", "30", "0", "--method", "series6", "--n-max", "140",
+     "--tol", "1e-300"],
+    # series6 at (0, 200, 0), whose first R tile of column block 0 starts at s2 = 32
+    ["eval", "--t", "4", "--lmn", "0", "200", "0", "--method", "series6"],
     # the quadrature where 2 + gamma is not a float, and where t - 2 - gamma
     # of the float inputs is -1e-17 though t >= fl(2 + gamma)
     ["eval", "--t", "2.0000001", "--gamma", "3e-8", "--method", "quadrature"],

@@ -39,13 +39,13 @@ overflows and nothing depends on t; the i-th term is nu_i r^i / t with
 r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
-J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  One
-tile builder, ``_r_blocks``, forms R as matrix products of J and E
-views, a column block of q at a time, with two readouts: series5 sums
-weighted anti-diagonals into its table nu_0 .. nu_(D-1) (``_nu_table``),
-series6 reads columns as its rows (``_series6_rows``).  Each series
-builds its terms to the depth ``_depth`` gives it and hands them to the
-scan as an iterable.
+J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.
+``_r_blocks`` alone lays out R's column blocks of q from the first
+column and row stop a caller names, and forms them in one pass per
+series call.  Series5 sums weighted anti-diagonals into its table
+nu_0 .. nu_(D-1) (``_nu_table``), series6 reads columns as its rows
+(``_series6_rows``).  Each series builds its terms to the depth
+``_depth`` gives it and hands them to the scan as an iterable.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -60,7 +60,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -75,7 +74,7 @@ from .acceleration import (
 )
 from .basic_integrals import shared_table
 from .errors import DomainError
-from .params import GreenParams, SeriesEvaluation
+from .params import GreenParams, SeriesEvaluation, _whole
 
 PI3 = math.pi**3
 
@@ -157,9 +156,7 @@ class _Workspace:
 
     E, G (the binomials of both series) and the J vectors J_p(l), J_p(m),
     J_p(n), p <= ``j_depth``, come from process-wide caches and depend on
-    neither t nor gamma.  Both series read them through the one tile
-    builder ``_r_blocks``, with two readouts: series5 sums weighted
-    anti-diagonals, series6 reads columns.
+    neither t nor gamma.  Both series read them through ``_r_blocks``.
     """
 
     params: GreenParams
@@ -210,7 +207,7 @@ def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, in
     return tiles
 
 
-def _r_blocks(ws: _Workspace, blocks: list, lead: int):
+def _r_blocks(ws: _Workspace, stops: list[tuple[int, int]]):
     """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k], one column block at a time.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
@@ -225,20 +222,23 @@ def _r_blocks(ws: _Workspace, blocks: list, lead: int):
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
 
-    For each (c0, r0, rows, tiles) of ``blocks``, in column order, this
-    yields (buf, block), block[par, s2 - r0, c - c0] = R(p, q) for
-    r0 <= s2 < r0 + rows and c0 <= c < c0 + _COL_TILE: ``_ROW_TILE`` x
-    ``_COL_TILE`` products over each tile's range of e, both parities at
-    once, and 0 off the tiles.  buf[lead + s' - 2 r0, c - c0] interleaves
-    the block by s', after ``lead`` zero rows and before _COL_TILE - 1.
-    No temporary holds more than about 2^16 doubles.
+    Each (c0, s_stop) of ``stops``, in column order, yields (r0, first,
+    buf, block): block[par, s2 - r0, c - c0] = R(p, q) for c0 <= c < c0 +
+    _COL_TILE and s2 from r0, the first of ``_tiles``, in whole tiles to
+    s_stop, both parities of a tile by one product, 0 off the tiles.
+    buf[s' - first, c - c0], first = min(2 r0 - _COL_TILE + 1, c0 - lm),
+    holds it from every p >= 0 to _COL_TILE - 1 zero rows past it.  The
+    arrays are padded once per call, no temporary past ~2^16 doubles.
     """
+    if not stops:
+        return
     l, m, n = ws.params.l, ws.params.m, ws.params.n
-    a, b = (n + l - m) // 2, (n - l + m) // 2
+    a, b, lm = (n + l - m) // 2, (n - l + m) // 2, (l + m - n) // 2
     ts, tc = _ROW_TILE, _COL_TILE
-    s_end = max(r0 + rows for _, r0, rows, _ in blocks)
-    c_end = blocks[-1][0] + tc
-    k_max = max((hi - lo + 1 for *_, tiles in blocks for _, lo, hi in tiles), default=1)
+    tiling = [_tiles(ws.params, c0, s_stop) for c0, s_stop in stops]
+    s_end = max(0, *(s_stop for _, s_stop in stops)) + ts  # past every block's last row
+    c_end = stops[-1][0] + tc
+    k_max = max((hi - lo + 1 for tiles in tiling for _, lo, hi in tiles), default=1)
     # every array below covers the indices its views reach with zeros;
     # pad shifts index 0 of the J and E arrays
     pad = k_max + 2 * (ts + tc)
@@ -252,7 +252,10 @@ def _r_blocks(ws: _Workspace, blocks: list, lead: int):
     top = ep.size - tc - 1
     e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
     e_down = _strided(ep, top, (2, top + 1, tc), (1, -1, 1))
-    for c0, r0, rows, tiles in blocks:
+    for (c0, s_stop), tiles in zip(stops, tiling):
+        r0 = tiles[0][0] if tiles else 0
+        rows = max(0, -(-(s_stop - r0) // ts) * ts)
+        lead = max(tc - 1, 2 * r0 + lm - c0)
         buf = np.zeros((lead + 2 * rows + tc - 1, tc))
         block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
         e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
@@ -266,7 +269,7 @@ def _r_blocks(ws: _Workspace, blocks: list, lead: int):
             y = pad + s0 - e_lo - k_max + 1
             P = hankel[x : x + ts, :k] * toeplitz[:, y : y + ts, :k]
             np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
-        yield buf, block
+        yield r0, 2 * r0 - lead, buf, block
 
 
 def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
@@ -281,26 +284,20 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     multiply to about 1e-323.  Both ladders are formed elementwise for
     the table's orders.  Weights with q > i are zero.
 
-    A tile is formed only if its least order i = 2 s2 + c + h is below
-    ``count`` and some of its weights are nonzero.  Each weighted block
-    is summed along its anti-diagonals s' + c = i - h, a sheared view of
-    its buffer, into nu_i in column order, so no sum depends on
-    ``count``: a shorter table is bit for bit a prefix of a longer one.
+    Blocks hold the columns with an order i = s' + c + h < ``count`` at
+    s' >= 0 and p = i - n - 2c >= 0, and tiles of least order below
+    ``count``.  Each weighted block is summed along its anti-diagonals
+    s' + c = i - h, a sheared view of its buffer, into nu_i in column
+    order: a shorter table is bit for bit a prefix of a longer one.
     """
     l, m, n = ws.params.l, ws.params.m, ws.params.n
     h = (l + m + n) // 2
     lm = h - n  # lm = (l+m-n)/2, so p = s' - c + lm
     ts, tc = _ROW_TILE, _COL_TILE
-    blocks = []  # (c0, r0, rows, tiles) in column order
-    for c0 in range(0, max(count - h, 0), tc):
-        tiles = _tiles(ws.params, c0, (count - h - c0 + 1) // 2)
-        if tiles:
-            blocks.append((c0, tiles[0][0], tiles[-1][0] + ts - tiles[0][0], tiles))
+    c_stop = min(count - h, (count + 1 - n) // 2)
+    stops = [(c0, (count - h - c0 + 1) // 2) for c0 in range(0, c_stop, tc)]
+    s_end, c_end = (count + 1) // 2 + ts, max(c_stop, 0) + tc  # past every block
     nus = np.zeros(count)
-    if not blocks:
-        return nus
-    s_end = max(r0 + rows for _, r0, rows, _ in blocks)
-    c_end = blocks[-1][0] + tc
     # the weights' arrays are zero-padded like the tiles' (ones for G in a denominator)
     gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
     p_pad = c_end + abs(lm) + tc
@@ -312,7 +309,8 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
     g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
     gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
-    for (c0, r0, rows, _), (buf, block) in zip(blocks, _r_blocks(ws, blocks, tc - 1)):
+    for (c0, _), (r0, first, buf, block) in zip(stops, _r_blocks(ws, stops)):
+        rows = block.shape[1]
         i0 = 2 * r0 + c0 + h
         p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
         q0 = n + 2 * c0
@@ -320,8 +318,8 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
         w *= gs_p[:, p0 : p0 + 2 * rows : 2]
         w *= jn[q0 : q0 + 2 * tc : 2]
         block *= w
-        # sheared[d, c] = buf[tc - 1 + d - c, c], the entry of order i0 + d
-        sheared = _strided(buf, (tc - 1) * tc, (2 * rows + tc - 1, tc), (tc, 1 - tc))
+        # sheared[d, c] = buf[2 r0 - first + d - c, c], the entry of order i0 + d
+        sheared = _strided(buf, (2 * r0 - first) * tc, (2 * rows + tc - 1, tc), (tc, 1 - tc))
         sums = sheared.sum(axis=1)
         stop = min(count, i0 + sums.size)
         nus[i0:stop] += sums[: stop - i0]
@@ -381,13 +379,6 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"fits a double at gamma={params.gamma}"
         )
     return float(_nu_table(_Workspace(params, i), i + 1)[i]) * params.band_edge**i
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int by operator.index; a bool, or what it refuses, is a ValueError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer; got {value!r}")
-    return operator.index(value)
 
 
 def _scan_for(
@@ -500,10 +491,10 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
     """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
 
-    Rows q = n, n+2, ... below the depth are read by column from one R
-    block of ``_COL_TILE`` rows at a time, built to the widest of its
-    groups; the rows between, where J_q(n) = 0, are 0.  A group's width
-    is the envelope width (``_envelope_count``) of its last row, at
+    Rows q = n, n+2, ... below the depth are read by column from R blocks
+    of ``_COL_TILE`` rows, each planned before the first row to the widest
+    of its groups; the rows between, where J_q(n) = 0, are 0.  A group's
+    width is the envelope width (``_envelope_count``) of its last row, at
     least one past the first p where R(p, q) of its first row can be
     nonzero, and at most ``l_max``.  No width changes a row that stops
     inside it, and a row that does not stop reports so.
@@ -524,14 +515,17 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
         return min(max(_envelope_count(ws, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
 
+    plan = []  # (c0, rows, row groups, their widths) of each column block
+    for q0 in range(n, depth, 2 * _COL_TILE):
+        block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
+        groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
+        plan.append(((q0 - n) // 2, len(block), groups, [width(qs) for qs in groups]))
+    r_blocks = _series6_r(ws, [(c0, cols, max(widths)) for c0, cols, _, widths in plan])
+
     def rows():
         yield from itertools.repeat((0.0, 0.0, True), min(n, depth))
-        for q0 in range(n, depth, 2 * _COL_TILE):
-            block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
-            groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
-            widths = [width(qs) for qs in groups]
-            R = _series6_r(ws, (q0 - n) // 2, len(block), max(widths))
-            for k, qs, w in zip(range(0, len(block), _ROW_GROUP), groups, widths):
+        for (_, _, groups, widths), R in zip(plan, r_blocks):
+            for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
                 for q, row in zip(qs, _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])):
                     yield row
@@ -562,22 +556,17 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
 
-def _series6_r(ws: _Workspace, c0: int, cols: int, width: int) -> np.ndarray:
-    """R(p, q) as r[c - c0, p], q = n + 2c, for c0 <= c < c0 + ``cols`` and p < ``width``.
+def _series6_r(ws: _Workspace, blocks: list[tuple[int, int, int]]):
+    """For each (c0, cols, width) of ``blocks``, R(p, q) as r[c - c0, p], q = n + 2c.
 
-    A view over one block of ``_r_blocks`` at column c0, from its first
-    tile that reaches p >= 0; rows of s' < 0 and of tiles left out are 0.
+    r, c0 <= c < c0 + cols and p < width, is a view over one block of a
+    single ``_r_blocks`` pass; rows of s' < 0 and of tiles left out are 0.
     """
     tc, lm = _COL_TILE, (ws.params.l + ws.params.m - ws.params.n) // 2
-    s_stop = (width + c0 + cols - 2 - lm) // 2 + 1
-    tiles = _tiles(ws.params, c0, s_stop)
-    r0 = tiles[0][0] if tiles else 0
-    base = c0 - lm - 2 * r0  # the row of p = 0, column c0, past the lead
-    lead = max(0, -base)
-    rows = max(0, -(-(s_stop - r0) // _ROW_TILE) * _ROW_TILE)
-    buf, _ = next(_r_blocks(ws, [(c0, r0, rows, tiles)], lead))
-    # r[c - c0, p] = buf[lead + base + c - c0 + p, c - c0]
-    return _strided(buf, (lead + base) * tc, (cols, width), (tc + 1, tc))
+    stops = [(c0, (width + c0 + cols - 2 - lm) // 2 + 1) for c0, cols, width in blocks]
+    for (c0, cols, width), (_, first, buf, _) in zip(blocks, _r_blocks(ws, stops)):
+        # r[c - c0, p] = buf[c - lm + p - first, c - c0]
+        yield _strided(buf, (c0 - lm - first) * tc, (cols, width), (tc + 1, tc))
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:

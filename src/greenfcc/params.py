@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
+
+
+def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int by operator.index; a bool, or what it refuses, raises ``error``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer; got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -15,10 +24,10 @@ class GreenParams:
     ``t`` is the spectral parameter, ``gamma`` the anisotropy weight of
     the cos(x)cos(y) bond, and (l, m, n) the lattice site.  The structure
     function gamma*cx*cy + cy*cz + cz*cx only reaches sites with even
-    l+m+n, so odd parity is rejected outright.  t and gamma must be
-    positive and finite; the rest of the t domain depends on the
-    evaluation method and is checked there (the spectral band edge sits
-    at t = 2 + gamma).
+    l+m+n, so odd parity is rejected outright.  l, m, n pass the integer
+    check of the series orders and are stored as ints; t and gamma must
+    be real, not bool, positive and finite.  The rest of the t domain
+    depends on the evaluation method (the band edge is t = 2 + gamma).
     """
 
     t: float
@@ -29,21 +38,20 @@ class GreenParams:
 
     def __post_init__(self) -> None:
         for name in ("l", "m", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, (int,)) or isinstance(value, bool):
-                raise DomainError(f"lattice index {name} must be an integer")
+            value = _whole(getattr(self, name), f"lattice index {name}", DomainError)
             if value < 0:
                 raise DomainError(f"lattice index {name} must be non-negative")
+            object.__setattr__(self, name, value)
         if (self.l + self.m + self.n) % 2:
             raise DomainError("l+m+n must be even")
-        if not self.gamma > 0.0:
-            raise DomainError("gamma must be positive")
-        if not math.isfinite(self.gamma):
-            raise DomainError("gamma must be finite")
-        if not self.t > 0.0:
-            raise DomainError("t must be positive")
-        if not math.isfinite(self.t):
-            raise DomainError("t must be finite")
+        for name in ("gamma", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number; got {value!r}")
+            if not value > 0.0:
+                raise DomainError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def band_edge(self) -> float:

@@ -117,7 +117,9 @@ class QuadratureSpec:
     t = 2 + gamma included; elsewhere the nested trapezoid chooses its
     own grid.  The corner rule halves its step at most
     ``corner_refinement_levels`` times; it stops sooner once its error
-    estimate reaches the rounding level.  ``target_tol`` decides
+    estimate reaches the rounding level.  Its step starts at 1/8 or finer
+    and stops at 1/_MAX_TANH_SINH = 1/128, four halvings from 1/8, so
+    every ``corner_refinement_levels`` >= 4 runs one rule.  ``target_tol`` decides
     ``converged``.  ``nodes_per_axis`` and ``subdivisions_per_axis``
     set nothing: they are kept only because ``bench/`` reads them
     (ROADMAP item 6).  The defaults reach ~1e-15 relative error over

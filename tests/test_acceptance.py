@@ -153,18 +153,24 @@ def test_moments_match_walk_counts():
 
 
 def test_band_edge_finiteness():
+    # every corner_refinement_levels >= 4 runs one rule, its step capped at
+    # 1/128, so levels 12 and 22 gave the same number; level 1 stops at
+    # h = 1/16 (12,769 nodes) and the default at h = 1/64 (201,601 nodes)
     p = GreenParams(t=3.0, gamma=1.0)
-    shallow = green_by_quadrature(p, QuadratureSpec(corner_refinement_levels=12))
-    deep = green_by_quadrature(p, QuadratureSpec(corner_refinement_levels=22))
+    watson = 3 * math.gamma(1 / 3) ** 6 / (2 ** (14 / 3) * math.pi**4)
+    shallow = green_by_quadrature(p, QuadratureSpec(corner_refinement_levels=1))
+    deep = green_by_quadrature(p)
     quad_gap = abs(shallow.value - deep.value)
+    watson_gap = abs(deep.value - watson)
     accel = evaluate_series5(p, n_max=400, accel="wynn")
     series_gap = abs(accel.value - deep.value)
     check(
         6,
-        "band edge t = 3: refined quadrature stable, accelerated series agrees",
-        quad_gap <= 1e-7 and series_gap <= 1e-5,
-        f"depth-12 vs depth-22 quadrature |diff| = {quad_gap:.2e} (<= 1e-7), "
-        f"wynn series vs deep quadrature |diff| = {series_gap:.2e} (<= 1e-5)",
+        "band edge t = 3: refined quadrature stable and on Watson's value, accelerated series agrees",
+        quad_gap <= 1e-7 and watson_gap <= 1e-7 and series_gap <= 1e-5,
+        f"level-1 vs default quadrature |diff| = {quad_gap:.2e} (<= 1e-7), "
+        f"default quadrature vs Watson |diff| = {watson_gap:.2e} (<= 1e-7), "
+        f"wynn series vs default quadrature |diff| = {series_gap:.2e} (<= 1e-5)",
     )
 
 

@@ -126,8 +126,8 @@ def _series6_row(ws, i, tol_inner, l_max):
         return 0.0, 0.0, True
     c = (i - ws.params.n) // 2
     c_block = c - c % _COL_TILE
-    R = _series6_r(ws, c_block, _COL_TILE, l_max)[c - c_block : c - c_block + 1]
-    (row,) = _series6_rows(ws, c, [tol_inner], R)
+    (R,) = _series6_r(ws, [(c_block, _COL_TILE, l_max)])
+    (row,) = _series6_rows(ws, c, [tol_inner], R[c - c_block : c - c_block + 1])
     return row
 
 
@@ -223,6 +223,23 @@ class TestGreenParams:
         # t = inf used to give quadrature a "converged" 0.0 with estimate 0.0
         with pytest.raises(DomainError, match=message):
             GreenParams(**kwargs)
+
+    def test_inputs_checked_like_the_series_orders(self):
+        # a numpy integer is a site index as it is a series order, stored
+        # as an int; a t or gamma that is a bool or no real number is a
+        # DomainError (t = "4" was a TypeError, gamma = True was kept)
+        p = GreenParams(t=4.0, l=np.int64(2), m=np.int64(0))
+        assert (p.l, p.m, p.n) == (2, 0, 0)
+        assert all(type(v) is int for v in (p.l, p.m, p.n))
+        want = evaluate_series5(GreenParams(t=4.0, l=2))
+        assert evaluate_series5(p, n_max=np.int64(400)) == want
+        assert evaluate_series5(GreenParams(t=np.float64(4.0), l=2)) == want
+        for kwargs in ({"t": "4"}, {"t": True}, {"t": None}, {"t": 4.0, "gamma": True}, {"t": 4.0, "gamma": "1"}):
+            with pytest.raises(DomainError, match="must be a real number"):
+                GreenParams(**kwargs)
+        for bad in (2.0, True, "2"):
+            with pytest.raises(DomainError, match="lattice index l must be an integer"):
+                GreenParams(t=4.0, l=bad)
 
 
 class TestMomentCoefficient:
@@ -342,7 +359,7 @@ class TestStridedLoops:
             want = _exact_series6_row(ws, i, x, l_max)
             assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
-    @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2)])
+    @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2), (40, 30, 0)])
     def test_series6_blocks_match_per_j_sums(self, site):
         # rows read from the R blocks against the one-j-at-a-time sums:
         # the same stop, bound and flag, and a value within the exact
@@ -352,7 +369,9 @@ class TestStridedLoops:
         # tol_inner = 0 never stops early, so the bound is
         # built from the last pieces themselves.  At t = 2 gamma = 6 the
         # ratio is exactly 1 at j = i - 2, where a bound would divide by
-        # zero (a RuntimeWarning is an error here).  The BLAS products sum
+        # zero (a RuntimeWarning is an error here).  At (40, 30, 0),
+        # lm = (l+m-n)/2 = 35, the buffer's lead runs past _COL_TILE - 1
+        # rows to reach p = 0 of column 0.  The BLAS products sum
         # the inner sums in another order, so values and bounds agree to
         # rounding, not bit for bit.
         for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
@@ -525,6 +544,38 @@ class TestSeries6Blocks:
             if (i - p.n) // 2 % _ROW_GROUP in (0, _ROW_GROUP - 1):
                 alone = _series6_row(ws, i, 1e-300, 400)[0]  # the scan's tol_inner here
                 assert row["term"] == pytest.approx(alone, rel=1e-14), i
+
+    @pytest.mark.parametrize("evaluate", [evaluate_series5, evaluate_series6])
+    def test_one_r_pass_per_call(self, evaluate, monkeypatch):
+        # a call plans all its column blocks first and reads them from one
+        # pass of _r_blocks, which builds the padded J and E arrays once;
+        # both series read two or more blocks here
+        passes = []
+        r_blocks = green_series._r_blocks
+
+        def spy(*args):
+            passes.append(len(args[1]))
+            return r_blocks(*args)
+
+        monkeypatch.setattr(green_series, "_r_blocks", spy)
+        evaluate(GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1), tol=1e-11)
+        assert len(passes) == 1 and passes[0] >= 2, passes
+
+    def test_lead_past_the_first_tile(self):
+        # at (0, 200, 0) the tiles of column block 0 have an empty range
+        # of e up to s2 = 32, so 2 r0 > c0 - lm = -100 and the buffer's
+        # lead must reach back to p = 0; the row sums all 400 pieces
+        p = GreenParams(t=4.0, l=0, m=200, n=0)
+        lm = 100
+        assert green_series._tiles(p, 0, (400 + 30 - lm) // 2 + 1)[0][0] == 32
+        ws = _Workspace(p, 800)
+        got = _series6_row(ws, 0, 0.0, 400)
+        want = _series6_row_per_j(ws, 0, 0.0, 400)
+        assert got[0] > 0.0
+        assert got[0] == pytest.approx(want[0], rel=1e-14)
+        assert got[1:] == want[1:3]
+        ev = evaluate_series6(p, tol=1e-11)
+        assert ev.value == pytest.approx(_series6_row(ws, 0, 1e-300, 400)[0], rel=1e-14)
 
     def test_deepest_call_stays_small(self):
         # one R block and one row group at a time; per-row chunks of the
