@@ -41,7 +41,15 @@ of its own:
   at t = nan and ``convergence`` on the quadrature) and the commands of the
   cli pool in bench/references.json, each in a fresh temporary working
   directory, recording the exit code, stdout with ``wall_time_ms``
-  stripped, stderr, and any file the command wrote.
+  stripped, stderr, and any file the command wrote;
+* a seeded random sample of RANDOM_COUNT series configurations, the
+  same in both trees, which checks a change of layout at far sites and
+  at every depth: gamma from RANDOM_GAMMAS (1e-3 to 1e3), t - 2 - gamma
+  log-uniform in [1e-3, 30], l, m, n < 60 with l+m+n even, n_max from
+  RANDOM_N_MAX, l_max from RANDOM_L_MAX, tol log-uniform down to
+  1e-300 and a transform, each evaluated by series5 and series6, and
+  one ``moment_coefficient`` order each, uniform up to the largest it
+  accepts.  On a 2-core x86 host the sample takes about 5 s per tree.
 
 Floats are compared through their repr, so "same" means bit-identical.
 Every difference is printed with each float it moved and that float's
@@ -58,6 +66,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -75,6 +84,11 @@ MOMENT_GAMMAS = (0.5, 1.0, 7.0)
 MOMENT_SITES = ((0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0), (1, 1, 4))
 # the nu table's tiles first reach order 2 s2 + c + h at multiples of 32 past h
 MOMENT_TILE_STEP = 32
+RANDOM_SEED = 20121
+RANDOM_COUNT = 300
+RANDOM_GAMMAS = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 7.0, 30.0, 1e2, 1e3)
+RANDOM_N_MAX = (1, 7, 33, 100, 400, 1000)
+RANDOM_L_MAX = (1, 17, 64, 400, 1000)
 README_COMMANDS = (
     ["eval", "--t", "4", "--gamma", "1", "--lmn", "0", "0", "0"],
     ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
@@ -231,6 +245,35 @@ def collect(src: Path) -> dict[str, str]:
                 except Exception as exc:
                     got = {"raised": repr(exc)}
                 results[f"moment_coefficient({i}) gamma={gamma!r} lmn={[l, m, n]}"] = json.dumps(got)
+    rng = random.Random(RANDOM_SEED)
+    for k in range(RANDOM_COUNT):
+        gamma = rng.choice(RANDOM_GAMMAS)
+        t = 2.0 + gamma + math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        l, m, n = rng.randrange(60), rng.randrange(60), rng.randrange(60)
+        n += (l + m + n) % 2 * (1 if n < 59 else -1)
+        params = greenfcc.GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
+        kwargs = {
+            "tol": 10.0 ** rng.uniform(-300.0, -2.0),
+            "n_max": rng.choice(RANDOM_N_MAX),
+            "accel": rng.choice(("none", "wynn", "aitken")),
+        }
+        l_max = rng.choice(RANDOM_L_MAX)
+        order = rng.randrange(int(680.0 / math.log(2.0 + gamma)) + 1)
+        calls = {
+            "series5": lambda: greenfcc.evaluate_series5(params, **kwargs),
+            "series6": lambda: greenfcc.evaluate_series6(params, l_max=l_max, **kwargs),
+            f"moment_coefficient({order})": lambda: greenfcc.moment_coefficient(order, params),
+        }
+        for name, call in calls.items():
+            try:
+                ev = call()
+                got = ev if isinstance(ev, float) else [
+                    ev.value, ev.abs_error_estimate, ev.terms_used, ev.converged, ev.accelerated
+                ]
+            except Exception as exc:
+                got = {"raised": repr(exc)}
+            label = f"random[{k}] {name} t={t!r} gamma={gamma!r} lmn={[l, m, n]} l_max={l_max} {kwargs}"
+            results[label] = json.dumps(got)
     commands = [
         *README_COMMANDS,
         *EXTRA_COMMANDS,

@@ -11,7 +11,7 @@ Output is JSON-lines (one object per line, keys in schema order) or CSV
 with a header row.  Identical invocations produce byte-identical output;
 the only intentionally varying field is ``wall_time_ms``, which appears
 in ``eval`` records alone.  Exit codes: 0 converged, 2 finished without
-meeting the tolerance, 1 domain or usage error.
+meeting the tolerance, 1 domain or usage error or an unwritable output.
 
 A config file given with --config holds ``key = value`` lines using the
 long flag names (``n-max`` or ``n_max`` both work); flags on the command
@@ -364,14 +364,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_orders(args)
         records, converged, fields = _HANDLERS[args.command](args)
-    except (DomainError, ValueError) as exc:
+        text = _render(records, fields, args.output_format)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(records, fields, args.output_format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0 if converged else 2
 
 

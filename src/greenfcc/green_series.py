@@ -39,13 +39,13 @@ overflows and nothing depends on t; the i-th term is nu_i r^i / t with
 r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
-J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.
-``_r_blocks`` alone lays out R's column blocks of q from the first
-column and row stop a caller names, and forms them in one pass per
-series call.  Series5 sums weighted anti-diagonals into its table
-nu_0 .. nu_(D-1) (``_nu_table``), series6 reads columns as its rows
-(``_series6_rows``).  Each series builds its terms to the depth
-``_depth`` gives it and hands them to the scan as an iterable.
+J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  A
+call's ``_Workspace`` zero-pads the J and E arrays once, and
+``_r_block`` forms one column block of q from their views.  Series5
+sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
+(``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
+forming a block when its scan reaches it.  Each series builds its terms
+to the depth ``_depth`` gives it and hands them to the scan as an iterable.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -152,11 +152,19 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """The tables of one evaluation: scaled factorials and the site's J vectors.
+    """The tables of one evaluation: scaled factorials, J vectors and the views of R.
 
-    E, G (the binomials of both series) and the J vectors J_p(l), J_p(m),
-    J_p(n), p <= ``j_depth``, come from process-wide caches and depend on
-    neither t nor gamma.  Both series read them through ``_r_blocks``.
+    E, G and the J vectors J_p(l), J_p(m), J_p(n), p <= ``j_depth``, come
+    from process-wide caches and depend on neither t nor gamma.  Jl[l::2],
+    Jm[m::2] and E are zero-padded once, index 0 at ``pad``, under the
+    views ``_r_block`` reads.  A block (c0, s_stop) reads E below n + 2
+    c_end with c_end = c0 + _COL_TILE, rows s2 below s_end = s_stop +
+    _ROW_TILE, and tiles at most min(2 s_end, c_end + n//2 + 1) wide
+    (``_tiles``).  Every block has c0 <= (j_depth - n)//2 and s_stop <=
+    (j_depth + |lm|)//2 + 1, lm = (l+m-n)/2: tables of count <= j_depth + 1
+    orders have columns c < (count + 1 - n)//2 and s_stop = (count - h -
+    c0 + 1)//2, and series6 (j_depth = n_max + l_max) reads q = n + 2c <
+    n_max to s_stop = (width + c - 1 - lm)//2 + 1, width <= l_max.
     """
 
     params: GreenParams
@@ -166,6 +174,21 @@ class _Workspace:
         p = self.params
         self.E, self.G = _factorial_scales()
         self.Jl, self.Jm, self.Jn = _site_tables(p.l, p.m, p.n, self.j_depth)
+        self.a, self.b, self.lm = (p.n + p.l - p.m) // 2, (p.n - p.l + p.m) // 2, (p.l + p.m - p.n) // 2
+        ts, tc = _ROW_TILE, _COL_TILE
+        c_end = max(0, (self.j_depth - p.n) // 2) + tc
+        s_end = (self.j_depth + abs(self.lm)) // 2 + 1 + ts
+        self.k_max = k_max = min(p.n // 2 + c_end + 1, 2 * s_end)
+        self.pad = pad = k_max + 2 * (ts + tc)
+        jl = _shifted(self.Jl[p.l :: 2], pad, 2 * pad + 2 * s_end)
+        jm = _shifted(self.Jm[p.m :: 2], pad, 2 * pad + 2 * s_end)
+        ep = _shifted(self.E, pad, 2 * pad + p.n + 2 * c_end)
+        # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
+        self.hankel = _strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1))
+        self.toeplitz = _strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1))
+        # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
+        self.e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
+        self.e_down = _strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1))
 
 
 def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
@@ -190,7 +213,7 @@ def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, in
 
     s0 < ``s_stop`` runs over multiples of ``_ROW_TILE`` whose last row
     s0 + _ROW_TILE - 1 is at least -((1 + lm - c0) // 2), the first row
-    s2 of the block that reaches p >= 0 (see ``_r_blocks``); [e_lo,
+    s2 of the block that reaches p >= 0 (see ``_r_block``); [e_lo,
     e_hi] is where P and B can both be nonzero, and must not be empty.
     """
     a, b = (params.n + params.l - params.m) // 2, (params.n - params.l + params.m) // 2
@@ -207,8 +230,8 @@ def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, in
     return tiles
 
 
-def _r_blocks(ws: _Workspace, stops: list[tuple[int, int]]):
-    """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k], one column block at a time.
+def _r_block(ws: _Workspace, c0: int, s_stop: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
     a = (n+l-m)/2, b = n - a, lm = h - n and s' = p + (q-l-m)/2 =
@@ -222,61 +245,39 @@ def _r_blocks(ws: _Workspace, stops: list[tuple[int, int]]):
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
 
-    Each (c0, s_stop) of ``stops``, in column order, yields (r0, first,
-    buf, block): block[par, s2 - r0, c - c0] = R(p, q) for c0 <= c < c0 +
-    _COL_TILE and s2 from r0, the first of ``_tiles``, in whole tiles to
-    s_stop, both parities of a tile by one product, 0 off the tiles.
-    buf[s' - first, c - c0], first = min(2 r0 - _COL_TILE + 1, c0 - lm),
-    holds it from every p >= 0 to _COL_TILE - 1 zero rows past it.  The
-    arrays are padded once per call, no temporary past ~2^16 doubles.
+    Returns (r0, first, buf, block): block[par, s2 - r0, c - c0] = R(p, q)
+    for c0 <= c < c0 + _COL_TILE and s2 from r0, the first of ``_tiles``,
+    in whole tiles to ``s_stop``, both parities of a tile by one product,
+    0 off the tiles.  buf[s' - first, c - c0], first = min(2 r0 -
+    _COL_TILE + 1, c0 - lm), holds it from every p >= 0 to _COL_TILE - 1
+    zero rows past it.  No temporary passes ~2^16 doubles.
     """
-    if not stops:
-        return
-    l, m, n = ws.params.l, ws.params.m, ws.params.n
-    a, b, lm = (n + l - m) // 2, (n - l + m) // 2, (l + m - n) // 2
-    ts, tc = _ROW_TILE, _COL_TILE
-    tiling = [_tiles(ws.params, c0, s_stop) for c0, s_stop in stops]
-    s_end = max(0, *(s_stop for _, s_stop in stops)) + ts  # past every block's last row
-    c_end = stops[-1][0] + tc
-    k_max = max((hi - lo + 1 for tiles in tiling for _, lo, hi in tiles), default=1)
-    # every array below covers the indices its views reach with zeros;
-    # pad shifts index 0 of the J and E arrays
-    pad = k_max + 2 * (ts + tc)
-    jl = _shifted(ws.Jl[l::2], pad, 2 * pad + 2 * s_end)
-    jm = _shifted(ws.Jm[m::2], pad, 2 * pad + 2 * s_end)
-    ep = _shifted(ws.E, pad, 2 * pad + n + 2 * c_end)
-    # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
-    hankel = _strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1))
-    toeplitz = _strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1))
-    # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[top - r + par + c]
-    top = ep.size - tc - 1
-    e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
-    e_down = _strided(ep, top, (2, top + 1, tc), (1, -1, 1))
-    for (c0, s_stop), tiles in zip(stops, tiling):
-        r0 = tiles[0][0] if tiles else 0
-        rows = max(0, -(-(s_stop - r0) // ts) * ts)
-        lead = max(tc - 1, 2 * r0 + lm - c0)
-        buf = np.zeros((lead + 2 * rows + tc - 1, tc))
-        block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
-        e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
-        width = max((e_hi for _, _, e_hi in tiles), default=0) - e0 + 1
-        r_up = pad + a + c0 + 2 * e0 - 1
-        r_down = top - pad - b - c0 + 2 * e0
-        B = e_up[:, r_up : r_up + 2 * width : 2] * e_down[:, r_down : r_down + 2 * width : 2]
-        for s0, e_lo, e_hi in tiles:
-            k = e_hi - e_lo + 1
-            x = pad + s0 + e_lo
-            y = pad + s0 - e_lo - k_max + 1
-            P = hankel[x : x + ts, :k] * toeplitz[:, y : y + ts, :k]
-            np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
-        yield r0, 2 * r0 - lead, buf, block
+    ts, tc, pad = _ROW_TILE, _COL_TILE, ws.pad
+    tiles = _tiles(ws.params, c0, s_stop)
+    r0 = tiles[0][0] if tiles else 0
+    rows = max(0, -(-(s_stop - r0) // ts) * ts)
+    lead = max(tc - 1, 2 * r0 + ws.lm - c0)
+    buf = np.zeros((lead + 2 * rows + tc - 1, tc))
+    block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
+    e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
+    width = max((e_hi for _, _, e_hi in tiles), default=0) - e0 + 1
+    r_up = pad + ws.a + c0 + 2 * e0 - 1
+    r_down = pad + ws.b + c0 - 2 * e0
+    B = ws.e_up[:, r_up : r_up + 2 * width : 2] * ws.e_down[:, r_down : r_down - 2 * width : -2]
+    for s0, e_lo, e_hi in tiles:
+        k = e_hi - e_lo + 1
+        x = pad + s0 + e_lo
+        y = pad + s0 - e_lo - ws.k_max + 1
+        P = ws.hankel[x : x + ts, :k] * ws.toeplitz[:, y : y + ts, :k]
+        np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
+    return r0, 2 * r0 - lead, buf, block
 
 
 def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     """nu_0 .. nu_(count-1) of the workspace's site.
 
     pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the inner sums R of
-    ``_r_blocks``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
+    ``_r_block``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
     p = i - q, where G[i] / G[p] = C(i, q) G[q]: R(p, q) G[q] is the row
     q = j of the double sum.  The weight is formed in that order: the
     ratio (up to 1e79) goes into the gamma ladder before the J_n ladder,
@@ -290,12 +291,10 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     s' + c = i - h, a sheared view of its buffer, into nu_i in column
     order: a shorter table is bit for bit a prefix of a longer one.
     """
-    l, m, n = ws.params.l, ws.params.m, ws.params.n
-    h = (l + m + n) // 2
-    lm = h - n  # lm = (l+m-n)/2, so p = s' - c + lm
+    n, lm = ws.params.n, ws.lm  # p = s' - c + lm
+    h = lm + n
     ts, tc = _ROW_TILE, _COL_TILE
     c_stop = min(count - h, (count + 1 - n) // 2)
-    stops = [(c0, (count - h - c0 + 1) // 2) for c0 in range(0, c_stop, tc)]
     s_end, c_end = (count + 1) // 2 + ts, max(c_stop, 0) + tc  # past every block
     nus = np.zeros(count)
     # the weights' arrays are zero-padded like the tiles' (ones for G in a denominator)
@@ -309,7 +308,8 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
     g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
     gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
-    for (c0, _), (r0, first, buf, block) in zip(stops, _r_blocks(ws, stops)):
+    for c0 in range(0, c_stop, tc):
+        r0, first, buf, block = _r_block(ws, c0, (count - h - c0 + 1) // 2)
         rows = block.shape[1]
         i0 = 2 * r0 + c0 + h
         p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
@@ -492,12 +492,12 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
 
     Rows q = n, n+2, ... below the depth are read by column from R blocks
-    of ``_COL_TILE`` rows, each planned before the first row to the widest
-    of its groups; the rows between, where J_q(n) = 0, are 0.  A group's
-    width is the envelope width (``_envelope_count``) of its last row, at
-    least one past the first p where R(p, q) of its first row can be
-    nonzero, and at most ``l_max``.  No width changes a row that stops
-    inside it, and a row that does not stop reports so.
+    of ``_COL_TILE`` rows, each formed to the widest of its groups when
+    the scan reaches it; the rows between, where J_q(n) = 0, are 0.  A
+    group's width is the envelope width (``_envelope_count``) of its last
+    row, at least one past the first p where R(p, q) of its first row
+    can be nonzero, and at most ``l_max``.  No width changes a row that
+    stops inside it, and a row that does not stop reports so.
     """
     ws = _Workspace(params, n_max + l_max)
     l, m, n = params.l, params.m, params.n
@@ -515,16 +515,13 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
         return min(max(_envelope_count(ws, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
 
-    plan = []  # (c0, rows, row groups, their widths) of each column block
-    for q0 in range(n, depth, 2 * _COL_TILE):
-        block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
-        groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
-        plan.append(((q0 - n) // 2, len(block), groups, [width(qs) for qs in groups]))
-    r_blocks = _series6_r(ws, [(c0, cols, max(widths)) for c0, cols, _, widths in plan])
-
     def rows():
         yield from itertools.repeat((0.0, 0.0, True), min(n, depth))
-        for (_, _, groups, widths), R in zip(plan, r_blocks):
+        for q0 in range(n, depth, 2 * _COL_TILE):
+            block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
+            groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
+            widths = [width(qs) for qs in groups]
+            R = _series6_r(ws, (q0 - n) // 2, len(block), max(widths))
             for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
                 for q, row in zip(qs, _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])):
@@ -556,17 +553,15 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
 
-def _series6_r(ws: _Workspace, blocks: list[tuple[int, int, int]]):
-    """For each (c0, cols, width) of ``blocks``, R(p, q) as r[c - c0, p], q = n + 2c.
+def _series6_r(ws: _Workspace, c0: int, cols: int, width: int) -> np.ndarray:
+    """R(p, q) as r[c - c0, p], q = n + 2c, c0 <= c < c0 + cols, p < width: a view of one ``_r_block``.
 
-    r, c0 <= c < c0 + cols and p < width, is a view over one block of a
-    single ``_r_blocks`` pass; rows of s' < 0 and of tiles left out are 0.
+    Rows of s' < 0 and of tiles left out are 0.
     """
-    tc, lm = _COL_TILE, (ws.params.l + ws.params.m - ws.params.n) // 2
-    stops = [(c0, (width + c0 + cols - 2 - lm) // 2 + 1) for c0, cols, width in blocks]
-    for (c0, cols, width), (_, first, buf, _) in zip(blocks, _r_blocks(ws, stops)):
-        # r[c - c0, p] = buf[c - lm + p - first, c - c0]
-        yield _strided(buf, (c0 - lm - first) * tc, (cols, width), (tc + 1, tc))
+    tc, lm = _COL_TILE, ws.lm
+    _, first, buf, _ = _r_block(ws, c0, (width + c0 + cols - 2 - lm) // 2 + 1)
+    # r[c - c0, p] = buf[c - lm + p - first, c - c0]
+    return _strided(buf, (c0 - lm - first) * tc, (cols, width), (tc + 1, tc))
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:

@@ -17,6 +17,13 @@ def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
     return operator.index(value)
 
 
+def _real(value, name: str, error: type[ValueError] = ValueError):
+    """``value`` if it is a real number and not a bool; otherwise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float skips the ABC check
+        raise error(f"{name} must be a real number; got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GreenParams:
     """A Green-function evaluation point.
@@ -45,9 +52,7 @@ class GreenParams:
         if (self.l + self.m + self.n) % 2:
             raise DomainError("l+m+n must be even")
         for name in ("gamma", "t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number; got {value!r}")
+            value = _real(getattr(self, name), name, DomainError)
             if not value > 0.0:
                 raise DomainError(f"{name} must be positive")
             if not math.isfinite(value):

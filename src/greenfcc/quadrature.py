@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import GreenParams, SeriesEvaluation
+from .params import GreenParams, SeriesEvaluation, _real, _whole
 
 _HALF = math.pi / 2.0
 # rounding floor of the error estimate, relative to the sum of |w*f|
@@ -130,15 +130,14 @@ class QuadratureSpec:
     subdivisions_per_axis: int = 4
     corner_refinement_levels: int = 12
     target_tol: float = 1e-10
+    _LEAST = (("nodes_per_axis", 4), ("subdivisions_per_axis", 1), ("corner_refinement_levels", 0))
 
     def __post_init__(self) -> None:
-        if self.nodes_per_axis < 4:
-            raise ValueError("nodes_per_axis must be at least 4")
-        if self.subdivisions_per_axis < 1:
-            raise ValueError("subdivisions_per_axis must be at least 1")
-        if self.corner_refinement_levels < 0:
-            raise ValueError("corner_refinement_levels must be non-negative")
-        if not (math.isfinite(self.target_tol) and self.target_tol > 0.0):
+        for name, least in self._LEAST:
+            if _whole(getattr(self, name), name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        tol = _real(self.target_tol, "target_tol")
+        if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError("target_tol must be positive and finite")
 
 

@@ -386,6 +386,19 @@ class TestDeterminism:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_is_an_error(self, tmp_path, where):
+        # a path in a missing directory, or a directory itself, gives
+        # exit 1 and one error line where it used to give a traceback
+        out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+        r = run("eval", "--t", "4", "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -126,7 +126,7 @@ def _series6_row(ws, i, tol_inner, l_max):
         return 0.0, 0.0, True
     c = (i - ws.params.n) // 2
     c_block = c - c % _COL_TILE
-    (R,) = _series6_r(ws, [(c_block, _COL_TILE, l_max)])
+    R = _series6_r(ws, c_block, _COL_TILE, l_max)
     (row,) = _series6_rows(ws, c, [tol_inner], R[c - c_block : c - c_block + 1])
     return row
 
@@ -546,20 +546,47 @@ class TestSeries6Blocks:
                 assert row["term"] == pytest.approx(alone, rel=1e-14), i
 
     @pytest.mark.parametrize("evaluate", [evaluate_series5, evaluate_series6])
-    def test_one_r_pass_per_call(self, evaluate, monkeypatch):
-        # a call plans all its column blocks first and reads them from one
-        # pass of _r_blocks, which builds the padded J and E arrays once;
+    def test_one_workspace_per_call(self, evaluate, monkeypatch):
+        # every R block of a call is formed from the views of one
+        # workspace, so the J and E arrays are padded once per call;
         # both series read two or more blocks here
-        passes = []
-        r_blocks = green_series._r_blocks
+        workspaces = []
+        r_block = green_series._r_block
 
-        def spy(*args):
-            passes.append(len(args[1]))
-            return r_blocks(*args)
+        def spy(ws, c0, s_stop):
+            workspaces.append(ws)
+            return r_block(ws, c0, s_stop)
 
-        monkeypatch.setattr(green_series, "_r_blocks", spy)
+        monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate(GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1), tol=1e-11)
-        assert len(passes) == 1 and passes[0] >= 2, passes
+        assert len(workspaces) >= 2
+        assert all(ws is workspaces[0] for ws in workspaces)
+
+    def test_blocks_sized_when_the_scan_reaches_them(self, monkeypatch):
+        # at depth 66 the scan stops after 47-48 terms, inside the first
+        # column block (rows q < 64): series6 forms that block alone and
+        # sizes only its two row groups, where it used to size the second
+        # block's group too before the first row
+        blocks, sized = [], []
+        r_block, envelope = green_series._r_block, green_series._envelope_count
+
+        def spy_block(ws, c0, s_stop):
+            blocks.append(c0)
+            return r_block(ws, c0, s_stop)
+
+        def spy_envelope(ws, q, tol_q, l_max):
+            sized.append(q)
+            return envelope(ws, q, tol_q, l_max)
+
+        monkeypatch.setattr(green_series, "_r_block", spy_block)
+        monkeypatch.setattr(green_series, "_envelope_count", spy_envelope)
+        p = GreenParams(t=3.5, gamma=0.5)
+        gap = p.t - p.gamma
+        assert _depth(p, 2.0 / gap, gap, 0.5e-11, 400) == 66
+        ev = evaluate_series6(p, tol=1e-11)
+        assert 47 <= ev.terms_used <= 48 < 2 * _COL_TILE
+        assert blocks == [0]
+        assert sized == [2 * (_ROW_GROUP - 1), 2 * (2 * _ROW_GROUP - 1)]
 
     def test_lead_past_the_first_tile(self):
         # at (0, 200, 0) the tiles of column block 0 have an empty range

@@ -141,6 +141,35 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(target_tol=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"corner_refinement_levels": 2.5},
+            {"corner_refinement_levels": "3"},
+            {"corner_refinement_levels": None},
+            {"corner_refinement_levels": True},
+            {"nodes_per_axis": 24.0},
+            {"subdivisions_per_axis": "4"},
+            {"target_tol": "1e-10"},
+            {"target_tol": None},
+            {"target_tol": True},
+            {"target_tol": 1e-10j},
+        ],
+    )
+    def test_fields_of_the_wrong_type_rejected(self, kwargs):
+        # each is a ValueError up front: levels 2.5 used to be accepted,
+        # ignored off the corner and a TypeError at t = 3.001 from the
+        # corner rule's shift; "3", None or a text target_tol were
+        # TypeErrors from the comparisons
+        with pytest.raises(ValueError, match="must be"):
+            QuadratureSpec(**kwargs)
+
+    def test_integer_like_levels_accepted(self):
+        params = GreenParams(t=3.001, gamma=1.0)
+        want = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=3))
+        got = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=np.int64(3)))
+        assert got == want
+
 
 class TestGreenByQuadrature:
     def test_domain_error_below_band(self):
