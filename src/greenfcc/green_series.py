@@ -533,22 +533,34 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
 
 
 def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
-    """The pieces row q of series6 takes if every R(p, q) G[q] is pi^2, its bound.
+    """The pieces row q of series6 takes if every R(p, q) G[q] is at its bound B(p).
 
-    J <= pi and sum_k C(q, k) 2^-q = 1 give piece_p <= env_p = c_p Jn[q] /
-    (pi t) and ratio_p env_(p-1) < env_p, so once a piece is nonzero the
-    row stops by the first p with ratio_p < 1 and 2 env_p ratio_p /
-    (1 - ratio_p) <= ``tol_q``: found by bisection on logarithms.
+    J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)), since C(2m, m) / 4^m <=
+    1 / sqrt(pi m), and b does not increase.  With sum_k C(q, k) 2^-q = 1
+    this gives R(p, q) G[q] <= max_k b(p+k) b(p+q-k) = b(p) b(p+q).
+    Take B(p) = pi^2 for p < 2 and b(p-1) b(p-1+q) from p = 2 on: B does
+    not increase, and it bounds R(p, q) G[q] and R(p-1, q) G[q] alike.
+    So piece_p <= env_p = c_p B(p) Jn[q] / (t pi^3), and since ratio_p =
+    x (q+p+2)/(p+2) <= x (q+p)/p = c_p / c_(p-1), also ratio_p
+    piece_(p-1) <= ratio_p c_(p-1) B(p) Jn[q] / (t pi^3) <= env_p: the
+    envelope covers both terms of the row's stop test.  Once a piece is
+    nonzero the row stops by the first p with ratio_p < 1 and 2 env_p
+    ratio_p / (1 - ratio_p) <= ``tol_q``: found by bisection on logarithms.
     """
     t, x = ws.params.t, ws.params.gamma / ws.params.t
     log_x = math.log(x)
     log_a = math.log(2.0 * ws.Jn[q] / (math.pi * t * tol_q)) + q * math.log(2.0 / t)
     log_a -= math.lgamma(q + 1)
+    log_2_pi = math.log(2.0 / math.pi)
 
     def passes(p: int) -> bool:
         ratio = x * (q + p + 2) / (p + 2)
+        if ratio >= 1.0:
+            return False
         log_c = math.lgamma(q + p + 1) - math.lgamma(p + 1) + p * log_x
-        return ratio < 1.0 and log_a + log_c + math.log(ratio / (1.0 - ratio)) <= 0.0
+        if p >= 2:  # B(p) / pi^2
+            log_c += log_2_pi - 0.5 * math.log((p - 1) * (p - 1 + q))
+        return log_a + log_c + math.log(ratio / (1.0 - ratio)) <= 0.0
 
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
@@ -578,19 +590,16 @@ def _ladder_start(r: float, i: int) -> tuple[float, int]:
     return m, e + er * i
 
 
-def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> list:
-    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6.
+def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of series6 rows q = n + 2c, c0 <= c < c0 + len(R), and their ratios.
 
     With x = gamma/t, piece p of row q is c_p (R(p, q) G[q]) Jn[q] / t /
     pi^3, c_p = C(q+p, p) x^p (2/t)^q, and R(p, q) G[q] = sum_k C(q,k)
-    2^-q Jl[p+k] Jm[p+q-k] is read from ``R``, p < W.  A row stops at the
-    first p whose ratio x (q+p+2)/(p+2) is below 1, with a piece so far
-    nonzero and 2 max(piece_p, ratio piece_(p-1)) ratio / (1 - ratio) at
-    most ``tols[c - c0]``; it gives the fsum of its pieces, that bound
-    (inf if the ratio never fell below 1) and whether it stopped, or
-    sums all W pieces.  All rows are formed at once, elementwise in this
-    operation order; the ratio never rises with p and is divided by only
-    where below 1 (at t = 2 gamma it is exactly 1 at p = q - 2).
+    2^-q Jl[p+k] Jm[p+q-k] is read from ``R``, p < W.  Returns (pieces,
+    f): pieces[:, 1 + p] is piece p and pieces[:, 0] = 0, the piece
+    before p = 0; f[:, p] = x (q+p+1)/(p+1), p <= W, is the ladder's step
+    to p+1 and the ratio at p-1.  All rows are formed at once,
+    elementwise in this operation order.
 
     The ladder starts from (2/t)^q split by ``_ladder_start`` (subnormal
     or 0 at deep rows of large gamma); every factor x (q+p)/p is split by
@@ -603,22 +612,49 @@ def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> 
     count, width = R.shape
     q0 = ws.params.n + 2 * c0
     qs = range(q0, q0 + 2 * count, 2)
-    pv = np.arange(1, width + 2)
-    f = x * (np.arange(q0, q0 + 2 * count, 2)[:, None] + pv)
-    f /= pv  # f[:, p] = x (q+p+1)/(p+1): the ladder's step to p+1, the ratio at p-1
-    # pieces[:, 1 + p] holds piece p and pieces[:, 0] = 0, the piece before p = 0
+    pv = np.arange(1.0, width + 2)
+    f = np.arange(q0, q0 + 2 * count, 2.0)[:, None] + pv
+    f *= x
+    f /= pv
     pieces = np.zeros((count, width + 1))
     ladder = pieces[:, 1:]
     exps = np.empty(R.shape, dtype=np.int64)
     ladder[:, 0], exps[:, 0] = zip(*(_ladder_start(2.0 / t, q) for q in qs))
     np.frexp(f[:, : width - 1], out=(ladder[:, 1:], exps[:, 1:]))
     np.multiply.accumulate(ladder, axis=1, out=ladder)
-    np.cumsum(exps, axis=1, out=exps)
+    np.add.accumulate(exps, axis=1, out=exps)
     piece = np.ldexp(ladder, exps, out=ladder)
     piece *= R * ws.G[q0 : q0 + 2 * count : 2, None]
     piece *= ws.Jn[q0 : q0 + 2 * count : 2, None]
     piece /= t
     piece /= PI3
+    return pieces, f
+
+
+def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> list:
+    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, from ``_series6_pieces``.
+
+    A row stops at the first p whose ratio x (q+p+2)/(p+2) is below 1,
+    with a piece so far nonzero and 2 max(piece_p, ratio piece_(p-1))
+    ratio / (1 - ratio) at most ``tols[c - c0]``; it gives the sum of its
+    pieces, that bound (inf if the ratio never fell below 1) and whether
+    it stopped, or sums all W pieces.  The ratio never rises with p and
+    is divided by only where below 1 (at t = 2 gamma it is exactly 1 at
+    p = q - 2).  Every piece is >= 0, so a piece so far is nonzero
+    exactly where the prefix sum s_p is > 0.
+
+    The sum is Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26,
+    2005) over the whole group: s = the prefix sums of the pieces, each
+    addition's exact rounding error by TwoSum, z = s_p - s_(p-1), e_p =
+    (s_(p-1) - (s_p - z)) + (piece_p - z), and a row's total s_last +
+    E_last with E the prefix sums of e.  For n pieces >= 0 of sum S its
+    error is at most eps S + gamma_(n-1)^2 S (eps = 2^-53), so the total
+    lies within about one ulp of S.  It reads the pieces up to ``last``
+    only: a wider R changes no row that stops inside the narrower one.
+    """
+    pieces, f = _series6_pieces(ws, c0, R)
+    count, width = R.shape
+    piece = pieces[:, 1:]
     ratio = f[:, 1:]
     below = ratio < 1.0
     bounds = ratio * pieces[:, :-1]
@@ -626,15 +662,25 @@ def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> 
     bounds *= 2.0
     bounds *= ratio
     np.divide(bounds, 1.0 - ratio, out=bounds, where=below)
+    sums = np.add.accumulate(pieces, axis=1)
+    prev, s = sums[:, :-1], sums[:, 1:]
     halt = bounds <= np.array(tols)[:, None]
     halt &= below
-    halt &= np.logical_or.accumulate(piece != 0.0, axis=1)
-    out = []
-    for row, (stop, ok) in enumerate(zip(halt.argmax(axis=1).tolist(), halt.any(axis=1).tolist())):
-        last = stop if ok else width - 1
-        bound = float(bounds[row, last]) if below[row, last] else math.inf
-        out.append((math.fsum(piece[row, : last + 1].tolist()), bound, ok))
-    return out
+    halt &= s > 0.0
+    z = s - prev
+    e = s - z
+    np.subtract(prev, e, out=e)
+    np.subtract(piece, z, out=z)
+    e += z
+    np.add.accumulate(e, axis=1, out=e)
+    e += s
+    stops = halt.argmax(axis=1)
+    rows = np.arange(count)
+    ok = halt[rows, stops]
+    last = np.where(ok, stops, width - 1)
+    totals = e[rows, last]
+    row_bounds = np.where(below[rows, last], bounds[rows, last], math.inf)
+    return list(zip(totals.tolist(), row_bounds.tolist(), ok.tolist()))
 
 
 def _doubling_indices(count: int) -> list[int]:

@@ -141,6 +141,10 @@ class QuadratureSpec:
             raise ValueError("target_tol must be positive and finite")
 
 
+# the spec of every call that passes none: frozen, so one instance serves them all
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 def _shift(params: GreenParams) -> float:
     """s = t - 2 - gamma of the float inputs, correctly rounded, and 0.0 below the edge.
 
@@ -434,7 +438,7 @@ def green_by_quadrature(
     ``terms_used`` counts the 2D nodes of the finest rule.
     """
     if spec is None:
-        spec = QuadratureSpec()
+        spec = _DEFAULT_SPEC
     edge = params.band_edge
     if params.t < edge:
         raise DomainError(

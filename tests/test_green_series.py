@@ -34,6 +34,7 @@ from greenfcc.green_series import (
     _nu_table,
     _safe_order,
     _scan,
+    _series6_pieces,
     _series6_r,
     _series6_rows,
     _site_tables,
@@ -157,6 +158,33 @@ def _series6_row_per_j(ws, i, tol_inner, l_max):
         prev_piece = piece
         c *= x * (i + j + 1) / (j + 1)
     return math.fsum(pieces), bound, ok, len(pieces)
+
+
+def _rows_by_loop(ws, c0, tols, R):
+    """Series6 rows one p at a time over the pieces ``_series6_pieces`` forms (reference).
+
+    Each row's stop test runs in a Python loop, in the vector pass's
+    operation order.  Returns per row (the pieces it summed, bound, ok).
+    """
+    pieces, f = _series6_pieces(ws, c0, R)
+    width = R.shape[1]
+    out = []
+    for row, tol in enumerate(tols):
+        values, ratios = pieces[row].tolist(), f[row].tolist()
+        seen, ok, bound = False, False, math.inf
+        for p in range(width):
+            piece, ratio = values[1 + p], ratios[1 + p]
+            seen = seen or piece != 0.0
+            bound = max(piece, ratio * values[p]) * 2.0 * ratio
+            if ratio < 1.0:
+                bound /= 1.0 - ratio
+                if seen and bound <= tol:
+                    ok = True
+                    break
+            else:
+                bound = math.inf
+        out.append((values[1 : p + 2], bound, ok))
+    return out
 
 
 def _exact_series6_pieces(ws, i, x, count):
@@ -603,6 +631,68 @@ class TestSeries6Blocks:
         assert got[1:] == want[1:3]
         ev = evaluate_series6(p, tol=1e-11)
         assert ev.value == pytest.approx(_series6_row(ws, 0, 1e-300, 400)[0], rel=1e-14)
+
+    def test_j_bounded_by_b(self):
+        # the envelope widths rest on J_p(k) = pi C(p, (p-k)/2) / 2^p <=
+        # b(p) = sqrt(2 pi / p), that is p pi C^2 <= 2 4^p: checked in
+        # integers with pi < 355/113 for every k <= p of p's parity, at
+        # every p a series6 call reads (p - 1 + q < 2 HARD_ORDER_CAP)
+        for p in range(1, 2 * HARD_ORDER_CAP + 1):
+            limit = math.isqrt(2 * 113 * 4**p // (355 * p))  # C <= limit iff 355 p C^2 <= 226 4^p
+            c = math.comb(p, p // 2)
+            for j in range(p // 2, -1, -1):  # k = p - 2j
+                assert c <= limit, (p, p - 2 * j)
+                c = c * j // (p - j + 1)
+
+    def _groups(self, monkeypatch):
+        """(params, c0, tols, width) of every group the scan forms on the grid."""
+        groups = []
+
+        def spy(ws, c0, tols, R):
+            groups.append((ws.params, c0, list(tols), R.shape[1]))
+            return _series6_rows(ws, c0, tols, R)
+
+        monkeypatch.setattr(green_series, "_series6_rows", spy)
+        for p in self._grid():
+            evaluate_series6(p)
+        monkeypatch.undo()
+        return groups
+
+    def test_row_totals_do_not_depend_on_the_width(self, monkeypatch):
+        # the envelope widths may shrink without moving a result: a row
+        # that stops inside width w gives the same total, bound and flag,
+        # to the bit, when 17 more pieces follow it
+        extra, compared = 17, 0
+        for p, c0, tols, w in self._groups(monkeypatch):
+            ws = _Workspace(p, 400 + 400 + extra)
+            c_block = c0 - c0 % _COL_TILE
+            R = _series6_r(ws, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
+            narrow = _series6_rows(ws, c0, tols, R[:, :w])
+            wide = _series6_rows(ws, c0, tols, R)
+            for row, (got, want) in enumerate(zip(narrow, wide)):
+                if got[2]:
+                    assert got == want, (p, c0, row)
+                    compared += 1
+        assert compared > 1000
+
+    def test_row_totals_within_one_ulp_of_fsum(self, monkeypatch):
+        # the vector pass stops every row where the per-row loop does,
+        # with the same bound, and its compensated total is within one
+        # ulp of the correctly rounded sum of the pieces up to the stop
+        rows = 0
+        for p, c0, tols, w in self._groups(monkeypatch):
+            ws = _Workspace(p, 800)
+            c_block = c0 - c0 % _COL_TILE
+            R = _series6_r(ws, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
+            got = _series6_rows(ws, c0, tols, R)
+            for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
+                zip(got, _rows_by_loop(ws, c0, tols, R))
+            ):
+                fsum = math.fsum(pieces)
+                assert (bound, ok) == (want_bound, want_ok), (p, c0, row)
+                assert abs(total - fsum) <= math.ulp(fsum), (p, c0, row)
+                rows += 1
+        assert rows > 1000
 
     def test_deepest_call_stays_small(self):
         # one R block and one row group at a time; per-row chunks of the

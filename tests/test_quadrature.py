@@ -170,6 +170,20 @@ class TestQuadratureSpec:
         got = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=np.int64(3)))
         assert got == want
 
+    @pytest.mark.parametrize("t", [3.001, 4.0])
+    def test_default_spec_built_once(self, t, monkeypatch):
+        # a call without a spec reads the module's frozen default, on the
+        # corner path and off it, and gives what an explicit default gives
+        params = GreenParams(t=t, gamma=1.0)
+        want = green_by_quadrature(params, QuadratureSpec())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("QuadratureSpec built during a call")
+
+        monkeypatch.setattr(quadrature, "QuadratureSpec", refuse)
+        assert green_by_quadrature(params) == want
+        assert quadrature._DEFAULT_SPEC == QuadratureSpec()
+
 
 class TestGreenByQuadrature:
     def test_domain_error_below_band(self):
