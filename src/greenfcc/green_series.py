@@ -39,13 +39,16 @@ overflows and nothing depends on t; the i-th term is nu_i r^i / t with
 r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
-J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  A
-call's ``_Workspace`` zero-pads the J and E arrays once, and
-``_r_block`` forms one column block of q from their views.  Series5
+J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  The
+cached record of a site and J depth (``_site_tables``) holds the J and
+E arrays zero-padded, and ``_r_block`` forms one column block of q from
+their views.  Series5
 sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
 (``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
 forming a block when its scan reaches it.  Each series builds its terms
-to the depth ``_depth`` gives it and hands them to the scan as an iterable.
+to the depth ``_depth`` gives it and hands them to the scan in chunks,
+lists of terms, inner errors and flags: series5 all its terms at once,
+series6 one row group at a time.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -64,6 +67,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,21 +114,65 @@ def _safe_order(gamma: float) -> int:
     return int(680.0 / math.log(2.0 + gamma))
 
 
-@lru_cache(maxsize=32)
-def _site_tables(l: int, m: int, n: int, j_depth: int) -> tuple[np.ndarray, ...]:
-    """The read-only J vectors J_p(l), J_p(m), J_p(n), p <= j_depth, of one site.
+class _SiteTables(NamedTuple):
+    """The read-only tables of one site and J depth, the views of R included (``_site_tables``)."""
 
-    They are read from the shared closed-form table and depend on
-    neither t nor gamma, so the cache keeps a sweep, a comparison or a
-    repeated call from rebuilding them.  Series6 has j_depth = n_max + l_max,
-    enough for every inner index j < l_max.
+    Jl: np.ndarray
+    Jm: np.ndarray
+    Jn: np.ndarray
+    a: int
+    b: int
+    lm: int
+    k_max: int
+    pad: int
+    hankel: np.ndarray
+    toeplitz: np.ndarray
+    e_up: np.ndarray
+    e_down: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _site_tables(l: int, m: int, n: int, j_depth: int) -> _SiteTables:
+    """The J vectors of site (l, m, n) to ``j_depth`` and the views ``_r_block`` reads.
+
+    J_p(l), J_p(m), J_p(n), p <= j_depth, are read from the shared
+    closed-form table.  Jl[l::2], Jm[m::2] and E are zero-padded, index 0
+    at ``pad``, under a Hankel and a Toeplitz view of the J vectors and
+    two strided views of E.  A block (c0, s_stop) reads E below n + 2
+    c_end with c_end = c0 + _COL_TILE, rows s2 below s_end = s_stop +
+    _ROW_TILE, and tiles at most min(2 s_end, c_end + n//2 + 1) wide
+    (``_tiles``).  Every block has c0 <= (j_depth - n)//2 and s_stop <=
+    (j_depth + |lm|)//2 + 1, lm = (l+m-n)/2: tables of count <= j_depth + 1
+    orders have columns c < (count + 1 - n)//2 and s_stop = (count - h -
+    c0 + 1)//2, and series6 (j_depth = n_max + l_max) reads q = n + 2c <
+    n_max to s_stop = (width + c - 1 - lm)//2 + 1, width <= l_max.
+
+    Nothing here depends on t or gamma, so the cache keeps a sweep, a
+    comparison or a repeated call from rebuilding it.  Every array, and
+    every array a view is built on, is read-only and shared.
     """
     table = shared_table(j_depth)
-    vectors = []
-    for site in (l, m, n):
-        vectors.append(np.array([table.j_value(p, site) for p in range(j_depth + 1)]))
-        vectors[-1].flags.writeable = False
-    return tuple(vectors)
+    Jl, Jm, Jn = (np.array([table.j_value(p, site) for p in range(j_depth + 1)]) for site in (l, m, n))
+    a, b, lm = (n + l - m) // 2, (n - l + m) // 2, (l + m - n) // 2
+    ts, tc = _ROW_TILE, _COL_TILE
+    c_end = max(0, (j_depth - n) // 2) + tc
+    s_end = (j_depth + abs(lm)) // 2 + 1 + ts
+    k_max = min(n // 2 + c_end + 1, 2 * s_end)
+    pad = k_max + 2 * (ts + tc)
+    jl = _shifted(Jl[l::2], pad, 2 * pad + 2 * s_end)
+    jm = _shifted(Jm[m::2], pad, 2 * pad + 2 * s_end)
+    ep = _shifted(_factorial_scales()[0], pad, 2 * pad + n + 2 * c_end)
+    for arr in (Jl, Jm, Jn, jl, jm, ep):
+        arr.flags.writeable = False
+    return _SiteTables(
+        Jl, Jm, Jn, a, b, lm, k_max, pad,
+        # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
+        hankel=_strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1)),
+        toeplitz=_strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1)),
+        # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
+        e_up=_strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1)),
+        e_down=_strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1)),
+    )
 
 
 @lru_cache(maxsize=1)
@@ -152,19 +200,12 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Workspace:
-    """The tables of one evaluation: scaled factorials, J vectors and the views of R.
+    """The tables of one evaluation: the scaled factorials and its site's ``_site_tables``.
 
-    E, G and the J vectors J_p(l), J_p(m), J_p(n), p <= ``j_depth``, come
-    from process-wide caches and depend on neither t nor gamma.  Jl[l::2],
-    Jm[m::2] and E are zero-padded once, index 0 at ``pad``, under the
-    views ``_r_block`` reads.  A block (c0, s_stop) reads E below n + 2
-    c_end with c_end = c0 + _COL_TILE, rows s2 below s_end = s_stop +
-    _ROW_TILE, and tiles at most min(2 s_end, c_end + n//2 + 1) wide
-    (``_tiles``).  Every block has c0 <= (j_depth - n)//2 and s_stop <=
-    (j_depth + |lm|)//2 + 1, lm = (l+m-n)/2: tables of count <= j_depth + 1
-    orders have columns c < (count + 1 - n)//2 and s_stop = (count - h -
-    c0 + 1)//2, and series6 (j_depth = n_max + l_max) reads q = n + 2c <
-    n_max to s_stop = (width + c - 1 - lm)//2 + 1, width <= l_max.
+    E and G come from ``_factorial_scales``, the J vectors J_p(l), J_p(m),
+    J_p(n), p <= ``j_depth``, and the padded views of R from the site's
+    cached record; all depend on neither t nor gamma, and the workspace
+    only reads them.
     """
 
     params: GreenParams
@@ -173,22 +214,10 @@ class _Workspace:
     def __post_init__(self) -> None:
         p = self.params
         self.E, self.G = _factorial_scales()
-        self.Jl, self.Jm, self.Jn = _site_tables(p.l, p.m, p.n, self.j_depth)
-        self.a, self.b, self.lm = (p.n + p.l - p.m) // 2, (p.n - p.l + p.m) // 2, (p.l + p.m - p.n) // 2
-        ts, tc = _ROW_TILE, _COL_TILE
-        c_end = max(0, (self.j_depth - p.n) // 2) + tc
-        s_end = (self.j_depth + abs(self.lm)) // 2 + 1 + ts
-        self.k_max = k_max = min(p.n // 2 + c_end + 1, 2 * s_end)
-        self.pad = pad = k_max + 2 * (ts + tc)
-        jl = _shifted(self.Jl[p.l :: 2], pad, 2 * pad + 2 * s_end)
-        jm = _shifted(self.Jm[p.m :: 2], pad, 2 * pad + 2 * s_end)
-        ep = _shifted(self.E, pad, 2 * pad + p.n + 2 * c_end)
-        # hankel[x, j] = jl[x + j]; toeplitz[par, y, j] = jm[y + par - j + k_max - 1]
-        self.hankel = _strided(jl, 0, (jl.size - k_max + 1, k_max), (1, 1))
-        self.toeplitz = _strided(jm, k_max - 1, (2, jm.size - k_max, k_max), (1, 1, -1))
-        # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
-        self.e_up = _strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1))
-        self.e_down = _strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1))
+        (
+            self.Jl, self.Jm, self.Jn, self.a, self.b, self.lm, self.k_max, self.pad,
+            self.hankel, self.toeplitz, self.e_up, self.e_down,
+        ) = _site_tables(p.l, p.m, p.n, self.j_depth)
 
 
 def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
@@ -428,64 +457,79 @@ class _ScanState:
 
 
 def _scan(
-    rows: Iterable[tuple[float, float, bool]],
+    chunks: Iterable[tuple[list[float], list[float], list[bool]]],
     ratio: float,
     stop_tol: float,
     n_max: int,
 ) -> _ScanState:
-    """Kahan-sum the terms of either series, read as (term, inner_error, inner_ok) rows.
+    """Kahan-sum the terms of either series, read as chunks (terms, inner_errors, inner_ok).
 
-    Series5 has no inner sum and gives (term, 0.0, True).  After each
+    A chunk holds three lists of equal length, one entry per term.
+    Series5 hands its whole term list as one chunk, with inner errors
+    0.0 and flags True; series6 one chunk per row group.  After each
     term the geometric tail bound ratio/(1-ratio) * max(term, ratio *
     prev) is taken, and the running bound is the least of the bounds
     taken once some nonzero term has been seen.  Before that, and always
     when ``ratio >= 1``, it is inf.  The terms of both series are >= 0
     and exactly 0.0 until the first order whose walks reach the site, so
     the first nonzero term needs no floor index of its own.  Inner
-    errors are kept per term and ``inner_ok`` holds only if every row
-    reported it.  The scan stops once the running bound is <=
-    ``stop_tol``, or after ``n_max`` terms.
+    errors are kept per term and ``inner_ok`` holds only if every term
+    read reported it.  The scan stops once the running bound is <=
+    ``stop_tol``, or after ``n_max`` terms; it reads no chunk past the
+    one it stops in.  Only the summation runs per term: terms, errors
+    and flags are taken a chunk at a time.
 
-    ``rows`` is built to the depth ``_depth`` gives, so it can end
-    before ``n_max`` only once the scan has stopped.  If it ends sooner
+    The chunks are built to the depth ``_depth`` gives, so they can end
+    before ``n_max`` only once the scan has stopped.  If they end sooner
     the scan raises IndexError, unless every term so far is 0.0 (below
     the double range, as at t = 1e300): then it ends unstopped.
     """
     geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    bounded = ratio < 1.0
     state = _ScanState()
-    total = comp = 0.0
+    add_sum, add_bound = state.sums.append, state.bounds.append
+    total = comp = prev = 0.0
     seen_nonzero = False
     running = math.inf
-    for i, (term, inner_error, inner_ok) in enumerate(itertools.islice(rows, n_max)):
-        state.terms.append(term)
-        state.inner_errors.append(inner_error)
-        state.inner_ok = state.inner_ok and inner_ok
-        if term != 0.0:
-            seen_nonzero = True
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        state.sums.append(total)
-        prev = state.terms[i - 1] if i >= 1 else 0.0
-        bound = geo * max(term, ratio * prev) if ratio < 1.0 else math.inf
-        if seen_nonzero:
-            running = min(running, bound)
-        state.bounds.append(running)
-        if running <= stop_tol:
-            state.stopped = True
-            break
-    else:
-        if len(state.terms) < n_max and seen_nonzero:
-            raise IndexError(f"the rows ended after {len(state.terms)} of {n_max} terms")
+    for terms, inner_errors, inner_ok in chunks:
+        start = len(state.sums)
+        for term in terms[: n_max - start]:
+            if term != 0.0:
+                seen_nonzero = True
+                y = term - comp
+                s = total + y
+                comp = (s - total) - y
+                total = s
+            add_sum(total)
+            if seen_nonzero and bounded:
+                # geo * max(term, ratio * prev), the least bound so far
+                bound = ratio * prev
+                bound = geo * (bound if bound > term else term)
+                if bound < running:
+                    running = bound
+            add_bound(running)
+            if running <= stop_tol:
+                state.stopped = True
+                break
+            prev = term
+        read = len(state.sums) - start
+        state.terms += terms[:read]
+        state.inner_errors += inner_errors[:read]
+        state.inner_ok = state.inner_ok and all(inner_ok[:read])
+        if state.stopped or len(state.sums) == n_max:
+            return state
+    if seen_nonzero:
+        raise IndexError(f"the chunks ended after {len(state.sums)} of {n_max} terms")
     return state
 
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
+    """Series5's scan: its terms nu_i r^i / t, by Python's pow, as one chunk."""
     t = params.t
     r = params.band_edge / t
     nus = _nu_table(_Workspace(params, n_max), _depth(params, r, t, tol, n_max))
-    return _scan(((nu * r**i / t, 0.0, True) for i, nu in enumerate(nus.tolist())), r, tol, n_max)
+    terms = [nu * r**i / t for i, nu in enumerate(nus.tolist())]
+    return _scan([(terms, [0.0] * len(terms), [True] * len(terms))], r, tol, n_max)
 
 
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
@@ -497,7 +541,9 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     group's width is the envelope width (``_envelope_count``) of its last
     row, at least one past the first p where R(p, q) of its first row
     can be nonzero, and at most ``l_max``.  No width changes a row that
-    stops inside it, and a row that does not stop reports so.
+    stops inside it, and a row that does not stop reports so.  The rows
+    below n are one chunk of zeros; each group is one chunk, its rows
+    interleaved with the zero rows after them.
     """
     ws = _Workspace(params, n_max + l_max)
     l, m, n = params.l, params.m, params.n
@@ -515,8 +561,9 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
         return min(max(_envelope_count(ws, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
 
-    def rows():
-        yield from itertools.repeat((0.0, 0.0, True), min(n, depth))
+    def chunks():
+        zeros = min(n, depth)
+        yield [0.0] * zeros, [0.0] * zeros, [True] * zeros
         for q0 in range(n, depth, 2 * _COL_TILE):
             block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
             groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
@@ -524,12 +571,15 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
             R = _series6_r(ws, (q0 - n) // 2, len(block), max(widths))
             for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
-                for q, row in zip(qs, _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])):
-                    yield row
-                    if q + 1 < depth:
-                        yield 0.0, 0.0, True
+                rows = _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
+                # row q at 2 (q - qs[0]), then the zero row q + 1 unless it is past the depth
+                size = 2 * len(qs) - (qs[-1] + 1 >= depth)
+                chunk = [0.0] * size, [0.0] * size, [True] * size
+                for column, values in zip(chunk, rows):
+                    column[::2] = values
+                yield chunk
 
-    return _scan(rows(), r_out, tol * 0.5, n_max)
+    return _scan(chunks(), r_out, tol * 0.5, n_max)
 
 
 def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
@@ -549,7 +599,8 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     """
     t, x = ws.params.t, ws.params.gamma / ws.params.t
     log_x = math.log(x)
-    log_a = math.log(2.0 * ws.Jn[q] / (math.pi * t * tol_q)) + q * math.log(2.0 / t)
+    # a sum of logarithms: 2 Jn[q] / (pi t tol_q) underflows at t = 1e300, tol_q = 1e10
+    log_a = math.log(2.0 * ws.Jn[q] / math.pi) - math.log(t) - math.log(tol_q) + q * math.log(2.0 / t)
     log_a -= math.lgamma(q + 1)
     log_2_pi = math.log(2.0 / math.pi)
 
@@ -631,14 +682,17 @@ def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray,
     return pieces, f
 
 
-def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> list:
+def _series6_rows(
+    ws: _Workspace, c0: int, tols: list[float], R: np.ndarray
+) -> tuple[list[float], list[float], list[bool]]:
     """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, from ``_series6_pieces``.
 
     A row stops at the first p whose ratio x (q+p+2)/(p+2) is below 1,
     with a piece so far nonzero and 2 max(piece_p, ratio piece_(p-1))
-    ratio / (1 - ratio) at most ``tols[c - c0]``; it gives the sum of its
-    pieces, that bound (inf if the ratio never fell below 1) and whether
-    it stopped, or sums all W pieces.  The ratio never rises with p and
+    ratio / (1 - ratio) at most ``tols[c - c0]``, or sums all W pieces.
+    Returns three lists, one entry per row: the sum of its pieces, that
+    bound (inf if the ratio never fell below 1) and whether it stopped,
+    the columns of the scan's chunk.  The ratio never rises with p and
     is divided by only where below 1 (at t = 2 gamma it is exactly 1 at
     p = q - 2).  Every piece is >= 0, so a piece so far is nonzero
     exactly where the prefix sum s_p is > 0.
@@ -680,7 +734,7 @@ def _series6_rows(ws: _Workspace, c0: int, tols: list[float], R: np.ndarray) -> 
     last = np.where(ok, stops, width - 1)
     totals = e[rows, last]
     row_bounds = np.where(below[rows, last], bounds[rows, last], math.inf)
-    return list(zip(totals.tolist(), row_bounds.tolist(), ok.tolist()))
+    return totals.tolist(), row_bounds.tolist(), ok.tolist()
 
 
 def _doubling_indices(count: int) -> list[int]:

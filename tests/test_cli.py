@@ -59,6 +59,14 @@ class TestEval:
         assert 0.2 < rec["value"] < 0.3
         assert rec["wall_time_ms"] >= 0.0
 
+    def test_series6_at_t_1e300_with_a_loose_tol(self):
+        # the row envelope's 2 Jn[q] / (pi t tol_q) underflows to 0.0 here;
+        # its logarithm once ended the command with "math domain error"
+        r = run("eval", "--t", "1e300", "--method", "series6", "--tol", "1e10")
+        assert r.returncode == 0, r.stderr
+        (rec,) = json_lines(r.stdout)
+        assert rec["value"] == 1e-300 and rec["converged"] is True
+
     def test_parity_error(self):
         r = run("eval", "--t", "4", "--lmn", "1", "1", "1")
         assert r.returncode == 1

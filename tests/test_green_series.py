@@ -1,4 +1,7 @@
+import collections
+import itertools
 import math
+import random
 import sys
 import tracemalloc
 import warnings
@@ -128,8 +131,8 @@ def _series6_row(ws, i, tol_inner, l_max):
     c = (i - ws.params.n) // 2
     c_block = c - c % _COL_TILE
     R = _series6_r(ws, c_block, _COL_TILE, l_max)
-    (row,) = _series6_rows(ws, c, [tol_inner], R[c - c_block : c - c_block + 1])
-    return row
+    (total,), (bound,), (ok,) = _series6_rows(ws, c, [tol_inner], R[c - c_block : c - c_block + 1])
+    return total, bound, ok
 
 
 def _series6_row_per_j(ws, i, tol_inner, l_max):
@@ -445,7 +448,8 @@ class TestStridedLoops:
 
         def per_j_rows(ws, c0, tols, R):
             qs = range(ws.params.n + 2 * c0, ws.params.n + 2 * (c0 + len(tols)), 2)
-            return [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
+            rows = [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
+            return tuple(list(column) for column in zip(*rows))
 
         monkeypatch.setattr(green_series, "_series6_rows", per_j_rows)
         per_j = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
@@ -486,7 +490,7 @@ class TestSeries6Blocks:
 
         def spy(ws, c0, tols, R):
             rows = _series6_rows(ws, c0, tols, R)
-            formed.append((c0, R.shape[1], [ok for _, _, ok in rows]))
+            formed.append((c0, R.shape[1], list(rows[2])))
             return rows
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
@@ -669,7 +673,7 @@ class TestSeries6Blocks:
             R = _series6_r(ws, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
             narrow = _series6_rows(ws, c0, tols, R[:, :w])
             wide = _series6_rows(ws, c0, tols, R)
-            for row, (got, want) in enumerate(zip(narrow, wide)):
+            for row, (got, want) in enumerate(zip(zip(*narrow), zip(*wide))):
                 if got[2]:
                     assert got == want, (p, c0, row)
                     compared += 1
@@ -686,7 +690,7 @@ class TestSeries6Blocks:
             R = _series6_r(ws, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
             got = _series6_rows(ws, c0, tols, R)
             for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
-                zip(got, _rows_by_loop(ws, c0, tols, R))
+                zip(zip(*got), _rows_by_loop(ws, c0, tols, R))
             ):
                 fsum = math.fsum(pieces)
                 assert (bound, ok) == (want_bound, want_ok), (p, c0, row)
@@ -802,7 +806,8 @@ class TestNuTable:
 class TestSiteTableCache:
     """One process-wide set of site tables serves every t and gamma."""
 
-    VIEWS = ("Jl", "Jm", "Jn")
+    VIEWS = ("Jl", "Jm", "Jn", "hankel", "toeplitz", "e_up", "e_down")
+    PADDED = ("hankel", "toeplitz", "e_up", "e_down")
 
     def test_same_key_shares_arrays(self):
         a = _Workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
@@ -824,8 +829,28 @@ class TestSiteTableCache:
                     assert not arr.flags.writeable, name
                 arr = getattr(arr, "base", None)
 
-    @pytest.mark.parametrize("site", [(2, 1, 1), (3, 1, 0), (2, 2, 0), (4, 2, 2)])
+    def test_padded_arrays_built_once_per_site(self, monkeypatch):
+        # the zero-padded J and E arrays under the views of R belong to the
+        # site's record: a second call with the same key pads nothing and
+        # reads the same read-only buffers
+        key = GreenParams(t=4.0, gamma=1.0, l=40, m=30, n=0)
+        _site_tables.cache_clear()
+        a = _Workspace(key, 120)
+        shifted = []
+        monkeypatch.setattr(green_series, "_shifted", lambda *args, **kw: shifted.append(args))
+        b = _Workspace(GreenParams(t=7.0, gamma=0.5, l=40, m=30, n=0), 120)
+        assert shifted == []
+        for name in self.PADDED:
+            view, other = getattr(a, name), getattr(b, name)
+            assert view.base is other.base and not view.base.flags.writeable, name
+
+    @pytest.mark.parametrize(
+        "site", [(2, 1, 1), (3, 1, 0), (2, 2, 0), (4, 2, 2), (0, 0, 0), (40, 30, 0), (0, 200, 0)]
+    )
     def test_cold_and_warm_results_identical(self, site):
+        # the views of a cold site record and of a warm one give equal
+        # results; at (40, 30, 0) and (0, 200, 0) the R buffers lead past
+        # 31 zero rows
         p = GreenParams(t=3.4, gamma=1.3, l=site[0], m=site[1], n=site[2])
         edge = GreenParams(t=3.3, gamma=1.3, l=site[0], m=site[1], n=site[2])
 
@@ -834,6 +859,7 @@ class TestSiteTableCache:
                 evaluate_series5(p, tol=1e-13),
                 evaluate_series5(edge, n_max=150, accel="wynn"),
                 evaluate_series6(p, tol=1e-13, n_max=80, l_max=60),
+                evaluate_series6(p, tol=1e-13),
             )
 
         _site_tables.cache_clear()
@@ -921,9 +947,49 @@ class TestMomentEnvelope:
             assert np.all(np.abs(nu) <= envelope), site
 
 
-def _rows(terms, errors=None, oks=None):
-    """Rows over fixed terms, inner errors and inner flags."""
-    return zip(terms, errors or [0.0] * len(terms), oks or [True] * len(terms))
+def _chunks(terms, errors=None, oks=None, cuts=None):
+    """Chunks over fixed terms, inner errors and inner flags, cut at ``cuts`` (default: in half)."""
+    errors = errors or [0.0] * len(terms)
+    oks = oks or [True] * len(terms)
+    edges = [0, *([len(terms) // 2] if cuts is None else cuts), len(terms)]
+    return [(terms[i:j], errors[i:j], oks[i:j]) for i, j in zip(edges, edges[1:])]
+
+
+def _scan_by_term(rows, ratio, stop_tol, n_max):
+    """The summation loop one (term, inner_error, inner_ok) row at a time (reference).
+
+    The body of the scan before it read chunks, kept to test the chunked
+    ``_scan`` against: every field of the state it returns is the one
+    the chunked scan must return, bit for bit.
+    """
+    geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    state = green_series._ScanState()
+    total = comp = 0.0
+    seen_nonzero = False
+    running = math.inf
+    for i, (term, inner_error, inner_ok) in enumerate(itertools.islice(rows, n_max)):
+        state.terms.append(term)
+        state.inner_errors.append(inner_error)
+        state.inner_ok = state.inner_ok and inner_ok
+        if term != 0.0:
+            seen_nonzero = True
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        state.sums.append(total)
+        prev = state.terms[i - 1] if i >= 1 else 0.0
+        bound = geo * max(term, ratio * prev) if ratio < 1.0 else math.inf
+        if seen_nonzero:
+            running = min(running, bound)
+        state.bounds.append(running)
+        if running <= stop_tol:
+            state.stopped = True
+            break
+    else:
+        if len(state.terms) < n_max and seen_nonzero:
+            raise IndexError(f"the rows ended after {len(state.terms)} of {n_max} terms")
+    return state
 
 
 class TestZeroTermsBeforeTheSite:
@@ -955,17 +1021,17 @@ class TestZeroTermsBeforeTheSite:
 
 
 class TestScan:
-    """The summation loop of both series, on synthetic rows."""
+    """The summation loop of both series, on synthetic chunks."""
 
     def test_zero_terms_before_the_floor_never_stop_it(self):
         # at ratio 1/2 the bound after a zero that follows a zero is
         # 0.0, but before the first nonzero term no bound counts
-        state = _scan(_rows([0.0] * 6), 0.5, 0.0, 6)
+        state = _scan(_chunks([0.0] * 6), 0.5, 0.0, 6)
         assert not state.stopped and state.bounds == [math.inf] * 6
 
     def test_stops_at_the_first_bound_within_tol(self):
         terms = [2.0**-i for i in range(20)]
-        state = _scan(_rows(terms), 0.5, 2.0**-5, len(terms))
+        state = _scan(_chunks(terms), 0.5, 2.0**-5, len(terms))
         # the bound after term i is max(2^-i, 2^-1 * 2^-(i-1)) = 2^-i
         assert state.bounds == [2.0**-i for i in range(6)]
         assert state.stopped and len(state.terms) == 6
@@ -974,19 +1040,19 @@ class TestScan:
     def test_inner_errors_and_flags_are_combined(self):
         terms = [1.0, 0.5, 0.25]
         errors = [1e-3, 2e-3, 4e-3]
-        state = _scan(_rows(terms, errors, [True, False, True]), 0.5, 0.0, 3)
+        state = _scan(_chunks(terms, errors, [True, False, True]), 0.5, 0.0, 3)
         assert state.inner_errors == errors
         assert not state.inner_ok
         ev = _finish(state, 1.0, "none", "series6")
         assert ev.abs_error_estimate == state.best_bound + math.fsum(errors)
         assert not ev.converged
-        state = _scan(_rows(terms, errors, [True] * 3), 0.5, 0.0, 3)
+        state = _scan(_chunks(terms, errors, [True] * 3), 0.5, 0.0, 3)
         assert state.inner_ok
 
     @pytest.mark.parametrize("ratio", [1.0, 1.5])
     def test_ratio_at_or_above_one_never_stops(self, ratio):
         terms = [1e-300 * 0.5**i for i in range(8)]
-        state = _scan(_rows(terms), ratio, 1.0, len(terms))
+        state = _scan(_chunks(terms), ratio, 1.0, len(terms))
         assert not state.stopped and len(state.terms) == 8
         assert state.bounds == [math.inf] * 8
 
@@ -994,14 +1060,82 @@ class TestScan:
         # a depth too small: the rows end before n_max, past a nonzero term
         terms = [0.0, 0.0, 1.0, 0.5]
         with pytest.raises(IndexError):
-            _scan(_rows(terms), 0.5, 0.0, 10)
-        assert len(_scan(_rows(terms), 0.5, 0.0, 4).terms) == 4
+            _scan(_chunks(terms), 0.5, 0.0, 10)
+        assert len(_scan(_chunks(terms), 0.5, 0.0, 4).terms) == 4
 
     def test_zero_rows_ending_early_end_unstopped(self):
         # every term underflowed to 0.0: no bound exists, and nothing raises
-        state = _scan(_rows([0.0] * 4), 0.5, 1.0, 10)
+        state = _scan(_chunks([0.0] * 4), 0.5, 1.0, 10)
         assert not state.stopped and state.sums == [0.0] * 4
         assert _finish(state, 1.0, "none", "series5").abs_error_estimate == math.inf
+
+    def test_no_chunk_read_past_the_stop(self):
+        # a stop on the last term of a chunk and one inside a chunk: the
+        # scan takes the terms up to the stop and pulls no later chunk
+        terms = [2.0**-i for i in range(20)]
+        for cuts, chunks_read in (([3, 6, 10], 2), ([3, 5, 10], 3), ([6], 1)):
+            chunks = _chunks(terms, cuts=cuts)
+            pulled = []
+
+            def feed():
+                for chunk in chunks:
+                    pulled.append(chunk)
+                    yield chunk
+
+            state = _scan(feed(), 0.5, 2.0**-5, len(terms))
+            assert state.stopped and len(state.terms) == 6, cuts
+            assert len(pulled) == chunks_read, cuts
+
+    def test_chunks_match_the_scan_by_term(self):
+        # random term lists cut into random chunks against the per-term
+        # loop: every _ScanState field bit for bit, or IndexError from
+        # both.  Each list is also cut at its stop, around it and at
+        # n_max, and the cases must cover every path below
+        rng = random.Random(20121)
+        seen = collections.Counter()
+        for _ in range(400):
+            count = rng.randrange(1, 50)
+            zeros = rng.choice([0, 0, rng.randrange(count + 1)])
+            decay = rng.uniform(0.1, 1.2)
+            terms = [0.0] * zeros + [
+                rng.uniform(0.5, 2.0) * decay**i if rng.random() < 0.8 else 0.0
+                for i in range(count - zeros)
+            ]
+            errors = [rng.choice([0.0, rng.uniform(0.0, 1e-3)]) for _ in terms]
+            oks = [rng.random() < 0.95 for _ in terms]
+            ratio = rng.choice([0.1, 0.5, 0.9, 1.0, 1.5])
+            stop_tol = rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 1.0)])
+            n_max = rng.choice([count, rng.randrange(1, count + 1), count + rng.randrange(1, 4)])
+            try:
+                want = _scan_by_term(zip(terms, errors, oks), ratio, stop_tol, n_max)
+            except IndexError:
+                want = None
+            end = len(want.terms) if want else count
+            cut_sets = [
+                sorted(rng.randrange(count + 1) for _ in range(rng.randrange(5))),
+                [end],
+                [max(end - 1, 0), min(end + 1, count)],
+                [min(n_max, count)],
+            ]
+            for cuts in cut_sets:
+                chunks = _chunks(terms, errors, oks, cuts)
+                if want is None:
+                    with pytest.raises(IndexError):
+                        _scan(iter(chunks), ratio, stop_tol, n_max)
+                    seen["raised"] += 1
+                    continue
+                got = _scan(iter(chunks), ratio, stop_tol, n_max)
+                assert repr(vars(got)) == repr(vars(want)), (terms, ratio, stop_tol, n_max, cuts)
+                edges = {0, *cuts, count}
+                if want.stopped:
+                    seen["stop at a chunk's end" if end in edges else "stop inside a chunk"] += 1
+                elif end == n_max and end not in edges:
+                    seen["n_max inside a chunk"] += 1
+                elif end < n_max:
+                    seen["zero terms ending early"] += 1
+                seen["zeros before the first nonzero"] += want.stopped and zeros > 0
+                seen["ratio >= 1"] += ratio >= 1.0
+        assert len(seen) == 7 and min(seen.values()) >= 10, seen
 
 
 class TestEvaluateSeries5:
@@ -1120,6 +1254,14 @@ class TestEvaluateSeries6:
     def test_limits_validated(self):
         with pytest.raises(ValueError):
             evaluate_series6(GreenParams(t=4.0), l_max=0)
+
+    @pytest.mark.parametrize("t, tol", [(1e300, 1e10), (1e200, 1e120)])
+    def test_envelope_where_t_tol_overflows(self, t, tol):
+        # 2 Jn[q] / (pi t tol_q) underflows to 0.0: the envelope takes the
+        # logarithms of its factors, where it raised "math domain error"
+        ev = evaluate_series6(GreenParams(t=t), tol=tol)
+        assert ev.converged and ev.terms_used == 1
+        assert ev.value == 1.0 / t
 
     def test_l_max_cut_reports_an_infinite_estimate(self):
         # l_max = 50 ends the inner sums while their ratio
