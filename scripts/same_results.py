@@ -32,7 +32,8 @@ of its own:
   t = 4.5, gamma = 2 to tol 1e-14, at gamma = 30 and at gamma = 1e6,
   ``convergence`` on series6 with ``--l-max`` 17, series6 ``eval`` and
   ``convergence`` at the far site (40, 30, 0) and ``eval`` at
-  (0, 200, 0), whose R blocks need a lead past 31 zero rows, the quadrature at
+  (0, 200, 0), whose R blocks need a lead past 31 zero rows, series6
+  at t = 1e300, gamma = 1e-30, where gamma/t underflows, the quadrature at
   gamma = 3e-8 next to the edge and at a t that passes fl(2 + gamma)
   only by rounding, the trapezoid at N = 1024 with an odd n and at
   N = 2048, two trapezoid points whose stop is decided at the rounding
@@ -163,6 +164,8 @@ EXTRA_COMMANDS = (
      "--tol", "1e-300"],
     # series6 at (0, 200, 0), whose first R tile of column block 0 starts at s2 = 32
     ["eval", "--t", "4", "--lmn", "0", "200", "0", "--method", "series6"],
+    # series6 where gamma/t = 1e-330 underflows to 0.0
+    ["eval", "--t", "1e300", "--gamma", "1e-30", "--method", "series6", "--tol", "1e-3"],
     # the quadrature where 2 + gamma is not a float, and where t - 2 - gamma
     # of the float inputs is -1e-17 though t >= fl(2 + gamma)
     ["eval", "--t", "2.0000001", "--gamma", "3e-8", "--method", "quadrature"],

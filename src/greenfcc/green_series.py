@@ -48,7 +48,11 @@ sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
 forming a block when its scan reaches it.  Each series builds its terms
 to the depth ``_depth`` gives it and hands them to the scan in chunks,
 lists of terms, inner errors and flags: series5 all its terms at once,
-series6 one row group at a time.
+series6 one row group at a time.  That depth comes from a closed-form,
+site-free envelope of the terms: every J_p is at most b(p) = min(pi,
+sqrt(2 pi / p)), so nu_i decays like i^(-3/2) (``_nu_envelope``) and
+series6's row q like q^(-3/2) r6^q (``_row_envelope``).  The envelope
+only sizes the tables; the scan's stop rule does not read it.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -64,7 +68,7 @@ import bisect
 import itertools
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -103,6 +107,10 @@ _ROW_TILE = 16
 _COL_TILE = 32
 # series6 forms its rows in groups of this many, as the scan reaches them
 _ROW_GROUP = 16
+# the constants of the series5 and series6 envelopes (``_depth``)
+_NU_ENVELOPE = 8.0 * math.sqrt(2.0) / math.pi**2
+_ROW_ENVELOPE = 8.0 / math.pi**2
+_TINY = sys.float_info.min  # the least normal double
 
 
 def _safe_order(gamma: float) -> int:
@@ -356,32 +364,98 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     return nus
 
 
-def _depth(params: GreenParams, ratio: float, denominator: float, stop_tol: float, n_max: int) -> int:
-    """The terms a scan reads before it stops, for terms term_i <= ratio^i / denominator.
+def _nu_envelope(params: GreenParams, i: int) -> float:
+    """U_i >= |nu_i| at every site (see ``_depth``): 1 below i = 2 and where x y is not normal."""
+    s = 2.0 + params.gamma
+    xy = 2.0 * params.gamma / (s * s)
+    if i < 2 or xy < _TINY:
+        return 1.0
+    u = _NU_ENVELOPE / ((i + 1) * math.sqrt(i * xy))
+    return u if u < 1.0 else 1.0
 
-    Once some term is nonzero, the scan's tail bound after term i is then
-    at most ratio/(1-ratio) ratio^i / denominator, and the first nonzero
-    term comes by order l+m+n.  So the scan stops by order
-    max(i*, l+m+n), with i* the first i where that bound meets
-    ``stop_tol``; two more orders cover the rounding of the bound and of
-    the logarithms here.  At ratio >= 1 nothing stops the scan before
-    ``n_max``.
 
-    Series5 passes (r, t, tol), r = (2+gamma)/t: its term is nu_i r^i / t
-    with |nu_i| <= 1, and its first nonzero term comes at order
-    max((l+m+n)/2, l, m, n).  Series6 passes (r6, t - gamma, tol/2),
-    r6 = 2/(t - gamma).  With x = gamma/t, piece p of its row q is
-    C(q+p, p) x^p (2/t)^q (R(p, q) G[q]) Jn[q] / (t pi^3).  Every J is at
-    most pi, so Jn[q] <= pi and R(p, q) G[q] = sum_k C(q, k) 2^-q Jl Jm
-    <= pi^2; with sum_p C(q+p, p) x^p = (1 - x)^-(q+1) the row is at most
-    (2/t)^q / t (t/(t - gamma))^(q+1) = r6^q / (t - gamma), and a row cut
-    at ``l_max`` sums fewer pieces.  Its first nonzero row is
-    q = max(l+m, n) <= l+m+n, at p = 0.
+def _row_envelope(params: GreenParams, q: int) -> float:
+    """V_q, with series6's row q <= V_q r6^q / (t - gamma) (see ``_depth``): 1 at q = 0 and where x is not normal."""
+    x = params.gamma / params.t
+    if q < 1 or x < _TINY:
+        return 1.0
+    u = _ROW_ENVELOPE / (q * math.sqrt((q + 1) * x))
+    return u if u < 1.0 else 1.0
+
+
+def _depth(
+    params: GreenParams,
+    ratio: float,
+    denominator: float,
+    stop_tol: float,
+    n_max: int,
+    envelope: Callable[[GreenParams, int], float],
+) -> int:
+    """The terms a scan reads before it stops, for terms term_i <= U_i ratio^i / denominator.
+
+    U = ``envelope`` does not increase, so U_(i-1) ratio^i / denominator
+    bounds both term_i and ratio term_(i-1), and once some term is
+    nonzero the scan's tail bound after term i is at most geo U_(i-1)
+    ratio^i / denominator, geo = ratio/(1-ratio).  The first nonzero
+    term comes by order l+m+n, so the scan stops by order max(i*, l+m+n),
+    with i* any i where that bound meets ``stop_tol``; two more orders
+    cover the rounding of the bound and of the logarithms here.  At
+    ratio >= 1 nothing stops the scan before ``n_max``.
+
+    With logs = log(stop_tol denominator / geo), i passes where i >=
+    g(i) = (logs - log U_(i-1)) / log ratio, and g does not increase.
+    The crude i0 = ceil(logs / log ratio), the bound at U = 1, passes;
+    i1 = ceil(g(i0)) <= i0 may not, but i2 = ceil(g(i1)) >= ceil(g(i0))
+    = i1 gives g(i2) <= g(i1) <= i2, so i2 passes: two steps, in closed
+    form, and never past i0.
+
+    Both bounds rest on J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)), from
+    C(2m, m) / 4^m <= 1 / sqrt(pi m): b(0) = pi, b(p) = sqrt(2 pi / p)
+    from p = 1 on, b(k)^2 <= 4 pi / (k+1), and b(q)^2 <= 2 pi / q for
+    q >= 1.  With sum_k C(q, k) 2^-q = 1, R(p, q) G[q] is at most the
+    largest b(p+k) b(p+q-k), k <= q.  For p >= 1 that is b(p) b(p+q),
+    since (p+k)(p+q-k) >= p (p+q).  At p = 0 the ends give pi b(q) and
+    every other product 2 pi / sqrt(k (q-k)) <= 2 pi / sqrt(q-1) <=
+    2 sqrt(pi) b(q).  So R(p, q) G[q] <= (2/sqrt(pi)) b(p) b(p+q) for
+    every p, and Jn[q] <= b(q).
+
+    Series5 passes (r, t, tol, ``_nu_envelope``), r = (2+gamma)/t: its
+    term is nu_i r^i / t.  With s = 2+gamma, x = gamma/s, y = 2/s and Q
+    ~ Bin(i, y), P = i - Q ~ Bin(i, x), pi^3 nu_i = sum_q C(i, q) x^p
+    y^q Jn[q] R(p, q) G[q] <= (2/sqrt(pi)) b(i) E[b(P) b(Q)].  By
+    Cauchy-Schwarz and E[1/(Q+1)] = (1 - x^(i+1)) / ((i+1) y) <= 1 /
+    ((i+1) y), the same for P with x, E[b(P) b(Q)] <= 4 pi / ((i+1)
+    sqrt(x y)), so for i >= 1
+
+        nu_i <= U_i = 8 sqrt(2) / (pi^2 (i+1) sqrt(i x y)),
+
+    and nu_i <= 1 since every J is at most pi and the weights sum to 1.
+    Its first nonzero term comes at order max((l+m+n)/2, l, m, n).
+
+    Series6 passes (r6, t - gamma, tol/2, ``_row_envelope``), r6 = 2/(t
+    - gamma).  With x = gamma/t, piece p of its row q is C(q+p, p) x^p
+    (2/t)^q (R(p, q) G[q]) Jn[q] / (t pi^3), and a row cut at ``l_max``
+    sums fewer pieces.  P negative binomial, P(P = p) = C(q+p, p) x^p
+    (1-x)^(q+1), has E[1/(P+1)] = (1-x) (1 - (1-x)^q) / (q x) <= 1 /
+    ((q+1) x), since u - u^(q+1) <= q/(q+1) on [0, 1].  With b(q)^2 <=
+    2 pi / q, Cauchy-Schwarz on E[b(P)] and (2/t)^q (1-x)^-(q+1) / t =
+    r6^q / (t - gamma), row q is at most r6^q / (t - gamma) times
+
+        V_q = 8 / (pi^2 q sqrt((q+1) x)),  q >= 1,
+
+    and times 1, as R(p, q) G[q] <= pi^2, Jn[q] <= pi and sum_p C(q+p,
+    p) x^p = (1-x)^-(q+1).  Its first nonzero row is q =
+    max(l+m, n) <= l+m+n, at p = 0.  Where x y or x is below the normal
+    range both envelopes take the bound 1, which needs no x.
     """
     if ratio >= 1.0:
         return n_max
     logs = math.log(stop_tol) + math.log(denominator) + math.log1p(-ratio) - math.log(ratio)
-    return min(n_max, max(math.ceil(logs / math.log(ratio)), params.l + params.m + params.n) + 2)
+    log_r = math.log(ratio)
+    i = math.ceil(logs / log_r)
+    for _ in range(2):
+        i = math.ceil((logs - math.log(envelope(params, i - 1))) / log_r)
+    return min(n_max, max(i, params.l + params.m + params.n) + 2)
 
 
 def moment_coefficient(i: int, params: GreenParams) -> float:
@@ -527,7 +601,7 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     """Series5's scan: its terms nu_i r^i / t, by Python's pow, as one chunk."""
     t = params.t
     r = params.band_edge / t
-    nus = _nu_table(_Workspace(params, n_max), _depth(params, r, t, tol, n_max))
+    nus = _nu_table(_Workspace(params, n_max), _depth(params, r, t, tol, n_max, _nu_envelope))
     terms = [nu * r**i / t for i, nu in enumerate(nus.tolist())]
     return _scan([(terms, [0.0] * len(terms), [True] * len(terms))], r, tol, n_max)
 
@@ -549,7 +623,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     l, m, n = params.l, params.m, params.n
     gap = params.t - params.gamma
     r_out = 2.0 / gap
-    depth = _depth(params, r_out, gap, tol * 0.5, n_max)
+    depth = _depth(params, r_out, gap, tol * 0.5, n_max, _row_envelope)
 
     def tol_inner(q: int) -> float:
         budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
@@ -596,8 +670,12 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     envelope covers both terms of the row's stop test.  Once a piece is
     nonzero the row stops by the first p with ratio_p < 1 and 2 env_p
     ratio_p / (1 - ratio_p) <= ``tol_q``: found by bisection on logarithms.
+    Where x is below the normal range (0.0 at t = 1e300, gamma = 1e-30)
+    no bound in x is taken: the row takes all ``l_max`` pieces.
     """
     t, x = ws.params.t, ws.params.gamma / ws.params.t
+    if x < _TINY:
+        return l_max
     log_x = math.log(x)
     # a sum of logarithms: 2 Jn[q] / (pi t tol_q) underflows at t = 1e300, tol_q = 1e10
     log_a = math.log(2.0 * ws.Jn[q] / math.pi) - math.log(t) - math.log(tol_q) + q * math.log(2.0 / t)
@@ -669,7 +747,7 @@ def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray,
     f /= pv
     pieces = np.zeros((count, width + 1))
     ladder = pieces[:, 1:]
-    exps = np.empty(R.shape, dtype=np.int64)
+    exps = np.empty(R.shape, dtype=np.intc)
     ladder[:, 0], exps[:, 0] = zip(*(_ladder_start(2.0 / t, q) for q in qs))
     np.frexp(f[:, : width - 1], out=(ladder[:, 1:], exps[:, 1:]))
     np.multiply.accumulate(ladder, axis=1, out=ladder)

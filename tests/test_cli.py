@@ -67,6 +67,13 @@ class TestEval:
         (rec,) = json_lines(r.stdout)
         assert rec["value"] == 1e-300 and rec["converged"] is True
 
+    def test_series6_where_gamma_over_t_underflows(self):
+        # gamma/t = 1e-330 is 0.0: the row width once took its logarithm
+        r = run("eval", "--t", "1e300", "--gamma", "1e-30", "--method", "series6", "--tol", "1e-3")
+        assert r.returncode == 0, r.stderr
+        (rec,) = json_lines(r.stdout)
+        assert rec["value"] == 1e-300 and rec["converged"] is True
+
     def test_parity_error(self):
         r = run("eval", "--t", "4", "--lmn", "1", "1", "1")
         assert r.returncode == 1

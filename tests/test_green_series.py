@@ -34,7 +34,9 @@ from greenfcc.green_series import (
     _depth,
     _factorial_scales,
     _finish,
+    _nu_envelope,
     _nu_table,
+    _row_envelope,
     _safe_order,
     _scan,
     _series6_pieces,
@@ -595,7 +597,7 @@ class TestSeries6Blocks:
         assert all(ws is workspaces[0] for ws in workspaces)
 
     def test_blocks_sized_when_the_scan_reaches_them(self, monkeypatch):
-        # at depth 66 the scan stops after 47-48 terms, inside the first
+        # at depth 68 the scan stops after 62-63 terms, inside the first
         # column block (rows q < 64): series6 forms that block alone and
         # sizes only its two row groups, where it used to size the second
         # block's group too before the first row
@@ -612,11 +614,11 @@ class TestSeries6Blocks:
 
         monkeypatch.setattr(green_series, "_r_block", spy_block)
         monkeypatch.setattr(green_series, "_envelope_count", spy_envelope)
-        p = GreenParams(t=3.5, gamma=0.5)
+        p = GreenParams(t=4.0, gamma=1.0)
         gap = p.t - p.gamma
-        assert _depth(p, 2.0 / gap, gap, 0.5e-11, 400) == 66
-        ev = evaluate_series6(p, tol=1e-11)
-        assert 47 <= ev.terms_used <= 48 < 2 * _COL_TILE
+        assert _depth(p, 2.0 / gap, gap, 0.5e-14, 400, _row_envelope) == 68
+        ev = evaluate_series6(p, tol=1e-14)
+        assert 62 <= ev.terms_used <= 63 < 2 * _COL_TILE
         assert blocks == [0]
         assert sized == [2 * (_ROW_GROUP - 1), 2 * (2 * _ROW_GROUP - 1)]
 
@@ -734,6 +736,23 @@ class TestNuTable:
             for i in [*edges, _safe_order(gamma)]:
                 assert moment_coefficient(i, p) == full[i] * p.band_edge**i, (site, i)
 
+    def test_table_built_to_the_envelope_depth(self, monkeypatch):
+        # series5 reads 146 orders here; |nu_i| <= 1 sized its table at
+        # 222 orders, the closed-form envelope at 165
+        counts = []
+        nu_table = green_series._nu_table
+
+        def spy(ws, count):
+            counts.append(count)
+            return nu_table(ws, count)
+
+        monkeypatch.setattr(green_series, "_nu_table", spy)
+        p = GreenParams(t=4.5, gamma=2.0, l=2, m=1, n=1)
+        ev = evaluate_series5(p, tol=1e-11)
+        assert counts == [165]
+        assert ev.terms_used == 146
+        assert _depth(p, p.band_edge / p.t, p.t, 1e-11, 400, lambda params, i: 1.0) == 222
+
     def test_order_past_the_table_raises(self, monkeypatch):
         # a depth too small for the scan must fail, not rebuild the table:
         # the rows end before n_max while the scan runs on
@@ -745,39 +764,46 @@ class TestNuTable:
             with pytest.raises(IndexError):
                 evaluate(p, tol=1e-300, n_max=300)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 7.0, 30.0, 1000.0])
     def test_scan_stops_inside_the_table(self, gamma):
-        # the scan builds nu only to _depth; it must never read past it
+        # the scan builds nu only to the envelope's _depth; it must never read past it
         for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
             for tol in (1e-5, 1e-11, 1e-14):
                 for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
                     ev = evaluate_series5(p, tol=tol)
-                    depth = _depth(p, p.band_edge / p.t, p.t, tol, 400)
+                    depth = _depth(p, p.band_edge / p.t, p.t, tol, 400, _nu_envelope)
                     assert ev.terms_used <= depth, (offset, tol, l, m, n)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 7.0, 30.0, 1000.0])
     @pytest.mark.parametrize("l_max", [17, 400])
     def test_series6_scan_stops_inside_its_depth(self, gamma, l_max):
-        # series6 forms its rows only to _depth at r6 = 2/(t - gamma); at
-        # t - edge = 1e6 the floor l+m+n sets that depth
+        # series6 forms its rows only to the row envelope's _depth at
+        # r6 = 2/(t - gamma); at t - edge = 1e6 the floor l+m+n sets that depth
         for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
             for tol in (1e-5, 1e-11, 1e-14):
                 for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
                     ev = evaluate_series6(p, tol=tol, l_max=l_max)
                     gap = p.t - p.gamma
-                    depth = _depth(p, 2.0 / gap, gap, tol / 2, 400)
+                    depth = _depth(p, 2.0 / gap, gap, tol / 2, 400, _row_envelope)
                     assert ev.terms_used <= depth, (offset, tol, l, m, n)
 
-    @pytest.mark.parametrize("t, gamma", [(3.01, 1.0), (4.5, 2.0), (6.0, 3.0), (9.01, 7.0), (12.0, 0.5)])
+    @pytest.mark.parametrize(
+        "t, gamma",
+        [(3.01, 1.0), (4.5, 2.0), (6.0, 3.0), (9.01, 7.0), (12.0, 0.5), (2.06, 0.01), (19.0, 7.0)],
+    )
     def test_series6_rows_within_their_bound(self, t, gamma):
-        # _depth's premise for series6: row q <= r6^q / (t - gamma)
+        # _depth's premise for series6: row q <= r6^q / (t - gamma), and
+        # at most V_q of that (_row_envelope), also with all 1000 pieces
         for l, m, n in [(0, 0, 0), (2, 1, 1), (3, 3, 2), (24, 0, 0)]:
             p = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
             gap = p.t - p.gamma
-            for q, term in enumerate(_terms(p, 120, method="series6")):
-                assert term <= (2.0 / gap) ** q / gap, (l, m, n, q)
+            for l_max in (400, 1000):
+                for q, term in enumerate(_terms(p, 120, method="series6", l_max=l_max)):
+                    crude = (2.0 / gap) ** q / gap
+                    assert term <= crude, (l, m, n, q)
+                    assert term <= crude * _row_envelope(p, q), (l, m, n, q, l_max)
 
     @pytest.mark.parametrize("method", ["series5", "series6"])
     def test_terms_below_the_double_range(self, method):
@@ -945,6 +971,23 @@ class TestMomentEnvelope:
         for site in self.SITES:
             nu = self._nu_table(gamma, site)
             assert np.all(np.abs(nu) <= envelope), site
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 7.0, 30.0, 100.0, 1000.0])
+    def test_closed_form_bounds_every_site(self, gamma):
+        # _depth's premise for series5: |nu_i| <= U_i (_nu_envelope), up
+        # to the hard cap; U does not increase, and at gamma = 1 it lies
+        # about 10.4 times above the origin's moments
+        p = GreenParams(t=2.0 + gamma, gamma=gamma)
+        envelope = np.array([_nu_envelope(p, i) for i in range(HARD_ORDER_CAP + 1)])
+        assert np.all(np.diff(envelope) <= 0.0)
+        sites = [(0, 0, 0), *self.SITES, (0, 0, 24), (0, 24, 0), (1, 1, 4)]
+        for site in sites:
+            at_site = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
+            nu = _nu_workspace(at_site, HARD_ORDER_CAP)[1]
+            assert np.all(np.abs(nu) <= envelope), site
+        if gamma == 1.0:
+            origin = _nu_workspace(p, 400)[1]
+            assert np.all(np.abs(envelope[100:401:100] / origin[100:401:100] - 10.4) < 0.05)
 
 
 def _chunks(terms, errors=None, oks=None, cuts=None):
@@ -1262,6 +1305,15 @@ class TestEvaluateSeries6:
         ev = evaluate_series6(GreenParams(t=t), tol=tol)
         assert ev.converged and ev.terms_used == 1
         assert ev.value == 1.0 / t
+
+    def test_gamma_over_t_below_the_double_range(self):
+        # gamma/t = 1e-330 underflows to 0.0: both envelopes take their
+        # bound without x, where the row width raised "math domain error"
+        p = GreenParams(t=1e300, gamma=1e-30)
+        ev = evaluate_series6(p, tol=1e-3)
+        assert ev.converged and ev.terms_used == 1
+        assert ev.value == 1e-300 == evaluate_series5(p, tol=1e-3).value
+        assert _row_envelope(p, 5) == 1.0
 
     def test_l_max_cut_reports_an_infinite_estimate(self):
         # l_max = 50 ends the inner sums while their ratio
