@@ -50,15 +50,25 @@ of its own:
   RANDOM_N_MAX, l_max from RANDOM_L_MAX, tol log-uniform down to
   1e-300 and a transform, each evaluated by series5 and series6, and
   one ``moment_coefficient`` order each, uniform up to the largest it
-  accepts.  On a 2-core x86 host the sample takes about 5 s per tree.
+  accepts.  On a 2-core x86 host the sample takes about 5 s per tree;
+* a seeded random sample of QUADRATURE_COUNT quadrature points: gamma
+  from RANDOM_GAMMAS, (t - 2 - gamma)/(1 + gamma) log-uniform in
+  [1e-4, 30], so both rules and the trapezoid's doubling past its first
+  grid occur, and l, m, n <= 24 with l+m+n even.  The child evaluates
+  the sample twice, the second ("warm") pass in reverse order, so that
+  pass reads the grid records the first ("cold") pass left cached (34
+  of its 180 record reads hit the cache; the rest were evicted).  It
+  takes under 1 s per tree.
 
 Floats are compared through their repr, so "same" means bit-identical.
 Every difference is printed with each float it moved and that float's
 relative change, followed by one line that sizes them: the largest
 relative change of any float, and the number of results whose other
 fields changed (terms used, converged, accelerated, exit code, or any
-output that is not a float).  The exit code is 1 if there is a
-difference and 0 if there is none.
+output that is not a float).  Then, for each tree, the number of
+quadrature sample points whose cold and warm results differ.  The exit
+code is 1 if there is a difference, between the trees or between the
+working tree's two passes, and 0 if there is none.
 """
 
 from __future__ import annotations
@@ -90,6 +100,8 @@ RANDOM_COUNT = 300
 RANDOM_GAMMAS = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 7.0, 30.0, 1e2, 1e3)
 RANDOM_N_MAX = (1, 7, 33, 100, 400, 1000)
 RANDOM_L_MAX = (1, 17, 64, 400, 1000)
+QUADRATURE_SEED = 20122
+QUADRATURE_COUNT = 60
 README_COMMANDS = (
     ["eval", "--t", "4", "--gamma", "1", "--lmn", "0", "0", "0"],
     ["sweep", "--t", "3.5:10:0.5", "--gamma", "1", "--format", "csv", "--out", "sweep.csv"],
@@ -277,6 +289,20 @@ def collect(src: Path) -> dict[str, str]:
                 got = {"raised": repr(exc)}
             label = f"random[{k}] {name} t={t!r} gamma={gamma!r} lmn={[l, m, n]} l_max={l_max} {kwargs}"
             results[label] = json.dumps(got)
+    sample = []
+    rng = random.Random(QUADRATURE_SEED)
+    for k in range(QUADRATURE_COUNT):
+        gamma = rng.choice(RANDOM_GAMMAS)
+        t = 2.0 + gamma + (1.0 + gamma) * math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+        l, m, n = rng.randrange(25), rng.randrange(25), rng.randrange(25)
+        n += (l + m + n) % 2 * (1 if n < 24 else -1)
+        sample.append((k, greenfcc.GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)))
+    for run, points in (("cold", sample), ("warm", sample[::-1])):
+        for k, params in points:
+            ev = greenfcc.green_by_quadrature(params)
+            got = [ev.value, ev.abs_error_estimate, ev.terms_used, ev.converged]
+            label = f"quadrature[{k}] t={params.t!r} gamma={params.gamma!r} lmn={[params.l, params.m, params.n]}"
+            results[f"{label} {run}"] = json.dumps(got)
     commands = [
         *README_COMMANDS,
         *EXTRA_COMMANDS,
@@ -389,8 +415,13 @@ def main(argv=None) -> int:
         + (f" ({worst_label})" if worst_label else "")
         + f"; {other} results changed other than in floats"
     )
+    passes = [
+        sum(results[label] != results[label[: -len("cold")] + "warm"] for label in results if label.endswith(" cold"))
+        for results in (old, new)
+    ]
+    print(f"quadrature sample: {passes[0]} cold/warm differences in {args.rev}, {passes[1]} in the tree")
     print(f"{len(old.keys() | new.keys())} results compared, {differ} differ")
-    return 1 if differ else 0
+    return 1 if differ or passes[1] else 0
 
 
 if __name__ == "__main__":

@@ -52,6 +52,17 @@ The weights factor per axis, w = wx wy, so with one column of Wx and of
 Wy per rule, every rule's sum of w F and of |w F| is a diagonal entry of
 Wx^T F Wy and of |Wx|^T |F| |Wy|.  Tiles and grids are added in a fixed
 order, so a given QuadratureSpec reproduces results bit-for-bit.
+
+What a grid needs that depends on neither t nor gamma is built once per
+process, as the series' site tables are: one lru_cache record
+(``_grid_tables``), keyed by the integers (rule, N, l, m, levels), holds
+the per-axis tables of the grid (min(v, u), |cos x|, the x <= pi/2 mask
+and 2 cos x of the rows; the columns (1, v, u, 1, cos y)) and the weight
+matrices of its rules, all read-only.  The cache keeps at most 32
+records, each at most ~0.35 MB (N = 2048 with eight rules).  A call
+forms only its rows, from s = t - 2 - gamma and gamma, and F; nothing
+keyed by t or gamma is cached, and results are those of a cold build,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +120,8 @@ _TILE = 1 << 14
 # the corner rule halves its step h = 1/n down to 1/_MAX_TANH_SINH, and
 # resolves sites up to 4/3 of that
 _MAX_TANH_SINH = 128
+# the rules of _grid_tables
+_TRAPEZOID, _CORNER = 0, 1
 
 
 @dataclass(frozen=True)
@@ -155,11 +170,33 @@ def _shift(params: GreenParams) -> float:
     return max(0.0, math.fsum([params.t, -2.0, -params.gamma]))
 
 
-def _axis_factors(params: GreenParams, x, y):
-    """Per-axis columns whose products give A - B, A + B and 2B on the grid x by y.
+def _axis_tables(x, y):
+    """The t-free per-axis tables of the grid x by y: ``axis`` of x and ``columns`` of y.
 
-    With v = 2 sin^2(x/2), u = 2 cos^2(x/2) and c = cos x, each factor
-    is P_x + Q_x b_y, with b = v for x <= pi/2 and b = u past it:
+    With v = 2 sin^2(x/2), u = 2 cos^2(x/2) and c = cos x, ``axis`` is
+    (min(v, u), |c|, [v <= u], 2c, 2) and ``columns`` is (1, v, u, 1, c).
+    _rows forms the rest from them.  When y is x, as on the trapezoid's
+    grid, v, u and c are formed once.
+    """
+    v, u = _versines(x)
+    c = np.cos(x)
+    axis = np.empty((x.size, 5))
+    np.minimum(v, u, out=axis[:, 0])
+    np.abs(c, out=axis[:, 1])
+    axis[:, 2] = v <= u
+    np.multiply(c, 2.0, out=axis[:, 3])
+    axis[:, 4] = 2.0
+    columns = np.ones((y.size, 5))
+    columns[:, 1], columns[:, 2], columns[:, 4] = (v, u, c) if y is x else (*_versines(y), np.cos(y))
+    return axis, columns
+
+
+def _rows(axis, shift: float, gamma: float):
+    """Per-node rows of x whose products with ``columns`` give A - B, A + B and 2B.
+
+    ``axis`` and ``columns`` are _axis_tables of x and y, and shift is
+    s = t - 2 - gamma.  Each factor is P_x + Q_x b_y, with b = v for
+    x <= pi/2 and b = u past it:
 
         near = (s + (1+gamma) a_x) + (1 + gamma |c_x|) b_y,
         far  = (s + 4 + (gamma-1) a_x) + (gamma |c_x| - 1) b_y,
@@ -168,33 +205,24 @@ def _axis_factors(params: GreenParams, x, y):
     at the origin, and A + B past it, where it vanishes at (pi, pi); far
     is the other.  near is a sum of non-negative pieces, and where
     Q_x < 0 in far, |Q_x b_y| <= 2 against far >= s + 1, so no factor is
-    formed by cancellation, whatever gamma.  With ``rows`` from x and
-    ``columns`` = (1, v, u, 1, c) from y, on the grid
+    formed by cancellation, whatever gamma.  On the grid
 
         near = rows[:, 0:3] @ columns[:, 0:3].T,
         far = rows[:, 3:6] @ columns[:, 0:3].T,
         2B = 2(c_x + c_y) = rows[:, 6:8] @ columns[:, 3:5].T.
-
-    When y is x, as on the trapezoid's grid, v, u and c are formed once.
     """
-    shift, gamma = _shift(params), params.gamma
-    v, u = _versines(x)
-    a, c = np.minimum(v, u)[:, None], np.cos(x)
-    rows = np.empty((x.size, 8))
+    rows = np.empty((len(axis), 8))
     # P_x of near and far in columns 0 and 3
-    np.multiply(a, (1.0 + gamma, gamma - 1.0), out=rows[:, 0:4:3])
+    np.multiply(axis[:, 0:1], (1.0 + gamma, gamma - 1.0), out=rows[:, 0:4:3])
     rows[:, 0:4:3] += (shift, shift + 4.0)
     # Q_x of near and far multiplies v_y below pi/2, in columns 1 and 4,
     # and u_y past it, in columns 2 and 5; q [x <= pi/2] and
     # q - q [x <= pi/2] are exact
-    q = np.abs(c)[:, None] * gamma + (1.0, -1.0)
-    np.multiply(q, (v <= u)[:, None], out=rows[:, 1:5:3])
+    q = axis[:, 1:2] * gamma + (1.0, -1.0)
+    np.multiply(q, axis[:, 2:3], out=rows[:, 1:5:3])
     np.subtract(q, rows[:, 1:5:3], out=rows[:, 2:6:3])
-    np.multiply(c, 2.0, out=rows[:, 6])
-    rows[:, 7] = 2.0
-    columns = np.ones((y.size, 5))
-    columns[:, 1], columns[:, 2], columns[:, 4] = (v, u, c) if y is x else (*_versines(y), np.cos(y))
-    return rows, columns
+    rows[:, 6:8] = axis[:, 3:5]
+    return rows
 
 
 def _versines(x):
@@ -212,7 +240,7 @@ def _z_grid(params: GreenParams, rows, columns):
     """(1/pi) int_0^pi cos(nz)/(t - omega) dz over a tensor grid, in closed form.
 
     F = rho^n/(sqrt(A - B) sqrt(A + B)), rho = B/(A + sqrt(A^2 - B^2)),
-    from the products of ``rows`` and ``columns`` of _axis_factors; it
+    from the products of _rows and the ``columns`` of _axis_tables; it
     carries no quadrature weight.
     """
     near = rows[:, 0:3] @ columns[:, 0:3].T
@@ -314,26 +342,54 @@ def _level_weights(w, levels: int):
     return out
 
 
-def _nested_product(params: GreenParams, start: int, first: int, grids):
+class _GridTables(NamedTuple):
+    """The read-only t-free tables of one grid and its rules (``_grid_tables``)."""
+
+    axis: np.ndarray
+    columns: np.ndarray
+    wx: np.ndarray
+    wy: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _grid_tables(rule: int, n: int, l: int, m: int, levels: int) -> _GridTables:
+    """The _axis_tables and the _level_weights of ``levels`` rules of grid n at site (l, m).
+
+    ``rule`` picks the grids: _half_grids for _TRAPEZOID, _corner_grids
+    for _CORNER.  Nothing here depends on t or gamma, so a sweep, a
+    comparison or a repeated call reads the record its first call built.
+    Every array, and every array a view is built on, is read-only and
+    shared.
+    """
+    x, y, w = (_corner_grids if rule == _CORNER else _half_grids)(n, l, m)
+    axis, columns = _axis_tables(x, y)
+    weights = _level_weights(w, levels)
+    for arr in (axis, columns, weights):
+        arr.flags.writeable = False
+    return _GridTables(axis, columns, *weights)
+
+
+def _nested_product(params: GreenParams, start: int, first: int, rule: int):
     """Yield (n, I_n, I_n/2, sum of |w*f| on the scale of I_n) for n = start, 2 start, ...
 
-    I_n is the product of two n-point rules: ``grids(n, l, m)`` gives the
-    nodes of the x and the y axis, and as two rows n times their weights
-    times cos(lx) and cos(my).  The n/2 rule of either axis is its
-    even-index part with the same scaled weights, so one grid, at n =
-    ``first``, holds every rule from start/2 to first: rule first/2^j
+    I_n is the product of two n-point rules: ``rule``'s grids
+    (_half_grids or _corner_grids) give the nodes of the x and the y
+    axis, and as two rows n times their weights times cos(lx) and
+    cos(my).  The n/2 rule of either axis is its even-index part with
+    the same scaled weights, so one grid, at n = ``first``, holds every
+    rule from start/2 to first: rule first/2^j
     reads every 2^j-th node of each axis, and with column j of the
     weight matrices Wx and Wy holding its weights, every nested sum is
     diag(Wx^T F Wy) or diag(|Wx|^T |F| |Wy|).  The levels up to first
-    are read from those sums; past it each level evaluates its axes
-    once and adds only its new nodes: odd rows by every column, then
-    even rows by odd columns.
+    are read from those sums; past it each level adds only its new
+    nodes: odd rows by every column, then even rows by odd columns.
+    Each grid's rows are formed from one shift s = t - 2 - gamma; the
+    rest is read from its record (_grid_tables).
     """
-    l, m = params.l, params.m
-    x, y, w = grids(first, l, m)
-    rows, columns = _axis_factors(params, x, y)
+    l, m, shift, gamma = params.l, params.m, _shift(params), params.gamma
     levels = (first // start).bit_length() + 1
-    sums = _grid_sums(params, rows, columns, *_level_weights(w, levels))
+    grid = _grid_tables(rule, first, l, m, levels)
+    sums = _grid_sums(params, _rows(grid.axis, shift, gamma), grid.columns, grid.wx, grid.wy)
     for j in range(levels - 2, -1, -1):
         n = first >> j
         yield n, sums[j] / n**2, sums[j + 1] / (n // 2) ** 2, sums[levels + j] / n**2
@@ -341,12 +397,11 @@ def _nested_product(params: GreenParams, start: int, first: int, grids):
     odd, even, every = slice(1, None, 2), slice(0, None, 2), slice(None)
     while True:
         n *= 2
-        x, y, w = grids(n, l, m)
-        rows, columns = _axis_factors(params, x, y)
-        wx, wy = _level_weights(w, 1)
+        grid = _grid_tables(rule, n, l, m, 1)
+        rows = _rows(grid.axis, shift, gamma)
         previous = total
         for r, c in ((odd, every), (even, odd)):
-            part, part_size = _grid_sums(params, rows[r], columns[c], wx[r], wy[c])
+            part, part_size = _grid_sums(params, rows[r], grid.columns[c], grid.wx[r], grid.wy[c])
             total += part
             magnitude += part_size
         yield n, total / n**2, previous / (n // 2) ** 2, magnitude / n**2
@@ -373,7 +428,7 @@ def _trapezoid_run(params: GreenParams):
     first = start
     while first < _MAX_TRAPEZOID and first * rate < _REACH:
         first *= 2
-    for n, value, previous, magnitude in _nested_product(params, start, first, _half_grids):
+    for n, value, previous, magnitude in _nested_product(params, start, first, _TRAPEZOID):
         difference = abs(value - previous)
         if difference <= _ROUNDING * magnitude or n >= _MAX_TRAPEZOID:
             break
@@ -413,7 +468,7 @@ def _corner_run(params: GreenParams, halvings: int):
     first = min(max(lowest, 32), lowest << halvings, _MAX_TANH_SINH)
     last = 0.0
     for level, (n, value, coarse, magnitude) in enumerate(
-        _nested_product(params, lowest, first, _corner_grids)
+        _nested_product(params, lowest, first, _CORNER)
     ):
         difference = abs(value - coarse)
         model = min(difference, difference**2 / last) if last and n >= 32 else difference

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,15 @@ import pytest
 
 from greenfcc import DomainError, GreenParams, QuadratureSpec, green_by_quadrature, quadrature
 from greenfcc.quadrature import (
+    _CORNER,
     _ROUNDING,
-    _axis_factors,
+    _TRAPEZOID,
+    _axis_tables,
     _corner_grids,
     _half_grids,
     _nested_product,
+    _rows,
+    _shift,
     _z_grid,
 )
 
@@ -25,6 +30,19 @@ CORNER_REFERENCES = {
     tuple(point[:5]): point[5]
     for point in json.loads((Path(__file__).parent / "corner_references.json").read_text())["points"]
 }
+
+
+def _axis_factors(params, x, y):
+    """The rows of x and the columns of y whose products give A - B, A + B and 2B."""
+    axis, columns = _axis_tables(x, y)
+    return _rows(axis, _shift(params), params.gamma), columns
+
+
+# G at four band-edge points by mpmath at two precisions, with no code of
+# greenfcc; how they were made is in the file
+MP_REFERENCES = json.loads((Path(__file__).parent / "mp_references.json").read_text())["points"]
+# Watson's closed form 3 Gamma(1/3)^6 / (2^(14/3) pi^4) to 30 digits
+WATSON_T3_DIGITS = Decimal("0.448220394388381432116385450017")
 
 
 def _products(params, x, y):
@@ -110,7 +128,7 @@ class TestIntegrand:
         # sum over the whole n-point tensor grid, and over the n/2-point
         # grid for I_n/2
         params = GreenParams(t=2.0 + gamma + 0.05 * (1.0 + gamma), gamma=gamma, l=site[0], m=site[1], n=site[2])
-        grids = _half_grids if rule == "trapezoid" else _corner_grids
+        grids, key = (_half_grids, _TRAPEZOID) if rule == "trapezoid" else (_corner_grids, _CORNER)
         start = 32 if rule == "trapezoid" else 8
 
         def grid_sums(n):
@@ -119,7 +137,7 @@ class TestIntegrand:
             return math.fsum(terms) / n**2, math.fsum(np.abs(terms)) / n**2
 
         for first in (start, 2 * start, 4 * start):
-            levels = _nested_product(params, start, first, grids)
+            levels = _nested_product(params, start, first, key)
             for level in range(4):
                 n, value, previous, magnitude = next(levels)
                 assert n == start << level
@@ -213,7 +231,7 @@ class TestGreenByQuadrature:
         # rounding floor of the sum
         for t in (3.5, 5.0):
             differences = []
-            for n, value, previous, magnitude in _nested_product(GreenParams(t=t), 8, 8, _half_grids):
+            for n, value, previous, magnitude in _nested_product(GreenParams(t=t), 8, 8, _TRAPEZOID):
                 differences.append(abs(value - previous))
                 if differences[-1] <= _ROUNDING * magnitude or n >= 256:
                     break
@@ -275,7 +293,7 @@ class TestGreenByQuadrature:
         # every unconverged trapezoid level's |I_N - I_N/2| bounds the
         # error of I_N against the level that reached the rounding floor
         levels = []
-        for n, value, previous, magnitude in _nested_product(GreenParams(t=4.0, gamma=0.8), 8, 8, _half_grids):
+        for n, value, previous, magnitude in _nested_product(GreenParams(t=4.0, gamma=0.8), 8, 8, _TRAPEZOID):
             levels.append((value, abs(value - previous)))
             if levels[-1][1] <= _ROUNDING * magnitude:
                 break
@@ -321,10 +339,10 @@ def _from_start(monkeypatch, firsts=None):
     """Make each run evaluate its first grid at the start, recording the first it chose in ``firsts``."""
     nested_product = quadrature._nested_product
 
-    def at_start(params, start, first, grids):
+    def at_start(params, start, first, rule):
         if firsts is not None:
             firsts[params] = first
-        return nested_product(params, start, start, grids)
+        return nested_product(params, start, start, rule)
 
     monkeypatch.setattr(quadrature, "_nested_product", at_start)
 
@@ -362,6 +380,8 @@ class TestFirstGrid:
         spec = QuadratureSpec(corner_refinement_levels=halvings)
         # the step starts at 1/8, or at 1/32 for (24, 0, 0)
         for site, start in (((0, 0, 0), 8), ((2, 1, 1), 8), ((24, 0, 0), 32)):
+            # a cached record would hide the grids the call reads
+            quadrature._grid_tables.cache_clear()
             seen.clear()
             green_by_quadrature(GreenParams(t=2.81, gamma=0.8, l=site[0], m=site[1], n=site[2]), spec)
             assert seen and max(seen) <= start << halvings, site
@@ -381,6 +401,98 @@ class TestFirstGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+class TestGridCache:
+    """One process-wide record of each grid's t-free tables serves every t and gamma."""
+
+    # a trapezoid point whose first grid is N = 32 and whose stop is N = 64,
+    # the same keys at another t and gamma, a corner point and one at t =
+    # 2+gamma exactly
+    DOUBLING = GreenParams(t=10.0, gamma=2.0, l=2, m=2, n=0)
+    SAME_KEYS = GreenParams(t=12.0, gamma=2.5, l=2, m=2, n=0)
+    CORNER = GreenParams(t=2.81, gamma=0.8, l=2, m=1, n=1)
+    EDGE = GreenParams(t=3.0, gamma=1.0, l=2, m=1, n=1)
+
+    @staticmethod
+    def _records(monkeypatch, params):
+        """The (key, record) pairs a call to green_by_quadrature at ``params`` reads."""
+        grid_tables, read = quadrature._grid_tables, []
+
+        def spy(*key):
+            read.append((key, grid_tables(*key)))
+            return read[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_grid_tables", spy)
+            green_by_quadrature(params)
+        return read
+
+    def test_same_key_shares_arrays(self, monkeypatch):
+        a = self._records(monkeypatch, self.DOUBLING)
+        b = self._records(monkeypatch, self.SAME_KEYS)
+        # the first grid and one doubling level, keyed (rule, N, l, m, levels)
+        assert [key for key, _ in a] == [(_TRAPEZOID, 32, 2, 2, 2), (_TRAPEZOID, 64, 2, 2, 1)]
+        assert [key for key, _ in b] == [key for key, _ in a]
+        for (key, record), (_, other) in zip(a, b):
+            assert all(isinstance(k, int) for k in key)
+            for name in record._fields:
+                assert getattr(record, name) is getattr(other, name), (key, name)
+
+    def test_cached_tables_read_only(self, monkeypatch):
+        for params in (self.DOUBLING, self.CORNER):
+            for key, record in self._records(monkeypatch, params):
+                for name, arr in zip(record._fields, record):
+                    with pytest.raises(ValueError):
+                        arr[(0,) * arr.ndim] = 1.0
+                    # every array a view is built on is read-only too
+                    while arr is not None:
+                        assert not arr.flags.writeable, (key, name)
+                        arr = arr.base
+
+    @pytest.mark.parametrize("params", [DOUBLING, CORNER])
+    def test_warm_call_builds_no_grid(self, monkeypatch, params):
+        # after one call, a call at the same keys builds no grid: not the
+        # first one, and for the trapezoid point not its doubling level
+        green_by_quadrature(params)
+        built = []
+        for name in ("_half_grids", "_corner_grids"):
+            grids = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, lambda *args, grids=grids: built.append(args) or grids(*args))
+        assert len(self._records(monkeypatch, params)) == (2 if params is self.DOUBLING else 1)
+        assert built == []
+        # cleared, the same call builds every grid it reads again
+        quadrature._grid_tables.cache_clear()
+        green_by_quadrature(params)
+        assert [n for n, _, _ in built] == ([32, 64] if params is self.DOUBLING else [32])
+
+    def test_cold_and_warm_results_identical(self):
+        # warm, SAME_KEYS reads both records DOUBLING built, and EDGE the
+        # first grid CORNER built, each at another t and gamma
+        points = (self.DOUBLING, self.SAME_KEYS, self.CORNER, self.EDGE)
+        cold = []
+        for params in points:
+            quadrature._grid_tables.cache_clear()
+            cold.append(repr(green_by_quadrature(params)))
+        quadrature._grid_tables.cache_clear()
+        warm = [repr(green_by_quadrature(params)) for params in points]
+        assert quadrature._grid_tables.cache_info().hits == 3
+        assert warm == cold
+
+    def test_largest_records_are_small(self):
+        # the trapezoid's first grid is N = 512, with the rules N = 16 ..
+        # 512 read from it, and it doubles to N = 1024 and 2048: what the
+        # call leaves allocated is those three records
+        params = GreenParams(t=1010.008, gamma=1000.0, n=20)
+        quadrature._grid_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            green_by_quadrature(params)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert quadrature._grid_tables.cache_info().currsize == 3
+        assert kept <= 2**19
 
 
 def _lattice_residual(t: float, gamma: float, site, spec: QuadratureSpec) -> float:
@@ -477,6 +589,22 @@ class TestReferences:
             q = green_by_quadrature(params)
             assert q.converged, (gamma, t, l, m, n)
             assert abs(q.value - reference) <= q.abs_error_estimate, (gamma, t, l, m, n)
+
+    @pytest.mark.parametrize("point", MP_REFERENCES, ids=lambda point: f"{point['t']}-{point['gamma']}-{point['lmn']}")
+    def test_against_mp_references(self, point):
+        # an oracle that shares no code with the product: the error is
+        # within the product's estimate plus the spread of the reference's
+        # two precisions, taken exactly in decimal
+        l, m, n = point["lmn"]
+        q = green_by_quadrature(GreenParams(t=point["t"], gamma=point["gamma"], l=l, m=m, n=n))
+        with localcontext() as context:
+            context.prec = 50
+            error = abs(Decimal(q.value) - Decimal(point["value"]))
+            assert error <= Decimal(q.abs_error_estimate) + Decimal(point["spread"])
+
+    def test_mp_reference_at_origin_is_watson(self):
+        (point,) = [p for p in MP_REFERENCES if (p["t"], p["gamma"], p["lmn"]) == (3.0, 1.0, [0, 0, 0])]
+        assert abs(Decimal(point["value"]) - WATSON_T3_DIGITS) <= Decimal("1e-19")
 
     # at gamma = 1, t = 3.015 takes the corner path and 3.016 the
     # trapezoid: one on each side of the switch
