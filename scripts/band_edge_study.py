@@ -9,8 +9,11 @@ Usage: python3 scripts/band_edge_study.py [--gamma G]
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from greenfcc import GreenParams, evaluate_series5, green_by_quadrature
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from greenfcc import GreenParams, evaluate_series5, green_by_quadrature  # noqa: E402
 
 
 def main():

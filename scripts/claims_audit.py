@@ -1,6 +1,6 @@
 """Count false and missed ``converged`` claims of every route at the far sites.
 
-Usage: PYTHONPATH=src python3 scripts/claims_audit.py [--reference quadrature|series5]
+Usage: python3 scripts/claims_audit.py [--reference quadrature|series5]
 
 At gamma = 1 and each t in ``T_VALUES`` it evaluates every site with
 l >= m >= n, l <= ``L_MAX`` and l+m+n even (1469 sites) by each route
@@ -30,9 +30,12 @@ The exit code is 0; the counts are the result.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from greenfcc import GreenParams, evaluate_series5, evaluate_series6, green_by_quadrature
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from greenfcc import GreenParams, evaluate_series5, evaluate_series6, green_by_quadrature  # noqa: E402
 
 TOL = 1e-10
 T_VALUES = (3.5, 4.0, 6.0)

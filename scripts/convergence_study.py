@@ -13,8 +13,11 @@ Usage: python3 scripts/convergence_study.py [--gamma G] [--n-max N]
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from greenfcc import GreenParams, convergence_rows
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from greenfcc import GreenParams, convergence_rows  # noqa: E402
 
 
 def main():

@@ -11,8 +11,9 @@ sequence transforms extend usable accuracy to the band edge itself.
 """
 
 # numpy first: imported from inside green_series it left a heap that glibc
-# trims and regrows around every series5 call (150 minor page faults per
-# call on the benchmark's band_edge pool, 30 in this order)
+# trims and regrows around every series5 call (170 minor page faults per
+# call on the benchmark's band_edge pool, 16 in this order, counted by
+# scripts/heap_faults.py)
 import numpy  # noqa: F401
 
 from .acceleration import (

@@ -40,10 +40,10 @@ r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
 J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  The
-cached record of a site and J depth (``_site_tables``) holds the J and
-E arrays zero-padded, and ``_r_block`` forms one column block of q from
-their views.  Series5
-sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
+cached record of a site (``_site_tables``), built once to the deepest J
+any call reads, holds the J and E arrays zero-padded, and ``_r_block``
+forms one column block of q from their views.  Series5 sums weighted
+anti-diagonals into its table nu_0 .. nu_(D-1)
 (``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
 forming a block when its scan reaches it.  Each series builds its terms
 to the depth ``_depth`` gives it and hands them to the scan in chunks,
@@ -82,7 +82,7 @@ from .acceleration import (
 )
 from .basic_integrals import shared_table
 from .errors import DomainError
-from .params import GreenParams, SeriesEvaluation, _whole
+from .params import GreenParams, SeriesEvaluation, _real, _whole
 
 PI3 = math.pi**3
 
@@ -123,7 +123,7 @@ def _safe_order(gamma: float) -> int:
 
 
 class _SiteTables(NamedTuple):
-    """The read-only tables of one site and J depth, the views of R included (``_site_tables``)."""
+    """The read-only tables of one site, the views of R included (``_site_tables``)."""
 
     Jl: np.ndarray
     Jm: np.ndarray
@@ -140,31 +140,37 @@ class _SiteTables(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _site_tables(l: int, m: int, n: int, j_depth: int) -> _SiteTables:
-    """The J vectors of site (l, m, n) to ``j_depth`` and the views ``_r_block`` reads.
+def _site_tables(l: int, m: int, n: int) -> _SiteTables:
+    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP and the views ``_r_block`` reads.
 
-    J_p(l), J_p(m), J_p(n), p <= j_depth, are read from the shared
-    closed-form table.  Jl[l::2], Jm[m::2] and E are zero-padded, index 0
-    at ``pad``, under a Hankel and a Toeplitz view of the J vectors and
-    two strided views of E.  A block (c0, s_stop) reads E below n + 2
-    c_end with c_end = c0 + _COL_TILE, rows s2 below s_end = s_stop +
-    _ROW_TILE, and tiles at most min(2 s_end, c_end + n//2 + 1) wide
-    (``_tiles``).  Every block has c0 <= (j_depth - n)//2 and s_stop <=
-    (j_depth + |lm|)//2 + 1, lm = (l+m-n)/2: tables of count <= j_depth + 1
-    orders have columns c < (count + 1 - n)//2 and s_stop = (count - h -
-    c0 + 1)//2, and series6 (j_depth = n_max + l_max) reads q = n + 2c <
-    n_max to s_stop = (width + c - 1 - lm)//2 + 1, width <= l_max.
+    J_p(l), J_p(m), J_p(n), p <= D, are read from the shared closed-form
+    table at p of the site index's parity and are 0 elsewhere.  Jl[l::2],
+    Jm[m::2] and E are zero-padded, index 0 at ``pad``, under a Hankel
+    and a Toeplitz view of the J vectors and two strided views of E.  A
+    block (c0, s_stop) reads E below n + 2 c_end with c_end = c0 +
+    _COL_TILE, rows s2 below s_end = s_stop + _ROW_TILE, and tiles at
+    most min(2 s_end, c_end + n//2 + 1) wide (``_tiles``).  Every block
+    has c0 <= (D - n)//2 and s_stop <= (D + |lm|)//2 + 1, lm =
+    (l+m-n)/2: series5 and moment_coefficient build tables of count <=
+    HARD_ORDER_CAP + 1 orders, whose columns c < (count + 1 - n)//2 have
+    s_stop = (count - h - c0 + 1)//2, h = lm + n >= 0, and series6 reads
+    q = n + 2c < n_max <= HARD_ORDER_CAP to s_stop = (width + c - 1 -
+    lm)//2 + 1, width <= l_max <= HARD_ORDER_CAP.  So one record serves
+    every call on the site.
 
     Nothing here depends on t or gamma, so the cache keeps a sweep, a
     comparison or a repeated call from rebuilding it.  Every array, and
     every array a view is built on, is read-only and shared.
     """
-    table = shared_table(j_depth)
-    Jl, Jm, Jn = (np.array([table.j_value(p, site) for p in range(j_depth + 1)]) for site in (l, m, n))
+    depth = 2 * HARD_ORDER_CAP
+    table = shared_table(depth)
+    Jl, Jm, Jn = np.zeros(depth + 1), np.zeros(depth + 1), np.zeros(depth + 1)
+    for J, k in ((Jl, l), (Jm, m), (Jn, n)):
+        J[k::2] = [table.j_value(p, k) for p in range(k, depth + 1, 2)]
     a, b, lm = (n + l - m) // 2, (n - l + m) // 2, (l + m - n) // 2
     ts, tc = _ROW_TILE, _COL_TILE
-    c_end = max(0, (j_depth - n) // 2) + tc
-    s_end = (j_depth + abs(lm)) // 2 + 1 + ts
+    c_end = max(0, (depth - n) // 2) + tc
+    s_end = (depth + abs(lm)) // 2 + 1 + ts
     k_max = min(n // 2 + c_end + 1, 2 * s_end)
     pad = k_max + 2 * (ts + tc)
     jl = _shifted(Jl[l::2], pad, 2 * pad + 2 * s_end)
@@ -206,28 +212,6 @@ def _factorial_scales() -> tuple[np.ndarray, np.ndarray]:
     return E, G
 
 
-@dataclass
-class _Workspace:
-    """The tables of one evaluation: the scaled factorials and its site's ``_site_tables``.
-
-    E and G come from ``_factorial_scales``, the J vectors J_p(l), J_p(m),
-    J_p(n), p <= ``j_depth``, and the padded views of R from the site's
-    cached record; all depend on neither t nor gamma, and the workspace
-    only reads them.
-    """
-
-    params: GreenParams
-    j_depth: int
-
-    def __post_init__(self) -> None:
-        p = self.params
-        self.E, self.G = _factorial_scales()
-        (
-            self.Jl, self.Jm, self.Jn, self.a, self.b, self.lm, self.k_max, self.pad,
-            self.hankel, self.toeplitz, self.e_up, self.e_down,
-        ) = _site_tables(p.l, p.m, p.n, self.j_depth)
-
-
 def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
     """The view whose entry [x, y, ...] is arr[start + x steps[0] + y steps[1] + ...].
 
@@ -245,7 +229,7 @@ def _shifted(values: np.ndarray, offset: int, length: int, fill: float = 0.0) ->
     return out
 
 
-def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, int]]:
+def _tiles(site: _SiteTables, c0: int, s_stop: int) -> list[tuple[int, int, int]]:
     """The tiles (s0, e_lo, e_hi) of column block c0 whose product can be nonzero.
 
     s0 < ``s_stop`` runs over multiples of ``_ROW_TILE`` whose last row
@@ -253,8 +237,7 @@ def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, in
     s2 of the block that reaches p >= 0 (see ``_r_block``); [e_lo,
     e_hi] is where P and B can both be nonzero, and must not be empty.
     """
-    a, b = (params.n + params.l - params.m) // 2, (params.n - params.l + params.m) // 2
-    lm = (params.l + params.m - params.n) // 2
+    a, b, lm = site.a, site.b, site.lm
     s1_min = -((1 + lm - c0) // 2)
     ts, c1 = _ROW_TILE, c0 + _COL_TILE - 1
     tiles = []
@@ -267,7 +250,7 @@ def _tiles(params: GreenParams, c0: int, s_stop: int) -> list[tuple[int, int, in
     return tiles
 
 
-def _r_block(ws: _Workspace, c0: int, s_stop: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+def _r_block(site: _SiteTables, c0: int, s_stop: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
@@ -289,29 +272,29 @@ def _r_block(ws: _Workspace, c0: int, s_stop: int) -> tuple[int, int, np.ndarray
     _COL_TILE + 1, c0 - lm), holds it from every p >= 0 to _COL_TILE - 1
     zero rows past it.  No temporary passes ~2^16 doubles.
     """
-    ts, tc, pad = _ROW_TILE, _COL_TILE, ws.pad
-    tiles = _tiles(ws.params, c0, s_stop)
+    ts, tc, pad = _ROW_TILE, _COL_TILE, site.pad
+    tiles = _tiles(site, c0, s_stop)
     r0 = tiles[0][0] if tiles else 0
     rows = max(0, -(-(s_stop - r0) // ts) * ts)
-    lead = max(tc - 1, 2 * r0 + ws.lm - c0)
+    lead = max(tc - 1, 2 * r0 + site.lm - c0)
     buf = np.zeros((lead + 2 * rows + tc - 1, tc))
     block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
     e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
     width = max((e_hi for _, _, e_hi in tiles), default=0) - e0 + 1
-    r_up = pad + ws.a + c0 + 2 * e0 - 1
-    r_down = pad + ws.b + c0 - 2 * e0
-    B = ws.e_up[:, r_up : r_up + 2 * width : 2] * ws.e_down[:, r_down : r_down - 2 * width : -2]
+    r_up = pad + site.a + c0 + 2 * e0 - 1
+    r_down = pad + site.b + c0 - 2 * e0
+    B = site.e_up[:, r_up : r_up + 2 * width : 2] * site.e_down[:, r_down : r_down - 2 * width : -2]
     for s0, e_lo, e_hi in tiles:
         k = e_hi - e_lo + 1
         x = pad + s0 + e_lo
-        y = pad + s0 - e_lo - ws.k_max + 1
-        P = ws.hankel[x : x + ts, :k] * ws.toeplitz[:, y : y + ts, :k]
+        y = pad + s0 - e_lo - site.k_max + 1
+        P = site.hankel[x : x + ts, :k] * site.toeplitz[:, y : y + ts, :k]
         np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
     return r0, 2 * r0 - lead, buf, block
 
 
-def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
-    """nu_0 .. nu_(count-1) of the workspace's site.
+def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
+    """nu_0 .. nu_(count-1) of the site, at the gamma of ``params``.
 
     pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the inner sums R of
     ``_r_block``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
@@ -328,25 +311,26 @@ def _nu_table(ws: _Workspace, count: int) -> np.ndarray:
     s' + c = i - h, a sheared view of its buffer, into nu_i in column
     order: a shorter table is bit for bit a prefix of a longer one.
     """
-    n, lm = ws.params.n, ws.lm  # p = s' - c + lm
+    n, lm = params.n, site.lm  # p = s' - c + lm
+    G = _factorial_scales()[1]
     h = lm + n
     ts, tc = _ROW_TILE, _COL_TILE
     c_stop = min(count - h, (count + 1 - n) // 2)
     s_end, c_end = (count + 1) // 2 + ts, max(c_stop, 0) + tc  # past every block
     nus = np.zeros(count)
     # the weights' arrays are zero-padded like the tiles' (ones for G in a denominator)
-    gi = _shifted(ws.G[:count], 0, 2 * s_end + c_end + h + tc)
+    gi = _shifted(G[:count], 0, 2 * s_end + c_end + h + tc)
     p_pad = c_end + abs(lm) + tc
-    gp = _shifted(ws.G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
-    orders, s = np.arange(count), ws.params.band_edge
-    gs = _shifted(np.power(ws.params.gamma / s, orders), p_pad, gp.size)
-    jn = _shifted(np.power(2.0 / s, orders) * ws.Jn[:count], 0, n + 2 * c_end + 2 * tc)
+    gp = _shifted(G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
+    orders, s = np.arange(count), params.band_edge
+    gs = _shifted(np.power(params.gamma / s, orders), p_pad, gp.size)
+    jn = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * c_end + 2 * tc)
     # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
     g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
     g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
     gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
     for c0 in range(0, c_stop, tc):
-        r0, first, buf, block = _r_block(ws, c0, (count - h - c0 + 1) // 2)
+        r0, first, buf, block = _r_block(site, c0, (count - h - c0 + 1) // 2)
         rows = block.shape[1]
         i0 = 2 * r0 + c0 + h
         p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
@@ -481,13 +465,19 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"moment order {i} exceeds {limit}, the largest whose value "
             f"fits a double at gamma={params.gamma}"
         )
-    return float(_nu_table(_Workspace(params, i), i + 1)[i]) * params.band_edge**i
+    site = _site_tables(params.l, params.m, params.n)
+    return float(_nu_table(params, site, i + 1)[i]) * params.band_edge**i
 
 
 def _scan_for(
     params: GreenParams, method: str, tol: float, n_max: int, l_max: int | None, accel: str
-) -> _ScanState:
-    """The scan of ``method``, its arguments checked before any table is touched; series6 reads ``l_max``."""
+) -> tuple[_ScanState, SeriesEvaluation]:
+    """The scan of ``method`` and the evaluation it gives; series6 reads ``l_max``.
+
+    Every argument is checked before any table is touched, and ``tol``
+    is taken as a Python float by both.
+    """
+    tol = _real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
     n_max = _whole(n_max, "n_max")
@@ -505,13 +495,15 @@ def _scan_for(
             f"series methods need t >= 2+gamma = {params.band_edge}; got t={params.t}"
         )
     if method == "series5":
-        return _scan_series5(params, tol, n_max)
-    if method != "series6":
+        state = _scan_series5(params, tol, n_max)
+    elif method == "series6":
+        l_max = _whole(l_max, "l_max")
+        if l_max < 1 or l_max > HARD_ORDER_CAP:
+            raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
+        state = _scan_series6(params, tol, n_max, l_max)
+    else:
         raise ValueError("convergence diagnostics need a series method")
-    l_max = _whole(l_max, "l_max")
-    if l_max < 1 or l_max > HARD_ORDER_CAP:
-        raise ValueError(f"l_max must lie in [1, {HARD_ORDER_CAP}]")
-    return _scan_series6(params, tol, n_max, l_max)
+    return state, _finish(state, tol, accel, method)
 
 
 @dataclass
@@ -601,7 +593,8 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     """Series5's scan: its terms nu_i r^i / t, by Python's pow, as one chunk."""
     t = params.t
     r = params.band_edge / t
-    nus = _nu_table(_Workspace(params, n_max), _depth(params, r, t, tol, n_max, _nu_envelope))
+    site = _site_tables(params.l, params.m, params.n)
+    nus = _nu_table(params, site, _depth(params, r, t, tol, n_max, _nu_envelope))
     terms = [nu * r**i / t for i, nu in enumerate(nus.tolist())]
     return _scan([(terms, [0.0] * len(terms), [True] * len(terms))], r, tol, n_max)
 
@@ -619,8 +612,8 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     below n are one chunk of zeros; each group is one chunk, its rows
     interleaved with the zero rows after them.
     """
-    ws = _Workspace(params, n_max + l_max)
     l, m, n = params.l, params.m, params.n
+    site = _site_tables(l, m, n)
     gap = params.t - params.gamma
     r_out = 2.0 / gap
     depth = _depth(params, r_out, gap, tol * 0.5, n_max, _row_envelope)
@@ -633,7 +626,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         # R(p, q) = 0 until p + q >= l, p + q >= m and 2p + q >= l + m;
         # the envelope holds from the first nonzero piece on
         first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
-        return min(max(_envelope_count(ws, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
+        return min(max(_envelope_count(params, site, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
 
     def chunks():
         zeros = min(n, depth)
@@ -642,10 +635,10 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
             block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
             groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
             widths = [width(qs) for qs in groups]
-            R = _series6_r(ws, (q0 - n) // 2, len(block), max(widths))
+            R = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
             for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
-                rows = _series6_rows(ws, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
+                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
                 # row q at 2 (q - qs[0]), then the zero row q + 1 unless it is past the depth
                 size = 2 * len(qs) - (qs[-1] + 1 >= depth)
                 chunk = [0.0] * size, [0.0] * size, [True] * size
@@ -656,7 +649,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     return _scan(chunks(), r_out, tol * 0.5, n_max)
 
 
-def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
+def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float, l_max: int) -> int:
     """The pieces row q of series6 takes if every R(p, q) G[q] is at its bound B(p).
 
     J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)), since C(2m, m) / 4^m <=
@@ -673,12 +666,12 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     Where x is below the normal range (0.0 at t = 1e300, gamma = 1e-30)
     no bound in x is taken: the row takes all ``l_max`` pieces.
     """
-    t, x = ws.params.t, ws.params.gamma / ws.params.t
+    t, x = params.t, params.gamma / params.t
     if x < _TINY:
         return l_max
     log_x = math.log(x)
     # a sum of logarithms: 2 Jn[q] / (pi t tol_q) underflows at t = 1e300, tol_q = 1e10
-    log_a = math.log(2.0 * ws.Jn[q] / math.pi) - math.log(t) - math.log(tol_q) + q * math.log(2.0 / t)
+    log_a = math.log(2.0 * site.Jn[q] / math.pi) - math.log(t) - math.log(tol_q) + q * math.log(2.0 / t)
     log_a -= math.lgamma(q + 1)
     log_2_pi = math.log(2.0 / math.pi)
 
@@ -694,13 +687,13 @@ def _envelope_count(ws: _Workspace, q: int, tol_q: float, l_max: int) -> int:
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
 
-def _series6_r(ws: _Workspace, c0: int, cols: int, width: int) -> np.ndarray:
+def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> np.ndarray:
     """R(p, q) as r[c - c0, p], q = n + 2c, c0 <= c < c0 + cols, p < width: a view of one ``_r_block``.
 
     Rows of s' < 0 and of tiles left out are 0.
     """
-    tc, lm = _COL_TILE, ws.lm
-    _, first, buf, _ = _r_block(ws, c0, (width + c0 + cols - 2 - lm) // 2 + 1)
+    tc, lm = _COL_TILE, site.lm
+    _, first, buf, _ = _r_block(site, c0, (width + c0 + cols - 2 - lm) // 2 + 1)
     # r[c - c0, p] = buf[c - lm + p - first, c - c0]
     return _strided(buf, (c0 - lm - first) * tc, (cols, width), (tc + 1, tc))
 
@@ -719,7 +712,9 @@ def _ladder_start(r: float, i: int) -> tuple[float, int]:
     return m, e + er * i
 
 
-def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _series6_pieces(
+    params: GreenParams, site: _SiteTables, c0: int, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The pieces of series6 rows q = n + 2c, c0 <= c < c0 + len(R), and their ratios.
 
     With x = gamma/t, piece p of row q is c_p (R(p, q) G[q]) Jn[q] / t /
@@ -737,9 +732,9 @@ def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray,
     1e308 at gamma = 7, t = 9.01 from q = 510) and stays normal, where
     scaling by 2^k is exact: ldexp gives the unscaled ladder where normal.
     """
-    t, x = ws.params.t, ws.params.gamma / ws.params.t
+    t, x = params.t, params.gamma / params.t
     count, width = R.shape
-    q0 = ws.params.n + 2 * c0
+    q0 = params.n + 2 * c0
     qs = range(q0, q0 + 2 * count, 2)
     pv = np.arange(1.0, width + 2)
     f = np.arange(q0, q0 + 2 * count, 2.0)[:, None] + pv
@@ -753,15 +748,15 @@ def _series6_pieces(ws: _Workspace, c0: int, R: np.ndarray) -> tuple[np.ndarray,
     np.multiply.accumulate(ladder, axis=1, out=ladder)
     np.add.accumulate(exps, axis=1, out=exps)
     piece = np.ldexp(ladder, exps, out=ladder)
-    piece *= R * ws.G[q0 : q0 + 2 * count : 2, None]
-    piece *= ws.Jn[q0 : q0 + 2 * count : 2, None]
+    piece *= R * _factorial_scales()[1][q0 : q0 + 2 * count : 2, None]
+    piece *= site.Jn[q0 : q0 + 2 * count : 2, None]
     piece /= t
     piece /= PI3
     return pieces, f
 
 
 def _series6_rows(
-    ws: _Workspace, c0: int, tols: list[float], R: np.ndarray
+    params: GreenParams, site: _SiteTables, c0: int, tols: list[float], R: np.ndarray
 ) -> tuple[list[float], list[float], list[bool]]:
     """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, from ``_series6_pieces``.
 
@@ -784,7 +779,7 @@ def _series6_rows(
     lies within about one ulp of S.  It reads the pieces up to ``last``
     only: a wider R changes no row that stops inside the narrower one.
     """
-    pieces, f = _series6_pieces(ws, c0, R)
+    pieces, f = _series6_pieces(params, site, c0, R)
     count, width = R.shape
     piece = pieces[:, 1:]
     ratio = f[:, 1:]
@@ -897,8 +892,7 @@ def evaluate_series5(
     against transform blow-ups; this is what makes the band edge
     t = 2+gamma usable.
     """
-    state = _scan_for(params, "series5", tol, n_max, None, accel)
-    return _finish(state, tol, accel, "series5")
+    return _scan_for(params, "series5", tol, n_max, None, accel)[1]
 
 
 def evaluate_series6(
@@ -915,8 +909,7 @@ def evaluate_series6(
     its own budgeted tolerance, so the reported error covers both limits.
     Agrees with evaluate_series5 within combined error estimates.
     """
-    state = _scan_for(params, "series6", tol, n_max, l_max, accel)
-    return _finish(state, tol, accel, "series6")
+    return _scan_for(params, "series6", tol, n_max, l_max, accel)[1]
 
 
 def convergence_rows(
@@ -936,7 +929,7 @@ def convergence_rows(
     evaluation is the one evaluate_series5 or evaluate_series6 reports
     for the same arguments.
     """
-    state = _scan_for(params, method, tol, n_max, l_max, accel)
+    state, evaluation = _scan_for(params, method, tol, n_max, l_max, accel)
     rows = []
     for i, (term, psum, bound) in enumerate(zip(state.terms, state.sums, state.bounds)):
         accel_value: float | None = None
@@ -951,4 +944,4 @@ def convergence_rows(
                 "accelerated_estimate": accel_value,
             }
         )
-    return rows, _finish(state, tol, accel, method)
+    return rows, evaluation

@@ -17,11 +17,18 @@ def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
     return operator.index(value)
 
 
-def _real(value, name: str, error: type[ValueError] = ValueError):
-    """``value`` if it is a real number and not a bool; otherwise ``error``."""
+def _real(value, name: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a Python float if it is a real number and not a bool; otherwise ``error``.
+
+    A value past the double range, as the int 10**400, becomes an infinity
+    of its sign, which the caller's finiteness check refuses.
+    """
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float skips the ABC check
         raise error(f"{name} must be a real number; got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,10 @@ class GreenParams:
     function gamma*cx*cy + cy*cz + cz*cx only reaches sites with even
     l+m+n, so odd parity is rejected outright.  l, m, n pass the integer
     check of the series orders and are stored as ints; t and gamma must
-    be real, not bool, positive and finite.  The rest of the t domain
-    depends on the evaluation method (the band edge is t = 2 + gamma).
+    be real, not bool, positive and finite as a double, and are stored
+    as Python floats, so a float32 or Fraction input computes in
+    doubles.  The rest of the t domain depends on the evaluation method
+    (the band edge is t = 2 + gamma).
     """
 
     t: float
@@ -57,6 +66,7 @@ class GreenParams:
                 raise DomainError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
 
     @property
     def band_edge(self) -> float:

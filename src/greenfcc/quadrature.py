@@ -134,11 +134,12 @@ class QuadratureSpec:
     ``corner_refinement_levels`` times; it stops sooner once its error
     estimate reaches the rounding level.  Its step starts at 1/8 or finer
     and stops at 1/_MAX_TANH_SINH = 1/128, four halvings from 1/8, so
-    every ``corner_refinement_levels`` >= 4 runs one rule.  ``target_tol`` decides
-    ``converged``.  ``nodes_per_axis`` and ``subdivisions_per_axis``
-    set nothing: they are kept only because ``bench/`` reads them
-    (ROADMAP item 6).  The defaults reach ~1e-15 relative error over
-    the whole admitted range, the band edge included.
+    every ``corner_refinement_levels`` >= 4 runs one rule.
+    ``target_tol``, stored as a Python float, decides ``converged``.
+    ``nodes_per_axis`` and ``subdivisions_per_axis`` set nothing: they
+    are kept only because ``bench/`` reads them (ROADMAP item 6).  The
+    defaults reach ~1e-15 relative error over the whole admitted range,
+    the band edge included.
     """
 
     nodes_per_axis: int = 24
@@ -154,6 +155,7 @@ class QuadratureSpec:
         tol = _real(self.target_tol, "target_tol")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError("target_tol must be positive and finite")
+        object.__setattr__(self, "target_tol", tol)
 
 
 # the spec of every call that passes none: frozen, so one instance serves them all
@@ -465,7 +467,9 @@ def _corner_run(params: GreenParams, halvings: int):
     resolve = -(-3 * max(params.l, params.m) // 4)
     start = 1 << (max(8, resolve) - 1).bit_length()
     lowest = min(start, _MAX_TANH_SINH)
-    first = min(max(lowest, 32), lowest << halvings, _MAX_TANH_SINH)
+    # more halvings than reach _MAX_TANH_SINH from n = 1 change nothing
+    reach = min(halvings, _MAX_TANH_SINH.bit_length())
+    first = min(max(lowest, 32), lowest << reach, _MAX_TANH_SINH)
     last = 0.0
     for level, (n, value, coarse, magnitude) in enumerate(
         _nested_product(params, lowest, first, _CORNER)

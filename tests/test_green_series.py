@@ -30,7 +30,6 @@ from greenfcc.green_series import (
     _COL_TILE,
     _ROW_GROUP,
     _ROW_TILE,
-    _Workspace,
     _depth,
     _factorial_scales,
     _finish,
@@ -60,10 +59,14 @@ def _float_binomials():
     return table
 
 
-def _nu_workspace(params, depth, j_depth=None):
-    """A workspace and its nu table of every order up to ``depth``."""
-    ws = _Workspace(params, depth if j_depth is None else j_depth)
-    return ws, _nu_table(ws, depth + 1)
+def _site(params):
+    """The cached tables of the site of ``params``."""
+    return _site_tables(params.l, params.m, params.n)
+
+
+def _nu(params, depth):
+    """The nu table of the site of ``params``, every order up to ``depth``."""
+    return _nu_table(params, _site(params), depth + 1)
 
 
 def _terms(params, count, method="series5", **kwargs):
@@ -72,7 +75,7 @@ def _terms(params, count, method="series5", **kwargs):
     return [row["term"] for row in rows]
 
 
-def _gather_nu(ws, i):
+def _gather_nu(p, site, i):
     """nu_i from the dense (i+1)^2 Toeplitz-gather rows (reference).
 
     Every row is gathered, with float binomials C(j, k) rounded from the
@@ -80,15 +83,15 @@ def _gather_nu(ws, i):
     does not zero, are then reduced against their weights by one dot
     product.
     """
-    F, Jl, Jm = _float_binomials(), ws.Jl, ws.Jm
+    F, Jl, Jm = _float_binomials(), site.Jl, site.Jm
     sl = slice(0, i + 1)
     a = np.arange(i + 1)
     idx = np.clip(a[None, :] - a[:, None] + i, 0, i)
     rows = (F[sl, sl] * Jl[idx] * Jm[i::-1][None, :]).sum(axis=1)
-    s = ws.params.band_edge
-    gs_pows = np.power(ws.params.gamma / s, a)
-    jn_scaled = np.power(2.0 / s, a) * ws.Jn[: i + 1]
-    j = a[ws.params.n :: 2]
+    s = p.band_edge
+    gs_pows = np.power(p.gamma / s, a)
+    jn_scaled = np.power(2.0 / s, a) * site.Jn[: i + 1]
+    j = a[p.n :: 2]
     w = F[i, j] * np.ldexp(1.0, -j) * gs_pows[i - j] * jn_scaled[j]
     return float(np.dot(w, rows[j])) / PI3
 
@@ -113,31 +116,31 @@ def _exact_nu(i, site, gamma):
     return Fraction(total, (2 * b + a) ** i * 4**i)
 
 
-def _exact_series6_row(ws, i, x, l_max):
+def _exact_series6_row(p, site, i, x, l_max):
     """The sum over j < l_max of one series6 row, as an exact rational.
 
     Exact binomials C(i, k) and C(i+j, j) over the float inputs: the J
     vectors, x, 2/t, t and pi^3 as the code rounds them.
     """
-    return sum(_exact_series6_pieces(ws, i, x, l_max), Fraction(0))
+    return sum(_exact_series6_pieces(p, site, i, x, l_max), Fraction(0))
 
 
-def _series6_row(ws, i, tol_inner, l_max):
+def _series6_row(p, site, i, tol_inner, l_max):
     """Row i of series6 as the scan forms it, (value, error, ok), on l_max pieces.
 
     The row is read from column i of the R block that holds it, as
     ``_scan_series6`` reads it; rows whose J_i(n) is zero are 0.0.
     """
-    if ws.Jn[i] == 0.0:
+    if site.Jn[i] == 0.0:
         return 0.0, 0.0, True
-    c = (i - ws.params.n) // 2
+    c = (i - p.n) // 2
     c_block = c - c % _COL_TILE
-    R = _series6_r(ws, c_block, _COL_TILE, l_max)
-    (total,), (bound,), (ok,) = _series6_rows(ws, c, [tol_inner], R[c - c_block : c - c_block + 1])
+    R = _series6_r(site, c_block, _COL_TILE, l_max)
+    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], R[c - c_block : c - c_block + 1])
     return total, bound, ok
 
 
-def _series6_row_per_j(ws, i, tol_inner, l_max):
+def _series6_row_per_j(p, site, i, tol_inner, l_max):
     """The one-j-at-a-time form of the series6 inner sum (reference).
 
     Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i,
@@ -145,13 +148,14 @@ def _series6_row_per_j(ws, i, tol_inner, l_max):
     sums over k are formed one j at a time.  Returns (value, bound, ok,
     number of pieces).
     """
-    x = ws.params.gamma / ws.params.t
-    base = ws.E[: i + 1] * ws.E[i::-1]
-    c = (2.0 / ws.params.t) ** i
+    x = p.gamma / p.t
+    E, G = _factorial_scales()
+    base = E[: i + 1] * E[i::-1]
+    c = (2.0 / p.t) ** i
     pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
     for j in range(l_max):
-        row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
-        piece = c * (row * ws.G[i]) * ws.Jn[i] / ws.params.t / PI3
+        row = float((base * site.Jl[j : j + i + 1] * site.Jm[j : j + i + 1][::-1]).sum())
+        piece = c * (row * G[i]) * site.Jn[i] / p.t / PI3
         pieces.append(piece)
         seen = seen or piece != 0.0
         ratio = x * (i + j + 2) / (j + 2)
@@ -165,13 +169,13 @@ def _series6_row_per_j(ws, i, tol_inner, l_max):
     return math.fsum(pieces), bound, ok, len(pieces)
 
 
-def _rows_by_loop(ws, c0, tols, R):
+def _rows_by_loop(p, site, c0, tols, R):
     """Series6 rows one p at a time over the pieces ``_series6_pieces`` forms (reference).
 
     Each row's stop test runs in a Python loop, in the vector pass's
     operation order.  Returns per row (the pieces it summed, bound, ok).
     """
-    pieces, f = _series6_pieces(ws, c0, R)
+    pieces, f = _series6_pieces(p, site, c0, R)
     width = R.shape[1]
     out = []
     for row, tol in enumerate(tols):
@@ -192,21 +196,20 @@ def _rows_by_loop(ws, c0, tols, R):
     return out
 
 
-def _exact_series6_pieces(ws, i, x, count):
+def _exact_series6_pieces(p, site, i, x, count):
     """The first ``count`` pieces of series6 row i, each an exact rational (see below)."""
-    p = ws.params
-    scale = Fraction(2.0 / p.t) ** i / 2**i * Fraction(ws.Jn[i]) / Fraction(p.t) / Fraction(PI3)
+    scale = Fraction(2.0 / p.t) ** i / 2**i * Fraction(site.Jn[i]) / Fraction(p.t) / Fraction(PI3)
     pieces = []
     for j in range(count):
         inner = sum(
-            math.comb(i, k) * Fraction(ws.Jl[j + k]) * Fraction(ws.Jm[j + i - k])
+            math.comb(i, k) * Fraction(site.Jl[j + k]) * Fraction(site.Jm[j + i - k])
             for k in range(i + 1)
         )
         pieces.append(math.comb(i + j, j) * Fraction(x) ** j * inner * scale)
     return pieces
 
 
-def _lgamma_series6_row(ws, i, l_max):
+def _lgamma_series6_row(p, site, i, l_max):
     """One series6 row over j < l_max, its ladder taken from math.lgamma.
 
     The ladder C(i+j, j) x^j (2/t)^i is exp of a sum of logarithms, so
@@ -214,17 +217,17 @@ def _lgamma_series6_row(ws, i, l_max):
     the code's own.  The logarithms reach about 1e4, so each ladder
     value carries a relative error of about 1e-12.
     """
-    p = ws.params
     x = p.gamma / p.t
-    base = ws.E[: i + 1] * ws.E[i::-1]
+    E, G = _factorial_scales()
+    base = E[: i + 1] * E[i::-1]
     terms = []
     for j in range(l_max):
-        row = float((base * ws.Jl[j : j + i + 1] * ws.Jm[j : j + i + 1][::-1]).sum())
+        row = float((base * site.Jl[j : j + i + 1] * site.Jm[j : j + i + 1][::-1]).sum())
         log_c = (
             math.lgamma(i + j + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
             + j * math.log(x) + i * math.log(2.0 / p.t)
         )
-        terms.append(math.exp(log_c) * (row * float(ws.G[i])) * float(ws.Jn[i]) / p.t / PI3)
+        terms.append(math.exp(log_c) * (row * float(G[i])) * float(site.Jn[i]) / p.t / PI3)
     return math.fsum(terms)
 
 
@@ -273,6 +276,58 @@ class TestGreenParams:
         for bad in (2.0, True, "2"):
             with pytest.raises(DomainError, match="lattice index l must be an integer"):
                 GreenParams(t=4.0, l=bad)
+
+
+class TestRealInputs:
+    """A real t, gamma or tol of any type is taken as a Python float at the boundary."""
+
+    def test_float32_t_computed_in_doubles(self):
+        # t = float32(4) ran series5 in float32: 0.26941624, estimate
+        # 8.0e-11 and converged, where the true error was 9.0e-9
+        p = GreenParams(t=np.float32(4), gamma=np.float32(0.5))
+        assert type(p.t) is float and type(p.gamma) is float
+        want = GreenParams(t=float(np.float32(4)), gamma=float(np.float32(0.5)))
+        got = evaluate_series5(p)
+        assert got == evaluate_series5(want)
+        assert type(got.value) is float and type(got.abs_error_estimate) is float
+        moment = moment_coefficient(5, p)
+        assert type(moment) is float and moment == moment_coefficient(5, want)
+
+    def test_fraction_gamma(self):
+        # gamma = 1/3 as a Fraction passed validation, then series5 raised UFuncTypeError
+        p = GreenParams(t=4, gamma=Fraction(1, 3))
+        want = GreenParams(t=4.0, gamma=float(Fraction(1, 3)))
+        assert p == want
+        assert evaluate_series5(p) == evaluate_series5(want)
+        assert evaluate_series6(p) == evaluate_series6(want)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"t": 10**400}, "t must be finite"), ({"t": 4.0, "gamma": 10**400}, "gamma must be finite")],
+    )
+    def test_int_past_the_double_range(self, kwargs, message):
+        # float(10**400) raised OverflowError
+        with pytest.raises(DomainError, match=message):
+            GreenParams(**kwargs)
+
+    @pytest.mark.parametrize("method", ["series5", "series6"])
+    def test_numpy_tol_gives_python_results(self, method):
+        # tol = float64(1e-10) made converged np.True_
+        p = GreenParams(t=4.0, l=2)
+        rows, got = convergence_rows(p, tol=np.float64(1e-10), method=method)
+        assert type(got.converged) is bool and got.converged
+        assert (rows, got) == convergence_rows(p, tol=1e-10, method=method)
+        evaluate = evaluate_series5 if method == "series5" else evaluate_series6
+        assert type(evaluate(p, tol=np.float64(1e-10)).converged) is bool
+
+    @pytest.mark.parametrize("tol", [True, "1e-10", 10**400, None], ids=["bool", "str", "10**400", "None"])
+    def test_tol_that_is_no_finite_real_refused(self, tol):
+        # tol = True was taken as 1.0, "1e-10" raised TypeError and
+        # 10**400 OverflowError
+        p = GreenParams(t=4.0)
+        for evaluate in (evaluate_series5, evaluate_series6, convergence_rows):
+            with pytest.raises(ValueError, match="tol must be"):
+                evaluate(p, tol=tol)
 
 
 class TestMomentCoefficient:
@@ -327,7 +382,7 @@ class TestStridedLoops:
             edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
             exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201, *edges]
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws, nus = _nu_workspace(p, safe + 2)
+            tables, nus = _site(p), _nu(p, safe + 2)
             terms = _terms(p, safe + 3)
             s, r = p.band_edge, p.band_edge / p.t
             for i in exact_orders + deep_orders:
@@ -336,7 +391,7 @@ class TestStridedLoops:
                     want = _exact_nu(i, site, gamma)
                     assert abs(Fraction(nu) - want) <= (i + 1) * self.EPS * want, (site, i)
                 else:
-                    gather = Fraction(_gather_nu(ws, i))
+                    gather = Fraction(_gather_nu(p, tables, i))
                     assert abs(Fraction(nu) - gather) <= 2 * (i + 1) * self.EPS * gather, (site, i)
                 assert terms[i] == nu * r**i / p.t, (site, i)
                 if i <= safe:
@@ -364,13 +419,13 @@ class TestStridedLoops:
         tiny = Fraction(sys.float_info.min)
         for site in [(0, 0, 0), (24, 0, 0)]:
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            ws, nus = _nu_workspace(p, HARD_ORDER_CAP, j_depth=HARD_ORDER_CAP + l_max)
+            tables, nus = _site(p), _nu(p, HARD_ORDER_CAP)
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
                 got_nu = float(nus[i])
-                got_row = _series6_row(ws, i, 0.0, l_max)[0]
-                want_nu = Fraction(_gather_nu(ws, i))
-                want_row = _exact_series6_row(ws, i, x, l_max)
+                got_row = _series6_row(p, tables, i, 0.0, l_max)[0]
+                want_nu = Fraction(_gather_nu(p, tables, i))
+                want_row = _exact_series6_row(p, tables, i, x, l_max)
                 for got, want in ((got_nu, want_nu), (got_row, want_row)):
                     assert math.isfinite(got) and got >= 0.0, (site, i)
                     assert want != 0 or got == 0.0, (site, i)
@@ -384,12 +439,12 @@ class TestStridedLoops:
         # ladder C(i+j, j) x^j adds 1.5 eps a step, and pow, the last
         # products and fsum 4 eps more; an exact zero must come out as 0.0
         p = GreenParams(t=4.5, gamma=1.5, l=site[0], m=site[1], n=site[2])
-        n_max, l_max = 60, 6
-        ws = _Workspace(p, n_max + l_max)
+        l_max = 6
+        tables = _site(p)
         x = p.gamma / p.t
         for i in (0, 1, 2, 7, 30, 31, 59):
-            got = Fraction(_series6_row(ws, i, 0.0, l_max)[0])
-            want = _exact_series6_row(ws, i, x, l_max)
+            got = Fraction(_series6_row(p, tables, i, 0.0, l_max)[0])
+            want = _exact_series6_row(p, tables, i, x, l_max)
             assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2), (40, 30, 0)])
@@ -409,17 +464,17 @@ class TestStridedLoops:
         # rounding, not bit for bit.
         for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
             p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            n_max, l_max_top = 80, 60
-            ws = _Workspace(p, n_max + l_max_top)
+            l_max_top = 60
+            tables = _site(p)
             x = p.gamma / p.t
             for i in (0, 1, 2, 4, 9, 29, 30, 31, 32, 33, 34, 35, 66, 67, 68):
-                if ws.Jn[i] == 0.0:
+                if tables.Jn[i] == 0.0:
                     continue
-                exact = _exact_series6_pieces(ws, i, x, l_max_top)
+                exact = _exact_series6_pieces(p, tables, i, x, l_max_top)
                 for l_max in (1, 2, 15, 16, 17, 31, 32, 33, l_max_top):
                     for tol_inner in (0.0, 1e-13):
-                        value, bound, ok = _series6_row(ws, i, tol_inner, l_max)
-                        want = _series6_row_per_j(ws, i, tol_inner, l_max)
+                        value, bound, ok = _series6_row(p, tables, i, tol_inner, l_max)
+                        want = _series6_row_per_j(p, tables, i, tol_inner, l_max)
                         assert ok == want[2], (t, i, l_max, tol_inner)
                         assert bound == pytest.approx(want[1], rel=1e-13), (t, i, l_max)
                         count = want[3]
@@ -448,9 +503,9 @@ class TestStridedLoops:
                 calls += [(p, kw) for kw in kwargs]
         blocked = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
 
-        def per_j_rows(ws, c0, tols, R):
-            qs = range(ws.params.n + 2 * c0, ws.params.n + 2 * (c0 + len(tols)), 2)
-            rows = [_series6_row_per_j(ws, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
+        def per_j_rows(params, site, c0, tols, R):
+            qs = range(params.n + 2 * c0, params.n + 2 * (c0 + len(tols)), 2)
+            rows = [_series6_row_per_j(params, site, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
             return tuple(list(column) for column in zip(*rows))
 
         monkeypatch.setattr(green_series, "_series6_rows", per_j_rows)
@@ -470,10 +525,10 @@ class TestStridedLoops:
         # so rows 520 and 600 also need the renormalised mantissa
         p = GreenParams(t=9.01, gamma=7.0)
         l_max = 1000
-        ws = _Workspace(p, HARD_ORDER_CAP + l_max)
+        site = _site(p)
         for i in (470, 494, 496, 500, 520, 600):
-            got = _series6_row(ws, i, 1e-300, l_max)[0]
-            want = _lgamma_series6_row(ws, i, l_max)
+            got = _series6_row(p, site, i, 1e-300, l_max)[0]
+            want = _lgamma_series6_row(p, site, i, l_max)
             assert math.isfinite(got) and got > 0.0, i
             assert abs(got - want) <= 1e-10 * want, i
         rows, _ = convergence_rows(p, tol=1e-300, n_max=510, method="series6", l_max=l_max)
@@ -490,8 +545,8 @@ class TestSeries6Blocks:
         """Record (c0, width, per-row stops) of every group formed."""
         formed = []
 
-        def spy(ws, c0, tols, R):
-            rows = _series6_rows(ws, c0, tols, R)
+        def spy(params, site, c0, tols, R):
+            rows = _series6_rows(params, site, c0, tols, R)
             formed.append((c0, R.shape[1], list(rows[2])))
             return rows
 
@@ -569,32 +624,32 @@ class TestSeries6Blocks:
         n_max = 3 * 2 * _COL_TILE + 8
         rows, _ = convergence_rows(p, tol=1e-300, n_max=n_max, method="series6")
         assert len(rows) == n_max
-        ws = _Workspace(p, n_max + 400)
+        site = _site(p)
         for i, row in enumerate(rows):
-            if ws.Jn[i] == 0.0:
+            if site.Jn[i] == 0.0:
                 assert row["term"] == 0.0, i
                 continue
             assert row["term"] > 0.0, i
             if (i - p.n) // 2 % _ROW_GROUP in (0, _ROW_GROUP - 1):
-                alone = _series6_row(ws, i, 1e-300, 400)[0]  # the scan's tol_inner here
+                alone = _series6_row(p, site, i, 1e-300, 400)[0]  # the scan's tol_inner here
                 assert row["term"] == pytest.approx(alone, rel=1e-14), i
 
     @pytest.mark.parametrize("evaluate", [evaluate_series5, evaluate_series6])
     def test_one_workspace_per_call(self, evaluate, monkeypatch):
         # every R block of a call is formed from the views of one
-        # workspace, so the J and E arrays are padded once per call;
+        # site record, so the J and E arrays are padded once per site;
         # both series read two or more blocks here
-        workspaces = []
+        records = []
         r_block = green_series._r_block
 
-        def spy(ws, c0, s_stop):
-            workspaces.append(ws)
-            return r_block(ws, c0, s_stop)
+        def spy(site, c0, s_stop):
+            records.append(site)
+            return r_block(site, c0, s_stop)
 
         monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate(GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1), tol=1e-11)
-        assert len(workspaces) >= 2
-        assert all(ws is workspaces[0] for ws in workspaces)
+        assert len(records) >= 2
+        assert all(site is records[0] for site in records)
 
     def test_blocks_sized_when_the_scan_reaches_them(self, monkeypatch):
         # at depth 68 the scan stops after 62-63 terms, inside the first
@@ -604,13 +659,13 @@ class TestSeries6Blocks:
         blocks, sized = [], []
         r_block, envelope = green_series._r_block, green_series._envelope_count
 
-        def spy_block(ws, c0, s_stop):
+        def spy_block(site, c0, s_stop):
             blocks.append(c0)
-            return r_block(ws, c0, s_stop)
+            return r_block(site, c0, s_stop)
 
-        def spy_envelope(ws, q, tol_q, l_max):
+        def spy_envelope(params, site, q, tol_q, l_max):
             sized.append(q)
-            return envelope(ws, q, tol_q, l_max)
+            return envelope(params, site, q, tol_q, l_max)
 
         monkeypatch.setattr(green_series, "_r_block", spy_block)
         monkeypatch.setattr(green_series, "_envelope_count", spy_envelope)
@@ -628,15 +683,15 @@ class TestSeries6Blocks:
         # lead must reach back to p = 0; the row sums all 400 pieces
         p = GreenParams(t=4.0, l=0, m=200, n=0)
         lm = 100
-        assert green_series._tiles(p, 0, (400 + 30 - lm) // 2 + 1)[0][0] == 32
-        ws = _Workspace(p, 800)
-        got = _series6_row(ws, 0, 0.0, 400)
-        want = _series6_row_per_j(ws, 0, 0.0, 400)
+        site = _site(p)
+        assert green_series._tiles(site, 0, (400 + 30 - lm) // 2 + 1)[0][0] == 32
+        got = _series6_row(p, site, 0, 0.0, 400)
+        want = _series6_row_per_j(p, site, 0, 0.0, 400)
         assert got[0] > 0.0
         assert got[0] == pytest.approx(want[0], rel=1e-14)
         assert got[1:] == want[1:3]
         ev = evaluate_series6(p, tol=1e-11)
-        assert ev.value == pytest.approx(_series6_row(ws, 0, 1e-300, 400)[0], rel=1e-14)
+        assert ev.value == pytest.approx(_series6_row(p, site, 0, 1e-300, 400)[0], rel=1e-14)
 
     def test_j_bounded_by_b(self):
         # the envelope widths rest on J_p(k) = pi C(p, (p-k)/2) / 2^p <=
@@ -654,9 +709,9 @@ class TestSeries6Blocks:
         """(params, c0, tols, width) of every group the scan forms on the grid."""
         groups = []
 
-        def spy(ws, c0, tols, R):
-            groups.append((ws.params, c0, list(tols), R.shape[1]))
-            return _series6_rows(ws, c0, tols, R)
+        def spy(params, site, c0, tols, R):
+            groups.append((params, c0, list(tols), R.shape[1]))
+            return _series6_rows(params, site, c0, tols, R)
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
         for p in self._grid():
@@ -670,11 +725,11 @@ class TestSeries6Blocks:
         # to the bit, when 17 more pieces follow it
         extra, compared = 17, 0
         for p, c0, tols, w in self._groups(monkeypatch):
-            ws = _Workspace(p, 400 + 400 + extra)
+            site = _site(p)
             c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(ws, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
-            narrow = _series6_rows(ws, c0, tols, R[:, :w])
-            wide = _series6_rows(ws, c0, tols, R)
+            R = _series6_r(site, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
+            narrow = _series6_rows(p, site, c0, tols, R[:, :w])
+            wide = _series6_rows(p, site, c0, tols, R)
             for row, (got, want) in enumerate(zip(zip(*narrow), zip(*wide))):
                 if got[2]:
                     assert got == want, (p, c0, row)
@@ -687,12 +742,12 @@ class TestSeries6Blocks:
         # ulp of the correctly rounded sum of the pieces up to the stop
         rows = 0
         for p, c0, tols, w in self._groups(monkeypatch):
-            ws = _Workspace(p, 800)
+            site = _site(p)
             c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(ws, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
-            got = _series6_rows(ws, c0, tols, R)
+            R = _series6_r(site, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
+            got = _series6_rows(p, site, c0, tols, R)
             for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
-                zip(zip(*got), _rows_by_loop(ws, c0, tols, R))
+                zip(zip(*got), _rows_by_loop(p, site, c0, tols, R))
             ):
                 fsum = math.fsum(pieces)
                 assert (bound, ok) == (want_bound, want_ok), (p, c0, row)
@@ -727,10 +782,10 @@ class TestNuTable:
         step = math.gcd(2 * _ROW_TILE, _COL_TILE)
         for site in self.SITES:
             p = GreenParams(t=3.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            full = _nu_table(_Workspace(p, HARD_ORDER_CAP), HARD_ORDER_CAP + 1)
+            full = _nu(p, HARD_ORDER_CAP)
             h = sum(site) // 2
             for count in (1, 2, 17, h + step - 1, h + step, h + step + 1, 145, 146, 400, 401):
-                part = _nu_table(_Workspace(p, count), count)
+                part = _nu_table(p, _site(p), count)
                 assert np.array_equal(part, full[:count]), (site, count)
             edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
             for i in [*edges, _safe_order(gamma)]:
@@ -742,9 +797,9 @@ class TestNuTable:
         counts = []
         nu_table = green_series._nu_table
 
-        def spy(ws, count):
+        def spy(params, site, count):
             counts.append(count)
-            return nu_table(ws, count)
+            return nu_table(params, site, count)
 
         monkeypatch.setattr(green_series, "_nu_table", spy)
         p = GreenParams(t=4.5, gamma=2.0, l=2, m=1, n=1)
@@ -757,8 +812,8 @@ class TestNuTable:
         # a depth too small for the scan must fail, not rebuild the table:
         # the rows end before n_max while the scan runs on
         p = GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1)
-        ws = _Workspace(p, 300)
-        assert _nu_table(ws, 40)[39] == _nu_table(ws, 301)[39]
+        site = _site(p)
+        assert _nu_table(p, site, 40)[39] == _nu_table(p, site, 301)[39]
         monkeypatch.setattr(green_series, "_depth", lambda *args: 40)
         for evaluate in (evaluate_series5, evaluate_series6):
             with pytest.raises(IndexError):
@@ -835,18 +890,49 @@ class TestSiteTableCache:
     VIEWS = ("Jl", "Jm", "Jn", "hankel", "toeplitz", "e_up", "e_down")
     PADDED = ("hankel", "toeplitz", "e_up", "e_down")
 
-    def test_same_key_shares_arrays(self):
-        a = _Workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 60)
-        b = _Workspace(GreenParams(t=5.5, gamma=2.0, l=2, m=1, n=1), 60)
-        for name in self.VIEWS:
-            assert getattr(a, name) is getattr(b, name), name
-        c = _Workspace(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), 90)
+    def test_same_key_shares_arrays(self, monkeypatch):
+        # series5, series6 and moment_coefficient of one site read the
+        # same arrays, whatever their t, gamma and depth; another site
+        # has its own
+        records = []
+        r_block = green_series._r_block
+
+        def spy(site, c0, s_stop):
+            records.append(site)
+            return r_block(site, c0, s_stop)
+
+        monkeypatch.setattr(green_series, "_r_block", spy)
+        evaluate_series5(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), n_max=60)
+        evaluate_series6(GreenParams(t=5.5, gamma=2.0, l=2, m=1, n=1), n_max=60, l_max=30)
+        moment_coefficient(90, GreenParams(t=4.0, gamma=0.5, l=2, m=1, n=1))
+        a = records[0]
+        assert len(records) >= 3
+        for b in records[1:]:
+            for name in self.VIEWS:
+                assert getattr(a, name) is getattr(b, name), name
+        c = _site_tables(2, 2, 0)
         assert c.Jl is not a.Jl
 
+    def test_one_record_per_site(self):
+        # every depth of both series, the diagnostics and a loop over
+        # moment orders build the site's record once between them
+        p = GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1)
+        _site_tables.cache_clear()
+        for n_max in (400, 1000):
+            evaluate_series5(p, n_max=n_max)
+        for l_max in (17, 400, 1000):
+            evaluate_series6(p, l_max=l_max)
+        convergence_rows(p)
+        for i in range(101):
+            moment_coefficient(i, p)
+        info = _site_tables.cache_info()
+        assert info.misses == 1
+        assert info.currsize == 1
+
     def test_cached_tables_read_only(self):
-        ws = _Workspace(GreenParams(t=4.0, l=3, m=3, n=2), 80)
+        site = _site_tables(3, 3, 2)
         for name in self.VIEWS:
-            arr = getattr(ws, name)
+            arr = getattr(site, name)
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
             # every array a view is built on is read-only too
@@ -861,10 +947,10 @@ class TestSiteTableCache:
         # reads the same read-only buffers
         key = GreenParams(t=4.0, gamma=1.0, l=40, m=30, n=0)
         _site_tables.cache_clear()
-        a = _Workspace(key, 120)
+        a = _site(key)
         shifted = []
         monkeypatch.setattr(green_series, "_shifted", lambda *args, **kw: shifted.append(args))
-        b = _Workspace(GreenParams(t=7.0, gamma=0.5, l=40, m=30, n=0), 120)
+        b = _site(GreenParams(t=7.0, gamma=0.5, l=40, m=30, n=0))
         assert shifted == []
         for name in self.PADDED:
             view, other = getattr(a, name), getattr(b, name)
@@ -905,11 +991,11 @@ class TestSiteTableCache:
 
     def test_series6_past_the_order_cap(self):
         # the J vectors of series6 reach n_max + l_max = 1100, beyond the
-        # hard order cap
+        # hard order cap; every site record holds them to twice the cap
         p = GreenParams(t=3.6, gamma=1.0, l=2, m=2, n=0)
         _site_tables.cache_clear()
         cold = evaluate_series6(p, n_max=600, l_max=500)
-        assert _Workspace(p, 1100).Jl.size == 1101
+        assert _site(p).Jl.size == 2 * HARD_ORDER_CAP + 1
         assert evaluate_series6(p, n_max=600, l_max=500) == cold
         assert cold.converged
 
@@ -961,7 +1047,7 @@ class TestMomentEnvelope:
 
     def _nu_table(self, gamma, site):
         p = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-        return _nu_workspace(p, self.DEPTH)[1]
+        return _nu(p, self.DEPTH)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
     def test_origin_bounds_every_site(self, gamma):
@@ -983,10 +1069,10 @@ class TestMomentEnvelope:
         sites = [(0, 0, 0), *self.SITES, (0, 0, 24), (0, 24, 0), (1, 1, 4)]
         for site in sites:
             at_site = GreenParams(t=2.0 + gamma, gamma=gamma, l=site[0], m=site[1], n=site[2])
-            nu = _nu_workspace(at_site, HARD_ORDER_CAP)[1]
+            nu = _nu(at_site, HARD_ORDER_CAP)
             assert np.all(np.abs(nu) <= envelope), site
         if gamma == 1.0:
-            origin = _nu_workspace(p, 400)[1]
+            origin = _nu(p, 400)
             assert np.all(np.abs(envelope[100:401:100] / origin[100:401:100] - 10.4) < 0.05)
 
 

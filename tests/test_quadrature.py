@@ -188,6 +188,25 @@ class TestQuadratureSpec:
         got = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=np.int64(3)))
         assert got == want
 
+    def test_numpy_target_tol_stored_as_float(self):
+        # target_tol = float64(1e-10) made converged np.True_
+        spec = QuadratureSpec(target_tol=np.float64(1e-10))
+        assert type(spec.target_tol) is float
+        got = green_by_quadrature(GreenParams(t=4.0), spec)
+        assert type(got.converged) is bool and got == green_by_quadrature(GreenParams(t=4.0))
+
+    def test_target_tol_past_the_double_range_refused(self):
+        # math.isfinite(10**400) raised OverflowError
+        with pytest.raises(ValueError, match="target_tol must be positive and finite"):
+            QuadratureSpec(target_tol=10**400)
+
+    def test_huge_refinement_levels(self):
+        # lowest << levels raised MemoryError at 10**18; every level that
+        # reaches the finest step runs the default rule
+        params = GreenParams(t=3.0, gamma=1.0)
+        got = green_by_quadrature(params, QuadratureSpec(corner_refinement_levels=10**18))
+        assert got == green_by_quadrature(params)
+
     @pytest.mark.parametrize("t", [3.001, 4.0])
     def test_default_spec_built_once(self, t, monkeypatch):
         # a call without a spec reads the module's frozen default, on the
