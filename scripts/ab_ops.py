@@ -2,12 +2,11 @@
 
 Usage: python3 scripts/ab_ops.py REV [--workload W] [--rounds N]
 
-REV's src/greenfcc is exported with ``git archive`` (as
-scripts/same_results.py does), which writes nothing into .git, and
-imported under the package name ``greenfcc_base``; the working tree's
-src/greenfcc is imported as ``greenfcc``.  Both load into this process
-after bench/run.py has set its thread pinning, so neither numpy sees
-more than one BLAS thread.
+REV's src/ is exported with ``git archive``, which writes nothing into
+.git, and its greenfcc imported under the package name
+``greenfcc_base``; the working tree's src/greenfcc is imported as
+``greenfcc``.  Both load into this process after bench/run.py has set
+its thread pinning, so neither numpy sees more than one BLAS thread.
 
 Every operation of workload W (default offedge_sweep) in
 bench/references.json, which is only read, is called once on each
@@ -31,43 +30,16 @@ In two trees with the same code the ratios measure the noise.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import random
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-import run as bench  # noqa: E402  (sets the thread pinning before numpy loads)
+import _trees
 
-h = bench.h
+h = _trees.h
 BEST_OF = 5
-
-
-def import_tree(package: Path, name: str):
-    """The package at ``package`` imported as ``name``; its imports are relative."""
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def calls(g, ops: list[dict]) -> list:
-    """One argument-free call per operation, into the public API of ``g``."""
-    out = []
-    for op in ops:
-        l, m, n = op["lmn"]
-        params = g.GreenParams(t=op["t"], gamma=op["gamma"], l=l, m=m, n=n)
-        fn = getattr(g, bench.ROUTES[op["route"]])
-        out.append(lambda fn=fn, params=params, kwargs=op["kwargs"]: fn(params, **kwargs))
-    return out
 
 
 def best_of(call) -> float:
@@ -133,15 +105,10 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
     ops = h.load_pool(args.workload)[0]
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src/greenfcc"],
-            capture_output=True, check=True,
-        )
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        base = import_tree(Path(tmp) / "src" / "greenfcc", "greenfcc_base")
-        tree = import_tree(ROOT / "src" / "greenfcc", "greenfcc")
+        base = _trees.import_tree(_trees.export(args.rev, Path(tmp)), "greenfcc_base")
+        tree = _trees.import_tree(_trees.ROOT / "src")
         print(f"{args.workload}: {len(ops)} ops, {args.rounds} rounds, best of {BEST_OF}; REV = {args.rev}")
-        compare(calls(base, ops), calls(tree, ops), ops, args.rounds)
+        compare(_trees.pool_calls(base, ops), _trees.pool_calls(tree, ops), ops, args.rounds)
     return 0
 
 

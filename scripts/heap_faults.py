@@ -2,16 +2,18 @@
 
 Usage: python3 scripts/heap_faults.py REV [--workload W]
 
-REV's src/ is exported with ``git archive`` (as scripts/same_results.py
-does), which writes nothing into .git.  The working tree and REV then
-each run in a child process of their own, with bench/run.py's thread
-pinning set before numpy loads, and import greenfcc from their own
-src/.  A child calls every operation of workload W (default
-band_edge) in bench/references.json once to warm up, then makes
-PASSES passes over the pool, each in a shuffled order drawn as a bench
-pass draws it, and counts the minor page faults (``ru_minflt`` of
-getrusage) of those passes.  Results are not checked:
-scripts/same_results.py compares them.
+REV's src/ is exported with ``git archive``, which writes nothing into
+.git, and runs first; then a fresh copy of the working tree's src/
+replaces it at the same path and runs.  So both trees run from one
+path, and an A/A run compares code, not the heap layout that the path
+alone can move.  Each runs in a child process of its own, with
+bench/run.py's thread pinning set before numpy loads.  A child calls
+every operation of workload W (default band_edge) in
+bench/references.json once to warm up, then makes PASSES passes over
+the pool, each in a shuffled order drawn as a bench pass draws it, and
+counts the minor page faults (``ru_minflt`` of getrusage) of those
+passes.  Results are not checked: scripts/same_results.py compares
+them.
 
 Printed per tree: the faults per operation.  A fault is a page the
 process touched for the first time, typically heap that glibc handed
@@ -26,34 +28,21 @@ import argparse
 import json
 import random
 import resource
-import subprocess
-import sys
+import shutil
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-import run as bench  # noqa: E402  (sets the thread pinning before numpy loads)
+import _trees
 
-h = bench.h
+h = _trees.h
 PASSES = 5
 SEED = 0
 
 
 def count(src: Path, workload: str) -> float:
     """Minor faults per operation of PASSES shuffled passes, after one warm-up call each."""
-    sys.path.insert(0, str(src))
-    import greenfcc
-
-    if Path(greenfcc.__file__).resolve().parent != src.resolve() / "greenfcc":
-        raise ImportError(f"greenfcc imported from {greenfcc.__file__}, not {src}")
     ops = h.load_pool(workload)[0]
-    calls = []
-    for op in ops:
-        l, m, n = op["lmn"]
-        params = greenfcc.GreenParams(t=op["t"], gamma=op["gamma"], l=l, m=m, n=n)
-        fn = getattr(greenfcc, bench.ROUTES[op["route"]])
-        calls.append(lambda fn=fn, params=params, kwargs=op["kwargs"]: fn(params, **kwargs))
+    calls = _trees.pool_calls(_trees.import_tree(src), ops)
     for call in calls:
         call()
     rng = random.Random(SEED)
@@ -62,16 +51,6 @@ def count(src: Path, workload: str) -> float:
     for idx in order:
         calls[idx]()
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(order)
-
-
-def _count_in_child(src: Path, workload: str) -> float:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--count", str(src), "--workload", workload],
-        capture_output=True, text=True, check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"counting the faults of {src} failed:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -86,13 +65,12 @@ def main(argv=None) -> int:
     if not args.rev:
         ap.error("a git revision is required")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
-            capture_output=True, check=True,
-        )
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        old = _count_in_child(Path(tmp) / "src", args.workload)
-    new = _count_in_child(ROOT / "src", args.workload)
+        src = _trees.export(args.rev, Path(tmp))
+        old = _trees.run_child(__file__, "--count", src, "--workload", args.workload)
+        shutil.rmtree(src)
+        # sources only, as the export holds
+        shutil.copytree(_trees.ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        new = _trees.run_child(__file__, "--count", src, "--workload", args.workload)
     print(f"{args.workload}: minor page faults per operation, {PASSES} shuffled passes after one warm-up call each")
     print(f"{args.rev:<12} {old:8.1f}")
     print(f"{'tree':<12} {new:8.1f}")

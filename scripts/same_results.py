@@ -4,7 +4,7 @@ Usage: python3 scripts/same_results.py REV
 
 REV's src/ is exported with ``git archive`` into a temporary directory,
 which writes nothing into .git.  Each tree then runs, in a child process
-of its own:
+of its own with bench/run.py's thread pinning:
 
 * every pooled operation of the offedge_sweep, band_edge and
   quadrature_oracle workloads in bench/references.json, recording
@@ -83,14 +83,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-REFERENCES = ROOT / "bench" / "references.json"
-WORKLOADS = ("offedge_sweep", "band_edge", "quadrature_oracle")
-ROUTES = {
-    "series5": "evaluate_series5",
-    "series6": "evaluate_series6",
-    "quadrature": "green_by_quadrature",
-}
+import _trees
+
 MOMENT_GAMMAS = (0.5, 1.0, 7.0)
 MOMENT_SITES = ((0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0), (1, 1, 4))
 # the nu table's tiles first reach order 2 s2 + c + h at multiples of 32 past h
@@ -228,21 +222,14 @@ def _run_cli(src: Path, argv: list[str]) -> dict:
 
 def collect(src: Path) -> dict[str, str]:
     """Every result of the tree at ``src``, keyed by a readable label."""
-    sys.path.insert(0, str(src))
-    import greenfcc
-
-    if Path(greenfcc.__file__).resolve().parent != src.resolve() / "greenfcc":
-        raise ImportError(f"greenfcc imported from {greenfcc.__file__}, not {src}")
-    data = json.loads(REFERENCES.read_text())
+    greenfcc = _trees.import_tree(src)
+    data = json.loads(_trees.h.REFERENCES.read_text())
     results = {}
-    for workload in WORKLOADS:
-        for idx, op in enumerate(data["workloads"][workload]["ops"]):
-            if op["route"] not in ROUTES:
-                continue
-            l, m, n = op["lmn"]
-            params = greenfcc.GreenParams(t=op["t"], gamma=op["gamma"], l=l, m=m, n=n)
+    for workload in _trees.h.WORKLOADS:
+        ops = data["workloads"][workload]["ops"]
+        for idx, (op, call) in enumerate(zip(ops, _trees.pool_calls(greenfcc, ops))):
             try:
-                ev = getattr(greenfcc, ROUTES[op["route"]])(params, **op["kwargs"])
+                ev = call()
                 got = [ev.value, ev.abs_error_estimate, ev.terms_used, ev.converged, ev.accelerated]
             except Exception as exc:  # a raised error is a result to compare too
                 got = {"raised": repr(exc)}
@@ -370,16 +357,6 @@ def _changes(old: str | None, new: str | None) -> tuple[list[tuple[float, float]
     return moved, other
 
 
-def _collect_in_child(src: Path) -> dict[str, str]:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--collect", str(src)],
-        capture_output=True, text=True, check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"collecting results of {src} failed:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
@@ -391,13 +368,8 @@ def main(argv=None) -> int:
     if not args.rev:
         ap.error("a git revision is required")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
-            capture_output=True, check=True,
-        )
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        old = _collect_in_child(Path(tmp) / "src")
-    new = _collect_in_child(ROOT / "src")
+        old = _trees.run_child(__file__, "--collect", _trees.export(args.rev, Path(tmp)))
+    new = _trees.run_child(__file__, "--collect", _trees.ROOT / "src")
     differ = other = 0
     worst, worst_label = 0.0, None
     for label in sorted(old.keys() | new.keys()):

@@ -10,10 +10,10 @@ to the band edge) cross-validate each other; Wynn and Aitken
 sequence transforms extend usable accuracy to the band edge itself.
 """
 
-# numpy first: imported from inside green_series it left a heap that glibc
-# trims and regrows around every series5 call (170 minor page faults per
-# call on the benchmark's band_edge pool, 16 in this order, counted by
-# scripts/heap_faults.py)
+# numpy first: imported from inside green_series it leaves a heap that glibc
+# trims and regrows around series5 calls (106 minor page faults per call on
+# the benchmark's band_edge pool, almost all from its n_max = 1000 call; 0 in
+# this order, counted by scripts/heap_faults.py)
 import numpy  # noqa: F401
 
 from .acceleration import (

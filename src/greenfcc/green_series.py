@@ -160,7 +160,9 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
 
     Nothing here depends on t or gamma, so the cache keeps a sweep, a
     comparison or a repeated call from rebuilding it.  Every array, and
-    every array a view is built on, is read-only and shared.
+    every array a view is built on, is read-only and shared.  Callers key
+    it by (max(l, m), min(l, m), n): G is symmetric in l and m, and so
+    both orders read one record and get one result.
     """
     depth = 2 * HARD_ORDER_CAP
     table = shared_table(depth)
@@ -344,6 +346,9 @@ def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
         sums = sheared.sum(axis=1)
         stop = min(count, i0 + sums.size)
         nus[i0:stop] += sums[: stop - i0]
+        # freed before the next block allocates its own: the call's peak stays
+        # one block, and no free leaves a top chunk for glibc to trim
+        del buf, block, w, sheared, sums
     nus /= PI3
     return nus
 
@@ -465,7 +470,7 @@ def moment_coefficient(i: int, params: GreenParams) -> float:
             f"moment order {i} exceeds {limit}, the largest whose value "
             f"fits a double at gamma={params.gamma}"
         )
-    site = _site_tables(params.l, params.m, params.n)
+    site = _site_tables(max(params.l, params.m), min(params.l, params.m), params.n)
     return float(_nu_table(params, site, i + 1)[i]) * params.band_edge**i
 
 
@@ -593,7 +598,7 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     """Series5's scan: its terms nu_i r^i / t, by Python's pow, as one chunk."""
     t = params.t
     r = params.band_edge / t
-    site = _site_tables(params.l, params.m, params.n)
+    site = _site_tables(max(params.l, params.m), min(params.l, params.m), params.n)
     nus = _nu_table(params, site, _depth(params, r, t, tol, n_max, _nu_envelope))
     terms = [nu * r**i / t for i, nu in enumerate(nus.tolist())]
     return _scan([(terms, [0.0] * len(terms), [True] * len(terms))], r, tol, n_max)
@@ -613,7 +618,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
     interleaved with the zero rows after them.
     """
     l, m, n = params.l, params.m, params.n
-    site = _site_tables(l, m, n)
+    site = _site_tables(max(l, m), min(l, m), n)
     gap = params.t - params.gamma
     r_out = 2.0 / gap
     depth = _depth(params, r_out, gap, tol * 0.5, n_max, _row_envelope)

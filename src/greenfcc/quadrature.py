@@ -388,7 +388,9 @@ def _nested_product(params: GreenParams, start: int, first: int, rule: int):
     Each grid's rows are formed from one shift s = t - 2 - gamma; the
     rest is read from its record (_grid_tables).
     """
-    l, m, shift, gamma = params.l, params.m, _shift(params), params.gamma
+    # G(l, m, n) = G(m, l, n): one record, and one result, for both orders
+    l, m = max(params.l, params.m), min(params.l, params.m)
+    shift, gamma = _shift(params), params.gamma
     levels = (first // start).bit_length() + 1
     grid = _grid_tables(rule, first, l, m, levels)
     sums = _grid_sums(params, _rows(grid.axis, shift, gamma), grid.columns, grid.wx, grid.wy)

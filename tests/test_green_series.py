@@ -883,6 +883,32 @@ class TestNuTable:
             tracemalloc.stop()
         assert peak <= 2_000_000
 
+    def test_each_block_freed_before_the_next(self):
+        # a block's buffer, weights and sums go before the next block is
+        # formed; kept until the loop rebound them, the peak was 596 KiB
+        p = GreenParams(t=3.01, gamma=1.0, l=2, m=0, n=0)
+        evaluate_series5(p, n_max=400, accel="wynn")
+        tracemalloc.start()
+        try:
+            evaluate_series5(p, n_max=400, accel="wynn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * 1024
+
+
+class TestSiteSymmetry:
+    """G(l, m, n) = G(m, l, n): both orders of a site give one result, bit for bit."""
+
+    SITES = [(2, 1, 1), (4, 2, 0), (3, 3, 2), (6, 1, 1), (5, 3, 0), (7, 2, 1)]
+
+    @pytest.mark.parametrize("evaluate", [evaluate_series5, evaluate_series6, green_by_quadrature])
+    @pytest.mark.parametrize("t, gamma", [(4.0, 1.0), (3.5, 0.5), (9.5, 7.0)])
+    def test_swapped_site_same_result(self, evaluate, t, gamma):
+        for l, m, n in self.SITES:
+            a = evaluate(GreenParams(t=t, gamma=gamma, l=l, m=m, n=n))
+            assert evaluate(GreenParams(t=t, gamma=gamma, l=m, m=l, n=n)) == a, (l, m, n)
+
 
 class TestSiteTableCache:
     """One process-wide set of site tables serves every t and gamma."""
