@@ -15,11 +15,13 @@ counts the minor page faults (``ru_minflt`` of getrusage) of those
 passes.  Results are not checked: scripts/same_results.py compares
 them.
 
-Printed per tree: the faults per operation.  A fault is a page the
-process touched for the first time, typically heap that glibc handed
-back to the kernel and then grew again; a series path whose arrays fit
-the heap it keeps faults little.  Counts vary by a few faults per
-operation from run to run.
+Printed per tree: the faults per operation and the child's peak
+resident set (``ru_maxrss``) in MB, the figure bench/run.py reports as
+``peak_rss_mb``, here after the warm-up and the passes.  A fault is a
+page the process touched for the first time, typically heap that glibc
+handed back to the kernel and then grew again; a series path whose
+arrays fit the heap it keeps faults little.  Counts vary by a few
+faults per operation from run to run.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ PASSES = 5
 SEED = 0
 
 
-def count(src: Path, workload: str) -> float:
-    """Minor faults per operation of PASSES shuffled passes, after one warm-up call each."""
+def count(src: Path, workload: str) -> tuple[float, float]:
+    """Minor faults per operation of PASSES shuffled passes, after one warm-up call each, and the peak RSS in MB."""
     ops = h.load_pool(workload)[0]
     calls = _trees.pool_calls(_trees.import_tree(src), ops)
     for call in calls:
@@ -50,7 +52,8 @@ def count(src: Path, workload: str) -> float:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for idx in order:
         calls[idx]()
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(order)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return (usage.ru_minflt - before) / len(order), usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -71,9 +74,9 @@ def main(argv=None) -> int:
         # sources only, as the export holds
         shutil.copytree(_trees.ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         new = _trees.run_child(__file__, "--count", src, "--workload", args.workload)
-    print(f"{args.workload}: minor page faults per operation, {PASSES} shuffled passes after one warm-up call each")
-    print(f"{args.rev:<12} {old:8.1f}")
-    print(f"{'tree':<12} {new:8.1f}")
+    print(f"{args.workload}: minor page faults per operation, {PASSES} shuffled passes after one warm-up call each; peak RSS")
+    for name, (faults, rss) in ((args.rev, old), ("tree", new)):
+        print(f"{name:<12} {faults:8.1f} {rss:8.2f} MB")
     return 0
 
 

@@ -39,13 +39,16 @@ overflows and nothing depends on t; the i-th term is nu_i r^i / t with
 r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
-J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  The
-cached record of a site (``_site_tables``), built once to the deepest J
-any call reads, holds the J and E arrays zero-padded, and ``_r_block``
-forms one column block of q from their views.  Series5 sums weighted
-anti-diagonals into its table nu_0 .. nu_(D-1)
+J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  R
+depends on the site alone, so the cached record of a site
+(``_site_tables``), built once to the deepest J any call reads, also
+keeps R: ``_r_block`` forms a column block of q from the record's
+zero-padded J and E arrays once, stores it folded (``_fold``) and
+extends it when a deeper call asks for more.  A series call only
+weights stored entries, O(N^2) work where forming them is O(N^3).
+Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
 (``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
-forming a block when its scan reaches it.  Each series builds its terms
+reading a block when its scan reaches it.  Each series builds its terms
 to the depth ``_depth`` gives it and hands them to the scan in chunks,
 lists of terms, inner errors and flags: series5 all its terms at once,
 series6 one row group at a time.  That depth comes from a closed-form,
@@ -105,8 +108,11 @@ _ACCEL_CHOICES = ("none", "wynn", "aitken")
 # and 64 x 64 or larger tiles are slower below 400 orders.
 _ROW_TILE = 16
 _COL_TILE = 32
-# series6 forms its rows in groups of this many, as the scan reaches them
-_ROW_GROUP = 16
+# the rows s' of a block that _nu_table weights and sums at a time
+_SUM_ROWS = 448
+# series6 forms its rows in groups of this many, as the scan reaches them: one
+# group per half of a stored block (``_fold``)
+_ROW_GROUP = _COL_TILE // 2
 # the constants of the series5 and series6 envelopes (``_depth``)
 _NU_ENVELOPE = 8.0 * math.sqrt(2.0) / math.pi**2
 _ROW_ENVELOPE = 8.0 / math.pi**2
@@ -123,7 +129,7 @@ def _safe_order(gamma: float) -> int:
 
 
 class _SiteTables(NamedTuple):
-    """The read-only tables of one site, the views of R included (``_site_tables``)."""
+    """The read-only tables of one site, its views and its store of R included (``_site_tables``)."""
 
     Jl: np.ndarray
     Jm: np.ndarray
@@ -137,11 +143,23 @@ class _SiteTables(NamedTuple):
     toeplitz: np.ndarray
     e_up: np.ndarray
     e_down: np.ndarray
+    blocks: dict[int, _RBlock]
 
 
-@lru_cache(maxsize=32)
+class _RBlock(NamedTuple):
+    """Column block c0 of a site's store of inner sums, folded (``_r_block``, ``_fold``)."""
+
+    first: int  # the row s' of the block's first tile, or past the rows if it has none
+    depth: int  # column c - c0 = j holds R(p, q) for p < max(width, depth - 2j)
+    width: int
+    x: int
+    row: int
+    F: np.ndarray  # read-only
+
+
+@lru_cache(maxsize=8)
 def _site_tables(l: int, m: int, n: int) -> _SiteTables:
-    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP and the views ``_r_block`` reads.
+    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP, the views ``_r_block`` reads and its store.
 
     J_p(l), J_p(m), J_p(n), p <= D, are read from the shared closed-form
     table at p of the site index's parity and are 0 elsewhere.  Jl[l::2],
@@ -158,11 +176,21 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
     lm)//2 + 1, width <= l_max <= HARD_ORDER_CAP.  So one record serves
     every call on the site.
 
+    ``blocks`` is the store of the inner sums R(p, q), one ``_RBlock``
+    per column block c0, each to the deepest row any call has asked for
+    (``_r_block``), folded so that series5 alone stores no entry it
+    does not read (``_fold``).  A block holds at most 16 (2 l_max + 30)
+    + 32 doubles, and a site at most 16 blocks (q < HARD_ORDER_CAP), so
+    a record stores at most 4.2 MB: series6 at t = 2+gamma with n_max =
+    l_max = 1000 reaches it.  The cache keeps 8 records, 34 MB of inner
+    sums at worst; the bench pools read 5 sites or fewer.
+
     Nothing here depends on t or gamma, so the cache keeps a sweep, a
     comparison or a repeated call from rebuilding it.  Every array, and
-    every array a view is built on, is read-only and shared.  Callers key
-    it by (max(l, m), min(l, m), n): G is symmetric in l and m, and so
-    both orders read one record and get one result.
+    every array a view is built on, is read-only and shared; a stored
+    block is replaced, never written.  Callers key it by (max(l, m),
+    min(l, m), n): G is symmetric in l and m, and so both orders read
+    one record and get one result.
     """
     depth = 2 * HARD_ORDER_CAP
     table = shared_table(depth)
@@ -188,6 +216,7 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
         # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
         e_up=_strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1)),
         e_down=_strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1)),
+        blocks={},
     )
 
 
@@ -252,8 +281,44 @@ def _tiles(site: _SiteTables, c0: int, s_stop: int) -> list[tuple[int, int, int]
     return tiles
 
 
-def _r_block(site: _SiteTables, c0: int, s_stop: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
+def _fold(depth: int, width: int) -> tuple[list[int], int, int]:
+    """The lengths L_j = max(width, depth - 2j, 0) of a stored block's columns, and its fold (x, row).
+
+    Series5 reads column j of a block to p < depth - 2j, series6 to p <
+    width.  Columns j and _COL_TILE - 1 - j share row j < _COL_TILE/2 of
+    the block's array: column j from offset 0, column _COL_TILE - 1 - j
+    from x - 2j on, with x the least offset past every first column's
+    end.  For series5 alone the two lengths add up to 2 depth - 62, a
+    constant, so the rows of ``row`` doubles hold no unread entry.
+    Both halves of the block then lie on linear (strided) views.
+    """
+    tc, half = _COL_TILE, _COL_TILE // 2
+    lengths = [max(width, depth - 2 * j, 0) for j in range(tc)]
+    x = max(tc - 1, *(lengths[j] + 2 * j for j in range(half)))
+    return lengths, x, max(x - 2 * j + lengths[tc - 1 - j] for j in range(half))
+
+
+def _column_start(block: _RBlock, j: int) -> int:
+    """Where column j's entry p = 0 lies in ``block.F``."""
+    k = min(j, _COL_TILE - 1 - j)
+    return k * block.row + (0 if j < _COL_TILE // 2 else block.x - 2 * k)
+
+
+def _by_row(block: _RBlock, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of a stored block by row: half[u, j] holds R(u - j, q) of column j, u < ``rows``.
+
+    Entries with u - j outside the column hold whatever lies there; a
+    reader weights them by 0.
+    """
+    half = _COL_TILE // 2
+    return (
+        _strided(block.F, 0, (rows, half), (1, block.row - 1)),
+        _strided(block.F, _column_start(block, half) - half, (rows, half), (1, 1 - block.row)),
+    )
+
+
+def _r_block(site: _SiteTables, c0: int, depth: int, width: int) -> _RBlock:
+    """The stored inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
     a = (n+l-m)/2, b = n - a, lm = h - n and s' = p + (q-l-m)/2 =
@@ -267,88 +332,136 @@ def _r_block(site: _SiteTables, c0: int, s_stop: int) -> tuple[int, int, np.ndar
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
 
-    Returns (r0, first, buf, block): block[par, s2 - r0, c - c0] = R(p, q)
-    for c0 <= c < c0 + _COL_TILE and s2 from r0, the first of ``_tiles``,
-    in whole tiles to ``s_stop``, both parities of a tile by one product,
-    0 off the tiles.  buf[s' - first, c - c0], first = min(2 r0 -
-    _COL_TILE + 1, c0 - lm), holds it from every p >= 0 to _COL_TILE - 1
-    zero rows past it.  No temporary passes ~2^16 doubles.
+    The site's store (``site.blocks``) keeps column j = c - c0 of block
+    c0 for p < max(width, depth - 2j), folded (``_fold``), with the
+    deepest ``depth`` and ``width`` any call has asked for, and no
+    further: R depends on the site alone.  A deeper call copies the
+    stored columns and forms only the tiles of ``_tiles`` that reach
+    past them, both parities of a tile by one product into one
+    tile-sized buffer, whose rows are the rows u = s' - c0 + lm of the
+    block; a tile's product depends on (s0, e_lo, e_hi) alone, so every
+    stored entry is the same float at every depth.  A tile that lies
+    inside every column's new entries is copied through the two halves
+    of ``_by_row``, any other column by column.  Entries no tile covers
+    are 0.  Returns the block, whose ``first`` is the row s' of its
+    first tile.
     """
-    ts, tc, pad = _ROW_TILE, _COL_TILE, site.pad
-    tiles = _tiles(site, c0, s_stop)
-    r0 = tiles[0][0] if tiles else 0
-    rows = max(0, -(-(s_stop - r0) // ts) * ts)
-    lead = max(tc - 1, 2 * r0 + site.lm - c0)
-    buf = np.zeros((lead + 2 * rows + tc - 1, tc))
-    block = buf[lead : lead + 2 * rows].reshape(rows, 2, tc).transpose(1, 0, 2)
-    e0 = min((e_lo for _, e_lo, _ in tiles), default=0)
-    width = max((e_hi for _, _, e_hi in tiles), default=0) - e0 + 1
-    r_up = pad + site.a + c0 + 2 * e0 - 1
-    r_down = pad + site.b + c0 - 2 * e0
-    B = site.e_up[:, r_up : r_up + 2 * width : 2] * site.e_down[:, r_down : r_down - 2 * width : -2]
-    for s0, e_lo, e_hi in tiles:
-        k = e_hi - e_lo + 1
-        x = pad + s0 + e_lo
-        y = pad + s0 - e_lo - site.k_max + 1
-        P = site.hankel[x : x + ts, :k] * site.toeplitz[:, y : y + ts, :k]
-        np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=block[:, s0 - r0 : s0 - r0 + ts])
-    return r0, 2 * r0 - lead, buf, block
+    ts, tc, pad, lo = _ROW_TILE, _COL_TILE, site.pad, c0 - site.lm
+    old = site.blocks.get(c0)
+    before = [0] * tc
+    if old is not None:
+        if depth <= old.depth and width <= old.width:
+            return old
+        depth, width = max(depth, old.depth), max(width, old.width)
+        before = _fold(old.depth, old.width)[0]
+    lengths, x, row = _fold(depth, width)
+    if lengths == before:  # a deeper request that reaches no further entry
+        block = site.blocks[c0] = old._replace(depth=depth, width=width)
+        return block
+    block = _RBlock(0, depth, width, x, row, np.zeros(tc // 2 * row + tc))
+    starts = [_column_start(block, j) for j in range(tc)]
+    if old is not None:
+        for j, start in enumerate(starts):
+            block.F[start : start + before[j]] = old.F[_column_start(old, j) :][: before[j]]
+    # column j's new entries lie on the rows u in [j + before[j], j + lengths[j])
+    new = [(j + before[j], j + lengths[j]) for j in range(tc)]
+    inside = max(u for u, _ in new), min(u for _, u in new)
+    halves = _by_row(block, max(inside[1], 0))
+    tiles = _tiles(site, c0, (lo + max(u for _, u in new) + 1) // 2)
+    first = 2 * tiles[0][0] if tiles else lo + max(u for _, u in new)
+    reach = min(u for u, v in new if u < v)
+    tiles = [tile for tile in tiles if 2 * (tile[0] + ts) - lo > reach]
+    if tiles:
+        e0 = min(e_lo for _, e_lo, _ in tiles)
+        span = max(e_hi for _, _, e_hi in tiles) - e0 + 1
+        r_up = pad + site.a + c0 + 2 * e0 - 1
+        r_down = pad + site.b + c0 - 2 * e0
+        B = site.e_up[:, r_up : r_up + 2 * span : 2] * site.e_down[:, r_down : r_down - 2 * span : -2]
+        # tile[s' - 2 s0] = product[par, s2 - s0]
+        tile = np.empty((2 * ts, tc))
+        product = tile.reshape(ts, 2, tc).transpose(1, 0, 2)
+        for s0, e_lo, e_hi in tiles:
+            k = e_hi - e_lo + 1
+            i = pad + s0 + e_lo
+            y = pad + s0 - e_lo - site.k_max + 1
+            P = site.hankel[i : i + ts, :k] * site.toeplitz[:, y : y + ts, :k]
+            np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=product)
+            u0 = 2 * s0 - lo
+            if inside[0] <= u0 and u0 + 2 * ts <= inside[1]:
+                halves[0][u0 : u0 + 2 * ts] = tile[:, : tc // 2]
+                halves[1][u0 : u0 + 2 * ts] = tile[:, tc // 2 :]
+                continue
+            for j, (start, (top, bottom)) in enumerate(zip(starts, new)):
+                top, bottom = max(top, u0), min(bottom, u0 + 2 * ts)
+                if top < bottom:
+                    block.F[start + top - j : start + bottom - j] = tile[top - u0 : bottom - u0, j]
+    block.F.flags.writeable = False
+    block = site.blocks[c0] = block._replace(first=first)
+    return block
 
 
 def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
     """nu_0 .. nu_(count-1) of the site, at the gamma of ``params``.
 
-    pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the inner sums R of
-    ``_r_block``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q Jn[q],
-    p = i - q, where G[i] / G[p] = C(i, q) G[q]: R(p, q) G[q] is the row
-    q = j of the double sum.  The weight is formed in that order: the
-    ratio (up to 1e79) goes into the gamma ladder before the J_n ladder,
-    since at gamma = 1, i = 1000, q near 512 the two ladders alone
-    multiply to about 1e-323.  Both ladders are formed elementwise for
-    the table's orders.  Weights with q > i are zero.
+    pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the stored inner sums R
+    of ``_r_block``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q
+    Jn[q], p = i - q, where G[i] / G[p] = C(i, q) G[q]: R(p, q) G[q] is
+    the row q = j of the double sum.  The weight is formed in that
+    order: the ratio (up to 1e79) goes into the gamma ladder before the
+    J_n ladder, since at gamma = 1, i = 1000, q near 512 the two ladders
+    alone multiply to about 1e-323.  Both ladders are formed elementwise
+    for the table's orders.  Weights with q > i or p < 0 are zero.
 
-    Blocks hold the columns with an order i = s' + c + h < ``count`` at
-    s' >= 0 and p = i - n - 2c >= 0, and tiles of least order below
-    ``count``.  Each weighted block is summed along its anti-diagonals
-    s' + c = i - h, a sheared view of its buffer, into nu_i in column
-    order: a shorter table is bit for bit a prefix of a longer one.
+    A call reads the blocks of the columns with an order i = s' + c + h
+    < ``count`` at s' >= 0 and p = i - n - 2c >= 0, from their first
+    tile on, and weights them ``_SUM_ROWS`` rows at a time into one work
+    buffer, after the _COL_TILE - 1 rows before them (zeros before a
+    block's first row).  Each chunk is summed along its anti-diagonals
+    s' + c = i - h, a sheared view of the buffer, into nu_i in column
+    order: a shorter table is bit for bit a prefix of a longer one.  No
+    array of the call passes ``_SUM_ROWS`` + _COL_TILE - 1 rows.
     """
     n, lm = params.n, site.lm  # p = s' - c + lm
     G = _factorial_scales()[1]
     h = lm + n
-    ts, tc = _ROW_TILE, _COL_TILE
+    tc = _COL_TILE
     c_stop = min(count - h, (count + 1 - n) // 2)
-    s_end, c_end = (count + 1) // 2 + ts, max(c_stop, 0) + tc  # past every block
     nus = np.zeros(count)
-    # the weights' arrays are zero-padded like the tiles' (ones for G in a denominator)
-    gi = _shifted(G[:count], 0, 2 * s_end + c_end + h + tc)
-    p_pad = c_end + abs(lm) + tc
-    gp = _shifted(G, p_pad, 2 * p_pad + 2 * s_end, fill=1.0)
+    if c_stop <= 0:
+        return nus
+    # the weights' arrays are zero-padded (ones for G in a denominator)
+    size = count + 2 * tc
+    gi = _shifted(G[:count], 0, size)
+    gp = _shifted(G, tc - 1, size, fill=1.0)
     orders, s = np.arange(count), params.band_edge
-    gs = _shifted(np.power(params.gamma / s, orders), p_pad, gp.size)
-    jn = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * c_end + 2 * tc)
-    # g_i[par, r, c] = gi[r + par + c]; g_p, gs_p [par, r, c] = gp, gs[r + par - c + tc - 1]
-    g_i = _strided(gi, 0, (2, gi.size - tc, tc), (1, 1, 1))
-    g_p = _strided(gp, tc - 1, (2, gp.size - tc, tc), (1, 1, -1))
-    gs_p = _strided(gs, tc - 1, (2, gs.size - tc, tc), (1, 1, -1))
+    gs = _shifted(np.power(params.gamma / s, orders), tc - 1, size)
+    jn = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * (c_stop + tc))
+    # the weights of row s' of block c0: g_i[s' + c0, c] = gi[s' + c0 + c + h] and
+    # g_p, gs_p[s' - c0 + lm, c] = gp, gs[s' - c0 + lm - c + tc - 1]
+    g_i = _strided(gi, h, (count - h, tc), (1, 1))
+    g_p = _strided(gp, tc - 1, (count, tc), (1, -1))
+    gs_p = _strided(gs, tc - 1, (count, tc), (1, -1))
+    work = np.empty((min(_SUM_ROWS, count) + tc - 1, tc))
+    # sheared(k)[d, c] = work[tc - 1 + d - c, c], the entry of order a + c0 + h + d
+    half = tc // 2
     for c0 in range(0, c_stop, tc):
-        r0, first, buf, block = _r_block(site, c0, (count - h - c0 + 1) // 2)
-        rows = block.shape[1]
-        i0 = 2 * r0 + c0 + h
-        p0 = p_pad + 2 * r0 - c0 + lm - tc + 1
-        q0 = n + 2 * c0
-        w = g_i[:, i0 : i0 + 2 * rows : 2] / g_p[:, p0 : p0 + 2 * rows : 2]
-        w *= gs_p[:, p0 : p0 + 2 * rows : 2]
-        w *= jn[q0 : q0 + 2 * tc : 2]
-        block *= w
-        # sheared[d, c] = buf[2 r0 - first + d - c, c], the entry of order i0 + d
-        sheared = _strided(buf, (2 * r0 - first) * tc, (2 * rows + tc - 1, tc), (tc, 1 - tc))
-        sums = sheared.sum(axis=1)
-        stop = min(count, i0 + sums.size)
-        nus[i0:stop] += sums[: stop - i0]
-        # freed before the next block allocates its own: the call's peak stays
-        # one block, and no free leaves a top chunk for glibc to trim
-        del buf, block, w, sheared, sums
+        end = count - h - c0  # the row where column c0 reaches order count
+        lo = c0 - lm
+        block = _r_block(site, c0, end - lo, 0)
+        left, right = _by_row(block, end - lo)
+        jn_c = jn[n + 2 * c0 : n + 2 * c0 + 2 * tc : 2]
+        work[: tc - 1] = 0.0
+        for a in range(max(block.first, lo), end, _SUM_ROWS):
+            k = min(_SUM_ROWS, end - a)
+            w = work[tc - 1 : tc - 1 + k]
+            np.divide(g_i[a + c0 : a + c0 + k], g_p[a - lo : a - lo + k], out=w)
+            w *= gs_p[a - lo : a - lo + k]
+            w *= jn_c
+            w[:, :half] *= left[a - lo : a - lo + k]
+            w[:, half:] *= right[a - lo : a - lo + k]
+            sheared = _strided(work, (tc - 1) * tc, (k, tc), (tc, 1 - tc))
+            nus[a + c0 + h : a + c0 + h + k] += sheared.sum(axis=1)
+            work[: tc - 1] = work[k : k + tc - 1]
     nus /= PI3
     return nus
 
@@ -640,10 +753,10 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
             block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
             groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
             widths = [width(qs) for qs in groups]
-            R = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
+            halves = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
             for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
-                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
+                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, halves[k // _ROW_GROUP][:, :w])
                 # row q at 2 (q - qs[0]), then the zero row q + 1 unless it is past the depth
                 size = 2 * len(qs) - (qs[-1] + 1 >= depth)
                 chunk = [0.0] * size, [0.0] * size, [True] * size
@@ -692,15 +805,19 @@ def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
 
-def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> np.ndarray:
-    """R(p, q) as r[c - c0, p], q = n + 2c, c0 <= c < c0 + cols, p < width: a view of one ``_r_block``.
+def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """R(p, q), q = n + 2c, c0 <= c < c0 + cols, p < width, as views of the two halves of the stored block.
 
-    Rows of s' < 0 and of tiles left out are 0.
+    half[k][c - c0 - k _ROW_GROUP, p] = R(p, q), one view per half of
+    ``_ROW_GROUP`` columns (``_fold``), no copy; rows of s' < 0 and of
+    tiles left out are 0.
     """
-    tc, lm = _COL_TILE, site.lm
-    _, first, buf, _ = _r_block(site, c0, (width + c0 + cols - 2 - lm) // 2 + 1)
-    # r[c - c0, p] = buf[c - lm + p - first, c - c0]
-    return _strided(buf, (c0 - lm - first) * tc, (cols, width), (tc + 1, tc))
+    block = _r_block(site, c0, 0, width)
+    half = _COL_TILE // 2
+    return (
+        _strided(block.F, 0, (min(cols, half), width), (block.row, 1)),
+        _strided(block.F, _column_start(block, half), (max(cols - half, 0), width), (2 - block.row, 1)),
+    )
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:

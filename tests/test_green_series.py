@@ -134,10 +134,15 @@ def _series6_row(p, site, i, tol_inner, l_max):
     if site.Jn[i] == 0.0:
         return 0.0, 0.0, True
     c = (i - p.n) // 2
-    c_block = c - c % _COL_TILE
-    R = _series6_r(site, c_block, _COL_TILE, l_max)
-    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], R[c - c_block : c - c_block + 1])
+    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], _r_rows(site, c, 1, l_max))
     return total, bound, ok
+
+
+def _r_rows(site, c, count, width):
+    """R(p, n + 2c'), c <= c' < c + count inside one row group, p < width: rows of a stored half."""
+    j = c % _COL_TILE
+    half = _series6_r(site, c - j, _COL_TILE, width)[j // _ROW_GROUP]
+    return half[j % _ROW_GROUP : j % _ROW_GROUP + count]
 
 
 def _series6_row_per_j(p, site, i, tol_inner, l_max):
@@ -642,9 +647,9 @@ class TestSeries6Blocks:
         records = []
         r_block = green_series._r_block
 
-        def spy(site, c0, s_stop):
+        def spy(site, c0, *reach):
             records.append(site)
-            return r_block(site, c0, s_stop)
+            return r_block(site, c0, *reach)
 
         monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate(GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1), tol=1e-11)
@@ -659,9 +664,9 @@ class TestSeries6Blocks:
         blocks, sized = [], []
         r_block, envelope = green_series._r_block, green_series._envelope_count
 
-        def spy_block(site, c0, s_stop):
+        def spy_block(site, c0, *reach):
             blocks.append(c0)
-            return r_block(site, c0, s_stop)
+            return r_block(site, c0, *reach)
 
         def spy_envelope(params, site, q, tol_q, l_max):
             sized.append(q)
@@ -726,8 +731,7 @@ class TestSeries6Blocks:
         extra, compared = 17, 0
         for p, c0, tols, w in self._groups(monkeypatch):
             site = _site(p)
-            c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(site, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
+            R = _r_rows(site, c0, len(tols), w + extra)
             narrow = _series6_rows(p, site, c0, tols, R[:, :w])
             wide = _series6_rows(p, site, c0, tols, R)
             for row, (got, want) in enumerate(zip(zip(*narrow), zip(*wide))):
@@ -743,8 +747,7 @@ class TestSeries6Blocks:
         rows = 0
         for p, c0, tols, w in self._groups(monkeypatch):
             site = _site(p)
-            c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(site, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
+            R = _r_rows(site, c0, len(tols), w)
             got = _series6_rows(p, site, c0, tols, R)
             for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
                 zip(zip(*got), _rows_by_loop(p, site, c0, tols, R))
@@ -923,9 +926,9 @@ class TestSiteTableCache:
         records = []
         r_block = green_series._r_block
 
-        def spy(site, c0, s_stop):
+        def spy(site, c0, *reach):
             records.append(site)
-            return r_block(site, c0, s_stop)
+            return r_block(site, c0, *reach)
 
         monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate_series5(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), n_max=60)
@@ -966,6 +969,72 @@ class TestSiteTableCache:
                 if isinstance(arr, np.ndarray):
                     assert not arr.flags.writeable, name
                 arr = getattr(arr, "base", None)
+
+    def test_stored_blocks_read_only(self):
+        # the store of R is shared like the J views: its arrays and the
+        # views series6 reads are read-only
+        p = GreenParams(t=3.5, gamma=1.0, l=3, m=3, n=2)
+        evaluate_series5(p)
+        halves = _series6_r(_site(p), 0, _COL_TILE, 50)
+        blocks = _site(p).blocks.values()
+        assert blocks
+        for arr in [*halves, *(block.F for block in blocks)]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_worst_case_store_stays_bounded(self):
+        # series6 at t = 2+gamma with n_max = l_max = 1000 stores the most
+        # a site can hold; the docstring of _site_tables states 4.3 MB
+        p = GreenParams(t=9.0, gamma=7.0, l=2, m=1, n=1)
+        _site_tables.cache_clear()
+        evaluate_series6(p, n_max=1000, l_max=1000)
+        evaluate_series5(p, n_max=1000)
+        stored = sum(block.F.nbytes for block in _site(p).blocks.values())
+        assert 4.0e6 < stored <= 4.3e6
+
+    @pytest.mark.parametrize("site", [(2, 1, 1), (0, 200, 0), (4, 2, 0)])
+    def test_fill_order_does_not_move_results(self, site):
+        # series5, series6 and moment_coefficient read the same floats
+        # whichever call filled the store first, shallow or deep
+        p = GreenParams(t=3.4, gamma=1.3, l=site[0], m=site[1], n=site[2])
+        h = sum(site) // 2
+        orders = [h + 32 * k + d for k in (1, 2) for d in (-1, 0, 1)]
+        calls = [
+            lambda: evaluate_series5(p, tol=1e-13, n_max=60),
+            lambda: evaluate_series5(p, tol=1e-13, n_max=400),
+            lambda: evaluate_series6(p, tol=1e-13, n_max=80, l_max=60),
+            lambda: evaluate_series6(p, tol=1e-13),
+            lambda: [moment_coefficient(i, p) for i in orders],
+        ]
+        results = []
+        for order in (calls, calls[::-1]):
+            _site_tables.cache_clear()
+            results.append([call() for call in order])
+        assert results[0] == results[1][::-1]
+
+    def test_deeper_call_forms_only_new_tiles(self, monkeypatch):
+        # a deeper table copies the stored entries and forms only the
+        # tiles that reach past them: far fewer products than a cold build
+        p = GreenParams(t=3.0, gamma=1.0, l=2, m=0, n=0)
+        products = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            products.append(1)
+            return matmul(*args, **kwargs)
+
+        _site_tables.cache_clear()
+        monkeypatch.setattr(np, "matmul", spy)
+        cold = _nu_table(p, _site(p), 400)
+        cold_products = len(products)
+        _site_tables.cache_clear()
+        _nu_table(p, _site(p), 390)
+        products.clear()
+        deep = _nu_table(p, _site(p), 400)
+        monkeypatch.undo()
+        assert np.array_equal(deep, cold)
+        assert 0 < len(products) < cold_products // 2
 
     def test_padded_arrays_built_once_per_site(self, monkeypatch):
         # the zero-padded J and E arrays under the views of R belong to the
