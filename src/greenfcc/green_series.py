@@ -40,12 +40,13 @@ r = s/t, and the i-th moment is nu_i s^i.
 
 Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
 J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  R
-depends on the site alone, so the cached record of a site
-(``_site_tables``), built once to the deepest J any call reads, also
-keeps R: ``_r_block`` forms a column block of q from the record's
-zero-padded J and E arrays once, stores it folded (``_fold``) and
-extends it when a deeper call asks for more.  A series call only
-weights stored entries, O(N^2) work where forming them is O(N^3).
+depends on the site alone: the cached record of a site
+(``_site_tables``), built once to the deepest J any call reads, holds
+the J and E arrays zero-padded, and ``_r_block`` forms a column block
+of q from their views once, keeps it in the site's store
+(``_r_store``) and extends it when a deeper call asks for more.  A
+series call only weights stored entries, O(N^2) work where forming
+them is O(N^3).
 Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
 (``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
 reading a block when its scan reaches it.  Each series builds its terms
@@ -108,11 +109,10 @@ _ACCEL_CHOICES = ("none", "wynn", "aitken")
 # and 64 x 64 or larger tiles are slower below 400 orders.
 _ROW_TILE = 16
 _COL_TILE = 32
-# the rows s' of a block that _nu_table weights and sums at a time
+# the rows of a block that _nu_table weights and sums at a time
 _SUM_ROWS = 448
-# series6 forms its rows in groups of this many, as the scan reaches them: one
-# group per half of a stored block (``_fold``)
-_ROW_GROUP = _COL_TILE // 2
+# series6 forms its rows in groups of this many, as the scan reaches them
+_ROW_GROUP = 16
 # the constants of the series5 and series6 envelopes (``_depth``)
 _NU_ENVELOPE = 8.0 * math.sqrt(2.0) / math.pi**2
 _ROW_ENVELOPE = 8.0 / math.pi**2
@@ -129,7 +129,7 @@ def _safe_order(gamma: float) -> int:
 
 
 class _SiteTables(NamedTuple):
-    """The read-only tables of one site, its views and its store of R included (``_site_tables``)."""
+    """The read-only tables of one site, the views of R included (``_site_tables``)."""
 
     Jl: np.ndarray
     Jm: np.ndarray
@@ -143,23 +143,19 @@ class _SiteTables(NamedTuple):
     toeplitz: np.ndarray
     e_up: np.ndarray
     e_down: np.ndarray
-    blocks: dict[int, _RBlock]
+    key: tuple[int, int, int]  # the site (l, m, n), the key of its store (``_r_store``)
 
 
 class _RBlock(NamedTuple):
-    """Column block c0 of a site's store of inner sums, folded (``_r_block``, ``_fold``)."""
+    """Column block c0 of a site's store of inner sums (``_r_block``)."""
 
-    first: int  # the row s' of the block's first tile, or past the rows if it has none
-    depth: int  # column c - c0 = j holds R(p, q) for p < max(width, depth - 2j)
-    width: int
-    x: int
-    row: int
-    F: np.ndarray  # read-only
+    first: int  # the row u of the block's first tile, or F's row count if it has none
+    F: np.ndarray  # F[u, c - c0] = R(u - c + c0, n + 2c), read-only
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _site_tables(l: int, m: int, n: int) -> _SiteTables:
-    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP, the views ``_r_block`` reads and its store.
+    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP and the views ``_r_block`` reads.
 
     J_p(l), J_p(m), J_p(n), p <= D, are read from the shared closed-form
     table at p of the site index's parity and are 0 elsewhere.  Jl[l::2],
@@ -176,21 +172,11 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
     lm)//2 + 1, width <= l_max <= HARD_ORDER_CAP.  So one record serves
     every call on the site.
 
-    ``blocks`` is the store of the inner sums R(p, q), one ``_RBlock``
-    per column block c0, each to the deepest row any call has asked for
-    (``_r_block``), folded so that series5 alone stores no entry it
-    does not read (``_fold``).  A block holds at most 16 (2 l_max + 30)
-    + 32 doubles, and a site at most 16 blocks (q < HARD_ORDER_CAP), so
-    a record stores at most 4.2 MB: series6 at t = 2+gamma with n_max =
-    l_max = 1000 reaches it.  The cache keeps 8 records, 34 MB of inner
-    sums at worst; the bench pools read 5 sites or fewer.
-
     Nothing here depends on t or gamma, so the cache keeps a sweep, a
     comparison or a repeated call from rebuilding it.  Every array, and
-    every array a view is built on, is read-only and shared; a stored
-    block is replaced, never written.  Callers key it by (max(l, m),
-    min(l, m), n): G is symmetric in l and m, and so both orders read
-    one record and get one result.
+    every array a view is built on, is read-only and shared.  Callers key
+    it by (max(l, m), min(l, m), n): G is symmetric in l and m, and so
+    both orders read one record and get one result.
     """
     depth = 2 * HARD_ORDER_CAP
     table = shared_table(depth)
@@ -216,8 +202,26 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
         # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
         e_up=_strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1)),
         e_down=_strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1)),
-        blocks={},
+        key=(l, m, n),
     )
+
+
+@lru_cache(maxsize=8)
+def _r_store(l: int, m: int, n: int) -> dict[int, _RBlock]:
+    """The store of the inner sums R(p, q) of site (l, m, n): column block c0 -> ``_RBlock``.
+
+    R depends on the site alone; ``_r_block`` keeps each block to the
+    most rows any call has asked for.  Series5 and moment_coefficient
+    read at most 16 blocks (q < HARD_ORDER_CAP + 1) of at most 1001
+    rows, series6 at most 16 blocks of l_max + 31 rows, so a store holds
+    at most 16 x 1031 x 32 doubles, 4.22 MB: series6 at t = 2+gamma
+    with n_max = l_max = 1000 reaches it.  The cache keeps 8 stores,
+    34 MB at worst, apart from the site records (``_site_tables``, 32
+    of about 0.15 MB each): a store it drops costs the next call on the
+    site only the tile products every call made before R was stored.
+    Keyed like ``_site_tables``.
+    """
+    return {}
 
 
 @lru_cache(maxsize=1)
@@ -281,43 +285,7 @@ def _tiles(site: _SiteTables, c0: int, s_stop: int) -> list[tuple[int, int, int]
     return tiles
 
 
-def _fold(depth: int, width: int) -> tuple[list[int], int, int]:
-    """The lengths L_j = max(width, depth - 2j, 0) of a stored block's columns, and its fold (x, row).
-
-    Series5 reads column j of a block to p < depth - 2j, series6 to p <
-    width.  Columns j and _COL_TILE - 1 - j share row j < _COL_TILE/2 of
-    the block's array: column j from offset 0, column _COL_TILE - 1 - j
-    from x - 2j on, with x the least offset past every first column's
-    end.  For series5 alone the two lengths add up to 2 depth - 62, a
-    constant, so the rows of ``row`` doubles hold no unread entry.
-    Both halves of the block then lie on linear (strided) views.
-    """
-    tc, half = _COL_TILE, _COL_TILE // 2
-    lengths = [max(width, depth - 2 * j, 0) for j in range(tc)]
-    x = max(tc - 1, *(lengths[j] + 2 * j for j in range(half)))
-    return lengths, x, max(x - 2 * j + lengths[tc - 1 - j] for j in range(half))
-
-
-def _column_start(block: _RBlock, j: int) -> int:
-    """Where column j's entry p = 0 lies in ``block.F``."""
-    k = min(j, _COL_TILE - 1 - j)
-    return k * block.row + (0 if j < _COL_TILE // 2 else block.x - 2 * k)
-
-
-def _by_row(block: _RBlock, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves of a stored block by row: half[u, j] holds R(u - j, q) of column j, u < ``rows``.
-
-    Entries with u - j outside the column hold whatever lies there; a
-    reader weights them by 0.
-    """
-    half = _COL_TILE // 2
-    return (
-        _strided(block.F, 0, (rows, half), (1, block.row - 1)),
-        _strided(block.F, _column_start(block, half) - half, (rows, half), (1, 1 - block.row)),
-    )
-
-
-def _r_block(site: _SiteTables, c0: int, depth: int, width: int) -> _RBlock:
+def _r_block(site: _SiteTables, c0: int, rows: int) -> _RBlock:
     """The stored inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
@@ -332,45 +300,31 @@ def _r_block(site: _SiteTables, c0: int, depth: int, width: int) -> _RBlock:
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
 
-    The site's store (``site.blocks``) keeps column j = c - c0 of block
-    c0 for p < max(width, depth - 2j), folded (``_fold``), with the
-    deepest ``depth`` and ``width`` any call has asked for, and no
-    further: R depends on the site alone.  A deeper call copies the
-    stored columns and forms only the tiles of ``_tiles`` that reach
-    past them, both parities of a tile by one product into one
-    tile-sized buffer, whose rows are the rows u = s' - c0 + lm of the
-    block; a tile's product depends on (s0, e_lo, e_hi) alone, so every
-    stored entry is the same float at every depth.  A tile that lies
-    inside every column's new entries is copied through the two halves
-    of ``_by_row``, any other column by column.  Entries no tile covers
-    are 0.  Returns the block, whose ``first`` is the row s' of its
-    first tile.
+    The site's store (``_r_store``) keeps the block as F[u, c - c0] =
+    R(p, q) on the rows u = s' - c0 + lm = p + c - c0 below the most
+    ``rows`` any call has asked for, and no further: R depends on the
+    site alone.  Entries of p < 0 and rows no tile covers are 0.  A
+    call that asks for more rows copies the stored ones and forms only
+    the tiles of ``_tiles`` that reach past them, both parities of a
+    tile by one product into one tile-sized buffer, whose rows inside
+    the new ones it copies; a tile's product depends on (s0, e_lo, e_hi)
+    alone, so every stored entry is the same float at every depth, and
+    threads that extend one block at once store blocks that agree on
+    every row they share.  Returns the block, whose ``first`` is the
+    row of its first tile.
     """
-    ts, tc, pad, lo = _ROW_TILE, _COL_TILE, site.pad, c0 - site.lm
-    old = site.blocks.get(c0)
-    before = [0] * tc
+    ts, tc, pad, lo = _ROW_TILE, _COL_TILE, site.pad, c0 - site.lm  # lo: the s' of row 0
+    store = _r_store(*site.key)
+    old = store.get(c0)
+    done = 0 if old is None else old.F.shape[0]
+    if rows <= done:
+        return old
+    F = np.zeros((rows, tc))
     if old is not None:
-        if depth <= old.depth and width <= old.width:
-            return old
-        depth, width = max(depth, old.depth), max(width, old.width)
-        before = _fold(old.depth, old.width)[0]
-    lengths, x, row = _fold(depth, width)
-    if lengths == before:  # a deeper request that reaches no further entry
-        block = site.blocks[c0] = old._replace(depth=depth, width=width)
-        return block
-    block = _RBlock(0, depth, width, x, row, np.zeros(tc // 2 * row + tc))
-    starts = [_column_start(block, j) for j in range(tc)]
-    if old is not None:
-        for j, start in enumerate(starts):
-            block.F[start : start + before[j]] = old.F[_column_start(old, j) :][: before[j]]
-    # column j's new entries lie on the rows u in [j + before[j], j + lengths[j])
-    new = [(j + before[j], j + lengths[j]) for j in range(tc)]
-    inside = max(u for u, _ in new), min(u for _, u in new)
-    halves = _by_row(block, max(inside[1], 0))
-    tiles = _tiles(site, c0, (lo + max(u for _, u in new) + 1) // 2)
-    first = 2 * tiles[0][0] if tiles else lo + max(u for _, u in new)
-    reach = min(u for u, v in new if u < v)
-    tiles = [tile for tile in tiles if 2 * (tile[0] + ts) - lo > reach]
+        F[:done] = old.F
+    tiles = _tiles(site, c0, (lo + rows + 1) // 2)
+    first = max(2 * tiles[0][0] - lo, 0) if tiles else rows
+    tiles = [tile for tile in tiles if 2 * (tile[0] + ts) - lo > done]
     if tiles:
         e0 = min(e_lo for _, e_lo, _ in tiles)
         span = max(e_hi for _, _, e_hi in tiles) - e0 + 1
@@ -382,21 +336,15 @@ def _r_block(site: _SiteTables, c0: int, depth: int, width: int) -> _RBlock:
         product = tile.reshape(ts, 2, tc).transpose(1, 0, 2)
         for s0, e_lo, e_hi in tiles:
             k = e_hi - e_lo + 1
-            i = pad + s0 + e_lo
+            x = pad + s0 + e_lo
             y = pad + s0 - e_lo - site.k_max + 1
-            P = site.hankel[i : i + ts, :k] * site.toeplitz[:, y : y + ts, :k]
+            P = site.hankel[x : x + ts, :k] * site.toeplitz[:, y : y + ts, :k]
             np.matmul(P, B[:, e_lo - e0 : e_hi - e0 + 1], out=product)
             u0 = 2 * s0 - lo
-            if inside[0] <= u0 and u0 + 2 * ts <= inside[1]:
-                halves[0][u0 : u0 + 2 * ts] = tile[:, : tc // 2]
-                halves[1][u0 : u0 + 2 * ts] = tile[:, tc // 2 :]
-                continue
-            for j, (start, (top, bottom)) in enumerate(zip(starts, new)):
-                top, bottom = max(top, u0), min(bottom, u0 + 2 * ts)
-                if top < bottom:
-                    block.F[start + top - j : start + bottom - j] = tile[top - u0 : bottom - u0, j]
-    block.F.flags.writeable = False
-    block = site.blocks[c0] = block._replace(first=first)
+            top, bottom = max(u0, done), min(u0 + 2 * ts, rows)
+            F[top:bottom] = tile[top - u0 : bottom - u0]
+    F.flags.writeable = False
+    block = store[c0] = _RBlock(first, F)
     return block
 
 
@@ -436,31 +384,27 @@ def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
     orders, s = np.arange(count), params.band_edge
     gs = _shifted(np.power(params.gamma / s, orders), tc - 1, size)
     jn = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * (c_stop + tc))
-    # the weights of row s' of block c0: g_i[s' + c0, c] = gi[s' + c0 + c + h] and
-    # g_p, gs_p[s' - c0 + lm, c] = gp, gs[s' - c0 + lm - c + tc - 1]
+    # the weights of row u = s' - c0 + lm of block c0: g_i[u + i0, c] = gi[u + i0 + c + h]
+    # with i0 = 2 c0 - lm, and g_p, gs_p[u, c] = gp, gs[u - c + tc - 1]
     g_i = _strided(gi, h, (count - h, tc), (1, 1))
     g_p = _strided(gp, tc - 1, (count, tc), (1, -1))
     gs_p = _strided(gs, tc - 1, (count, tc), (1, -1))
     work = np.empty((min(_SUM_ROWS, count) + tc - 1, tc))
-    # sheared(k)[d, c] = work[tc - 1 + d - c, c], the entry of order a + c0 + h + d
-    half = tc // 2
+    # sheared(k)[d, c] = work[tc - 1 + d - c, c], the entry of order a + i0 + h + d
     for c0 in range(0, c_stop, tc):
-        end = count - h - c0  # the row where column c0 reaches order count
-        lo = c0 - lm
-        block = _r_block(site, c0, end - lo, 0)
-        left, right = _by_row(block, end - lo)
+        rows, i0 = count - n - 2 * c0, 2 * c0 - lm  # column c0 reaches order count at row ``rows``
+        block = _r_block(site, c0, rows)
         jn_c = jn[n + 2 * c0 : n + 2 * c0 + 2 * tc : 2]
         work[: tc - 1] = 0.0
-        for a in range(max(block.first, lo), end, _SUM_ROWS):
-            k = min(_SUM_ROWS, end - a)
+        for a in range(block.first, rows, _SUM_ROWS):
+            k = min(_SUM_ROWS, rows - a)
             w = work[tc - 1 : tc - 1 + k]
-            np.divide(g_i[a + c0 : a + c0 + k], g_p[a - lo : a - lo + k], out=w)
-            w *= gs_p[a - lo : a - lo + k]
+            np.divide(g_i[a + i0 : a + i0 + k], g_p[a : a + k], out=w)
+            w *= gs_p[a : a + k]
             w *= jn_c
-            w[:, :half] *= left[a - lo : a - lo + k]
-            w[:, half:] *= right[a - lo : a - lo + k]
+            w *= block.F[a : a + k]
             sheared = _strided(work, (tc - 1) * tc, (k, tc), (tc, 1 - tc))
-            nus[a + c0 + h : a + c0 + h + k] += sheared.sum(axis=1)
+            nus[a + i0 + h : a + i0 + h + k] += sheared.sum(axis=1)
             work[: tc - 1] = work[k : k + tc - 1]
     nus /= PI3
     return nus
@@ -753,10 +697,10 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
             block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
             groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
             widths = [width(qs) for qs in groups]
-            halves = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
+            R = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
             for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
                 tols = [tol_inner(q) for q in qs]
-                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, halves[k // _ROW_GROUP][:, :w])
+                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
                 # row q at 2 (q - qs[0]), then the zero row q + 1 unless it is past the depth
                 size = 2 * len(qs) - (qs[-1] + 1 >= depth)
                 chunk = [0.0] * size, [0.0] * size, [True] * size
@@ -805,19 +749,15 @@ def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float
     return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
 
 
-def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """R(p, q), q = n + 2c, c0 <= c < c0 + cols, p < width, as views of the two halves of the stored block.
+def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> np.ndarray:
+    """R(p, q) as r[c - c0, p], q = n + 2c, c0 <= c < c0 + cols, p < width: a view of the stored block, no copy.
 
-    half[k][c - c0 - k _ROW_GROUP, p] = R(p, q), one view per half of
-    ``_ROW_GROUP`` columns (``_fold``), no copy; rows of s' < 0 and of
-    tiles left out are 0.
+    Rows of s' < 0 and of tiles left out are 0.
     """
-    block = _r_block(site, c0, 0, width)
-    half = _COL_TILE // 2
-    return (
-        _strided(block.F, 0, (min(cols, half), width), (block.row, 1)),
-        _strided(block.F, _column_start(block, half), (max(cols - half, 0), width), (2 - block.row, 1)),
-    )
+    tc = _COL_TILE
+    block = _r_block(site, c0, width + cols - 1)
+    # r[c - c0, p] = F[p + c - c0, c - c0]
+    return _strided(block.F, 0, (cols, width), (tc + 1, tc))
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:

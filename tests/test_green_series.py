@@ -35,6 +35,7 @@ from greenfcc.green_series import (
     _finish,
     _nu_envelope,
     _nu_table,
+    _r_store,
     _row_envelope,
     _safe_order,
     _scan,
@@ -62,6 +63,17 @@ def _float_binomials():
 def _site(params):
     """The cached tables of the site of ``params``."""
     return _site_tables(params.l, params.m, params.n)
+
+
+def _store(params):
+    """The stored blocks of R of the site of ``params``."""
+    return _r_store(params.l, params.m, params.n)
+
+
+def _cold():
+    """Empty the site records and the stores of R."""
+    _site_tables.cache_clear()
+    _r_store.cache_clear()
 
 
 def _nu(params, depth):
@@ -134,15 +146,10 @@ def _series6_row(p, site, i, tol_inner, l_max):
     if site.Jn[i] == 0.0:
         return 0.0, 0.0, True
     c = (i - p.n) // 2
-    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], _r_rows(site, c, 1, l_max))
+    c_block = c - c % _COL_TILE
+    R = _series6_r(site, c_block, _COL_TILE, l_max)
+    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], R[c - c_block : c - c_block + 1])
     return total, bound, ok
-
-
-def _r_rows(site, c, count, width):
-    """R(p, n + 2c'), c <= c' < c + count inside one row group, p < width: rows of a stored half."""
-    j = c % _COL_TILE
-    half = _series6_r(site, c - j, _COL_TILE, width)[j // _ROW_GROUP]
-    return half[j % _ROW_GROUP : j % _ROW_GROUP + count]
 
 
 def _series6_row_per_j(p, site, i, tol_inner, l_max):
@@ -647,9 +654,9 @@ class TestSeries6Blocks:
         records = []
         r_block = green_series._r_block
 
-        def spy(site, c0, *reach):
+        def spy(site, c0, rows):
             records.append(site)
-            return r_block(site, c0, *reach)
+            return r_block(site, c0, rows)
 
         monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate(GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1), tol=1e-11)
@@ -664,9 +671,9 @@ class TestSeries6Blocks:
         blocks, sized = [], []
         r_block, envelope = green_series._r_block, green_series._envelope_count
 
-        def spy_block(site, c0, *reach):
+        def spy_block(site, c0, rows):
             blocks.append(c0)
-            return r_block(site, c0, *reach)
+            return r_block(site, c0, rows)
 
         def spy_envelope(params, site, q, tol_q, l_max):
             sized.append(q)
@@ -731,7 +738,8 @@ class TestSeries6Blocks:
         extra, compared = 17, 0
         for p, c0, tols, w in self._groups(monkeypatch):
             site = _site(p)
-            R = _r_rows(site, c0, len(tols), w + extra)
+            c_block = c0 - c0 % _COL_TILE
+            R = _series6_r(site, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
             narrow = _series6_rows(p, site, c0, tols, R[:, :w])
             wide = _series6_rows(p, site, c0, tols, R)
             for row, (got, want) in enumerate(zip(zip(*narrow), zip(*wide))):
@@ -747,7 +755,8 @@ class TestSeries6Blocks:
         rows = 0
         for p, c0, tols, w in self._groups(monkeypatch):
             site = _site(p)
-            R = _r_rows(site, c0, len(tols), w)
+            c_block = c0 - c0 % _COL_TILE
+            R = _series6_r(site, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
             got = _series6_rows(p, site, c0, tols, R)
             for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
                 zip(zip(*got), _rows_by_loop(p, site, c0, tols, R))
@@ -926,9 +935,9 @@ class TestSiteTableCache:
         records = []
         r_block = green_series._r_block
 
-        def spy(site, c0, *reach):
+        def spy(site, c0, rows):
             records.append(site)
-            return r_block(site, c0, *reach)
+            return r_block(site, c0, rows)
 
         monkeypatch.setattr(green_series, "_r_block", spy)
         evaluate_series5(GreenParams(t=4.0, gamma=1.0, l=2, m=1, n=1), n_max=60)
@@ -946,7 +955,7 @@ class TestSiteTableCache:
         # every depth of both series, the diagnostics and a loop over
         # moment orders build the site's record once between them
         p = GreenParams(t=3.5, gamma=1.0, l=2, m=1, n=1)
-        _site_tables.cache_clear()
+        _cold()
         for n_max in (400, 1000):
             evaluate_series5(p, n_max=n_max)
         for l_max in (17, 400, 1000):
@@ -975,23 +984,24 @@ class TestSiteTableCache:
         # views series6 reads are read-only
         p = GreenParams(t=3.5, gamma=1.0, l=3, m=3, n=2)
         evaluate_series5(p)
-        halves = _series6_r(_site(p), 0, _COL_TILE, 50)
-        blocks = _site(p).blocks.values()
+        R = _series6_r(_site(p), 0, _COL_TILE, 50)
+        blocks = _store(p).values()
         assert blocks
-        for arr in [*halves, *(block.F for block in blocks)]:
+        for arr in [R, *(block.F for block in blocks)]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_worst_case_store_stays_bounded(self):
         # series6 at t = 2+gamma with n_max = l_max = 1000 stores the most
-        # a site can hold; the docstring of _site_tables states 4.3 MB
+        # a site can hold: 16 blocks of 1031 x 32 doubles, 4.22 MB (the
+        # docstring of _r_store)
         p = GreenParams(t=9.0, gamma=7.0, l=2, m=1, n=1)
-        _site_tables.cache_clear()
+        _cold()
         evaluate_series6(p, n_max=1000, l_max=1000)
         evaluate_series5(p, n_max=1000)
-        stored = sum(block.F.nbytes for block in _site(p).blocks.values())
-        assert 4.0e6 < stored <= 4.3e6
+        stored = sum(block.F.nbytes for block in _store(p).values())
+        assert 4.0e6 < stored <= 16 * 1031 * _COL_TILE * 8
 
     @pytest.mark.parametrize("site", [(2, 1, 1), (0, 200, 0), (4, 2, 0)])
     def test_fill_order_does_not_move_results(self, site):
@@ -1009,7 +1019,7 @@ class TestSiteTableCache:
         ]
         results = []
         for order in (calls, calls[::-1]):
-            _site_tables.cache_clear()
+            _cold()
             results.append([call() for call in order])
         assert results[0] == results[1][::-1]
 
@@ -1024,11 +1034,11 @@ class TestSiteTableCache:
             products.append(1)
             return matmul(*args, **kwargs)
 
-        _site_tables.cache_clear()
+        _cold()
         monkeypatch.setattr(np, "matmul", spy)
         cold = _nu_table(p, _site(p), 400)
         cold_products = len(products)
-        _site_tables.cache_clear()
+        _cold()
         _nu_table(p, _site(p), 390)
         products.clear()
         deep = _nu_table(p, _site(p), 400)
@@ -1041,7 +1051,7 @@ class TestSiteTableCache:
         # site's record: a second call with the same key pads nothing and
         # reads the same read-only buffers
         key = GreenParams(t=4.0, gamma=1.0, l=40, m=30, n=0)
-        _site_tables.cache_clear()
+        _cold()
         a = _site(key)
         shifted = []
         monkeypatch.setattr(green_series, "_shifted", lambda *args, **kw: shifted.append(args))
@@ -1069,7 +1079,7 @@ class TestSiteTableCache:
                 evaluate_series6(p, tol=1e-13),
             )
 
-        _site_tables.cache_clear()
+        _cold()
         cold = results()
         hits = _site_tables.cache_info().hits
         assert results() == cold
@@ -1079,7 +1089,7 @@ class TestSiteTableCache:
         # n_max = 1000 runs past order 618, the last whose moment fits a
         # double at gamma = 1; the terms nu_i r^i / t go on regardless
         p = GreenParams(t=3.0, gamma=1.0, l=2, m=0, n=0)
-        _site_tables.cache_clear()
+        _cold()
         cold = evaluate_series5(p, n_max=1000, accel="aitken")
         assert cold.terms_used == 1000
         assert evaluate_series5(p, n_max=1000, accel="aitken") == cold
@@ -1088,15 +1098,16 @@ class TestSiteTableCache:
         # the J vectors of series6 reach n_max + l_max = 1100, beyond the
         # hard order cap; every site record holds them to twice the cap
         p = GreenParams(t=3.6, gamma=1.0, l=2, m=2, n=0)
-        _site_tables.cache_clear()
+        _cold()
         cold = evaluate_series6(p, n_max=600, l_max=500)
         assert _site(p).Jl.size == 2 * HARD_ORDER_CAP + 1
         assert evaluate_series6(p, n_max=600, l_max=500) == cold
         assert cold.converged
 
     def test_cache_is_bounded(self):
-        maxsize = _site_tables.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+        for cache in (_site_tables, _r_store):
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestOuterTerm:
@@ -1593,7 +1604,7 @@ class TestWholeOrders:
         # a float order once grew the process-wide J table to a float
         # max_n, and every later series call raised TypeError
         monkeypatch.setattr(basic_integrals, "_default", IntegralTable(64))
-        _site_tables.cache_clear()
+        _cold()
         p = GreenParams(4.0)
         calls = [
             lambda: evaluate_series5(p, n_max=400.0),
