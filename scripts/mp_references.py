@@ -2,8 +2,9 @@
 
 Usage: python3 scripts/mp_references.py [--out tests/mp_references.json]
 
-Needs mpmath, which greenfcc does not: the tests read the JSON this
-writes and import nothing new.  Nothing from src/ is imported.
+Needs mpmath, the optional extra ``oracle`` of pyproject.toml, which
+greenfcc does not: the tests read the JSON this writes and import
+nothing new.  Nothing from src/ is imported.
 
 G(t, l, m, n; gamma) = (1/pi^2) int int_[0,pi]^2 cos(lx) cos(my)
 rho^n / d dx dy, the z integral taken in closed form (Watson 1939), with

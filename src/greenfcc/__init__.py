@@ -10,10 +10,11 @@ to the band edge) cross-validate each other; Wynn and Aitken
 sequence transforms extend usable accuracy to the band edge itself.
 """
 
-# numpy first: imported from inside green_series it leaves a heap that glibc
-# trims and regrows around series5 calls (106 minor page faults per call on
-# the benchmark's band_edge pool, almost all from its n_max = 1000 call; 0 in
-# this order, counted by scripts/heap_faults.py)
+# numpy first: imported from inside a submodule it leaves a heap that glibc
+# trims and regrows around quadrature calls (1.0-8.4 minor page faults per
+# operation on the benchmark's quadrature_oracle pool, by the checkout path;
+# 0.0 in this order, counted by scripts/heap_faults.py). The series pools
+# read 0.0 in either order.
 import numpy  # noqa: F401
 
 from .acceleration import (

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .green_series import (
+    _ACCEL_CHOICES,
     HARD_ORDER_CAP,
     convergence_rows,
     evaluate_series5,
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="series5,series6" if name == "compare" else "series5",
             help="series5 | series6 | quadrature; comma-separated list in sweep/compare",
         )
-        sp.add_argument("--accel", choices=["none", "wynn", "aitken"], default="none")
+        sp.add_argument("--accel", choices=_ACCEL_CHOICES, default="none")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--n-max", dest="n_max", type=int, default=400)
         sp.add_argument("--l-max", dest="l_max", type=int, default=400)

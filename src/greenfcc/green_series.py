@@ -42,9 +42,9 @@ Both series sum the inner sums R(p, q) = sum_k E[k] E[q-k] J_l[p+k]
 J_m[p+q-k]: nu_i over q with p = i - q, series6's row q over p.  R
 depends on the site alone: the cached record of a site
 (``_site_tables``), built once to the deepest J any call reads, holds
-the J and E arrays zero-padded, and ``_r_block`` forms a column block
-of q from their views once, keeps it in the site's store
-(``_r_store``) and extends it when a deeper call asks for more.  A
+the J and E arrays zero-padded and the site's store of R, and
+``_r_block`` forms a column block of q from their views once, keeps it
+in the record and extends it when a deeper call asks for more.  A
 series call only weights stored entries, O(N^2) work where forming
 them is O(N^3).
 Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
@@ -129,7 +129,7 @@ def _safe_order(gamma: float) -> int:
 
 
 class _SiteTables(NamedTuple):
-    """The read-only tables of one site, the views of R included (``_site_tables``)."""
+    """The tables of one site, the views and the store of R included (``_site_tables``)."""
 
     Jl: np.ndarray
     Jm: np.ndarray
@@ -143,19 +143,12 @@ class _SiteTables(NamedTuple):
     toeplitz: np.ndarray
     e_up: np.ndarray
     e_down: np.ndarray
-    key: tuple[int, int, int]  # the site (l, m, n), the key of its store (``_r_store``)
+    blocks: dict[int, np.ndarray]  # column block c0 -> its read-only F (``_r_block``)
 
 
-class _RBlock(NamedTuple):
-    """Column block c0 of a site's store of inner sums (``_r_block``)."""
-
-    first: int  # the row u of the block's first tile, or F's row count if it has none
-    F: np.ndarray  # F[u, c - c0] = R(u - c + c0, n + 2c), read-only
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _site_tables(l: int, m: int, n: int) -> _SiteTables:
-    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP and the views ``_r_block`` reads.
+    """The J vectors of site (l, m, n) to depth D = 2 HARD_ORDER_CAP, the views ``_r_block`` reads and its store.
 
     J_p(l), J_p(m), J_p(n), p <= D, are read from the shared closed-form
     table at p of the site index's parity and are 0 elsewhere.  Jl[l::2],
@@ -172,9 +165,21 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
     lm)//2 + 1, width <= l_max <= HARD_ORDER_CAP.  So one record serves
     every call on the site.
 
+    ``blocks``, empty here, is the site's store of inner sums R:
+    ``_r_block`` keeps each column block to the most rows any call has
+    asked for.  Series5 and moment_coefficient read at most 16 blocks
+    (q < HARD_ORDER_CAP + 1) of at most 1001 rows, series6 at most 16
+    blocks of l_max + 31 rows, so a store holds at most 16 x 1031 x 32
+    doubles, 4.22 MB: series6 at t = 2+gamma with n_max = l_max = 1000
+    reaches it.  With the J arrays, about 0.15 MB near the origin, a
+    record holds at most 4.4 MB there, and the cache's 8 records 35 MB.
+    A record it drops costs the next call on its site the rebuild and
+    the tile products every call made before R was stored.
+
     Nothing here depends on t or gamma, so the cache keeps a sweep, a
     comparison or a repeated call from rebuilding it.  Every array, and
-    every array a view is built on, is read-only and shared.  Callers key
+    every array a view is built on, is read-only and shared; only
+    ``blocks`` grows.  Callers key
     it by (max(l, m), min(l, m), n): G is symmetric in l and m, and so
     both orders read one record and get one result.
     """
@@ -202,26 +207,8 @@ def _site_tables(l: int, m: int, n: int) -> _SiteTables:
         # e_up[par, r, c] = ep[r - par + c + 1]; e_down[par, r, c] = ep[r + par + c]
         e_up=_strided(ep, 1, (2, ep.size - tc, tc), (-1, 1, 1)),
         e_down=_strided(ep, 0, (2, ep.size - tc, tc), (1, 1, 1)),
-        key=(l, m, n),
+        blocks={},
     )
-
-
-@lru_cache(maxsize=8)
-def _r_store(l: int, m: int, n: int) -> dict[int, _RBlock]:
-    """The store of the inner sums R(p, q) of site (l, m, n): column block c0 -> ``_RBlock``.
-
-    R depends on the site alone; ``_r_block`` keeps each block to the
-    most rows any call has asked for.  Series5 and moment_coefficient
-    read at most 16 blocks (q < HARD_ORDER_CAP + 1) of at most 1001
-    rows, series6 at most 16 blocks of l_max + 31 rows, so a store holds
-    at most 16 x 1031 x 32 doubles, 4.22 MB: series6 at t = 2+gamma
-    with n_max = l_max = 1000 reaches it.  The cache keeps 8 stores,
-    34 MB at worst, apart from the site records (``_site_tables``, 32
-    of about 0.15 MB each): a store it drops costs the next call on the
-    site only the tile products every call made before R was stored.
-    Keyed like ``_site_tables``.
-    """
-    return {}
 
 
 @lru_cache(maxsize=1)
@@ -285,7 +272,7 @@ def _tiles(site: _SiteTables, c0: int, s_stop: int) -> list[tuple[int, int, int]
     return tiles
 
 
-def _r_block(site: _SiteTables, c0: int, rows: int) -> _RBlock:
+def _r_block(site: _SiteTables, c0: int, rows: int) -> np.ndarray:
     """The stored inner sums R(p, q) = sum_k E[k] E[q-k] Jl[p+k] Jm[p+q-k] of column block c0.
 
     R vanishes unless q = n + 2c with c >= 0.  Write h = (l+m+n)/2,
@@ -300,31 +287,27 @@ def _r_block(site: _SiteTables, c0: int, rows: int) -> _RBlock:
     a Hankel times a Toeplitz view of the J vectors and two strided
     views of E, all zero-padded, so every term of the sum is >= 0.
 
-    The site's store (``_r_store``) keeps the block as F[u, c - c0] =
-    R(p, q) on the rows u = s' - c0 + lm = p + c - c0 below the most
-    ``rows`` any call has asked for, and no further: R depends on the
-    site alone.  Entries of p < 0 and rows no tile covers are 0.  A
-    call that asks for more rows copies the stored ones and forms only
-    the tiles of ``_tiles`` that reach past them, both parities of a
-    tile by one product into one tile-sized buffer, whose rows inside
-    the new ones it copies; a tile's product depends on (s0, e_lo, e_hi)
-    alone, so every stored entry is the same float at every depth, and
-    threads that extend one block at once store blocks that agree on
-    every row they share.  Returns the block, whose ``first`` is the
-    row of its first tile.
+    The site's record keeps the block in ``blocks[c0]`` as the
+    read-only F[u, c - c0] = R(p, q) on the rows u = s' - c0 + lm = p +
+    c - c0 below the most ``rows`` any call has asked for, and no
+    further: R depends on the site alone.  Entries of p < 0 and rows no
+    tile covers are 0.  A call that asks for more rows copies the
+    stored ones and forms only the tiles of ``_tiles`` that reach past
+    them, both parities of a tile by one product into one tile-sized
+    buffer, whose rows inside the new ones it copies; a tile's product
+    depends on (s0, e_lo, e_hi) alone, so every stored entry is the
+    same float at every depth, and threads that extend one block at
+    once store blocks that agree on every row they share.  Returns F.
     """
     ts, tc, pad, lo = _ROW_TILE, _COL_TILE, site.pad, c0 - site.lm  # lo: the s' of row 0
-    store = _r_store(*site.key)
-    old = store.get(c0)
-    done = 0 if old is None else old.F.shape[0]
+    old = site.blocks.get(c0)
+    done = 0 if old is None else old.shape[0]
     if rows <= done:
         return old
     F = np.zeros((rows, tc))
     if old is not None:
-        F[:done] = old.F
-    tiles = _tiles(site, c0, (lo + rows + 1) // 2)
-    first = max(2 * tiles[0][0] - lo, 0) if tiles else rows
-    tiles = [tile for tile in tiles if 2 * (tile[0] + ts) - lo > done]
+        F[:done] = old
+    tiles = [tile for tile in _tiles(site, c0, (lo + rows + 1) // 2) if 2 * (tile[0] + ts) - lo > done]
     if tiles:
         e0 = min(e_lo for _, e_lo, _ in tiles)
         span = max(e_hi for _, _, e_hi in tiles) - e0 + 1
@@ -344,8 +327,8 @@ def _r_block(site: _SiteTables, c0: int, rows: int) -> _RBlock:
             top, bottom = max(u0, done), min(u0 + 2 * ts, rows)
             F[top:bottom] = tile[top - u0 : bottom - u0]
     F.flags.writeable = False
-    block = store[c0] = _RBlock(first, F)
-    return block
+    site.blocks[c0] = F
+    return F
 
 
 def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
@@ -361,13 +344,17 @@ def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
     for the table's orders.  Weights with q > i or p < 0 are zero.
 
     A call reads the blocks of the columns with an order i = s' + c + h
-    < ``count`` at s' >= 0 and p = i - n - 2c >= 0, from their first
-    tile on, and weights them ``_SUM_ROWS`` rows at a time into one work
-    buffer, after the _COL_TILE - 1 rows before them (zeros before a
-    block's first row).  Each chunk is summed along its anti-diagonals
-    s' + c = i - h, a sheared view of the buffer, into nu_i in column
-    order: a shorter table is bit for bit a prefix of a longer one.  No
-    array of the call passes ``_SUM_ROWS`` + _COL_TILE - 1 rows.
+    < ``count`` at s' >= 0 and p = i - n - 2c >= 0 from row u = max(0,
+    -i0) on, i0 = 2 c0 - lm, the first whose weights g_i lie inside the
+    table; rows before a block's first tile are 0 and add +0.0.  It
+    weights them ``_SUM_ROWS`` rows at a time into one work buffer,
+    after the _COL_TILE - 1 rows before them (zeros before row u).  Each
+    chunk is summed along its anti-diagonals s' + c = i - h, a sheared
+    view of the buffer, into nu_i in column order.  Every anti-diagonal
+    lies whole in one chunk, so where a chunk starts groups no sum
+    differently, and a shorter table is bit for bit a prefix of a longer
+    one.  No array of the call passes ``_SUM_ROWS`` + _COL_TILE - 1
+    rows.
     """
     n, lm = params.n, site.lm  # p = s' - c + lm
     G = _factorial_scales()[1]
@@ -393,16 +380,16 @@ def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
     # sheared(k)[d, c] = work[tc - 1 + d - c, c], the entry of order a + i0 + h + d
     for c0 in range(0, c_stop, tc):
         rows, i0 = count - n - 2 * c0, 2 * c0 - lm  # column c0 reaches order count at row ``rows``
-        block = _r_block(site, c0, rows)
+        F = _r_block(site, c0, rows)
         jn_c = jn[n + 2 * c0 : n + 2 * c0 + 2 * tc : 2]
         work[: tc - 1] = 0.0
-        for a in range(block.first, rows, _SUM_ROWS):
+        for a in range(max(0, -i0), rows, _SUM_ROWS):
             k = min(_SUM_ROWS, rows - a)
             w = work[tc - 1 : tc - 1 + k]
             np.divide(g_i[a + i0 : a + i0 + k], g_p[a : a + k], out=w)
             w *= gs_p[a : a + k]
             w *= jn_c
-            w *= block.F[a : a + k]
+            w *= F[a : a + k]
             sheared = _strided(work, (tc - 1) * tc, (k, tc), (tc, 1 - tc))
             nus[a + i0 + h : a + i0 + h + k] += sheared.sum(axis=1)
             work[: tc - 1] = work[k : k + tc - 1]
@@ -754,10 +741,8 @@ def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> np.ndarray:
 
     Rows of s' < 0 and of tiles left out are 0.
     """
-    tc = _COL_TILE
-    block = _r_block(site, c0, width + cols - 1)
     # r[c - c0, p] = F[p + c - c0, c - c0]
-    return _strided(block.F, 0, (cols, width), (tc + 1, tc))
+    return _strided(_r_block(site, c0, width + cols - 1), 0, (cols, width), (_COL_TILE + 1, _COL_TILE))
 
 
 def _ladder_start(r: float, i: int) -> tuple[float, int]:

@@ -35,7 +35,6 @@ from greenfcc.green_series import (
     _finish,
     _nu_envelope,
     _nu_table,
-    _r_store,
     _row_envelope,
     _safe_order,
     _scan,
@@ -67,13 +66,12 @@ def _site(params):
 
 def _store(params):
     """The stored blocks of R of the site of ``params``."""
-    return _r_store(params.l, params.m, params.n)
+    return _site(params).blocks
 
 
 def _cold():
-    """Empty the site records and the stores of R."""
+    """Empty the site records, and with them the stores of R."""
     _site_tables.cache_clear()
-    _r_store.cache_clear()
 
 
 def _nu(params, depth):
@@ -987,21 +985,27 @@ class TestSiteTableCache:
         R = _series6_r(_site(p), 0, _COL_TILE, 50)
         blocks = _store(p).values()
         assert blocks
-        for arr in [R, *(block.F for block in blocks)]:
+        for arr in [R, *blocks]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_worst_case_store_stays_bounded(self):
         # series6 at t = 2+gamma with n_max = l_max = 1000 stores the most
-        # a site can hold: 16 blocks of 1031 x 32 doubles, 4.22 MB (the
-        # docstring of _r_store)
+        # a site can hold, 16 blocks of 1031 x 32 doubles: with its J
+        # arrays the record holds at most 4.4 MB (the docstring of
+        # _site_tables)
         p = GreenParams(t=9.0, gamma=7.0, l=2, m=1, n=1)
         _cold()
         evaluate_series6(p, n_max=1000, l_max=1000)
         evaluate_series5(p, n_max=1000)
-        stored = sum(block.F.nbytes for block in _store(p).values())
+        site = _site(p)
+        stored = sum(F.nbytes for F in site.blocks.values())
+        # e_down shares the padded E of e_up
+        arrays = (site.Jl, site.Jm, site.Jn, site.hankel.base, site.toeplitz.base, site.e_up.base)
+        record = stored + sum(a.nbytes for a in arrays)
         assert 4.0e6 < stored <= 16 * 1031 * _COL_TILE * 8
+        assert record <= 4.4e6
 
     @pytest.mark.parametrize("site", [(2, 1, 1), (0, 200, 0), (4, 2, 0)])
     def test_fill_order_does_not_move_results(self, site):
@@ -1105,9 +1109,15 @@ class TestSiteTableCache:
         assert cold.converged
 
     def test_cache_is_bounded(self):
-        for cache in (_site_tables, _r_store):
-            maxsize = cache.cache_info().maxsize
-            assert isinstance(maxsize, int) and maxsize > 0
+        # a ninth site drops the first record, and its store of R with it
+        first = GreenParams(t=4.0, l=0, m=0, n=0)
+        _cold()
+        evaluate_series5(first, n_max=60)
+        assert _store(first)
+        for l in range(1, 9):
+            evaluate_series5(GreenParams(t=4.0, l=2 * l, m=0, n=0), n_max=60)
+        assert _site_tables.cache_info().currsize == 8
+        assert _store(first) == {}
 
 
 class TestOuterTerm:
