@@ -24,7 +24,7 @@ Per (route, t) it prints one line:
 * the worst false claim (largest error) and the worst missed claim
   (smallest error), each with its site, value, estimate and error.
 
-The exit code is 0; the counts are the result.
+It exits 1 if any route under-claims at any t, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def _reference(name: str, params: GreenParams) -> tuple[float, float]:
     return ev.value, ev.abs_error_estimate
 
 
-def audit(t: float, sites, reference_name: str = "quadrature") -> list[str]:
+def audit(t: float, sites, reference_name: str = "quadrature") -> tuple[dict, list[str]]:
+    """The counts per route at ``t`` over ``sites``, and the lines that print them."""
     routes = dict(ROUTES)
     if reference_name == "quadrature":
         del routes["quadrature"]
@@ -109,7 +110,7 @@ def audit(t: float, sites, reference_name: str = "quadrature") -> list[str]:
             f"under {c['under']}, missed {c['missed']}; "
             f"worst false {_case(worst_false[name])}; worst missed {_case(worst_missed[name])}"
         )
-    return lines
+    return counts, lines
 
 
 def main(argv=None) -> int:
@@ -117,12 +118,15 @@ def main(argv=None) -> int:
     ap.add_argument("--reference", choices=("quadrature", "series5"), default="quadrature")
     args = ap.parse_args(argv)
     sites = far_sites()
+    under = 0
     for t in T_VALUES:
         start = time.perf_counter()
-        for line in audit(t, sites, args.reference):
+        counts, lines = audit(t, sites, args.reference)
+        for line in lines:
             print(line)
         print(f"t={t:g}: {len(sites)} sites in {time.perf_counter() - start:.0f} s", flush=True)
-    return 0
+        under += sum(c["under"] for c in counts.values())
+    return 1 if under else 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@
 The truncation policy assumes the tail is eventually geometric with ratio
 (2+gamma)/t.  This script prints the measured term ratios for a few t so
 the approach to that rate is visible: the ratio creeps up from below and
-the gap closes only algebraically (roughly like 1 - 3/(2i)).  The scan's
-tail bound, geo * max(term, rate * previous term) with geo =
-rate/(1 - rate), carries no safety factor: it trusts the rate from the
-first nonzero term on, so it is not a sound bound (README, ROADMAP
-item 1).
+the gap closes only algebraically (roughly like 1 - 3/(2i)).  The
+series stop on a closed-form envelope tail instead, U_k r^k / (t - 2 -
+gamma) with U_k = O(k^(-3/2)), which holds at every site; the printed
+ratios show how far above the terms it lies.
 
 Usage: python3 scripts/convergence_study.py [--gamma G] [--n-max N]
 """

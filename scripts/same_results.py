@@ -120,7 +120,7 @@ EXTRA_COMMANDS = (
      "--l-max", "200", "--accel", "wynn"],
     # t = 2 gamma: the inner ratio gamma (i+j+2) / (t (j+2)) is exactly 1 at j = i - 2
     ["eval", "--t", "6", "--gamma", "3", "--lmn", "2", "1", "1", "--method", "series6"],
-    # inner sums that stop on their own after up to 179 terms, over several chunks
+    # inner sums of up to 179 terms, over several row groups
     ["convergence", "--t", "4.5", "--gamma", "2", "--lmn", "2", "1", "1", "--method", "series6",
      "--tol", "1e-13"],
     # inner sums cut at l_max before their ratio falls below 1: no tail bound exists

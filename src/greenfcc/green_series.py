@@ -17,18 +17,15 @@ powers of 1/t.  Two rearrangements are implemented:
   whose inner sum is geometric-with-binomial weights in gamma/t.
 
 Every term of either arrangement is non-negative for gamma > 0, so the
-partial sums increase monotonically toward G.  One scan, ``_scan``, sums
-the terms of both: it stops once a geometric tail bound with ratio
-r = (2+gamma)/t (series 5) or 2/(t-gamma) (series 6) meets the
-tolerance.  That is not a sound truncation test: it trusts the bound
-from the first nonzero term on, and at a far site the terms rise for a
-long stretch after that, so the scan can stop on a tiny term
-(``greenfcc eval --t 4 --lmn 12 12 0`` exits 0 as converged with value
-8.9e-16, where G = 7.52e-10).  At the band edge the terms decay only
-like i^(-3/2); the evaluators accept t = 2+gamma but do not mark the
-result converged.  A sequence transform sharpens the value there, but
-its estimate is not a bound, so a transformed result never claims
-convergence either.
+partial sums increase monotonically toward G.  Each series sums a count
+of terms fixed before the first one: the least k <= n_max whose
+closed-form envelope tail, a bound on the sum of every term from k on
+at every site, meets the tolerance (``_tail``, found by one bisection,
+``_first_passing``).  At the band edge the terms decay only like
+i^(-3/2), no geometric tail exists, and the evaluators sum n_max terms
+and do not mark the result converged.  A sequence transform sharpens
+the value there, but its estimate is not a bound, so a transformed
+result never claims convergence either.
 
 The raw moments grow like (2+gamma)^i and leave the double range past
 order 680/ln(2+gamma).  Series5 therefore works with the normalized
@@ -47,16 +44,14 @@ the J and E arrays zero-padded and the site's store of R, and
 in the record and extends it when a deeper call asks for more.  A
 series call only weights stored entries, O(N^2) work where forming
 them is O(N^3).
-Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(D-1)
+Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(k-1)
 (``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
-reading a block when its scan reaches it.  Each series builds its terms
-to the depth ``_depth`` gives it and hands them to the scan in chunks,
-lists of terms, inner errors and flags: series5 all its terms at once,
-series6 one row group at a time.  That depth comes from a closed-form,
+a block of R at a time.  The count k comes from a closed-form,
 site-free envelope of the terms: every J_p is at most b(p) = min(pi,
 sqrt(2 pi / p)), so nu_i decays like i^(-3/2) (``_nu_envelope``) and
-series6's row q like q^(-3/2) r6^q (``_row_envelope``).  The envelope
-only sizes the tables; the scan's stop rule does not read it.
+series6's row q like q^(-3/2) r6^q (``_row_envelope``).  Each inner sum
+of series6 takes the pieces its own envelope asks for
+(``_envelope_count``) and reports that envelope's tail past them.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -72,8 +67,8 @@ import bisect
 import itertools
 import math
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -111,12 +106,13 @@ _ROW_TILE = 16
 _COL_TILE = 32
 # the rows of a block that _nu_table weights and sums at a time
 _SUM_ROWS = 448
-# series6 forms its rows in groups of this many, as the scan reaches them
+# series6 sizes its rows in groups of this many
 _ROW_GROUP = 16
-# the constants of the series5 and series6 envelopes (``_depth``)
+# the constants of the series5 and series6 envelopes
 _NU_ENVELOPE = 8.0 * math.sqrt(2.0) / math.pi**2
 _ROW_ENVELOPE = 8.0 / math.pi**2
 _TINY = sys.float_info.min  # the least normal double
+_LEAST = math.ulp(0.0)  # the least positive double, the floor of every tail
 
 
 def _safe_order(gamma: float) -> int:
@@ -398,7 +394,32 @@ def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
 
 
 def _nu_envelope(params: GreenParams, i: int) -> float:
-    """U_i >= |nu_i| at every site (see ``_depth``): 1 below i = 2 and where x y is not normal."""
+    """U_i >= |nu_i| at every site: 1 below i = 2 and where x y is not normal.
+
+    Both envelopes rest on J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)),
+    from C(2m, m) / 4^m <= 1 / sqrt(pi m): b(0) = pi, b(p) = sqrt(2 pi /
+    p) from p = 1 on, b(k)^2 <= 4 pi / (k+1), and b(q)^2 <= 2 pi / q for
+    q >= 1.  With sum_k C(q, k) 2^-q = 1, R(p, q) G[q] is at most the
+    largest b(p+k) b(p+q-k), k <= q.  For p >= 1 that is b(p) b(p+q),
+    since (p+k)(p+q-k) >= p (p+q).  At p = 0 the ends give pi b(q) and
+    every other product 2 pi / sqrt(k (q-k)) <= 2 pi / sqrt(q-1) <=
+    2 sqrt(pi) b(q).  So R(p, q) G[q] <= (2/sqrt(pi)) b(p) b(p+q) for
+    every p, and Jn[q] <= b(q).
+
+    Series5's term is nu_i r^i / t, r = s/t.  With s = 2+gamma, x =
+    gamma/s, y = 2/s and Q ~ Bin(i, y), P = i - Q ~ Bin(i, x), pi^3 nu_i
+    = sum_q C(i, q) x^p y^q Jn[q] R(p, q) G[q] <= (2/sqrt(pi)) b(i)
+    E[b(P) b(Q)].  By Cauchy-Schwarz and E[1/(Q+1)] = (1 - x^(i+1)) /
+    ((i+1) y) <= 1 / ((i+1) y), the same for P with x, E[b(P) b(Q)] <=
+    4 pi / ((i+1) sqrt(x y)), so for i >= 1
+
+        nu_i <= U_i = 8 sqrt(2) / (pi^2 (i+1) sqrt(i x y)),
+
+    and nu_i <= 1 since every J is at most pi and the weights sum to 1.
+    Where x y is below the normal range the bound 1 needs no x.  U does
+    not increase, so the terms from k on sum to at most U_k r^k / (t -
+    s) (``_tail``).
+    """
     s = 2.0 + params.gamma
     xy = 2.0 * params.gamma / (s * s)
     if i < 2 or xy < _TINY:
@@ -408,7 +429,24 @@ def _nu_envelope(params: GreenParams, i: int) -> float:
 
 
 def _row_envelope(params: GreenParams, q: int) -> float:
-    """V_q, with series6's row q <= V_q r6^q / (t - gamma) (see ``_depth``): 1 at q = 0 and where x is not normal."""
+    """V_q, with series6's row q <= V_q r6^q / (t - gamma): 1 at q = 0 and where x is not normal.
+
+    With x = gamma/t, piece p of row q is C(q+p, p) x^p (2/t)^q (R(p, q)
+    G[q]) Jn[q] / (t pi^3), and a row cut at ``l_max`` sums fewer
+    pieces.  P negative binomial, P(P = p) = C(q+p, p) x^p (1-x)^(q+1),
+    has E[1/(P+1)] = (1-x) (1 - (1-x)^q) / (q x) <= 1 / ((q+1) x), since
+    u - u^(q+1) <= q/(q+1) on [0, 1].  With the bounds of
+    ``_nu_envelope``, b(q)^2 <= 2 pi / q, Cauchy-Schwarz on E[b(P)] and
+    (2/t)^q (1-x)^-(q+1) / t = r6^q / (t - gamma), r6 = 2/(t - gamma),
+    row q is at most r6^q / (t - gamma) times
+
+        V_q = 8 / (pi^2 q sqrt((q+1) x)),  q >= 1,
+
+    and times 1, as R(p, q) G[q] <= pi^2, Jn[q] <= pi and sum_p C(q+p,
+    p) x^p = (1-x)^-(q+1).  Where x is below the normal range the bound
+    1 needs no x.  V does not increase, so the rows from k on sum to at
+    most V_k r6^k / (t - gamma - 2) (``_tail``).
+    """
     x = params.gamma / params.t
     if q < 1 or x < _TINY:
         return 1.0
@@ -416,79 +454,31 @@ def _row_envelope(params: GreenParams, q: int) -> float:
     return u if u < 1.0 else 1.0
 
 
-def _depth(
-    params: GreenParams,
-    ratio: float,
-    denominator: float,
-    stop_tol: float,
-    n_max: int,
-    envelope: Callable[[GreenParams, int], float],
-) -> int:
-    """The terms a scan reads before it stops, for terms term_i <= U_i ratio^i / denominator.
+def _tail(
+    params: GreenParams, ratio: float, gap: float, envelope: Callable[[GreenParams, int], float]
+) -> Callable[[int], float]:
+    """tail(k) >= the sum of the terms from k on, for terms term_i <= U_i ratio^i / d.
 
-    U = ``envelope`` does not increase, so U_(i-1) ratio^i / denominator
-    bounds both term_i and ratio term_(i-1), and once some term is
-    nonzero the scan's tail bound after term i is at most geo U_(i-1)
-    ratio^i / denominator, geo = ratio/(1-ratio).  The first nonzero
-    term comes by order l+m+n, so the scan stops by order max(i*, l+m+n),
-    with i* any i where that bound meets ``stop_tol``; two more orders
-    cover the rounding of the bound and of the logarithms here.  At
-    ratio >= 1 nothing stops the scan before ``n_max``.
-
-    With logs = log(stop_tol denominator / geo), i passes where i >=
-    g(i) = (logs - log U_(i-1)) / log ratio, and g does not increase.
-    The crude i0 = ceil(logs / log ratio), the bound at U = 1, passes;
-    i1 = ceil(g(i0)) <= i0 may not, but i2 = ceil(g(i1)) >= ceil(g(i0))
-    = i1 gives g(i2) <= g(i1) <= i2, so i2 passes: two steps, in closed
-    form, and never past i0.
-
-    Both bounds rest on J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)), from
-    C(2m, m) / 4^m <= 1 / sqrt(pi m): b(0) = pi, b(p) = sqrt(2 pi / p)
-    from p = 1 on, b(k)^2 <= 4 pi / (k+1), and b(q)^2 <= 2 pi / q for
-    q >= 1.  With sum_k C(q, k) 2^-q = 1, R(p, q) G[q] is at most the
-    largest b(p+k) b(p+q-k), k <= q.  For p >= 1 that is b(p) b(p+q),
-    since (p+k)(p+q-k) >= p (p+q).  At p = 0 the ends give pi b(q) and
-    every other product 2 pi / sqrt(k (q-k)) <= 2 pi / sqrt(q-1) <=
-    2 sqrt(pi) b(q).  So R(p, q) G[q] <= (2/sqrt(pi)) b(p) b(p+q) for
-    every p, and Jn[q] <= b(q).
-
-    Series5 passes (r, t, tol, ``_nu_envelope``), r = (2+gamma)/t: its
-    term is nu_i r^i / t.  With s = 2+gamma, x = gamma/s, y = 2/s and Q
-    ~ Bin(i, y), P = i - Q ~ Bin(i, x), pi^3 nu_i = sum_q C(i, q) x^p
-    y^q Jn[q] R(p, q) G[q] <= (2/sqrt(pi)) b(i) E[b(P) b(Q)].  By
-    Cauchy-Schwarz and E[1/(Q+1)] = (1 - x^(i+1)) / ((i+1) y) <= 1 /
-    ((i+1) y), the same for P with x, E[b(P) b(Q)] <= 4 pi / ((i+1)
-    sqrt(x y)), so for i >= 1
-
-        nu_i <= U_i = 8 sqrt(2) / (pi^2 (i+1) sqrt(i x y)),
-
-    and nu_i <= 1 since every J is at most pi and the weights sum to 1.
-    Its first nonzero term comes at order max((l+m+n)/2, l, m, n).
-
-    Series6 passes (r6, t - gamma, tol/2, ``_row_envelope``), r6 = 2/(t
-    - gamma).  With x = gamma/t, piece p of its row q is C(q+p, p) x^p
-    (2/t)^q (R(p, q) G[q]) Jn[q] / (t pi^3), and a row cut at ``l_max``
-    sums fewer pieces.  P negative binomial, P(P = p) = C(q+p, p) x^p
-    (1-x)^(q+1), has E[1/(P+1)] = (1-x) (1 - (1-x)^q) / (q x) <= 1 /
-    ((q+1) x), since u - u^(q+1) <= q/(q+1) on [0, 1].  With b(q)^2 <=
-    2 pi / q, Cauchy-Schwarz on E[b(P)] and (2/t)^q (1-x)^-(q+1) / t =
-    r6^q / (t - gamma), row q is at most r6^q / (t - gamma) times
-
-        V_q = 8 / (pi^2 q sqrt((q+1) x)),  q >= 1,
-
-    and times 1, as R(p, q) G[q] <= pi^2, Jn[q] <= pi and sum_p C(q+p,
-    p) x^p = (1-x)^-(q+1).  Its first nonzero row is q =
-    max(l+m, n) <= l+m+n, at p = 0.  Where x y or x is below the normal
-    range both envelopes take the bound 1, which needs no x.
+    U = ``envelope`` does not increase, so the sum is at most U_k
+    ratio^k / (d (1 - ratio)), and tail does not increase in k.  The
+    caller forms ``gap`` = d (1 - ratio) as a difference: t - (2+gamma)
+    for series5 (d = t), t - gamma - 2 for series6 (d = t - gamma).  At
+    ratio >= 1, the band edge, tail is inf.  It is never below the least
+    positive double, where the product underflows (t = 1e300), so a
+    positive G never reports the estimate 0.0.
     """
     if ratio >= 1.0:
-        return n_max
-    logs = math.log(stop_tol) + math.log(denominator) + math.log1p(-ratio) - math.log(ratio)
-    log_r = math.log(ratio)
-    i = math.ceil(logs / log_r)
-    for _ in range(2):
-        i = math.ceil((logs - math.log(envelope(params, i - 1))) / log_r)
-    return min(n_max, max(i, params.l + params.m + params.n) + 2)
+        return lambda k: math.inf
+    return lambda k: max(envelope(params, k) * ratio**k / gap, _LEAST)
+
+
+def _first_passing(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least k in [lo, hi) where ``passes`` holds, or hi if none, by bisection.
+
+    ``passes`` must stay true once it holds, as a test of a tail that
+    does not increase does.
+    """
+    return bisect.bisect_left(range(lo, hi), True, key=passes) + lo
 
 
 def moment_coefficient(i: int, params: GreenParams) -> float:
@@ -557,163 +547,101 @@ def _scan_for(
 
 @dataclass
 class _ScanState:
-    """Everything one adaptive summation pass produced."""
+    """The terms one series call summed, their partial sums and inner errors, and its tail."""
 
-    terms: list[float] = field(default_factory=list)
-    sums: list[float] = field(default_factory=list)
-    bounds: list[float] = field(default_factory=list)
-    inner_errors: list[float] = field(default_factory=list)
-    stopped: bool = False
-    inner_ok: bool = True
-
-    @property
-    def best_bound(self) -> float:
-        return self.bounds[-1] if self.bounds else math.inf
+    terms: list[float]
+    sums: list[float]
+    inner_errors: list[float]
+    ratio: float  # of the geometric scale the stability guard reads (``_term_scale``)
+    tail: Callable[[int], float]  # tail(k) bounds the terms from k on (``_tail``)
 
 
 def _scan(
-    chunks: Iterable[tuple[list[float], list[float], list[bool]]],
-    ratio: float,
-    stop_tol: float,
-    n_max: int,
+    terms: list[float], inner_errors: list[float], ratio: float, tail: Callable[[int], float]
 ) -> _ScanState:
-    """Kahan-sum the terms of either series, read as chunks (terms, inner_errors, inner_ok).
+    """Kahan-sum ``terms``, every one of them, into their partial sums.
 
-    A chunk holds three lists of equal length, one entry per term.
-    Series5 hands its whole term list as one chunk, with inner errors
-    0.0 and flags True; series6 one chunk per row group.  After each
-    term the geometric tail bound ratio/(1-ratio) * max(term, ratio *
-    prev) is taken, and the running bound is the least of the bounds
-    taken once some nonzero term has been seen.  Before that, and always
-    when ``ratio >= 1``, it is inf.  The terms of both series are >= 0
-    and exactly 0.0 until the first order whose walks reach the site, so
-    the first nonzero term needs no floor index of its own.  Inner
-    errors are kept per term and ``inner_ok`` holds only if every term
-    read reported it.  The scan stops once the running bound is <=
-    ``stop_tol``, or after ``n_max`` terms; it reads no chunk past the
-    one it stops in.  Only the summation runs per term: terms, errors
-    and flags are taken a chunk at a time.
-
-    The chunks are built to the depth ``_depth`` gives, so they can end
-    before ``n_max`` only once the scan has stopped.  If they end sooner
-    the scan raises IndexError, unless every term so far is 0.0 (below
-    the double range, as at t = 1e300): then it ends unstopped.
+    The terms of both series are >= 0 and 0.0 until the first order
+    whose walks reach the site; a 0.0 term is not added, so the
+    compensation waits for the next nonzero one.
     """
-    geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    bounded = ratio < 1.0
-    state = _ScanState()
-    add_sum, add_bound = state.sums.append, state.bounds.append
-    total = comp = prev = 0.0
-    seen_nonzero = False
-    running = math.inf
-    for terms, inner_errors, inner_ok in chunks:
-        start = len(state.sums)
-        for term in terms[: n_max - start]:
-            if term != 0.0:
-                seen_nonzero = True
-                y = term - comp
-                s = total + y
-                comp = (s - total) - y
-                total = s
-            add_sum(total)
-            if seen_nonzero and bounded:
-                # geo * max(term, ratio * prev), the least bound so far
-                bound = ratio * prev
-                bound = geo * (bound if bound > term else term)
-                if bound < running:
-                    running = bound
-            add_bound(running)
-            if running <= stop_tol:
-                state.stopped = True
-                break
-            prev = term
-        read = len(state.sums) - start
-        state.terms += terms[:read]
-        state.inner_errors += inner_errors[:read]
-        state.inner_ok = state.inner_ok and all(inner_ok[:read])
-        if state.stopped or len(state.sums) == n_max:
-            return state
-    if seen_nonzero:
-        raise IndexError(f"the chunks ended after {len(state.sums)} of {n_max} terms")
-    return state
+    sums = []
+    total = comp = 0.0
+    for term in terms:
+        if term != 0.0:
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        sums.append(total)
+    return _ScanState(terms, sums, inner_errors, ratio, tail)
 
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
-    """Series5's scan: its terms nu_i r^i / t, by Python's pow, as one chunk."""
-    t = params.t
-    r = params.band_edge / t
+    """Series5's k terms nu_i r^i / t, by Python's pow, k the least count whose tail meets ``tol``."""
+    t, s = params.t, params.band_edge
+    r = s / t
+    tail = _tail(params, r, t - s, _nu_envelope)
+    count = _first_passing(lambda k: tail(k) <= tol, 1, n_max)
     site = _site_tables(max(params.l, params.m), min(params.l, params.m), params.n)
-    nus = _nu_table(params, site, _depth(params, r, t, tol, n_max, _nu_envelope))
-    terms = [nu * r**i / t for i, nu in enumerate(nus.tolist())]
-    return _scan([(terms, [0.0] * len(terms), [True] * len(terms))], r, tol, n_max)
+    terms = [nu * r**i / t for i, nu in enumerate(_nu_table(params, site, count).tolist())]
+    return _scan(terms, [0.0] * count, r, tail)
 
 
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
-    """Series6's scan; its rows are formed ``_ROW_GROUP`` at a time as it reaches them.
+    """Series6's k rows, k the least count whose tail meets ``tol``/2, with their inner tails.
 
-    Rows q = n, n+2, ... below the depth are read by column from R blocks
-    of ``_COL_TILE`` rows, each formed to the widest of its groups when
-    the scan reaches it; the rows between, where J_q(n) = 0, are 0.  A
+    Rows q = n, n+2, ... below k are read by column from R blocks of
+    ``_COL_TILE`` rows, each formed to the widest of its groups of
+    ``_ROW_GROUP`` rows; the rows between, where J_q(n) = 0, are 0.  A
     group's width is the envelope width (``_envelope_count``) of its last
-    row, at least one past the first p where R(p, q) of its first row
-    can be nonzero, and at most ``l_max``.  No width changes a row that
-    stops inside it, and a row that does not stop reports so.  The rows
-    below n are one chunk of zeros; each group is one chunk, its rows
-    interleaved with the zero rows after them.
+    row under that row's budget, at least one past the first p where
+    R(p, q) of its first row can be nonzero, and at most ``l_max``.  The
+    budgets sum to at most tol/4.
     """
     l, m, n = params.l, params.m, params.n
     site = _site_tables(max(l, m), min(l, m), n)
     gap = params.t - params.gamma
     r_out = 2.0 / gap
-    depth = _depth(params, r_out, gap, tol * 0.5, n_max, _row_envelope)
-
-    def tol_inner(q: int) -> float:
-        budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
-        return max(budget, 1e-300)
+    tail = _tail(params, r_out, gap - 2.0, _row_envelope)
+    count = _first_passing(lambda k: tail(k) <= tol * 0.5, 1, n_max)
 
     def width(qs: range) -> int:
-        # R(p, q) = 0 until p + q >= l, p + q >= m and 2p + q >= l + m;
-        # the envelope holds from the first nonzero piece on
+        # R(p, q) = 0 until p + q >= l, p + q >= m and 2p + q >= l + m
         first = max(l - qs[0], m - qs[0], (l + m - qs[0] + 1) // 2)
-        return min(max(_envelope_count(params, site, qs[-1], tol_inner(qs[-1]), l_max), first + 1), l_max)
+        q = qs[-1]
+        budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
+        return min(max(_envelope_count(params, site, q, max(budget, 1e-300), l_max), first + 1), l_max)
 
-    def chunks():
-        zeros = min(n, depth)
-        yield [0.0] * zeros, [0.0] * zeros, [True] * zeros
-        for q0 in range(n, depth, 2 * _COL_TILE):
-            block = range(q0, min(q0 + 2 * _COL_TILE, depth), 2)
-            groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
-            widths = [width(qs) for qs in groups]
-            R = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
-            for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
-                tols = [tol_inner(q) for q in qs]
-                rows = _series6_rows(params, site, (qs[0] - n) // 2, tols, R[k : k + len(qs), :w])
-                # row q at 2 (q - qs[0]), then the zero row q + 1 unless it is past the depth
-                size = 2 * len(qs) - (qs[-1] + 1 >= depth)
-                chunk = [0.0] * size, [0.0] * size, [True] * size
-                for column, values in zip(chunk, rows):
-                    column[::2] = values
-                yield chunk
-
-    return _scan(chunks(), r_out, tol * 0.5, n_max)
+    terms, inner_errors = [0.0] * count, [0.0] * count
+    for q0 in range(n, count, 2 * _COL_TILE):
+        block = range(q0, min(q0 + 2 * _COL_TILE, count), 2)
+        groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
+        widths = [width(qs) for qs in groups]
+        R = _series6_r(site, (q0 - n) // 2, len(block), max(widths))
+        for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
+            rows = slice(qs[0], qs[-1] + 1, 2)
+            c0 = (qs[0] - n) // 2
+            terms[rows], inner_errors[rows] = _series6_rows(params, site, c0, R[k : k + len(qs), :w])
+    return _scan(terms, inner_errors, r_out, tail)
 
 
 def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float, l_max: int) -> int:
-    """The pieces row q of series6 takes if every R(p, q) G[q] is at its bound B(p).
+    """The pieces row q of series6 takes for its envelope tail to meet ``tol_q``, at most ``l_max``.
 
-    J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)), since C(2m, m) / 4^m <=
-    1 / sqrt(pi m), and b does not increase.  With sum_k C(q, k) 2^-q = 1
-    this gives R(p, q) G[q] <= max_k b(p+k) b(p+q-k) = b(p) b(p+q).
-    Take B(p) = pi^2 for p < 2 and b(p-1) b(p-1+q) from p = 2 on: B does
-    not increase, and it bounds R(p, q) G[q] and R(p-1, q) G[q] alike.
-    So piece_p <= env_p = c_p B(p) Jn[q] / (t pi^3), and since ratio_p =
-    x (q+p+2)/(p+2) <= x (q+p)/p = c_p / c_(p-1), also ratio_p
-    piece_(p-1) <= ratio_p c_(p-1) B(p) Jn[q] / (t pi^3) <= env_p: the
-    envelope covers both terms of the row's stop test.  Once a piece is
-    nonzero the row stops by the first p with ratio_p < 1 and 2 env_p
-    ratio_p / (1 - ratio_p) <= ``tol_q``: found by bisection on logarithms.
-    Where x is below the normal range (0.0 at t = 1e300, gamma = 1e-30)
-    no bound in x is taken: the row takes all ``l_max`` pieces.
+    J_p(k) <= b(p) = min(pi, sqrt(2 pi / p)) (``_nu_envelope``), and b
+    does not increase, so R(p, q) G[q] <= max_k b(p+k) b(p+q-k) = b(p)
+    b(p+q).  Take B(p) = pi^2 for p < 2 and b(p-1) b(p-1+q) from p = 2
+    on: B does not increase, and it bounds R(p', q) G[q] at every p' >=
+    p - 1.  So piece_p' <= c_p' B(p) Jn[q] / (t pi^3) for p' >= p.  With
+    f_p = x (q+p+1)/(p+1) = c_(p+1) / c_p, which does not increase, and
+    ratio_p = f_(p+1) = x (q+p+2)/(p+2) >= f_p / 2, the pieces past p
+    sum to at most 2 env_p ratio_p / (1 - ratio_p), env_p = c_p B(p)
+    Jn[q] / (t pi^3), where ratio_p < 1 (``_series6_rows``).  A row of
+    p + 1 pieces meets ``tol_q`` at the first p where that bound does:
+    found by bisection on logarithms.  Where x is below the normal range
+    (0.0 at t = 1e300, gamma = 1e-30) no bound in x is taken: the row
+    takes all ``l_max`` pieces.
     """
     t, x = params.t, params.gamma / params.t
     if x < _TINY:
@@ -733,7 +661,7 @@ def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float
             log_c += log_2_pi - 0.5 * math.log((p - 1) * (p - 1 + q))
         return log_a + log_c + math.log(ratio / (1.0 - ratio)) <= 0.0
 
-    return min(bisect.bisect_left(range(l_max), True, key=passes) + 1, l_max)
+    return min(_first_passing(passes, 0, l_max) + 1, l_max)
 
 
 def _series6_r(site: _SiteTables, c0: int, cols: int, width: int) -> np.ndarray:
@@ -761,16 +689,17 @@ def _ladder_start(r: float, i: int) -> tuple[float, int]:
 
 def _series6_pieces(
     params: GreenParams, site: _SiteTables, c0: int, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of series6 rows q = n + 2c, c0 <= c < c0 + len(R), and their ratios.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of series6 rows q = n + 2c, c0 <= c < c0 + len(R), their ratios and last envelopes.
 
     With x = gamma/t, piece p of row q is c_p (R(p, q) G[q]) Jn[q] / t /
     pi^3, c_p = C(q+p, p) x^p (2/t)^q, and R(p, q) G[q] = sum_k C(q,k)
     2^-q Jl[p+k] Jm[p+q-k] is read from ``R``, p < W.  Returns (pieces,
-    f): pieces[:, 1 + p] is piece p and pieces[:, 0] = 0, the piece
+    f, env): pieces[:, 1 + p] is piece p and pieces[:, 0] = 0, the piece
     before p = 0; f[:, p] = x (q+p+1)/(p+1), p <= W, is the ladder's step
-    to p+1 and the ratio at p-1.  All rows are formed at once,
-    elementwise in this operation order.
+    to p+1 and the ratio at p-1; env = c_(W-1) B(W-1) Jn[q] / (t pi^3)
+    bounds the last piece and every one after it (``_envelope_count``).
+    All rows are formed at once, elementwise in this operation order.
 
     The ladder starts from (2/t)^q split by ``_ladder_start`` (subnormal
     or 0 at deep rows of large gamma); every factor x (q+p)/p is split by
@@ -784,7 +713,8 @@ def _series6_pieces(
     q0 = params.n + 2 * c0
     qs = range(q0, q0 + 2 * count, 2)
     pv = np.arange(1.0, width + 2)
-    f = np.arange(q0, q0 + 2 * count, 2.0)[:, None] + pv
+    qv = np.arange(q0, q0 + 2 * count, 2.0)
+    f = qv[:, None] + pv
     f *= x
     f /= pv
     pieces = np.zeros((count, width + 1))
@@ -795,66 +725,52 @@ def _series6_pieces(
     np.multiply.accumulate(ladder, axis=1, out=ladder)
     np.add.accumulate(exps, axis=1, out=exps)
     piece = np.ldexp(ladder, exps, out=ladder)
+    p = width - 1
+    env = piece[:, p] * (math.pi**2 if p < 2 else 2.0 * math.pi / np.sqrt((p - 1) * (p - 1 + qv)))
+    jn = site.Jn[q0 : q0 + 2 * count : 2]
     piece *= R * _factorial_scales()[1][q0 : q0 + 2 * count : 2, None]
-    piece *= site.Jn[q0 : q0 + 2 * count : 2, None]
+    piece *= jn[:, None]
     piece /= t
     piece /= PI3
-    return pieces, f
+    env *= jn
+    env /= t
+    env /= PI3
+    return pieces, f, env
 
 
 def _series6_rows(
-    params: GreenParams, site: _SiteTables, c0: int, tols: list[float], R: np.ndarray
-) -> tuple[list[float], list[float], list[bool]]:
-    """Rows q = n + 2c, c0 <= c < c0 + len(tols), of series6, from ``_series6_pieces``.
+    params: GreenParams, site: _SiteTables, c0: int, R: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """Rows q = n + 2c, c0 <= c < c0 + len(R), of series6, each the sum of its W pieces, and their tails.
 
-    A row stops at the first p whose ratio x (q+p+2)/(p+2) is below 1,
-    with a piece so far nonzero and 2 max(piece_p, ratio piece_(p-1))
-    ratio / (1 - ratio) at most ``tols[c - c0]``, or sums all W pieces.
-    Returns three lists, one entry per row: the sum of its pieces, that
-    bound (inf if the ratio never fell below 1) and whether it stopped,
-    the columns of the scan's chunk.  The ratio never rises with p and
-    is divided by only where below 1 (at t = 2 gamma it is exactly 1 at
-    p = q - 2).  Every piece is >= 0, so a piece so far is nonzero
-    exactly where the prefix sum s_p is > 0.
+    A row's tail bounds the pieces past its last one, p = W - 1: 2 env
+    ratio / (1 - ratio), env of ``_series6_pieces`` and ratio = x
+    (q+W+1)/(W+1) (``_envelope_count``), inf where the ratio is not
+    below 1, and never below the least positive double.  Returns the two
+    lists, one entry per row.
 
     The sum is Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26,
     2005) over the whole group: s = the prefix sums of the pieces, each
     addition's exact rounding error by TwoSum, z = s_p - s_(p-1), e_p =
     (s_(p-1) - (s_p - z)) + (piece_p - z), and a row's total s_last +
-    E_last with E the prefix sums of e.  For n pieces >= 0 of sum S its
-    error is at most eps S + gamma_(n-1)^2 S (eps = 2^-53), so the total
-    lies within about one ulp of S.  It reads the pieces up to ``last``
-    only: a wider R changes no row that stops inside the narrower one.
+    the sum of e.  For n pieces >= 0 of sum S its error is at most eps S
+    + gamma_(n-1)^2 S (eps = 2^-53), so the total lies within about one
+    ulp of S.
     """
-    pieces, f = _series6_pieces(params, site, c0, R)
-    count, width = R.shape
-    piece = pieces[:, 1:]
-    ratio = f[:, 1:]
+    pieces, f, env = _series6_pieces(params, site, c0, R)
+    ratio = f[:, -1]
     below = ratio < 1.0
-    bounds = ratio * pieces[:, :-1]
-    np.maximum(piece, bounds, out=bounds)
-    bounds *= 2.0
-    bounds *= ratio
-    np.divide(bounds, 1.0 - ratio, out=bounds, where=below)
+    tails = np.full(ratio.shape, math.inf)
+    np.divide(2.0 * env * ratio, 1.0 - ratio, out=tails, where=below)
+    np.maximum(tails, _LEAST, out=tails)
     sums = np.add.accumulate(pieces, axis=1)
     prev, s = sums[:, :-1], sums[:, 1:]
-    halt = bounds <= np.array(tols)[:, None]
-    halt &= below
-    halt &= s > 0.0
     z = s - prev
     e = s - z
     np.subtract(prev, e, out=e)
-    np.subtract(piece, z, out=z)
+    np.subtract(pieces[:, 1:], z, out=z)
     e += z
-    np.add.accumulate(e, axis=1, out=e)
-    e += s
-    stops = halt.argmax(axis=1)
-    rows = np.arange(count)
-    ok = halt[rows, stops]
-    last = np.where(ok, stops, width - 1)
-    totals = e[rows, last]
-    row_bounds = np.where(below[rows, last], bounds[rows, last], math.inf)
-    return totals.tolist(), row_bounds.tolist(), ok.tolist()
+    return (s[:, -1] + e.sum(axis=1)).tolist(), tails.tolist()
 
 
 def _doubling_indices(count: int) -> list[int]:
@@ -883,27 +799,43 @@ def _transform(sums: list[float], method: str) -> tuple[float, float]:
     return value, abs(value - prev)
 
 
+def _term_scale(terms: list[float], ratio: float) -> float:
+    """The drift scale of the stability guard, read off the terms.
+
+    The least geo max(term_i, ratio term_(i-1)) from the first nonzero
+    term on, geo = ratio/(1 - ratio) and term_(-1) = 0; inf at ratio >=
+    1 and where every term is 0.0.  It is no bound on the error and
+    never a claim: at a far site the terms rise for a long stretch after
+    the first nonzero one.
+    """
+    x = np.array(terms)
+    nonzero = np.flatnonzero(x)
+    if ratio >= 1.0 or nonzero.size == 0:
+        return math.inf
+    prev = np.concatenate(([0.0], x[:-1]))
+    return ratio / (1.0 - ratio) * float(np.maximum(x, ratio * prev)[nonzero[0] :].min())
+
+
 def _finish(state: _ScanState, tol: float, accel: str, method: str) -> SeriesEvaluation:
     """The evaluation a finished scan reports.
 
-    The raw result is the last partial sum, with the running tail bound
-    plus the inner errors as its estimate.  With ``accel`` set and the
-    raw sum unconverged after at least three terms, the transformed
-    value is reported instead, unless the stability guard rejects it:
-    a transform may not move more than ten tail bounds off the last
-    partial sum.  A transformed value never claims convergence: its
-    estimate is the change between the last transforms, not a bound,
-    and at the band edge it falls below tol while the true error is far
-    larger.
+    The raw result is the last partial sum, with the outer tail plus the
+    inner tails as its estimate, converged where that is at most ``tol``.
+    With ``accel`` set and the raw sum unconverged after at least three
+    terms, the transformed value is reported instead, unless the
+    stability guard rejects it: a transform may not move more than ten
+    times the term scale (``_term_scale``) off the last partial sum.  A
+    transformed value never claims convergence: its estimate is the
+    change between the last transforms, not a bound, and at the band
+    edge it falls below tol while the true error is far larger.
     """
-    raw_bound = state.best_bound + math.fsum(state.inner_errors)
-    raw_converged = state.stopped and state.inner_ok and raw_bound <= tol
+    raw_bound = state.tail(len(state.terms)) + math.fsum(state.inner_errors)
+    raw_converged = raw_bound <= tol
     if accel != "none" and not raw_converged and len(state.sums) >= 3:
         value, estimate = _transform(state.sums, accel)
-        # stability guard: a transform may not wander off the raw sum scale
         drift = abs(value - state.sums[-1])
-        bound = state.best_bound
-        if not (math.isfinite(bound) and drift > 10.0 * max(bound, 1e-300)):
+        scale = _term_scale(state.terms, state.ratio)
+        if not (math.isfinite(scale) and drift > 10.0 * max(scale, 1e-300)):
             return SeriesEvaluation(
                 value=value,
                 terms_used=len(state.terms),
@@ -930,11 +862,10 @@ def evaluate_series5(
 ) -> SeriesEvaluation:
     """Green function by the single binomial expansion in 1/t.
 
-    Summation stops once the running geometric tail bound (ratio
-    r = (2+gamma)/t) drops to ``tol`` or ``n_max`` terms are exhausted.
-    That stop is not sound: at t = 4, site (12, 12, 0) it claims
-    convergence with 8.9e-16 for G = 7.52e-10 (see the module
-    docstring).  With ``accel`` set, a sequence transform is applied to
+    It sums the least count of terms, at most ``n_max``, whose
+    closed-form tail U_k r^k / (t - 2 - gamma), r = (2+gamma)/t and a
+    bound at every site, meets ``tol``, and reports that tail as its
+    estimate.  With ``accel`` set, a sequence transform is applied to
     the partial sums whenever the raw tail fails to converge, guarded
     against transform blow-ups; this is what makes the band edge
     t = 2+gamma usable.
@@ -952,9 +883,11 @@ def evaluate_series6(
     """Green function by the double expansion with the gamma bond split off.
 
     The outer index follows the two isotropic bonds (tail ratio
-    2/(t-gamma)); each inner sum in gamma/t is truncated adaptively with
-    its own budgeted tolerance, so the reported error covers both limits.
-    Agrees with evaluate_series5 within combined error estimates.
+    2/(t-gamma)); it sums the least count of rows whose closed-form tail
+    meets ``tol``/2.  Each inner sum in gamma/t takes the pieces its
+    envelope asks for under its own budget, and the reported error is
+    the outer tail plus every inner tail.  Agrees with evaluate_series5
+    within combined error estimates.
     """
     return _scan_for(params, "series6", tol, n_max, l_max, accel)[1]
 
@@ -969,16 +902,18 @@ def convergence_rows(
 ) -> tuple[list[dict], SeriesEvaluation]:
     """Per-term diagnostics, and the evaluation the same scan gives.
 
-    Each row holds the term, partial sum, tail bound and transform
-    value.  The accelerated estimate in row i is the transform the
-    evaluators apply, taken over the partial sums up to i.  ``l_max``
+    Each row holds the term, partial sum, the closed-form bound on the
+    terms after it (the outer tail) and transform value.  The
+    accelerated estimate in row i is the transform the evaluators apply,
+    taken over the partial sums up to i.  ``l_max``
     bounds the inner sums of series6 as in evaluate_series6; the
     evaluation is the one evaluate_series5 or evaluate_series6 reports
     for the same arguments.
     """
     state, evaluation = _scan_for(params, method, tol, n_max, l_max, accel)
     rows = []
-    for i, (term, psum, bound) in enumerate(zip(state.terms, state.sums, state.bounds)):
+    for i, (term, psum) in enumerate(zip(state.terms, state.sums)):
+        bound = state.tail(i + 1)
         accel_value: float | None = None
         if accel != "none" and i >= 2:
             accel_value, _ = _transform(state.sums[: i + 1], accel)

@@ -164,12 +164,28 @@ class TestEval:
     @pytest.mark.parametrize("method", ["series5", "series6"])
     def test_far_site_needs_no_deep_table(self, method):
         # every J_p(20000) with p <= the series depth is a selection-rule
-        # zero, so no table column is built for the site
+        # zero, so no table column is built for the site; every term is
+        # 0.0, and the closed-form tail bounds G there
         r = run("eval", "--t", "4", "--lmn", "0", "0", "20000", "--method", method, timeout=20)
-        assert r.returncode == 2
+        assert r.returncode == 0
         (rec,) = json_lines(r.stdout)
         assert rec["value"] == 0.0
-        assert rec["abs_error_estimate"] is None
+        assert 0.0 < rec["abs_error_estimate"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "lmn, method, terms",
+        # each once claimed convergence with a value far below G
+        # (8.9e-16 for 7.52e-10, 2.3e-17 and 8.5e-24 for 4.9e-13)
+        [("12 12 0", "series5", 62), ("24 0 0", "series5", 62), ("24 0 0", "series6", 46)],
+    )
+    def test_far_site_claims_hold(self, lmn, method, terms):
+        r = run("eval", "--t", "4", "--lmn", *lmn.split(), "--method", method)
+        assert r.returncode == 0
+        (rec,) = json_lines(r.stdout)
+        assert rec["converged"] is True and rec["terms_used"] == terms
+        q = run("eval", "--t", "4", "--lmn", *lmn.split(), "--method", "quadrature")
+        (ref,) = json_lines(q.stdout)
+        assert abs(rec["value"] - ref["value"]) <= rec["abs_error_estimate"]
 
     def test_bad_method(self):
         r = run("eval", "--t", "4", "--method", "series7")

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import math
 import random
 import sys
@@ -30,9 +29,9 @@ from greenfcc.green_series import (
     _COL_TILE,
     _ROW_GROUP,
     _ROW_TILE,
-    _depth,
     _factorial_scales,
     _finish,
+    _first_passing,
     _nu_envelope,
     _nu_table,
     _row_envelope,
@@ -42,6 +41,7 @@ from greenfcc.green_series import (
     _series6_r,
     _series6_rows,
     _site_tables,
+    _tail,
 )
 from walk_oracle import walk_moment
 
@@ -135,75 +135,76 @@ def _exact_series6_row(p, site, i, x, l_max):
     return sum(_exact_series6_pieces(p, site, i, x, l_max), Fraction(0))
 
 
-def _series6_row(p, site, i, tol_inner, l_max):
-    """Row i of series6 as the scan forms it, (value, error, ok), on l_max pieces.
+def _series6_row(p, site, i, l_max):
+    """Row i of series6 as the scan forms it, (value, inner tail), on l_max pieces.
 
     The row is read from column i of the R block that holds it, as
     ``_scan_series6`` reads it; rows whose J_i(n) is zero are 0.0.
     """
     if site.Jn[i] == 0.0:
-        return 0.0, 0.0, True
+        return 0.0, 0.0
     c = (i - p.n) // 2
     c_block = c - c % _COL_TILE
     R = _series6_r(site, c_block, _COL_TILE, l_max)
-    (total,), (bound,), (ok,) = _series6_rows(p, site, c, [tol_inner], R[c - c_block : c - c_block + 1])
-    return total, bound, ok
+    (total,), (tail,) = _series6_rows(p, site, c, R[c - c_block : c - c_block + 1])
+    return total, tail
 
 
-def _series6_row_per_j(p, site, i, tol_inner, l_max):
-    """The one-j-at-a-time form of the series6 inner sum (reference).
+def _inner_tail(env, ratio):
+    """2 env ratio / (1 - ratio), inf at ratio >= 1, never below the least positive double."""
+    if ratio >= 1.0:
+        return math.inf
+    return max(2.0 * env * ratio / (1.0 - ratio), math.ulp(0.0))
+
+
+def _series6_row_per_j(p, site, i, l_max):
+    """The one-j-at-a-time form of the series6 inner sum over j < l_max (reference).
 
     Its binomials are the code's own, E[k] E[i-k] G[i] = C(i,k) 2^-i,
-    and its ladder the same product in the same order; only the inner
-    sums over k are formed one j at a time.  Returns (value, bound, ok,
-    number of pieces).
+    and its ladder the same product; only the inner sums over k are
+    formed one j at a time.  The tail after the last piece j = l_max - 1
+    is 2 env ratio / (1 - ratio), env = c_j B(j) J_i(n) / (t pi^3) with
+    B(j) = pi^2 below j = 2 and 2 pi / sqrt((j-1)(j-1+i)) from there,
+    ratio = x (i+j+2)/(j+2).  Returns (value, tail).
     """
     x = p.gamma / p.t
     E, G = _factorial_scales()
     base = E[: i + 1] * E[i::-1]
     c = (2.0 / p.t) ** i
-    pieces, prev_piece, seen, bound, ok = [], 0.0, False, math.inf, False
+    pieces = []
     for j in range(l_max):
         row = float((base * site.Jl[j : j + i + 1] * site.Jm[j : j + i + 1][::-1]).sum())
-        piece = c * (row * G[i]) * site.Jn[i] / p.t / PI3
-        pieces.append(piece)
-        seen = seen or piece != 0.0
-        ratio = x * (i + j + 2) / (j + 2)
-        if ratio < 1.0:
-            bound = 2.0 * max(piece, ratio * prev_piece) * ratio / (1.0 - ratio)
-            if seen and bound <= tol_inner:
-                ok = True
-                break
-        prev_piece = piece
+        pieces.append(c * (row * G[i]) * site.Jn[i] / p.t / PI3)
+        env = c * (math.pi**2 if j < 2 else 2.0 * math.pi / math.sqrt((j - 1) * (j - 1 + i)))
         c *= x * (i + j + 1) / (j + 1)
-    return math.fsum(pieces), bound, ok, len(pieces)
+    env = env * site.Jn[i] / p.t / PI3
+    return math.fsum(pieces), _inner_tail(env, x * (i + l_max + 1) / (l_max + 1))
 
 
-def _rows_by_loop(p, site, c0, tols, R):
-    """Series6 rows one p at a time over the pieces ``_series6_pieces`` forms (reference).
+def _rows_by_loop(p, site, c0, R):
+    """Series6 rows one row at a time over what ``_series6_pieces`` forms (reference).
 
-    Each row's stop test runs in a Python loop, in the vector pass's
-    operation order.  Returns per row (the pieces it summed, bound, ok).
+    Each row's tail is taken in Python floats, in the vector pass's
+    operation order.  Returns per row (its pieces, tail).
     """
-    pieces, f = _series6_pieces(p, site, c0, R)
-    width = R.shape[1]
-    out = []
-    for row, tol in enumerate(tols):
-        values, ratios = pieces[row].tolist(), f[row].tolist()
-        seen, ok, bound = False, False, math.inf
-        for p in range(width):
-            piece, ratio = values[1 + p], ratios[1 + p]
-            seen = seen or piece != 0.0
-            bound = max(piece, ratio * values[p]) * 2.0 * ratio
-            if ratio < 1.0:
-                bound /= 1.0 - ratio
-                if seen and bound <= tol:
-                    ok = True
-                    break
-            else:
-                bound = math.inf
-        out.append((values[1 : p + 2], bound, ok))
-    return out
+    pieces, f, env = _series6_pieces(p, site, c0, R)
+    return [
+        (pieces[row, 1:].tolist(), _inner_tail(float(env[row]), float(f[row, -1])))
+        for row in range(R.shape[0])
+    ]
+
+
+def _least_count(tail, tol, n_max):
+    """The least k in [1, n_max] with tail(k) <= tol, or n_max, by a search term by term (reference)."""
+    return next((k for k in range(1, n_max) if tail(k) <= tol), n_max)
+
+
+def _outer_tail(p, method):
+    """The outer tail of ``method`` at ``p``, as the scan takes it."""
+    if method == "series5":
+        return _tail(p, p.band_edge / p.t, p.t - p.band_edge, _nu_envelope)
+    gap = p.t - p.gamma
+    return _tail(p, 2.0 / gap, gap - 2.0, _row_envelope)
 
 
 def _exact_series6_pieces(p, site, i, x, count):
@@ -433,7 +434,7 @@ class TestStridedLoops:
             x = p.gamma / p.t
             for i in (HARD_ORDER_CAP - 1, HARD_ORDER_CAP):
                 got_nu = float(nus[i])
-                got_row = _series6_row(p, tables, i, 0.0, l_max)[0]
+                got_row = _series6_row(p, tables, i, l_max)[0]
                 want_nu = Fraction(_gather_nu(p, tables, i))
                 want_row = _exact_series6_row(p, tables, i, x, l_max)
                 for got, want in ((got_nu, want_nu), (got_row, want_row)):
@@ -453,25 +454,24 @@ class TestStridedLoops:
         tables = _site(p)
         x = p.gamma / p.t
         for i in (0, 1, 2, 7, 30, 31, 59):
-            got = Fraction(_series6_row(p, tables, i, 0.0, l_max)[0])
+            got = Fraction(_series6_row(p, tables, i, l_max)[0])
             want = _exact_series6_row(p, tables, i, x, l_max)
             assert abs(got - want) <= (i + 1 + 2 * l_max + 6) * self.EPS * want, (i, l_max)
 
     @pytest.mark.parametrize("site", [(0, 0, 0), (2, 1, 1), (3, 3, 2), (40, 30, 0)])
     def test_series6_blocks_match_per_j_sums(self, site):
         # rows read from the R blocks against the one-j-at-a-time sums:
-        # the same stop, bound and flag, and a value within the exact
-        # rational bound of test_series6_row_matches_exact_binomials over
-        # the pieces the row summed.  Rows 66-68 lie in the second column
-        # block, l_max on either side of a tile's and a group's width;
-        # tol_inner = 0 never stops early, so the bound is
-        # built from the last pieces themselves.  At t = 2 gamma = 6 the
-        # ratio is exactly 1 at j = i - 2, where a bound would divide by
-        # zero (a RuntimeWarning is an error here).  At (40, 30, 0),
-        # lm = (l+m-n)/2 = 35, the buffer's lead runs past _COL_TILE - 1
-        # rows to reach p = 0 of column 0.  The BLAS products sum
-        # the inner sums in another order, so values and bounds agree to
-        # rounding, not bit for bit.
+        # the same inner tail, and a value within the exact rational
+        # bound of test_series6_row_matches_exact_binomials over the
+        # l_max pieces the row sums.  Rows 66-68 lie in the second column
+        # block, l_max on either side of a tile's and a group's width.
+        # At t = 2 gamma = 6 the ratio is exactly 1 at j = i - 2, where a
+        # tail would divide by zero (a RuntimeWarning is an error here).
+        # At (40, 30, 0), lm = (l+m-n)/2 = 35, the buffer's lead runs past
+        # _COL_TILE - 1 rows to reach p = 0 of column 0.  The BLAS
+        # products sum the inner sums in another order and the reference
+        # steps its ladder one factor at a time, so values and tails
+        # agree to rounding, not bit for bit.
         for t, gamma in ((4.5, 1.5), (6.0, 3.0)):
             p = GreenParams(t=t, gamma=gamma, l=site[0], m=site[1], n=site[2])
             l_max_top = 60
@@ -482,23 +482,20 @@ class TestStridedLoops:
                     continue
                 exact = _exact_series6_pieces(p, tables, i, x, l_max_top)
                 for l_max in (1, 2, 15, 16, 17, 31, 32, 33, l_max_top):
-                    for tol_inner in (0.0, 1e-13):
-                        value, bound, ok = _series6_row(p, tables, i, tol_inner, l_max)
-                        want = _series6_row_per_j(p, tables, i, tol_inner, l_max)
-                        assert ok == want[2], (t, i, l_max, tol_inner)
-                        assert bound == pytest.approx(want[1], rel=1e-13), (t, i, l_max)
-                        count = want[3]
-                        exact_sum = sum(exact[:count], Fraction(0))
-                        slack = (i + 1 + 2 * count + 6) * self.EPS * exact_sum
-                        assert abs(Fraction(value) - exact_sum) <= slack, (t, i, l_max)
+                    value, tail = _series6_row(p, tables, i, l_max)
+                    want = _series6_row_per_j(p, tables, i, l_max)
+                    assert tail == pytest.approx(want[1], rel=1e-13), (t, i, l_max)
+                    exact_sum = sum(exact[:l_max], Fraction(0))
+                    slack = (i + 1 + 2 * l_max + 6) * self.EPS * exact_sum
+                    assert abs(Fraction(value) - exact_sum) <= slack, (t, i, l_max)
 
     def test_series6_scan_matches_per_j_rows(self, monkeypatch):
         # whole scans against scans over the one-j-at-a-time rows: every
         # distinct (t, gamma) of the bench's off-edge pool, t = 2 gamma = 6
         # where the ratio reaches exactly 1, short and open inner sums
-        # (l_max 1, 17, 50) and a transform.  Every stop, and so every
-        # terms_used, converged and accelerated, must match; the values
-        # differ only by the rounding of the inner sums
+        # (l_max 1, 17, 50) and a transform.  Every terms_used, converged
+        # and accelerated must match; the values and estimates differ
+        # only by the rounding of the inner sums and their tails
         points = [
             (3.0, 0.5), (3.5, 0.5), (3.5, 1.0), (4.0, 1.0), (4.5, 2.0),
             (5.0, 0.5), (5.0, 2.0), (5.5, 1.0), (6.5, 2.0), (7.5, 0.5),
@@ -513,9 +510,9 @@ class TestStridedLoops:
                 calls += [(p, kw) for kw in kwargs]
         blocked = [evaluate_series6(p, tol=1e-11, **kw) for p, kw in calls]
 
-        def per_j_rows(params, site, c0, tols, R):
-            qs = range(params.n + 2 * c0, params.n + 2 * (c0 + len(tols)), 2)
-            rows = [_series6_row_per_j(params, site, q, tol, R.shape[1])[:3] for q, tol in zip(qs, tols)]
+        def per_j_rows(params, site, c0, R):
+            qs = range(params.n + 2 * c0, params.n + 2 * (c0 + R.shape[0]), 2)
+            rows = [_series6_row_per_j(params, site, q, R.shape[1]) for q in qs]
             return tuple(list(column) for column in zip(*rows))
 
         monkeypatch.setattr(green_series, "_series6_rows", per_j_rows)
@@ -525,19 +522,19 @@ class TestStridedLoops:
             assert got.converged == want.converged, (p, kw)
             assert got.accelerated == want.accelerated, (p, kw)
             assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0), (p, kw)
+            assert got.abs_error_estimate == pytest.approx(want.abs_error_estimate, rel=1e-12), (p, kw)
 
     def test_series6_rows_past_the_subnormal_ladder_start(self):
         # at gamma = 7, t = 9.01 the ladder's start (2/t)^i leaves the
         # normal range near i = 471 and is 0.0 from i = 496, while the
         # rows are normal numbers near 1e-28: no row may come out 0.0,
-        # and the scan may not stop on two zero terms near row 497.  From
-        # row 510 the ladder over j < 1000 without its start passes 1e308,
+        # near row 497 or past it.  From row 510 the ladder over j < 1000 without its start passes 1e308,
         # so rows 520 and 600 also need the renormalised mantissa
         p = GreenParams(t=9.01, gamma=7.0)
         l_max = 1000
         site = _site(p)
         for i in (470, 494, 496, 500, 520, 600):
-            got = _series6_row(p, site, i, 1e-300, l_max)[0]
+            got = _series6_row(p, site, i, l_max)[0]
             want = _lgamma_series6_row(p, site, i, l_max)
             assert math.isfinite(got) and got > 0.0, i
             assert abs(got - want) <= 1e-10 * want, i
@@ -552,16 +549,22 @@ class TestSeries6Blocks:
     SITES = [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]
 
     def _spy_rows(self, monkeypatch) -> list:
-        """Record (c0, width, per-row stops) of every group formed."""
+        """Record (c0, width, per-row inner tails) of every group formed."""
         formed = []
 
-        def spy(params, site, c0, tols, R):
-            rows = _series6_rows(params, site, c0, tols, R)
-            formed.append((c0, R.shape[1], list(rows[2])))
+        def spy(params, site, c0, R):
+            rows = _series6_rows(params, site, c0, R)
+            formed.append((c0, R.shape[1], list(rows[1])))
             return rows
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
         return formed
+
+    @staticmethod
+    def _budget(p, q, tol=1e-10):
+        """The inner budget of row q, tol/4 (1 - r6) r6^q (the evaluators' default tol)."""
+        r = 2.0 / (p.t - p.gamma)
+        return tol * 0.25 * (1.0 - r) * r**q
 
     def _grid(self):
         for gamma in (0.5, 1.0, 2.0, 7.0):
@@ -571,46 +574,48 @@ class TestSeries6Blocks:
 
     def test_every_row_below_l_max_stops(self, monkeypatch):
         # a group is formed once, to the envelope width of its last row:
-        # every row formed below l_max must stop inside that width
+        # every row formed below l_max must meet its budget at that width
         formed = self._spy_rows(monkeypatch)
         below = 0
         for p in self._grid():
             formed.clear()
             evaluate_series6(p)
-            for c0, width, oks in formed:
+            for c0, width, tails in formed:
                 if width < 400:
-                    assert all(oks), (p, c0, width)
+                    rows = enumerate(tails, c0)
+                    assert all(tail <= self._budget(p, p.n + 2 * c) for c, tail in rows), (p, c0, width)
                     below += 1
         assert below > 0
 
     def test_cut_envelope_never_claims_convergence(self, monkeypatch):
-        # an envelope cut to a quarter of its width leaves rows that have
-        # not stopped; they report so, and no result that read one claims
-        # convergence.  The near sites all read one; the far sites stop
-        # after their first nonzero row (ROADMAP item 1), whose width is
-        # set by the first p where R(p, q) can be nonzero
+        # an envelope cut to a quarter of its width leaves rows past their
+        # budget; their tails say so, and every result still lies within
+        # its estimate plus the full result's.  The near sites all read
+        # such a row and do not converge
+        full = {}
+        for gamma in (0.5, 2.0, 7.0):
+            for offset in (0.01, 0.5, 5.0):
+                for l, m, n in self.SITES:
+                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
+                    full[p] = evaluate_series6(p)
         formed = self._spy_rows(monkeypatch)
         envelope = green_series._envelope_count
         monkeypatch.setattr(
             green_series, "_envelope_count", lambda *args: max(1, envelope(*args) // 4)
         )
         cut = 0
-        for gamma in (0.5, 2.0, 7.0):
-            for offset in (0.01, 0.5, 5.0):
-                for l, m, n in self.SITES:
-                    p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
-                    formed.clear()
-                    ev = evaluate_series6(p)
-                    read = [
-                        ok
-                        for c0, _, oks in formed
-                        for c, ok in enumerate(oks, c0)
-                        if n + 2 * c < ev.terms_used
-                    ]
-                    assert not ev.converged or all(read), p
-                    if max(l, m, n) < 12:
-                        assert not all(read) and not ev.converged, p
-                    cut += not all(read)
+        for p, want in full.items():
+            formed.clear()
+            ev = evaluate_series6(p)
+            read = [
+                tail <= self._budget(p, p.n + 2 * c)
+                for c0, _, tails in formed
+                for c, tail in enumerate(tails, c0)
+            ]
+            assert abs(ev.value - want.value) <= ev.abs_error_estimate + want.abs_error_estimate, p
+            if max(p.l, p.m, p.n) < 12:
+                assert not all(read) and not ev.converged, p
+            cut += not all(read)
         assert cut > 0
 
     def test_each_group_formed_once(self, monkeypatch):
@@ -641,7 +646,7 @@ class TestSeries6Blocks:
                 continue
             assert row["term"] > 0.0, i
             if (i - p.n) // 2 % _ROW_GROUP in (0, _ROW_GROUP - 1):
-                alone = _series6_row(p, site, i, 1e-300, 400)[0]  # the scan's tol_inner here
+                alone = _series6_row(p, site, i, 400)[0]
                 assert row["term"] == pytest.approx(alone, rel=1e-14), i
 
     @pytest.mark.parametrize("evaluate", [evaluate_series5, evaluate_series6])
@@ -662,10 +667,10 @@ class TestSeries6Blocks:
         assert all(site is records[0] for site in records)
 
     def test_blocks_sized_when_the_scan_reaches_them(self, monkeypatch):
-        # at depth 68 the scan stops after 62-63 terms, inside the first
-        # column block (rows q < 64): series6 forms that block alone and
-        # sizes only its two row groups, where it used to size the second
-        # block's group too before the first row
+        # the count is known before the first row: at tol 1e-14 it is 67
+        # rows, in two column blocks (rows q < 64 and q >= 64), and
+        # series6 forms those two blocks and sizes their three row groups,
+        # each by its last row below the count, and nothing past it
         blocks, sized = [], []
         r_block, envelope = green_series._r_block, green_series._envelope_count
 
@@ -680,12 +685,13 @@ class TestSeries6Blocks:
         monkeypatch.setattr(green_series, "_r_block", spy_block)
         monkeypatch.setattr(green_series, "_envelope_count", spy_envelope)
         p = GreenParams(t=4.0, gamma=1.0)
-        gap = p.t - p.gamma
-        assert _depth(p, 2.0 / gap, gap, 0.5e-14, 400, _row_envelope) == 68
+        count = _least_count(_outer_tail(p, "series6"), 0.5e-14, 400)
+        assert count == 67
         ev = evaluate_series6(p, tol=1e-14)
-        assert 62 <= ev.terms_used <= 63 < 2 * _COL_TILE
-        assert blocks == [0]
-        assert sized == [2 * (_ROW_GROUP - 1), 2 * (2 * _ROW_GROUP - 1)]
+        assert ev.terms_used == count
+        assert ev.converged
+        assert blocks == [0, _COL_TILE]
+        assert sized == [2 * (_ROW_GROUP - 1), 2 * (2 * _ROW_GROUP - 1), count - 1]
 
     def test_lead_past_the_first_tile(self):
         # at (0, 200, 0) the tiles of column block 0 have an empty range
@@ -695,13 +701,13 @@ class TestSeries6Blocks:
         lm = 100
         site = _site(p)
         assert green_series._tiles(site, 0, (400 + 30 - lm) // 2 + 1)[0][0] == 32
-        got = _series6_row(p, site, 0, 0.0, 400)
-        want = _series6_row_per_j(p, site, 0, 0.0, 400)
+        got = _series6_row(p, site, 0, 400)
+        want = _series6_row_per_j(p, site, 0, 400)
         assert got[0] > 0.0
         assert got[0] == pytest.approx(want[0], rel=1e-14)
-        assert got[1:] == want[1:3]
+        assert got[1] == pytest.approx(want[1], rel=1e-13)
         ev = evaluate_series6(p, tol=1e-11)
-        assert ev.value == pytest.approx(_series6_row(p, site, 0, 1e-300, 400)[0], rel=1e-14)
+        assert ev.value == pytest.approx(_series6_row(p, site, 0, 400)[0], rel=1e-14)
 
     def test_j_bounded_by_b(self):
         # the envelope widths rest on J_p(k) = pi C(p, (p-k)/2) / 2^p <=
@@ -716,12 +722,12 @@ class TestSeries6Blocks:
                 c = c * j // (p - j + 1)
 
     def _groups(self, monkeypatch):
-        """(params, c0, tols, width) of every group the scan forms on the grid."""
+        """(params, c0, rows, width) of every group the scan forms on the grid."""
         groups = []
 
-        def spy(params, site, c0, tols, R):
-            groups.append((params, c0, list(tols), R.shape[1]))
-            return _series6_rows(params, site, c0, tols, R)
+        def spy(params, site, c0, R):
+            groups.append((params, c0, R.shape[0], R.shape[1]))
+            return _series6_rows(params, site, c0, R)
 
         monkeypatch.setattr(green_series, "_series6_rows", spy)
         for p in self._grid():
@@ -730,37 +736,36 @@ class TestSeries6Blocks:
         return groups
 
     def test_row_totals_do_not_depend_on_the_width(self, monkeypatch):
-        # the envelope widths may shrink without moving a result: a row
-        # that stops inside width w gives the same total, bound and flag,
-        # to the bit, when 17 more pieces follow it
+        # a row's total and tail depend on its own W pieces alone: read
+        # from a block formed 17 rows wider, and alone rather than in its
+        # group, each row gives the same total and tail, to the bit
         extra, compared = 17, 0
-        for p, c0, tols, w in self._groups(monkeypatch):
+        for p, c0, count, w in self._groups(monkeypatch):
             site = _site(p)
             c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(site, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + len(tols)]
-            narrow = _series6_rows(p, site, c0, tols, R[:, :w])
-            wide = _series6_rows(p, site, c0, tols, R)
-            for row, (got, want) in enumerate(zip(zip(*narrow), zip(*wide))):
-                if got[2]:
-                    assert got == want, (p, c0, row)
-                    compared += 1
+            R = _series6_r(site, c_block, _COL_TILE, w + extra)[c0 - c_block : c0 - c_block + count, :w]
+            group = list(zip(*_series6_rows(p, site, c0, R)))
+            for row in range(count):
+                alone = _series6_rows(p, site, c0 + row, R[row : row + 1])
+                assert group[row] == (alone[0][0], alone[1][0]), (p, c0, row)
+                compared += 1
         assert compared > 1000
 
     def test_row_totals_within_one_ulp_of_fsum(self, monkeypatch):
-        # the vector pass stops every row where the per-row loop does,
-        # with the same bound, and its compensated total is within one
-        # ulp of the correctly rounded sum of the pieces up to the stop
+        # the vector pass gives every row the tail the per-row loop
+        # takes, and its compensated total is within one ulp of the
+        # correctly rounded sum of the row's pieces
         rows = 0
-        for p, c0, tols, w in self._groups(monkeypatch):
+        for p, c0, count, w in self._groups(monkeypatch):
             site = _site(p)
             c_block = c0 - c0 % _COL_TILE
-            R = _series6_r(site, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + len(tols)]
-            got = _series6_rows(p, site, c0, tols, R)
-            for row, ((total, bound, ok), (pieces, want_bound, want_ok)) in enumerate(
-                zip(zip(*got), _rows_by_loop(p, site, c0, tols, R))
+            R = _series6_r(site, c_block, _COL_TILE, w)[c0 - c_block : c0 - c_block + count]
+            got = _series6_rows(p, site, c0, R)
+            for row, ((total, tail), (pieces, want_tail)) in enumerate(
+                zip(zip(*got), _rows_by_loop(p, site, c0, R))
             ):
                 fsum = math.fsum(pieces)
-                assert (bound, ok) == (want_bound, want_ok), (p, c0, row)
+                assert tail == want_tail, (p, c0, row)
                 assert abs(total - fsum) <= math.ulp(fsum), (p, c0, row)
                 rows += 1
         assert rows > 1000
@@ -802,8 +807,9 @@ class TestNuTable:
                 assert moment_coefficient(i, p) == full[i] * p.band_edge**i, (site, i)
 
     def test_table_built_to_the_envelope_depth(self, monkeypatch):
-        # series5 reads 146 orders here; |nu_i| <= 1 sized its table at
-        # 222 orders, the closed-form envelope at 165
+        # series5 builds its table once, to the 164 orders it sums, the
+        # least count whose closed-form tail meets tol; the bound
+        # |nu_i| <= 1 would have asked for 221
         counts = []
         nu_table = green_series._nu_table
 
@@ -814,52 +820,50 @@ class TestNuTable:
         monkeypatch.setattr(green_series, "_nu_table", spy)
         p = GreenParams(t=4.5, gamma=2.0, l=2, m=1, n=1)
         ev = evaluate_series5(p, tol=1e-11)
-        assert counts == [165]
-        assert ev.terms_used == 146
-        assert _depth(p, p.band_edge / p.t, p.t, 1e-11, 400, lambda params, i: 1.0) == 222
-
-    def test_order_past_the_table_raises(self, monkeypatch):
-        # a depth too small for the scan must fail, not rebuild the table:
-        # the rows end before n_max while the scan runs on
-        p = GreenParams(t=3.2, gamma=1.0, l=2, m=1, n=1)
-        site = _site(p)
-        assert _nu_table(p, site, 40)[39] == _nu_table(p, site, 301)[39]
-        monkeypatch.setattr(green_series, "_depth", lambda *args: 40)
-        for evaluate in (evaluate_series5, evaluate_series6):
-            with pytest.raises(IndexError):
-                evaluate(p, tol=1e-300, n_max=300)
+        assert counts == [164]
+        assert ev.terms_used == 164
+        crude = _tail(p, p.band_edge / p.t, p.t - p.band_edge, lambda params, i: 1.0)
+        assert _least_count(crude, 1e-11, 400) == 221
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 7.0, 30.0, 1000.0])
     def test_scan_stops_inside_the_table(self, gamma):
-        # the scan builds nu only to the envelope's _depth; it must never read past it
+        # series5 sums exactly the least count k <= n_max whose tail meets
+        # tol, found term by term here, and reports tail(k) as its
+        # estimate: converged exactly where that is at most tol
         for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
             for tol in (1e-5, 1e-11, 1e-14):
                 for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
                     ev = evaluate_series5(p, tol=tol)
-                    depth = _depth(p, p.band_edge / p.t, p.t, tol, 400, _nu_envelope)
-                    assert ev.terms_used <= depth, (offset, tol, l, m, n)
+                    tail = _outer_tail(p, "series5")
+                    assert ev.terms_used == _least_count(tail, tol, 400), (offset, tol, l, m, n)
+                    assert ev.abs_error_estimate == tail(ev.terms_used)
+                    assert ev.converged == (ev.abs_error_estimate <= tol)
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.0, 7.0, 30.0, 1000.0])
     @pytest.mark.parametrize("l_max", [17, 400])
     def test_series6_scan_stops_inside_its_depth(self, gamma, l_max):
-        # series6 forms its rows only to the row envelope's _depth at
-        # r6 = 2/(t - gamma); at t - edge = 1e6 the floor l+m+n sets that depth
+        # series6 forms exactly the rows below the least count k <= n_max
+        # whose tail at r6 = 2/(t - gamma) meets tol/2, whatever l_max
+        # cuts its inner sums to; its estimate is tail(k) plus the inner
+        # tails, and it converges exactly where that is at most tol
         for offset in (1e-3, 0.1, 1.0, 10.0, 1e6):
             for tol in (1e-5, 1e-11, 1e-14):
                 for l, m, n in [(0, 0, 0), (2, 1, 1), (12, 12, 0), (24, 0, 0)]:
                     p = GreenParams(t=2.0 + gamma + offset, gamma=gamma, l=l, m=m, n=n)
-                    ev = evaluate_series6(p, tol=tol, l_max=l_max)
-                    gap = p.t - p.gamma
-                    depth = _depth(p, 2.0 / gap, gap, tol / 2, 400, _row_envelope)
-                    assert ev.terms_used <= depth, (offset, tol, l, m, n)
+                    rows, ev = convergence_rows(p, tol=tol, method="series6", l_max=l_max)
+                    tail = _outer_tail(p, "series6")
+                    assert ev.terms_used == _least_count(tail, tol / 2, 400), (offset, tol, l, m, n)
+                    assert ev.abs_error_estimate >= tail(ev.terms_used)
+                    assert ev.converged == (ev.abs_error_estimate <= tol)
+                    assert rows[-1]["tail_bound"] in (tail(ev.terms_used), None)
 
     @pytest.mark.parametrize(
         "t, gamma",
         [(3.01, 1.0), (4.5, 2.0), (6.0, 3.0), (9.01, 7.0), (12.0, 0.5), (2.06, 0.01), (19.0, 7.0)],
     )
     def test_series6_rows_within_their_bound(self, t, gamma):
-        # _depth's premise for series6: row q <= r6^q / (t - gamma), and
+        # the outer tail's premise for series6: row q <= r6^q / (t - gamma), and
         # at most V_q of that (_row_envelope), also with all 1000 pieces
         for l, m, n in [(0, 0, 0), (2, 1, 1), (3, 3, 2), (24, 0, 0)]:
             p = GreenParams(t=t, gamma=gamma, l=l, m=m, n=n)
@@ -872,13 +876,14 @@ class TestNuTable:
 
     @pytest.mark.parametrize("method", ["series5", "series6"])
     def test_terms_below_the_double_range(self, method):
-        # at t = 1e300 every term of (2, 0, 0) is 0.0, so the bound never
-        # starts: the scan ends unstopped at its depth instead of raising
+        # at t = 1e300 every term of (2, 0, 0) is 0.0 and so is the
+        # closed-form tail; a positive G never reports estimate 0.0, so
+        # the tail takes the least positive double as its floor
         p = GreenParams(t=1e300, l=2)
         rows, ev = convergence_rows(p, method=method)
         assert [row["term"] for row in rows] == [0.0] * ev.terms_used
-        assert ev.value == 0.0 and ev.abs_error_estimate == math.inf
-        assert not ev.converged
+        assert ev.value == 0.0 and ev.abs_error_estimate > 0.0
+        assert ev.converged == (ev.abs_error_estimate <= 1e-10)
 
     def test_deepest_call_stays_small(self):
         # the tiles keep every temporary near 2^16 doubles; an untiled
@@ -1176,7 +1181,7 @@ class TestMomentEnvelope:
 
     @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 7.0, 30.0, 100.0, 1000.0])
     def test_closed_form_bounds_every_site(self, gamma):
-        # _depth's premise for series5: |nu_i| <= U_i (_nu_envelope), up
+        # the outer tail's premise for series5: |nu_i| <= U_i (_nu_envelope), up
         # to the hard cap; U does not increase, and at gamma = 1 it lies
         # about 10.4 times above the origin's moments
         p = GreenParams(t=2.0 + gamma, gamma=gamma)
@@ -1192,59 +1197,13 @@ class TestMomentEnvelope:
             assert np.all(np.abs(envelope[100:401:100] / origin[100:401:100] - 10.4) < 0.05)
 
 
-def _chunks(terms, errors=None, oks=None, cuts=None):
-    """Chunks over fixed terms, inner errors and inner flags, cut at ``cuts`` (default: in half)."""
-    errors = errors or [0.0] * len(terms)
-    oks = oks or [True] * len(terms)
-    edges = [0, *([len(terms) // 2] if cuts is None else cuts), len(terms)]
-    return [(terms[i:j], errors[i:j], oks[i:j]) for i, j in zip(edges, edges[1:])]
-
-
-def _scan_by_term(rows, ratio, stop_tol, n_max):
-    """The summation loop one (term, inner_error, inner_ok) row at a time (reference).
-
-    The body of the scan before it read chunks, kept to test the chunked
-    ``_scan`` against: every field of the state it returns is the one
-    the chunked scan must return, bit for bit.
-    """
-    geo = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    state = green_series._ScanState()
-    total = comp = 0.0
-    seen_nonzero = False
-    running = math.inf
-    for i, (term, inner_error, inner_ok) in enumerate(itertools.islice(rows, n_max)):
-        state.terms.append(term)
-        state.inner_errors.append(inner_error)
-        state.inner_ok = state.inner_ok and inner_ok
-        if term != 0.0:
-            seen_nonzero = True
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        state.sums.append(total)
-        prev = state.terms[i - 1] if i >= 1 else 0.0
-        bound = geo * max(term, ratio * prev) if ratio < 1.0 else math.inf
-        if seen_nonzero:
-            running = min(running, bound)
-        state.bounds.append(running)
-        if running <= stop_tol:
-            state.stopped = True
-            break
-    else:
-        if len(state.terms) < n_max and seen_nonzero:
-            raise IndexError(f"the rows ended after {len(state.terms)} of {n_max} terms")
-    return state
-
-
 class TestZeroTermsBeforeTheSite:
     """Both series' terms are exactly 0.0 until the first walk reaches the site.
 
     Every summand is >= 0, so a term is 0.0 unless a walk of its order
     reaches (l, m, n).  For series5 that order is max((l+m+n)/2, l, m, n),
     at least (l+m+n+1)//2; for series6 no row before n can reach the
-    site.  So the scan's first nonzero term never comes before either
-    index, and it needs no floor of its own.
+    site.  So the first nonzero term never comes before either index.
     """
 
     SITES = [(0, 0, 0), (2, 1, 1), (9, 8, 1), (12, 12, 0), (24, 0, 0)]
@@ -1266,121 +1225,73 @@ class TestZeroTermsBeforeTheSite:
 
 
 class TestScan:
-    """The summation loop of both series, on synthetic chunks."""
+    """The count of terms, the summation and the estimate of both series, on synthetic terms."""
+
+    @staticmethod
+    def _geometric_tail(k):
+        return 2.0**-k
 
     def test_zero_terms_before_the_floor_never_stop_it(self):
-        # at ratio 1/2 the bound after a zero that follows a zero is
-        # 0.0, but before the first nonzero term no bound counts
-        state = _scan(_chunks([0.0] * 6), 0.5, 0.0, 6)
-        assert not state.stopped and state.bounds == [math.inf] * 6
+        # zero terms before the first nonzero one are not added: the sums
+        # after them are the sums of the terms alone, bit for bit, and
+        # the estimate is the tail at the count, not a bound read off
+        # the zeros
+        terms = [0.3 * 0.7**i for i in range(12)]
+        plain = _scan(terms, [0.0] * 12, 0.5, self._geometric_tail)
+        padded = _scan([0.0] * 6 + terms, [0.0] * 18, 0.5, self._geometric_tail)
+        assert padded.sums == [0.0] * 6 + plain.sums
+        assert _finish(padded, 1.0, "none", "series5").abs_error_estimate == 2.0**-18
 
     def test_stops_at_the_first_bound_within_tol(self):
-        terms = [2.0**-i for i in range(20)]
-        state = _scan(_chunks(terms), 0.5, 2.0**-5, len(terms))
-        # the bound after term i is max(2^-i, 2^-1 * 2^-(i-1)) = 2^-i
-        assert state.bounds == [2.0**-i for i in range(6)]
-        assert state.stopped and len(state.terms) == 6
-        assert state.sums[-1] == 2.0 - 2.0**-5
+        # the count is the least k in [lo, hi) whose tail meets tol, or hi
+        tail = self._geometric_tail
+        assert _first_passing(lambda k: tail(k) <= 2.0**-5, 1, 20) == 5
+        assert _first_passing(lambda k: tail(k) <= 1.0, 1, 20) == 1
+        assert _first_passing(lambda k: tail(k) <= 2.0**-30, 1, 20) == 20
+        assert _first_passing(lambda k: True, 0, 0) == 0
 
     def test_inner_errors_and_flags_are_combined(self):
+        # the estimate is the outer tail at the count plus every inner
+        # tail; an inner sum cut at l_max reports inf, and no result that
+        # read one converges
         terms = [1.0, 0.5, 0.25]
         errors = [1e-3, 2e-3, 4e-3]
-        state = _scan(_chunks(terms, errors, [True, False, True]), 0.5, 0.0, 3)
-        assert state.inner_errors == errors
-        assert not state.inner_ok
+        state = _scan(terms, errors, 0.5, self._geometric_tail)
         ev = _finish(state, 1.0, "none", "series6")
-        assert ev.abs_error_estimate == state.best_bound + math.fsum(errors)
-        assert not ev.converged
-        state = _scan(_chunks(terms, errors, [True] * 3), 0.5, 0.0, 3)
-        assert state.inner_ok
+        assert ev.abs_error_estimate == 2.0**-3 + math.fsum(errors)
+        assert ev.converged and ev.value == 1.75
+        state = _scan(terms, [1e-3, math.inf, 4e-3], 0.5, self._geometric_tail)
+        ev = _finish(state, 1.0, "none", "series6")
+        assert ev.abs_error_estimate == math.inf and not ev.converged
 
     @pytest.mark.parametrize("ratio", [1.0, 1.5])
     def test_ratio_at_or_above_one_never_stops(self, ratio):
-        terms = [1e-300 * 0.5**i for i in range(8)]
-        state = _scan(_chunks(terms), ratio, 1.0, len(terms))
-        assert not state.stopped and len(state.terms) == 8
-        assert state.bounds == [math.inf] * 8
+        # no geometric tail exists: every tail is inf, the count is n_max
+        # and nothing converges
+        p = GreenParams(t=3.0)
+        tail = _tail(p, ratio, 1.0, _nu_envelope)
+        assert [tail(k) for k in range(8)] == [math.inf] * 8
+        assert _first_passing(lambda k: tail(k) <= 1.0, 1, 8) == 8
+        state = _scan([1e-300 * 0.5**i for i in range(8)], [0.0] * 8, ratio, tail)
+        ev = _finish(state, 1.0, "none", "series5")
+        assert ev.terms_used == 8 and not ev.converged
 
-    def test_rows_ending_early_raise(self):
-        # a depth too small: the rows end before n_max, past a nonzero term
-        terms = [0.0, 0.0, 1.0, 0.5]
-        with pytest.raises(IndexError):
-            _scan(_chunks(terms), 0.5, 0.0, 10)
-        assert len(_scan(_chunks(terms), 0.5, 0.0, 4).terms) == 4
-
-    def test_zero_rows_ending_early_end_unstopped(self):
-        # every term underflowed to 0.0: no bound exists, and nothing raises
-        state = _scan(_chunks([0.0] * 4), 0.5, 1.0, 10)
-        assert not state.stopped and state.sums == [0.0] * 4
-        assert _finish(state, 1.0, "none", "series5").abs_error_estimate == math.inf
-
-    def test_no_chunk_read_past_the_stop(self):
-        # a stop on the last term of a chunk and one inside a chunk: the
-        # scan takes the terms up to the stop and pulls no later chunk
-        terms = [2.0**-i for i in range(20)]
-        for cuts, chunks_read in (([3, 6, 10], 2), ([3, 5, 10], 3), ([6], 1)):
-            chunks = _chunks(terms, cuts=cuts)
-            pulled = []
-
-            def feed():
-                for chunk in chunks:
-                    pulled.append(chunk)
-                    yield chunk
-
-            state = _scan(feed(), 0.5, 2.0**-5, len(terms))
-            assert state.stopped and len(state.terms) == 6, cuts
-            assert len(pulled) == chunks_read, cuts
-
-    def test_chunks_match_the_scan_by_term(self):
-        # random term lists cut into random chunks against the per-term
-        # loop: every _ScanState field bit for bit, or IndexError from
-        # both.  Each list is also cut at its stop, around it and at
-        # n_max, and the cases must cover every path below
+    def test_bisection_matches_the_search_by_term(self):
+        # random tails that do not increase, flat stretches and values at
+        # tol included, against the search term by term: the bisection
+        # finds the same least count, also where no count passes
         rng = random.Random(20121)
         seen = collections.Counter()
-        for _ in range(400):
-            count = rng.randrange(1, 50)
-            zeros = rng.choice([0, 0, rng.randrange(count + 1)])
-            decay = rng.uniform(0.1, 1.2)
-            terms = [0.0] * zeros + [
-                rng.uniform(0.5, 2.0) * decay**i if rng.random() < 0.8 else 0.0
-                for i in range(count - zeros)
-            ]
-            errors = [rng.choice([0.0, rng.uniform(0.0, 1e-3)]) for _ in terms]
-            oks = [rng.random() < 0.95 for _ in terms]
-            ratio = rng.choice([0.1, 0.5, 0.9, 1.0, 1.5])
-            stop_tol = rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 1.0)])
-            n_max = rng.choice([count, rng.randrange(1, count + 1), count + rng.randrange(1, 4)])
-            try:
-                want = _scan_by_term(zip(terms, errors, oks), ratio, stop_tol, n_max)
-            except IndexError:
-                want = None
-            end = len(want.terms) if want else count
-            cut_sets = [
-                sorted(rng.randrange(count + 1) for _ in range(rng.randrange(5))),
-                [end],
-                [max(end - 1, 0), min(end + 1, count)],
-                [min(n_max, count)],
-            ]
-            for cuts in cut_sets:
-                chunks = _chunks(terms, errors, oks, cuts)
-                if want is None:
-                    with pytest.raises(IndexError):
-                        _scan(iter(chunks), ratio, stop_tol, n_max)
-                    seen["raised"] += 1
-                    continue
-                got = _scan(iter(chunks), ratio, stop_tol, n_max)
-                assert repr(vars(got)) == repr(vars(want)), (terms, ratio, stop_tol, n_max, cuts)
-                edges = {0, *cuts, count}
-                if want.stopped:
-                    seen["stop at a chunk's end" if end in edges else "stop inside a chunk"] += 1
-                elif end == n_max and end not in edges:
-                    seen["n_max inside a chunk"] += 1
-                elif end < n_max:
-                    seen["zero terms ending early"] += 1
-                seen["zeros before the first nonzero"] += want.stopped and zeros > 0
-                seen["ratio >= 1"] += ratio >= 1.0
-        assert len(seen) == 7 and min(seen.values()) >= 10, seen
+        for _ in range(2000):
+            n_max = rng.randrange(1, 60)
+            draws = [rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-14, 2)]) for _ in range(n_max + 1)]
+            values = sorted(draws, reverse=True)
+            tol = rng.choice([values[rng.randrange(n_max + 1)], 10.0 ** rng.uniform(-14, 2), 1e-16])
+            want = _least_count(values.__getitem__, tol, n_max)
+            assert _first_passing(lambda k: values[k] <= tol, 1, n_max) == want, (values, tol)
+            seen["none passes" if want == n_max and values[n_max - 1] > tol else "one passes"] += 1
+            seen["tol is a tail"] += tol in values
+        assert len(seen) == 3 and min(seen.values()) >= 50, seen
 
 
 class TestEvaluateSeries5:
@@ -1510,10 +1421,12 @@ class TestEvaluateSeries6:
 
     def test_gamma_over_t_below_the_double_range(self):
         # gamma/t = 1e-330 underflows to 0.0: both envelopes take their
-        # bound without x, where the row width raised "math domain error"
+        # bound without x, where the row width raised "math domain error";
+        # the inner ratio reads 0.0, and the inner tail takes its floor
         p = GreenParams(t=1e300, gamma=1e-30)
         ev = evaluate_series6(p, tol=1e-3)
         assert ev.converged and ev.terms_used == 1
+        assert ev.abs_error_estimate == 2 * math.ulp(0.0)
         assert ev.value == 1e-300 == evaluate_series5(p, tol=1e-3).value
         assert _row_envelope(p, 5) == 1.0
 
@@ -1613,9 +1526,10 @@ class TestWholeOrders:
     def test_bad_orders_leave_the_tables_intact(self, monkeypatch):
         # a float order once grew the process-wide J table to a float
         # max_n, and every later series call raised TypeError
+        p = GreenParams(4.0)
+        want = evaluate_series5(p).value
         monkeypatch.setattr(basic_integrals, "_default", IntegralTable(64))
         _cold()
-        p = GreenParams(4.0)
         calls = [
             lambda: evaluate_series5(p, n_max=400.0),
             lambda: evaluate_series6(p, l_max=700.0),
@@ -1630,7 +1544,7 @@ class TestWholeOrders:
                 call()
             assert basic_integrals.shared_table(0).max_n == 64
             assert type(basic_integrals.shared_table(0).max_n) is int
-        assert evaluate_series5(p).value == 0.2694162337972194
+        assert evaluate_series5(p).value == want
 
     def test_numpy_integers_pass(self):
         p = GreenParams(4.0, l=2, m=1, n=1)
