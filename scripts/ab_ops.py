@@ -1,6 +1,6 @@
 """Time every pooled operation of a bench workload in two trees, in one process.
 
-Usage: python3 scripts/ab_ops.py REV [--workload W] [--rounds N]
+Usage: python3 scripts/ab_ops.py REV [--workload W] [--rounds N] [--cold]
 
 REV's src/ is exported with ``git archive``, which writes nothing into
 .git, and its greenfcc imported under the package name
@@ -17,6 +17,12 @@ operation to the next and from round to round; each side takes the
 best of 5 calls, and the process stays on the fastest CPU as the
 bench's client does.  Results are not checked: scripts/same_results.py
 compares them.
+
+With --cold each tree's series site records (``_site_tables``, the J
+arrays and the stored inner sums R) are emptied before every timed
+call, outside its timing, so the series calls time their cold path:
+the record build, the tile products of R and the weighting.  The
+quadrature keeps its own caches either way.
 
 Printed per operation: each tree's median over the rounds in
 microseconds, their ratio (tree / REV) and the rounds the tree won.
@@ -42,9 +48,10 @@ h = _trees.h
 BEST_OF = 5
 
 
-def best_of(call) -> float:
+def best_of(call, reset) -> float:
     best = float("inf")
     for _ in range(BEST_OF):
+        reset()
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
@@ -59,7 +66,7 @@ def pool_line(name: str, base: float, tree: float) -> str:
     return f"{name:<34} {base * 1e3:>10.4f} ms {tree * 1e3:>10.4f} ms  ratio {tree / base:.3f}"
 
 
-def compare(base_calls: list, tree_calls: list, ops: list[dict], rounds: int) -> None:
+def compare(base_calls: list, tree_calls: list, ops: list[dict], rounds: int, resets: tuple) -> None:
     for a, b in zip(base_calls, tree_calls):
         a(), b()
     chooser = h.CpuChooser()
@@ -73,7 +80,7 @@ def compare(base_calls: list, tree_calls: list, ops: list[dict], rounds: int) ->
             chooser.maybe_move()
             sides = ((0, base_calls[idx]), (1, tree_calls[idx]))
             for side, call in sides[::-1] if flip else sides:
-                latencies[side].append(best_of(call))
+                latencies[side].append(best_of(call, resets[side]))
             flip ^= 1
         flip ^= 1
     times: list[tuple[list[float], list[float]]] = [([], []) for _ in ops]
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
     ap.add_argument("rev", help="git revision to time the working tree against")
     ap.add_argument("--workload", default="offedge_sweep", choices=h.WORKLOADS)
     ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--cold", action="store_true", help="empty the series site records before every timed call")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -107,8 +115,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = _trees.import_tree(_trees.export(args.rev, Path(tmp)), "greenfcc_base")
         tree = _trees.import_tree(_trees.ROOT / "src")
-        print(f"{args.workload}: {len(ops)} ops, {args.rounds} rounds, best of {BEST_OF}; REV = {args.rev}")
-        compare(_trees.pool_calls(base, ops), _trees.pool_calls(tree, ops), ops, args.rounds)
+        resets = tuple(g.green_series._site_tables.cache_clear if args.cold else (lambda: None) for g in (base, tree))
+        print(
+            f"{args.workload}: {len(ops)} ops, {args.rounds} rounds, best of {BEST_OF}"
+            f"{', cold' if args.cold else ''}; REV = {args.rev}"
+        )
+        compare(_trees.pool_calls(base, ops), _trees.pool_calls(tree, ops), ops, args.rounds, resets)
     return 0
 
 

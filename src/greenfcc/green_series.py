@@ -44,14 +44,16 @@ the J and E arrays zero-padded and the site's store of R, and
 in the record and extends it when a deeper call asks for more.  A
 series call only weights stored entries, O(N^2) work where forming
 them is O(N^3).
-Series5 sums weighted anti-diagonals into its table nu_0 .. nu_(k-1)
-(``_nu_table``); series6 reads columns as its rows (``_series6_rows``),
-a block of R at a time.  The count k comes from a closed-form,
-site-free envelope of the terms: every J_p is at most b(p) = min(pi,
-sqrt(2 pi / p)), so nu_i decays like i^(-3/2) (``_nu_envelope``) and
-series6's row q like q^(-3/2) r6^q (``_row_envelope``).  Each inner sum
-of series6 takes the pieces its own envelope asks for
-(``_envelope_count``) and reports that envelope's tail past them.
+Series5 weights each stored block and sums its anti-diagonals in one
+pass, an einsum over 1-D weights in p and q, into its table nu_0 ..
+nu_(k-1) (``_nu_table``); series6 reads columns as its rows
+(``_series6_rows``), a block of R at a time.  The count k comes from a
+closed-form, site-free envelope of the terms: every J_p is at most b(p)
+= min(pi, sqrt(2 pi / p)), so nu_i decays like i^(-3/2)
+(``_nu_envelope``) and series6's row q like q^(-3/2) r6^q
+(``_row_envelope``).  Each inner sum of series6 takes the pieces its
+own envelope asks for (``_envelope_count``) and reports that
+envelope's tail past them.
 
 Both series take every binomial from the scaled factorials
 E[k] = 256^k/k! and G[j] = j!/2^(9j): C(i,j) G[j] = G[i]/G[i-j] in
@@ -104,8 +106,6 @@ _ACCEL_CHOICES = ("none", "wynn", "aitken")
 # and 64 x 64 or larger tiles are slower below 400 orders.
 _ROW_TILE = 16
 _COL_TILE = 32
-# the rows of a block that _nu_table weights and sums at a time
-_SUM_ROWS = 448
 # series6 sizes its rows in groups of this many
 _ROW_GROUP = 16
 # the constants of the series5 and series6 envelopes
@@ -239,9 +239,9 @@ def _strided(arr: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndar
     return np.ndarray(shape, buffer=arr, offset=start * size, strides=[s * size for s in steps])
 
 
-def _shifted(values: np.ndarray, offset: int, length: int, fill: float = 0.0) -> np.ndarray:
-    """``length`` entries, values[x] at offset + x and ``fill`` elsewhere."""
-    out = np.full(length, fill) if fill else np.zeros(length)
+def _shifted(values: np.ndarray, offset: int, length: int) -> np.ndarray:
+    """``length`` entries, values[x] at offset + x and 0 elsewhere."""
+    out = np.zeros(length)
     take = max(0, min(values.size, length - offset))
     out[offset : offset + take] = values[:take]
     return out
@@ -330,65 +330,61 @@ def _r_block(site: _SiteTables, c0: int, rows: int) -> np.ndarray:
 def _nu_table(params: GreenParams, site: _SiteTables, count: int) -> np.ndarray:
     """nu_0 .. nu_(count-1) of the site, at the gamma of ``params``.
 
-    pi^3 nu_i = sum_q w(i, q) R(i - q, q) over the stored inner sums R
-    of ``_r_block``, with w(i, q) = G[i] / G[p] (gamma/s)^p (2/s)^q
-    Jn[q], p = i - q, where G[i] / G[p] = C(i, q) G[q]: R(p, q) G[q] is
-    the row q = j of the double sum.  The weight is formed in that
-    order: the ratio (up to 1e79) goes into the gamma ladder before the
-    J_n ladder, since at gamma = 1, i = 1000, q near 512 the two ladders
-    alone multiply to about 1e-323.  Both ladders are formed elementwise
-    for the table's orders.  Weights with q > i or p < 0 are zero.
+    With x = gamma/s, y = 2/s and the stored inner sums R of
+    ``_r_block``, pi^3 nu_i = sum_q C(i, q) x^p y^q Jn[q] R(p, q) G[q],
+    p = i - q, and C(i, q) G[q] = G[i] / G[p], so
 
-    A call reads the blocks of the columns with an order i = s' + c + h
-    < ``count`` at s' >= 0 and p = i - n - 2c >= 0 from row u = max(0,
-    -i0) on, i0 = 2 c0 - lm, the first whose weights g_i lie inside the
-    table; rows before a block's first tile are 0 and add +0.0.  It
-    weights them ``_SUM_ROWS`` rows at a time into one work buffer,
-    after the _COL_TILE - 1 rows before them (zeros before row u).  Each
-    chunk is summed along its anti-diagonals s' + c = i - h, a sheared
-    view of the buffer, into nu_i in column order.  Every anti-diagonal
-    lies whole in one chunk, so where a chunk starts groups no sum
-    differently, and a shorter table is bit for bit a prefix of a longer
-    one.  No array of the call passes ``_SUM_ROWS`` + _COL_TILE - 1
-    rows.
+        pi^3 nu_i = G[i] sum_q T[p] y_q R(p, q),
+
+    T[p] = x^p / G[p] (0 for p < 0) and y_q = y^q Jn[q], both 1-D.
+    Block c0 holds the columns q = q0 + 2j, q0 = n + 2 c0, j <
+    _COL_TILE, as F[u, j] = R(u - j, q), so order i = q0 + d sums the
+    block's anti-diagonal d = u + j: one einsum over the view T[d - 2j]
+    and the sheared view F[d - j, j], which weights and sums every entry
+    in one pass.  Each product is formed as (T[p] y_q) R(p, q), at most
+    pi^3 C(i, q) x^p y^q / G[i] <= pi^3 / G[i] <= 1.25e222, and so is
+    every sum; T R alone reaches 4e220 pi^2 / G[q] and overflows, and at
+    gamma = 1000 y_q underflows to 0 at deep q, where inf 0 would be
+    NaN.  G[i] multiplies each order once, after its sum.
+
+    The sheared view starts at d = _COL_TILE - 1, where F[d - j, j] is
+    in F for every j.  The head rows d below it read a zero-padded copy
+    of F's first rows, and only the columns j <= d/2 < _COL_TILE/2,
+    the only ones with p = d - 2j >= 0; all blocks' heads go into one
+    einsum.  A sum's terms and their order depend on (i, q0) alone, so a
+    shorter table is bit for bit a prefix of a longer one.
     """
-    n, lm = params.n, site.lm  # p = s' - c + lm
+    n, tc = params.n, _COL_TILE
+    hr, hc = tc - 1, tc // 2  # the head rows and their columns
+    blocks = range(0, min(count - site.lm - n, (count + 1 - n) // 2), tc)
+    if not blocks:
+        return np.zeros(count)
     G = _factorial_scales()[1]
-    h = lm + n
-    tc = _COL_TILE
-    c_stop = min(count - h, (count + 1 - n) // 2)
-    nus = np.zeros(count)
-    if c_stop <= 0:
-        return nus
-    # the weights' arrays are zero-padded (ones for G in a denominator)
-    size = count + 2 * tc
-    gi = _shifted(G[:count], 0, size)
-    gp = _shifted(G, tc - 1, size, fill=1.0)
     orders, s = np.arange(count), params.band_edge
-    gs = _shifted(np.power(params.gamma / s, orders), tc - 1, size)
-    jn = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * (c_stop + tc))
-    # the weights of row u = s' - c0 + lm of block c0: g_i[u + i0, c] = gi[u + i0 + c + h]
-    # with i0 = 2 c0 - lm, and g_p, gs_p[u, c] = gp, gs[u - c + tc - 1]
-    g_i = _strided(gi, h, (count - h, tc), (1, 1))
-    g_p = _strided(gp, tc - 1, (count, tc), (1, -1))
-    gs_p = _strided(gs, tc - 1, (count, tc), (1, -1))
-    work = np.empty((min(_SUM_ROWS, count) + tc - 1, tc))
-    # sheared(k)[d, c] = work[tc - 1 + d - c, c], the entry of order a + i0 + h + d
-    for c0 in range(0, c_stop, tc):
-        rows, i0 = count - n - 2 * c0, 2 * c0 - lm  # column c0 reaches order count at row ``rows``
-        F = _r_block(site, c0, rows)
-        jn_c = jn[n + 2 * c0 : n + 2 * c0 + 2 * tc : 2]
-        work[: tc - 1] = 0.0
-        for a in range(max(0, -i0), rows, _SUM_ROWS):
-            k = min(_SUM_ROWS, rows - a)
-            w = work[tc - 1 : tc - 1 + k]
-            np.divide(g_i[a + i0 : a + i0 + k], g_p[a : a + k], out=w)
-            w *= gs_p[a : a + k]
-            w *= jn_c
-            w *= F[a : a + k]
-            sheared = _strided(work, (tc - 1) * tc, (k, tc), (tc, 1 - tc))
-            nus[a + i0 + h : a + i0 + h + k] += sheared.sum(axis=1)
-            work[: tc - 1] = work[k : k + tc - 1]
+    # Tv[d, j] = T[d - 2j], ys[b, j] = y_q at q = n + 2 (b tc + j)
+    T = _shifted(np.power(params.gamma / s, orders) / G[:count], 2 * hr, count + 2 * hr)
+    Tv = _strided(T, 2 * hr, (count, tc), (1, -2))
+    y = _shifted(np.power(2.0 / s, orders) * site.Jn[:count], 0, n + 2 * tc * len(blocks))
+    ys = _strided(y, n, (len(blocks), tc), (2 * tc, 2))
+    # sums[i] = pi^3 nu_i / G[i]; past count, the heads of the last block
+    sums = np.zeros(max(count, n + 2 * tc * len(blocks)))
+    # head[b, hc - 1 + u, j] = F[u, j] of block b, u < hr, and zeros before
+    head = np.zeros((len(blocks), hc - 1 + hr, hc))
+    for b, c0 in enumerate(blocks):
+        q0 = n + 2 * c0
+        F = _r_block(site, c0, count - q0)
+        top = F[:hr, :hc]
+        head[b, hc - 1 : hc - 1 + len(top)] = top
+        if count - q0 > hr:
+            Fs = _strided(F, hr * tc, (count - q0 - hr, tc), (tc, 1 - tc))
+            # einsum multiplies its operands left to right: (T y) R
+            sums[q0 + hr : count] += np.einsum("dj,j,dj->d", Tv[hr : count - q0], ys[b], Fs)
+    k = min(hr, count)
+    Hs = _strided(head, (hc - 1) * hc, (len(blocks), k, hc), (head[0].size, hc, 1 - hc))
+    sums[n : n + 2 * tc * len(blocks)].reshape(-1, 2 * tc)[:, :k] += np.einsum(
+        "dj,bj,bdj->bd", Tv[:k, :hc], ys[:, :hc], Hs
+    )
+    nus = sums[:count] * G[:count]
     nus /= PI3
     return nus
 

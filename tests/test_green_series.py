@@ -379,10 +379,13 @@ class TestStridedLoops:
     SITES = [(0, 0, 0), (2, 0, 0), (2, 1, 1), (3, 3, 2), (5, 0, 1), (1, 1, 4)]
     EPS = Fraction(2.0**-52)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 7.0])
+    @pytest.mark.parametrize("gamma", [0.001, 0.5, 1.0, 2.0, 7.0, 1000.0])
     def test_nu_matches_exact_moments(self, gamma):
         # all summands are >= 0, so the rounding is at most a relative
-        # (i+1) eps, and an exact zero must come out as 0.0
+        # (i+1) eps, and an exact zero must come out as 0.0; at gamma =
+        # 0.001 and 1000 the weights' factors x^p / G[p] and y^q Jn[q]
+        # span the widest range, and the exact orders stop at the safe
+        # order (98 at gamma = 1000)
         safe = _safe_order(gamma)
         deep_orders = [safe - 1, safe, safe + 1, safe + 2]
         # the table's tiles first reach order i = 2 s2 + c + h at multiples
@@ -391,7 +394,7 @@ class TestStridedLoops:
         for site in self.SITES:
             h = sum(site) // 2
             edges = [h + k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-            exact_orders = [0, 1, 2, 3, 6, 7, 40, 41, 200, 201, *edges]
+            exact_orders = [i for i in (0, 1, 2, 3, 6, 7, 40, 41, 200, 201, *edges) if i <= safe]
             p = GreenParams(t=2.0 + gamma + 0.01, gamma=gamma, l=site[0], m=site[1], n=site[2])
             tables, nus = _site(p), _nu(p, safe + 2)
             terms = _terms(p, safe + 3)
@@ -1368,12 +1371,23 @@ class TestEvaluateSeries5:
         assert not ev.converged
         assert ev.abs_error_estimate > 0.0
 
-    @pytest.mark.parametrize("t, gamma", [(1992.0, 1990.0), (1e6, 100003.0)])
+    @pytest.mark.parametrize(
+        "t, gamma", [(1992.0, 1990.0), (1e6, 100003.0), (1002.0, 1000.0), (1e6 + 2.0, 1e6)]
+    )
     def test_large_gamma_leaks_no_overflow(self, t, gamma):
+        # with the band-edge tables of 1000 orders at two sites: x^p / G[p]
+        # reaches 4e220 and y^q Jn[q] underflows to 0 at deep q, so a
+        # product formed as (x^p / G[p]) R before y^q would overflow to inf
+        # and give NaN; einsum raises no warning for it, so the tables are read
         p = GreenParams(t=t, gamma=gamma)
+        edge = [GreenParams(t=2.0 + gamma, gamma=gamma, m=m) for m in (0, 200)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            evs = (evaluate_series5(p), evaluate_series6(p))
+            evs = [evaluate_series5(p), evaluate_series6(p)]
+            evs += [evaluate_series5(q, n_max=1000) for q in edge]
+            tables = [_nu(q, 999) for q in edge]
+        for nus in tables:
+            assert np.all(np.isfinite(nus)) and np.all(nus >= 0.0)
         for ev in evs:
             assert math.isfinite(ev.value) and ev.value > 0.0
 

@@ -48,3 +48,17 @@ def test_loader_imports_an_export_under_a_second_name(tmp_path):
     assert Path(head).resolve() == Path(src) / "greenfcc" / "__init__.py"
     assert Path(tree).resolve() == SCRIPTS.parent / "src" / "greenfcc" / "__init__.py"
     assert int(calls) > 0
+
+
+def test_ab_ops_cold_round(tmp_path):
+    # one round of band_edge with every site record emptied before each
+    # timed call: the cold path is paired, and the pool lines print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_ops.py"), "HEAD", "--workload", "band_edge", "--rounds", "1", "--cold"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ", cold; REV = HEAD" in done.stdout
+    for name in ("latency_p50", "latency_tail", "sum of one round"):
+        assert name in done.stdout
