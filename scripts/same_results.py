@@ -26,7 +26,9 @@ of its own with bench/run.py's thread pinning:
   n >= 3, at t = 2+gamma exactly with gamma = 1e9 and with
   gamma = 1e-9, at t = 1e300, series5 at the far site
   (24, 0, 0) with ``--tol`` 1e-13, series5 at t = 1e6, gamma = 100003, ``convergence``
-  on a short series5 scan, series6 at the far site (24, 0, 0), series6
+  on a short series5 scan, ``convergence`` on a series5 scan of 1000
+  terms with wynn, whose rows read deep prefix sums and a window each,
+  series6 at the far site (24, 0, 0), series6
   inner sums of up to 1000 terms at t = 9.01, gamma = 7, series5 and
   series6 at the site (0, 0, 2000) past the series depth, series6 at
   t = 4.5, gamma = 2 to tol 1e-14, at gamma = 30 and at gamma = 1e6,
@@ -146,6 +148,8 @@ EXTRA_COMMANDS = (
     ["eval", "--t", "1e6", "--gamma", "100003"],
     # every series5 term of a short scan, read from one nu table
     ["convergence", "--t", "6", "--n-max", "40"],
+    # 1000 partial sums, each a prefix of up to 1000 terms, and a Wynn window per row
+    ["convergence", "--t", "3", "--n-max", "1000", "--accel", "wynn"],
     # series6 stops on the first nonzero row at a far site, whose value is far too small
     ["eval", "--t", "4", "--lmn", "24", "0", "0", "--method", "series6"],
     # series6 rows to j = 1000 at gamma = 7, whose ladders pass 1e308

@@ -17,8 +17,9 @@ powers of 1/t.  Two rearrangements are implemented:
   whose inner sum is geometric-with-binomial weights in gamma/t.
 
 Every term of either arrangement is non-negative for gamma > 0, so the
-partial sums increase monotonically toward G.  Each series sums a count
-of terms fixed before the first one: the least k <= n_max whose
+partial sums, each the correctly rounded sum of its terms (math.fsum),
+increase monotonically toward G.  Each series sums a count of terms
+fixed before the first one: the least k <= n_max whose
 closed-form envelope tail, a bound on the sum of every term from k on
 at every site, meets the tolerance (``_tail``, found by one bisection,
 ``_first_passing``).  At the band edge the terms decay only like
@@ -543,34 +544,12 @@ def _scan_for(
 
 @dataclass
 class _ScanState:
-    """The terms one series call summed, their partial sums and inner errors, and its tail."""
+    """The terms one series call summed, the sum of their inner tails and their outer tail."""
 
     terms: list[float]
-    sums: list[float]
-    inner_errors: list[float]
+    inner_error: float  # series6's row tails summed (``_series6_rows``); 0.0 for series5
     ratio: float  # of the geometric scale the stability guard reads (``_term_scale``)
     tail: Callable[[int], float]  # tail(k) bounds the terms from k on (``_tail``)
-
-
-def _scan(
-    terms: list[float], inner_errors: list[float], ratio: float, tail: Callable[[int], float]
-) -> _ScanState:
-    """Kahan-sum ``terms``, every one of them, into their partial sums.
-
-    The terms of both series are >= 0 and 0.0 until the first order
-    whose walks reach the site; a 0.0 term is not added, so the
-    compensation waits for the next nonzero one.
-    """
-    sums = []
-    total = comp = 0.0
-    for term in terms:
-        if term != 0.0:
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        sums.append(total)
-    return _ScanState(terms, sums, inner_errors, ratio, tail)
 
 
 def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
@@ -581,11 +560,11 @@ def _scan_series5(params: GreenParams, tol: float, n_max: int) -> _ScanState:
     count = _first_passing(lambda k: tail(k) <= tol, 1, n_max)
     site = _site_tables(max(params.l, params.m), min(params.l, params.m), params.n)
     terms = [nu * r**i / t for i, nu in enumerate(_nu_table(params, site, count).tolist())]
-    return _scan(terms, [0.0] * count, r, tail)
+    return _ScanState(terms, 0.0, r, tail)
 
 
 def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _ScanState:
-    """Series6's k rows, k the least count whose tail meets ``tol``/2, with their inner tails.
+    """Series6's k rows, k the least count whose tail meets ``tol``/2, and their inner tails summed.
 
     Rows q = n, n+2, ... below k are read by column from R blocks of
     ``_COL_TILE`` rows, each formed to the widest of its groups of
@@ -609,7 +588,7 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         budget = tol * 0.25 * (1.0 - r_out) * r_out**q if r_out < 1.0 else tol * 0.25 / n_max
         return min(max(_envelope_count(params, site, q, max(budget, 1e-300), l_max), first + 1), l_max)
 
-    terms, inner_errors = [0.0] * count, [0.0] * count
+    terms, tails = [0.0] * count, []
     for q0 in range(n, count, 2 * _COL_TILE):
         block = range(q0, min(q0 + 2 * _COL_TILE, count), 2)
         groups = [block[k : k + _ROW_GROUP] for k in range(0, len(block), _ROW_GROUP)]
@@ -618,8 +597,9 @@ def _scan_series6(params: GreenParams, tol: float, n_max: int, l_max: int) -> _S
         for k, qs, w in zip(itertools.count(0, _ROW_GROUP), groups, widths):
             rows = slice(qs[0], qs[-1] + 1, 2)
             c0 = (qs[0] - n) // 2
-            terms[rows], inner_errors[rows] = _series6_rows(params, site, c0, R[k : k + len(qs), :w])
-    return _scan(terms, inner_errors, r_out, tail)
+            terms[rows], row_tails = _series6_rows(params, site, c0, R[k : k + len(qs), :w])
+            tails += row_tails
+    return _ScanState(terms, math.fsum(tails), r_out, tail)
 
 
 def _envelope_count(params: GreenParams, site: _SiteTables, q: int, tol_q: float, l_max: int) -> int:
@@ -769,12 +749,19 @@ def _series6_rows(
     return (s[:, -1] + e.sum(axis=1)).tolist(), tails.tolist()
 
 
-def _doubling_indices(count: int) -> list[int]:
-    return [(1 << k) - 1 for k in range(1, count.bit_length() + 1) if (1 << k) - 1 < count]
+def _window(count: int) -> list[int]:
+    """The indices of the partial sums a transform over ``count`` of them reads (``_transform``).
+
+    The doubling indices i = 2^k - 1 below ``count``; fewer than four of
+    them means at most 15 sums, and then every index.
+    """
+    if count < 16:
+        return list(range(count))
+    return [(1 << k) - 1 for k in range(1, count.bit_length())]
 
 
-def _transform(sums: list[float], method: str) -> tuple[float, float]:
-    """Sequence transform tuned for the band-edge tail.
+def _transform(window: list[float], method: str) -> tuple[float, float]:
+    """Sequence transform tuned for the band-edge tail, over the partial sums at ``_window``.
 
     At t = 2+gamma the partial sums close in like 1/sqrt(i), which the
     transforms cannot accelerate directly (error ratios tend to 1).
@@ -782,11 +769,8 @@ def _transform(sums: list[float], method: str) -> tuple[float, float]:
     component into a geometric one in k, exactly the regime where Wynn
     and Aitken converge; away from the edge the subsampled tail decays
     even faster, so the same sampling is used whenever enough terms
-    exist.  Fewer than four doubling indices means at most 15 sums, and
-    those are transformed whole.
+    exist, and shorter sequences are transformed whole.
     """
-    idx = _doubling_indices(len(sums))
-    window = [sums[i] for i in idx] if len(idx) >= 4 else list(sums)
     seq = PartialSumSequence(window)
     if method == "wynn":
         return wynn_epsilon_with_estimate(seq)
@@ -815,34 +799,38 @@ def _term_scale(terms: list[float], ratio: float) -> float:
 def _finish(state: _ScanState, tol: float, accel: str, method: str) -> SeriesEvaluation:
     """The evaluation a finished scan reports.
 
-    The raw result is the last partial sum, with the outer tail plus the
-    inner tails as its estimate, converged where that is at most ``tol``.
-    With ``accel`` set and the raw sum unconverged after at least three
-    terms, the transformed value is reported instead, unless the
-    stability guard rejects it: a transform may not move more than ten
-    times the term scale (``_term_scale``) off the last partial sum.  A
-    transformed value never claims convergence: its estimate is the
-    change between the last transforms, not a bound, and at the band
-    edge it falls below tol while the true error is far larger.
+    The raw result is math.fsum of the terms, their correctly rounded
+    sum, with the outer tail plus the inner tails as its estimate,
+    converged where that is at most ``tol``.  With ``accel`` set and the
+    raw sum unconverged after at least three terms, the transform of the
+    partial sums at ``_window``, each the math.fsum of its terms, is
+    reported instead, unless the stability guard rejects it: a transform
+    may not move more than ten times the term scale (``_term_scale``)
+    off the raw sum.  A transformed value never claims convergence: its
+    estimate is the change between the last transforms, not a bound, and
+    at the band edge it falls below tol while the true error is far
+    larger.
     """
-    raw_bound = state.tail(len(state.terms)) + math.fsum(state.inner_errors)
+    terms = state.terms
+    total = math.fsum(terms)
+    raw_bound = state.tail(len(terms)) + state.inner_error
     raw_converged = raw_bound <= tol
-    if accel != "none" and not raw_converged and len(state.sums) >= 3:
-        value, estimate = _transform(state.sums, accel)
-        drift = abs(value - state.sums[-1])
-        scale = _term_scale(state.terms, state.ratio)
+    if accel != "none" and not raw_converged and len(terms) >= 3:
+        value, estimate = _transform([math.fsum(terms[: i + 1]) for i in _window(len(terms))], accel)
+        drift = abs(value - total)
+        scale = _term_scale(terms, state.ratio)
         if not (math.isfinite(scale) and drift > 10.0 * max(scale, 1e-300)):
             return SeriesEvaluation(
                 value=value,
-                terms_used=len(state.terms),
+                terms_used=len(terms),
                 abs_error_estimate=estimate,
                 method=method,
                 accelerated=accel,
                 converged=False,
             )
     return SeriesEvaluation(
-        value=state.sums[-1],
-        terms_used=len(state.terms),
+        value=total,
+        terms_used=len(terms),
         abs_error_estimate=raw_bound,
         method=method,
         accelerated="none",
@@ -898,21 +886,23 @@ def convergence_rows(
 ) -> tuple[list[dict], SeriesEvaluation]:
     """Per-term diagnostics, and the evaluation the same scan gives.
 
-    Each row holds the term, partial sum, the closed-form bound on the
-    terms after it (the outer tail) and transform value.  The
-    accelerated estimate in row i is the transform the evaluators apply,
-    taken over the partial sums up to i.  ``l_max``
-    bounds the inner sums of series6 as in evaluate_series6; the
-    evaluation is the one evaluate_series5 or evaluate_series6 reports
-    for the same arguments.
+    Each row holds the term, partial sum (math.fsum of the terms up to
+    it), the closed-form bound on the terms after it (the outer tail)
+    and transform value.  The accelerated estimate in row i is the
+    transform the evaluators apply, taken over the partial sums up to
+    i.  ``l_max`` bounds the inner sums of series6 as in
+    evaluate_series6; the evaluation is the one evaluate_series5 or
+    evaluate_series6 reports for the same arguments.
     """
     state, evaluation = _scan_for(params, method, tol, n_max, l_max, accel)
+    terms = state.terms
+    sums = [math.fsum(terms[: i + 1]) for i in range(len(terms))]
     rows = []
-    for i, (term, psum) in enumerate(zip(state.terms, state.sums)):
+    for i, (term, psum) in enumerate(zip(terms, sums)):
         bound = state.tail(i + 1)
         accel_value: float | None = None
         if accel != "none" and i >= 2:
-            accel_value, _ = _transform(state.sums[: i + 1], accel)
+            accel_value, _ = _transform([sums[j] for j in _window(i + 1)], accel)
         rows.append(
             {
                 "i": i,

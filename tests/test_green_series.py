@@ -36,7 +36,7 @@ from greenfcc.green_series import (
     _nu_table,
     _row_envelope,
     _safe_order,
-    _scan,
+    _ScanState,
     _series6_pieces,
     _series6_r,
     _series6_rows,
@@ -1235,15 +1235,16 @@ class TestScan:
         return 2.0**-k
 
     def test_zero_terms_before_the_floor_never_stop_it(self):
-        # zero terms before the first nonzero one are not added: the sums
-        # after them are the sums of the terms alone, bit for bit, and
-        # the estimate is the tail at the count, not a bound read off
-        # the zeros
+        # zero terms before the first nonzero one change no sum: the
+        # value is the sum of the terms alone, bit for bit, and the
+        # estimate is the tail at the count, not a bound read off the
+        # zeros
         terms = [0.3 * 0.7**i for i in range(12)]
-        plain = _scan(terms, [0.0] * 12, 0.5, self._geometric_tail)
-        padded = _scan([0.0] * 6 + terms, [0.0] * 18, 0.5, self._geometric_tail)
-        assert padded.sums == [0.0] * 6 + plain.sums
-        assert _finish(padded, 1.0, "none", "series5").abs_error_estimate == 2.0**-18
+        plain = _finish(_ScanState(terms, 0.0, 0.5, self._geometric_tail), 1.0, "none", "series5")
+        padded_state = _ScanState([0.0] * 6 + terms, 0.0, 0.5, self._geometric_tail)
+        padded = _finish(padded_state, 1.0, "none", "series5")
+        assert padded.value == plain.value == math.fsum(terms)
+        assert padded.abs_error_estimate == 2.0**-18
 
     def test_stops_at_the_first_bound_within_tol(self):
         # the count is the least k in [lo, hi) whose tail meets tol, or hi
@@ -1259,11 +1260,11 @@ class TestScan:
         # read one converges
         terms = [1.0, 0.5, 0.25]
         errors = [1e-3, 2e-3, 4e-3]
-        state = _scan(terms, errors, 0.5, self._geometric_tail)
+        state = _ScanState(terms, math.fsum(errors), 0.5, self._geometric_tail)
         ev = _finish(state, 1.0, "none", "series6")
         assert ev.abs_error_estimate == 2.0**-3 + math.fsum(errors)
         assert ev.converged and ev.value == 1.75
-        state = _scan(terms, [1e-3, math.inf, 4e-3], 0.5, self._geometric_tail)
+        state = _ScanState(terms, math.fsum([1e-3, math.inf, 4e-3]), 0.5, self._geometric_tail)
         ev = _finish(state, 1.0, "none", "series6")
         assert ev.abs_error_estimate == math.inf and not ev.converged
 
@@ -1275,7 +1276,7 @@ class TestScan:
         tail = _tail(p, ratio, 1.0, _nu_envelope)
         assert [tail(k) for k in range(8)] == [math.inf] * 8
         assert _first_passing(lambda k: tail(k) <= 1.0, 1, 8) == 8
-        state = _scan([1e-300 * 0.5**i for i in range(8)], [0.0] * 8, ratio, tail)
+        state = _ScanState([1e-300 * 0.5**i for i in range(8)], 0.0, ratio, tail)
         ev = _finish(state, 1.0, "none", "series5")
         assert ev.terms_used == 8 and not ev.converged
 
@@ -1507,9 +1508,25 @@ class TestConvergenceRows:
         assert rows[0]["accelerated_estimate"] is None
 
     def test_partial_sums_monotone(self):
-        rows, _ = convergence_rows(GreenParams(t=4.0), tol=1e-30, n_max=40)
-        sums = [r["partial_sum"] for r in rows]
-        assert sums == sorted(sums)
+        # every partial sum is the correctly rounded sum of the terms up
+        # to it, so they increase, and the last one is the raw value; a
+        # Kahan scan ended the last two one ulp above the value, at
+        # 0.0012430990041898218 and 0.0018337971620225938
+        cases = [
+            (GreenParams(t=4.0), 1e-30, 40, "series5", None),
+            (GreenParams(t=4.0), 1e-30, 40, "series6", None),
+            (GreenParams(t=3.5, gamma=1.0, l=3, m=3, n=2), 1e-11, 400, "series5", 0.0012430990041898216),
+            (GreenParams(t=5.0, gamma=0.5, l=2, m=0, n=0), 1e-11, 400, "series6", 0.0018337971620225935),
+        ]
+        for params, tol, n_max, method, value in cases:
+            rows, evaluation = convergence_rows(params, tol=tol, n_max=n_max, method=method)
+            terms = [r["term"] for r in rows]
+            sums = [r["partial_sum"] for r in rows]
+            assert sums == [math.fsum(terms[: i + 1]) for i in range(len(terms))], (params, method)
+            assert sums == sorted(sums)
+            assert sums[-1] == evaluation.value
+            if value is not None:
+                assert evaluation.converged and evaluation.value == value
 
     def test_accelerated_column_present_with_wynn(self):
         rows, _ = convergence_rows(
